@@ -100,12 +100,17 @@ class PairedDataset:
 
 @dataclass
 class AttackModel:
-    """A trained regenerator for one printer, plus its output threshold."""
+    """A trained regenerator for one printer, plus its output threshold.
+
+    val_loss is the validation loss of the kept weights, when training
+    had a validation split to pick them by.
+    """
 
     model: nn.MlpModel
     threshold: float | None
     printer: str
     arch: str
+    val_loss: float | None = None
 
 
 def build_dataset(
@@ -194,7 +199,8 @@ def split_arrays(ds: PairedDataset, printer: str, tag: str):
     return np.concatenate(xs), np.concatenate(ts)
 
 
-def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig):
+def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig,
+                 val=None):
     """Train one regenerator; returns (AttackModel, per-epoch mean loss).
 
     Runs all configured epochs but keeps the parameters from the epoch
@@ -205,6 +211,8 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
     into a frozen all-saturated state; restoring the best snapshot makes
     the outcome independent of where in the schedule that happens.
 
+    val, when given, is the validation split's (inputs, targets) from
+    split_arrays, so a caller that also calibrates builds it only once.
     The threshold is left unset; run calibrate_threshold afterwards.
     """
     cfg.validate()
@@ -220,7 +228,7 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
     n = x.shape[0]
     if n == 0:
         raise StateError("empty train split")
-    xv, tv = split_arrays(ds, printer, SPLIT_VAL)
+    xv, tv = split_arrays(ds, printer, SPLIT_VAL) if val is None else val
 
     model = builders[arch](cfg.seed)
     state = nn.init_adam(model)
@@ -248,7 +256,9 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
             w[:] = bw
         for b, bb in zip(model.biases, best_params[1]):
             b[:] = bb
-    return AttackModel(model=model, threshold=None, printer=printer, arch=arch), history
+    am = AttackModel(model=model, threshold=None, printer=printer, arch=arch,
+                     val_loss=best_val)
+    return am, history
 
 
 def threshold_grid() -> np.ndarray:
@@ -257,10 +267,13 @@ def threshold_grid() -> np.ndarray:
 
 
 def calibrate_grid(values: np.ndarray, targets: np.ndarray):
-    """Sweep the grid; return (t, error) minimizing mean bit disagreement.
+    """Return the grid point t and error minimizing mean bit disagreement.
 
     Ties break toward the smallest t.  values are reals in [0, 1], targets
-    the binary truth; a value counts as 1 when >= t.
+    the binary truth; a value counts as 1 when >= t, compared in float64.
+    Sort-and-count (Fawcett 2006): each class is sorted once, and the
+    errors at t are the 0-targets at or above t plus the 1-targets below
+    it (a NaN is never >= t).  Equals sweeping every grid point exactly.
     """
     values = np.asarray(values)
     targets = np.asarray(targets).astype(bool)
@@ -268,18 +281,28 @@ def calibrate_grid(values: np.ndarray, targets: np.ndarray):
         raise ParameterError("values and targets shapes differ")
     if values.size == 0:
         raise StateError("nothing to calibrate on")
-    best_t, best_err = 0.0, np.inf
-    for t in threshold_grid():
-        err = float(np.mean((values >= t) != targets))
-        if err < best_err:
-            best_t, best_err = float(t), err
-    return best_t, best_err
+    v = values.astype(np.float64, copy=False).ravel()
+    tb = targets.ravel()
+    zeros = np.sort(np.compress(~tb, v))
+    ones = np.sort(np.compress(tb, v))
+    grid = threshold_grid()
+    # Sorting puts NaNs last; the searches at inf count the numbers before them.
+    zeros_num = np.searchsorted(zeros, np.inf, side="right")
+    ones_nan = ones.size - np.searchsorted(ones, np.inf, side="right")
+    errors = (zeros_num - np.searchsorted(zeros, grid, side="left")
+              + np.searchsorted(ones, grid, side="left") + ones_nan)
+    k = int(np.argmin(errors))
+    return float(grid[k]), int(errors[k]) / v.size
 
 
-def calibrate_threshold(am: AttackModel, ds: PairedDataset, printer: str | None = None):
-    """Pick the output threshold on the validation split; returns a new AttackModel."""
+def calibrate_threshold(am: AttackModel, ds: PairedDataset, printer: str | None = None,
+                        val=None):
+    """Pick the output threshold on the validation split; returns a new AttackModel.
+
+    val, when given, is that split's (inputs, targets) from split_arrays.
+    """
     printer = am.printer if printer is None else printer
-    x, t = split_arrays(ds, printer, SPLIT_VAL)
+    x, t = split_arrays(ds, printer, SPLIT_VAL) if val is None else val
     if x.shape[0] == 0:
         raise StateError("empty validation split")
     outputs = nn.forward(am.model, x)

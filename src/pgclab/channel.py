@@ -101,6 +101,16 @@ def preset_with_overrides(printer_id: str, overrides: dict | None = None) -> Cha
             params = replace(params, **overrides)
         except TypeError as exc:
             raise ParameterError(f"unknown channel parameter in overrides: {exc}") from None
+        for key, value in overrides.items():
+            # An int may stand for a float; a bool stands only for a bool.
+            kind = type(getattr(ChannelParams(), key))
+            if kind is bool:
+                ok = isinstance(value, bool)
+            else:
+                allowed = (int, float) if kind is float else int
+                ok = isinstance(value, allowed) and not isinstance(value, bool)
+            if not ok:
+                raise ParameterError(f"{key} must be {kind.__name__}, not {value!r}")
     params.validate()
     return params
 

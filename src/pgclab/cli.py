@@ -71,6 +71,25 @@ def _object(raw: dict, name: str) -> dict:
     return value
 
 
+def _int(value, name: str) -> int:
+    # JSON true/false load as bool, a subclass of int; they are not counts.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, not {value!r}")
+    return value
+
+
 def load_config(path, out=None, seed=None) -> ExperimentConfig:
     """Parse and validate a JSON experiment config.
 
@@ -95,7 +114,7 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
     bad = sorted(set(geo_raw) - {"rows", "cols", "module_px", "block_px"})
     if bad:
         raise ConfigError(f"geometry: unknown key(s) {', '.join(bad)}")
-    geometry = Geometry(**geo_raw)
+    geometry = Geometry(**{k: _int(v, f"geometry.{k}") for k, v in geo_raw.items()})
     try:
         geometry.validate()
     except PgcError as exc:
@@ -107,14 +126,14 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
         raise ConfigError(f"dataset: unknown key(s) {', '.join(bad)}")
     if "n_images" not in ds_raw:
         raise ConfigError("dataset.n_images is required")
-    n_images = int(ds_raw["n_images"])
+    n_images = _int(ds_raw["n_images"], "dataset.n_images")
     if n_images < 1:
         raise ConfigError("dataset.n_images must be >= 1")
     split = ds_raw.get("split")
     if split is not None:
         if not (isinstance(split, list) and len(split) == 3):
             raise ConfigError("dataset.split must be a list of three counts")
-        split = tuple(int(s) for s in split)
+        split = tuple(_int(s, "dataset.split") for s in split)
         if any(s < 0 for s in split):
             raise ConfigError("dataset.split counts must be >= 0")
         if sum(split) != n_images:
@@ -123,7 +142,7 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
             )
     elif n_images != 384:
         raise ConfigError("dataset.split is required when n_images != 384")
-    dataset_seed = int(ds_raw.get("seed", 0))
+    dataset_seed = _int(ds_raw.get("seed", 0), "dataset.seed")
     if dataset_seed < 0:
         raise ConfigError("dataset.seed must be >= 0")
 
@@ -155,12 +174,12 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
     if arch not in ARCHS:
         raise ConfigError(f"training.arch must be one of {', '.join(ARCHS)}")
     train = nn.TrainConfig(
-        epochs=int(tr_raw.get("epochs", 1000)),
-        batch_size=int(tr_raw.get("batch_size", 128)),
-        learning_rate=float(tr_raw.get("learning_rate", 1e-3)),
-        lam=float(tr_raw.get("lam", 0.0)),
+        epochs=_int(tr_raw.get("epochs", 1000), "training.epochs"),
+        batch_size=_int(tr_raw.get("batch_size", 128), "training.batch_size"),
+        learning_rate=_number(tr_raw.get("learning_rate", 1e-3), "training.learning_rate"),
+        lam=_number(tr_raw.get("lam", 0.0), "training.lam"),
         regularizer=tr_raw.get("regularizer", nn.REG_NONE),
-        seed=int(tr_raw.get("seed", 0)),
+        seed=_int(tr_raw.get("seed", 0), "training.seed"),
     )
     try:
         train.validate()
@@ -171,15 +190,20 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
     bad = sorted(set(ev_raw) - _EVAL_KEYS)
     if bad:
         raise ConfigError(f"evaluation: unknown key(s) {', '.join(bad)}")
-    measures = ev_raw.get("measures", list(MEASURES))
+    measures = _list(ev_raw.get("measures", list(MEASURES)), "evaluation.measures")
     for m in measures:
-        if m not in MEASURES:
+        if not isinstance(m, str) or m not in MEASURES:
             raise ConfigError(f"evaluation.measures: unknown measure {m!r}")
-    target_pfa = [float(t) for t in ev_raw.get("target_pfa", [0.0, 0.05, 0.1])]
+    target_pfa = [
+        _number(t, "evaluation.target_pfa")
+        for t in _list(ev_raw.get("target_pfa", [0.0, 0.05, 0.1]), "evaluation.target_pfa")
+    ]
     for t in target_pfa:
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"evaluation.target_pfa: {t} outside [0, 1]")
-    plots = bool(ev_raw.get("plots", False))
+    plots = ev_raw.get("plots", False)
+    if not isinstance(plots, bool):
+        raise ConfigError(f"evaluation.plots must be true or false, not {plots!r}")
 
     out_dir = out if out is not None else raw.get("out_dir")
     if not out_dir:
@@ -226,10 +250,6 @@ def _load_ds(cfg: ExperimentConfig) -> PairedDataset:
     return load_dataset(_dataset_dir(cfg))
 
 
-def _check_printer(ds: PairedDataset, printer: str) -> None:
-    ds.printer_index(printer)
-
-
 def cmd_gen(cfg: ExperimentConfig) -> None:
     """Build the dataset and write it under out_dir/dataset."""
     ds = build_dataset(
@@ -252,9 +272,10 @@ def cmd_train(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> N
     """Train and calibrate one model; write the model file and loss table."""
     arch = arch or cfg.arch
     ds = _load_ds(cfg)
-    _check_printer(ds, printer)
-    am, history = train_attack(ds, printer, arch, cfg.train)
-    am = calibrate_threshold(am, ds)
+    ds.printer_index(printer)
+    val = split_arrays(ds, printer, SPLIT_VAL)
+    am, history = train_attack(ds, printer, arch, cfg.train, val=val)
+    am = calibrate_threshold(am, ds, val=val)
     model_path = _model_path(cfg, printer, arch)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     nn.save_model(am.model, am.threshold, model_path)
@@ -263,8 +284,7 @@ def cmd_train(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> N
         ["epoch", "loss"],
         [(e + 1, v) for e, v in enumerate(history)],
     )
-    xv, tv = split_arrays(ds, printer, SPLIT_VAL)
-    kept = nn.batch_loss(am.model, xv, tv) if xv.shape[0] else history[-1]
+    kept = history[-1] if am.val_loss is None else am.val_loss
     print(
         f"train: {arch} on {printer}, {cfg.train.epochs} epochs, "
         f"final loss {history[-1]:.6f}, kept-model val loss {kept:.6f}, "
@@ -276,7 +296,7 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
     """Estimate test codes with the trained model and the Thr baseline."""
     arch = arch or cfg.arch
     ds = _load_ds(cfg)
-    _check_printer(ds, printer)
+    ds.printer_index(printer)
     model_path = _model_path(cfg, printer, arch)
     if not model_path.exists():
         raise MissingInputError(f"no model file at {model_path}; run the train command first")
@@ -341,11 +361,10 @@ def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> Non
     """Score re-prints of the estimates against authentic re-prints."""
     arch = arch or cfg.arch
     ds = _load_ds(cfg)
-    _check_printer(ds, printer)
+    p_idx = ds.printer_index(printer)
     test_idx = ds.indices(SPLIT_TEST)
     originals = [ds.originals[i] for i in test_idx]
     defender_t = calibrate_pixel_threshold(ds, printer)
-    p_idx = ds.printer_index(printer)
     auth_seed = stream_seed(ds.seed, STREAM_REPRINT_AUTH + p_idx)
     fake_seed = stream_seed(ds.seed, STREAM_REPRINT_FAKE + p_idx)
     params = ds.channel_params[printer]

@@ -176,21 +176,15 @@ def build_bn(seed: int) -> MlpModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Branch on sign to avoid exp overflow for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp(-|z|) never overflows; 1/(1+e) for z >= 0 and e/(1+e) below are
+    # the two stable forms, evaluated on the same e.
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
-
-
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == ACT_RELU:
-        return np.maximum(z, 0)
-    if activation == ACT_SIGMOID:
-        return _sigmoid(z)
-    return z
 
 
 def _forward_acts(m: MlpModel, x: np.ndarray) -> list[np.ndarray]:
@@ -198,7 +192,12 @@ def _forward_acts(m: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
     a = x
     for spec, w, b in zip(m.layers, m.weights, m.biases):
-        a = _apply_activation(a @ w.T + b, spec.activation)
+        a = a @ w.T
+        a += b
+        if spec.activation == ACT_RELU:
+            np.maximum(a, 0, out=a)
+        elif spec.activation == ACT_SIGMOID:
+            a = _sigmoid(a)
         acts.append(a)
     return acts
 
@@ -244,9 +243,16 @@ def batch_loss(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
                cfg: TrainConfig | None = None) -> float:
     """Mean per-sample squared error plus (once) the regularizer term."""
     xb, tb = _check_batch(m, batch_x, batch_t)
-    pred = _forward_acts(m, xb)[-1]
-    d = pred.astype(np.float64) - tb.astype(np.float64)
-    value = float(np.sum(d * d)) / xb.shape[0]
+    return _objective(m, _forward_acts(m, xb)[-1], tb, cfg)
+
+
+def _objective(m: MlpModel, pred: np.ndarray, tb: np.ndarray,
+               cfg: TrainConfig | None) -> float:
+    """batch_loss of a (n, out_dim) prediction, summed in float64."""
+    d = pred.astype(np.float64)
+    d -= tb
+    d *= d
+    value = float(np.sum(d)) / pred.shape[0]
     if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS and cfg.lam > 0:
         value += cfg.lam * weight_sq_sum(m)
     return value
@@ -268,23 +274,24 @@ def _grads_from_acts(m: MlpModel, acts: list[np.ndarray], tb: np.ndarray,
     lam = cfg.lam if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS else 0.0
     grad_w = [None] * len(m.layers)
     grad_b = [None] * len(m.layers)
-    # d(batch_loss)/d(pred), mean over the batch of sum-of-squares terms
-    da = (2.0 / n) * (acts[-1] - tb)
+    # d(batch_loss)/d(pred), mean over the batch of sum-of-squares terms.
+    # dz is built in place in a fresh array, factor by factor from the left.
+    dz = acts[-1] - tb
+    dz *= 2.0 / n
     for k in range(len(m.layers) - 1, -1, -1):
         a = acts[k + 1]
         activation = m.layers[k].activation
         if activation == ACT_SIGMOID:
-            dz = da * a * (1.0 - a)
+            dz *= a
+            dz *= 1.0 - a
         elif activation == ACT_RELU:
-            dz = da * (a > 0)
-        else:
-            dz = da
+            dz *= a > 0
         grad_w[k] = dz.T @ acts[k]
         if lam > 0:
-            grad_w[k] = grad_w[k] + (2.0 * lam) * m.weights[k]
+            grad_w[k] += (2.0 * lam) * m.weights[k]
         grad_b[k] = np.sum(dz, axis=0)
         if k > 0:
-            da = dz @ m.weights[k]
+            dz = dz @ m.weights[k]
     return grad_w, grad_b
 
 
@@ -304,23 +311,22 @@ def loss_and_grads(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
     """batch_loss and its gradients from a single forward pass."""
     xb, tb = _check_batch(m, batch_x, batch_t)
     acts = _forward_acts(m, xb)
-    d = acts[-1].astype(np.float64) - tb.astype(np.float64)
-    value = float(np.sum(d * d)) / xb.shape[0]
-    if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS and cfg.lam > 0:
-        value += cfg.lam * weight_sq_sum(m)
+    value = _objective(m, acts[-1], tb, cfg)
     grad_w, grad_b = _grads_from_acts(m, acts, tb, cfg)
     return value, grad_w, grad_b
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators, the step counter, and two scratch
+    buffers as large as the largest parameter array."""
 
     step: int
     m_w: list[np.ndarray]
     v_w: list[np.ndarray]
     m_b: list[np.ndarray]
     v_b: list[np.ndarray]
+    scratch: tuple[np.ndarray, np.ndarray]
 
     beta1: float = 0.9
     beta2: float = 0.999
@@ -328,17 +334,25 @@ class AdamState:
 
 
 def init_adam(model: MlpModel) -> AdamState:
+    size = max(p.size for p in model.weights + model.biases)
+    dtype = model.weights[0].dtype
     return AdamState(
         step=0,
         m_w=[np.zeros_like(w) for w in model.weights],
         v_w=[np.zeros_like(w) for w in model.weights],
         m_b=[np.zeros_like(b) for b in model.biases],
         v_b=[np.zeros_like(b) for b in model.biases],
+        scratch=(np.empty(size, dtype), np.empty(size, dtype)),
     )
 
 
 def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig):
-    """One Adam update, in place; returns (model, state) for chaining."""
+    """One Adam update, in place; returns (model, state) for chaining.
+
+    Per array: mom = b1 mom + (1 - b1) g, vel = b2 vel + (1 - b2) g^2,
+    p -= lr (mom / c1) / (sqrt(vel / c2) + eps), every product and
+    quotient rounded in the parameter dtype.
+    """
     if state is None:
         raise StateError("optimizer state not initialized (call init_adam)")
     grad_w, grad_b = grads
@@ -353,11 +367,22 @@ def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig):
         (m.biases, grad_b, state.m_b, state.v_b),
     ):
         for p, g, mom, vel in zip(params, gs, ms, vs):
+            s1 = state.scratch[0][: p.size].reshape(p.shape)
+            s2 = state.scratch[1][: p.size].reshape(p.shape)
             mom *= b1
-            mom += (1.0 - b1) * g
+            np.multiply(g, 1.0 - b1, out=s1)
+            mom += s1
             vel *= b2
-            vel += (1.0 - b2) * (g * g)
-            p -= lr * (mom / c1) / (np.sqrt(vel / c2) + eps)
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - b2
+            vel += s1
+            np.divide(vel, c2, out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += eps
+            np.divide(mom, c1, out=s2)
+            s2 *= lr
+            s2 /= s1
+            p -= s2
     return m, state
 
 
@@ -491,16 +516,9 @@ def gradient_check(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
         if not (_masks_equal(base_masks, hi_masks) and _masks_equal(base_masks, lo_masks)):
             continue
 
-        def _objective(acts):
-            d = acts[-1] - tb
-            value = float(np.sum(d * d)) / xb.shape[0]
-            if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS and cfg.lam > 0:
-                value += cfg.lam * weight_sq_sum(md)
-            return value
-
         # Regularizer depends on the weight value, so recompute it at +-step.
-        lo = _objective(acts_lo)
-        hi = _objective(acts_hi)
+        lo = _objective(md, acts_lo[-1], tb, cfg)
+        hi = _objective(md, acts_hi[-1], tb, cfg)
         if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS and cfg.lam > 0 and ai < len(md.weights):
             hi += cfg.lam * ((saved + step) ** 2 - saved ** 2)
             lo += cfg.lam * ((saved - step) ** 2 - saved ** 2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgclab import nn
 from pgclab.attack import (
@@ -185,6 +187,20 @@ def test_returned_model_is_best_validation_epoch():
         np.testing.assert_array_equal(a, b)
 
 
+def test_val_loss_is_the_kept_models_validation_loss():
+    ds = build_dataset(8, (5, 2, 1), printer_params={"SA": preset("SA")}, seed=6)
+    cfg = TrainConfig(epochs=3, batch_size=128, learning_rate=0.05, seed=2)
+    val = split_arrays(ds, "SA", SPLIT_VAL)
+    am, history = train_attack(ds, "SA", "bn", cfg)
+    am2, history2 = train_attack(ds, "SA", "bn", cfg, val=val)
+    assert am.val_loss == nn.batch_loss(am.model, *val)
+    assert am2.val_loss == am.val_loss and history2 == history
+    for a, b in zip(am.model.weights + am.model.biases, am2.model.weights + am2.model.biases):
+        np.testing.assert_array_equal(a, b)
+    no_val = build_dataset(3, (3, 0, 0), printer_params=IDENTITY, seed=1)
+    assert train_attack(no_val, "ID", "bn", TrainConfig(epochs=1))[0].val_loss is None
+
+
 # ---------------------------------------------------------------- calibration
 
 def test_threshold_grid_is_101_hundredths():
@@ -218,6 +234,65 @@ def test_calibrate_grid_matches_exhaustive_sweep():
         assert t == min(attaining)
 
 
+def calibrate_grid_sweep(values, targets):
+    """The exhaustive 101-pass sweep calibrate_grid must equal exactly."""
+    values = np.asarray(values)
+    targets = np.asarray(targets).astype(bool)
+    best_t, best_err = 0.0, np.inf
+    for t in threshold_grid():
+        err = float(np.mean((values >= t) != targets))
+        if err < best_err:
+            best_t, best_err = float(t), err
+    return best_t, best_err
+
+
+_GRID_VALUES = st.one_of(
+    st.sampled_from([k / 100 for k in range(101)]),  # on a grid point
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _calibration_cases(draw):
+    n = draw(st.integers(1, 80))
+    values = draw(st.lists(_GRID_VALUES, min_size=n, max_size=n))
+    targets = draw(st.one_of(
+        st.just([0] * n), st.just([1] * n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+    ))
+    return np.array(values), np.array(targets, np.float32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_calibration_cases(), st.sampled_from([np.float32, np.float64]))
+@example((np.array([0.29]), np.array([1], np.float32)), np.float32)
+@example((np.array([0.29]), np.array([0], np.float32)), np.float32)
+@example((np.array([0.0, 1.0]), np.array([0, 0], np.float32)), np.float64)
+@example((np.array([0.0, 1.0]), np.array([1, 1], np.float32)), np.float64)
+def test_calibrate_grid_equals_sweep(case, dtype):
+    values, targets = case
+    with np.errstate(over="ignore"):
+        values = values.astype(dtype)
+    assert calibrate_grid(values, targets) == calibrate_grid_sweep(values, targets)
+
+
+def test_calibrate_grid_on_float32_grid_points():
+    """float32(k/100) sits just above or below the float64 grid point; the
+    comparison is in float64, so each one is on the side the sweep finds."""
+    for k in range(101):
+        v = np.float32(k / 100)
+        for target in (0.0, 1.0):
+            values, targets = np.array([v]), np.array([target], np.float32)
+            assert calibrate_grid(values, targets) == calibrate_grid_sweep(values, targets)
+    values = np.tile(np.arange(101, dtype=np.float64) / 100, 3).astype(np.float32)
+    targets = np.random.default_rng(4).integers(0, 2, values.size).astype(np.float32)
+    assert calibrate_grid(values, targets) == calibrate_grid_sweep(values, targets)
+    assert calibrate_grid(values.reshape(3, 101), targets.reshape(3, 101)) == \
+        calibrate_grid_sweep(values, targets)
+
+
 def test_calibrate_grid_rejects_empty():
     with pytest.raises(StateError):
         calibrate_grid(np.array([]), np.array([]))
@@ -230,6 +305,8 @@ def test_calibrate_threshold_identity_recovery():
     am2 = calibrate_threshold(am, ds)
     assert am2.threshold == pytest.approx(0.01)
     assert am.threshold is None  # original untouched
+    val = split_arrays(ds, "ID", SPLIT_VAL)
+    assert calibrate_threshold(am, ds, val=val).threshold == am2.threshold
 
 
 def test_calibrate_pixel_threshold_identity():

@@ -146,6 +146,11 @@ def test_preset_overrides():
         preset_with_overrides("SA", {"nozzle": 3})
     with pytest.raises(ParameterError):
         preset_with_overrides("SA", {"dot_gain_prob": 2.0})
+    assert preset_with_overrides("SA", {"psf_sigma": 2}).psf_sigma == 2
+    for bad in ({"psf_sigma": "2"}, {"dot_gain_radius": 1.0}, {"quantize": 1},
+                {"noise_sigma": True}):
+        with pytest.raises(ParameterError, match=next(iter(bad))):
+            preset_with_overrides("SA", bad)
 
 
 def test_gain_offset_affine_stage():

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -224,3 +225,37 @@ def test_config_error_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "pgclab: error [config]" in err
     assert "training.arch" in err
+
+
+@pytest.mark.parametrize(
+    "mutate,needle",
+    [
+        (lambda c: c["dataset"].update(n_images="abc"), "dataset.n_images must be an integer"),
+        (lambda c: c["dataset"].update(seed="x"), "dataset.seed must be an integer"),
+        (lambda c: c["training"].update(seed="x"), "training.seed must be an integer"),
+        (lambda c: c["training"].update(epochs=2.7), "training.epochs must be an integer"),
+        (lambda c: c["training"].update(epochs=True), "training.epochs must be an integer"),
+        (lambda c: c["training"].update(learning_rate="fast"), "training.learning_rate must be a number"),
+        (lambda c: c["dataset"].update(split=[3.9, 1, 1.1]), "dataset.split must be an integer"),
+        (lambda c: c["geometry"].update(rows="a"), "geometry.rows must be an integer"),
+        (lambda c: c.update(printers=[{"id": "SA", "overrides": {"psf_sigma": "2"}}]),
+         r"printers\[0\]: psf_sigma must be float"),
+        (lambda c: c.update(printers=[{"id": "SA", "overrides": {"dot_gain_radius": 1.5}}]),
+         r"printers\[0\]: dot_gain_radius must be int"),
+        (lambda c: c.update(printers=[{"id": "SA", "overrides": {"quantize": 0}}]),
+         r"printers\[0\]: quantize must be bool"),
+        (lambda c: c["evaluation"].update(plots="false"), "evaluation.plots must be true or false"),
+        (lambda c: c["evaluation"].update(measures="pearson"), "evaluation.measures must be a list"),
+        (lambda c: c["evaluation"].update(measures=[["pearson"]]), r"unknown measure \['pearson'\]"),
+        (lambda c: c["evaluation"].update(target_pfa="0.1"), "evaluation.target_pfa must be a list"),
+        (lambda c: c["evaluation"].update(target_pfa=["0.1"]), "evaluation.target_pfa must be a number"),
+    ],
+)
+def test_config_type_errors_exit_as_config_errors(tmp_path, capsys, mutate, needle):
+    """Wrongly typed values are refused by name, never coerced or raised raw."""
+    p = write_cfg(tmp_path, mutate)
+    assert run(["gen", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pgclab: error [config]")
+    assert re.search(needle, err)
+    assert not (tmp_path / "run").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pgclab import nn
 from pgclab.errors import DimensionError, FormatError, ParameterError, StateError
 from pgclab.nn import (
     ACT_IDENTITY,
@@ -360,3 +361,125 @@ def test_layer_spec_validation():
         LayerSpec(0, 3, ACT_RELU).validate()
     with pytest.raises(ParameterError):
         LayerSpec(3, 3, "tanh").validate()
+
+
+# ---------------------------------------------------------------- bit identity
+# The training step's array code is written for speed; these oracles are
+# the plain forms it must reproduce bit for bit.
+
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def sigmoid_masked(z):
+    """Sigmoid branching on sign through boolean masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def loss_and_grads_plain(m, x, t):
+    """Forward, batch loss and backward with a fresh array per operation."""
+    acts = [x]
+    for spec, w, b in zip(m.layers, m.weights, m.biases):
+        z = acts[-1] @ w.T + b
+        if spec.activation == ACT_RELU:
+            z = np.maximum(z, 0)
+        elif spec.activation == ACT_SIGMOID:
+            z = sigmoid_masked(z)
+        acts.append(z)
+    d = acts[-1].astype(np.float64) - t.astype(np.float64)
+    value = float(np.sum(d * d)) / x.shape[0]
+    grad_w, grad_b = [None] * len(m.layers), [None] * len(m.layers)
+    da = (2.0 / x.shape[0]) * (acts[-1] - t)
+    for k in range(len(m.layers) - 1, -1, -1):
+        a = acts[k + 1]
+        if m.layers[k].activation == ACT_SIGMOID:
+            dz = da * a * (1.0 - a)
+        elif m.layers[k].activation == ACT_RELU:
+            dz = da * (a > 0)
+        else:
+            dz = da
+        grad_w[k] = dz.T @ acts[k]
+        grad_b[k] = np.sum(dz, axis=0)
+        if k > 0:
+            da = dz @ m.weights[k]
+    return value, grad_w, grad_b
+
+
+def adam_per_array(params, grads, moments, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam update with a temporary per operation; moments are (m, v) pairs."""
+    c1 = 1.0 - b1 ** step
+    c2 = 1.0 - b2 ** step
+    for p, g, (mom, vel) in zip(params, grads, moments):
+        mom *= b1
+        mom += (1.0 - b1) * g
+        vel *= b2
+        vel += (1.0 - b2) * (g * g)
+        p -= lr * (mom / c1) / (np.sqrt(vel / c2) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bit_identical_to_masked_form(dtype):
+    info = np.finfo(dtype)
+    special = np.array(
+        [0.0, -0.0, 88.0, -88.0, 1e4, -1e4, 1.0, -1.0, 17.0, -17.0, 40.0, -40.0,
+         710.0, -710.0, -745.0, np.inf, -np.inf, info.max, -info.max,
+         info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal],
+        dtype=dtype,
+    )
+    rng = np.random.default_rng(30)
+    z = np.concatenate([
+        special,
+        rng.normal(0.0, 8.0, 128 * 576).astype(dtype),
+        (rng.normal(0.0, 1.0, 1001) * info.smallest_subnormal * 64).astype(dtype),
+    ])
+    with np.errstate(over="ignore"):
+        want = sigmoid_masked(z)
+        np.testing.assert_array_equal(_bits(nn._sigmoid(z)), _bits(want))
+        batch = z[len(special) : len(special) + 128 * 576].reshape(128, 576)
+        np.testing.assert_array_equal(_bits(nn._sigmoid(batch)), _bits(sigmoid_masked(batch)))
+
+
+@pytest.mark.parametrize("build", [build_bn, lambda seed: build_fc(2, seed)])
+def test_loss_and_grads_bit_identical_to_plain_form(build):
+    m = build(31)
+    rng = np.random.default_rng(32)
+    x = rng.random((128, CODE_DIM), dtype=np.float32)
+    t = rng.integers(0, 2, (128, CODE_DIM)).astype(np.float32)
+    value, gw, gb = loss_and_grads(m, x, t)
+    want_value, want_w, want_b = loss_and_grads_plain(m, x, t)
+    assert value == want_value
+    for got, want in zip(gw + gb, want_w + want_b):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert batch_loss(m, x, t) == want_value
+    md = m.astype(np.float64)
+    xd, td = x.astype(np.float64), t.astype(np.float64)
+    _, gw, gb = loss_and_grads(md, xd, td)
+    _, want_w, want_b = loss_and_grads_plain(md, xd, td)
+    for got, want in zip(gw + gb, want_w + want_b):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_optimizer_step_bit_identical_to_per_array_adam():
+    """Six consecutive bn steps on real gradients, compared after each."""
+    m = build_bn(33)
+    params = [p.copy() for p in m.weights + m.biases]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    state = init_adam(m)
+    cfg = TrainConfig(learning_rate=0.05)
+    rng = np.random.default_rng(34)
+    for step in range(1, 7):
+        x = rng.random((128, CODE_DIM), dtype=np.float32)
+        t = rng.integers(0, 2, (128, CODE_DIM)).astype(np.float32)
+        _, gw, gb = loss_and_grads(m, x, t, cfg)
+        optimizer_step(m, (gw, gb), state, cfg)
+        adam_per_array(params, gw + gb, moments, step, cfg.learning_rate)
+        got_all = m.weights + m.biases + state.m_w + state.m_b + state.v_w + state.v_b
+        want_all = params + [mom for mom, _ in moments] + [vel for _, vel in moments]
+        for got, want in zip(got_all, want_all, strict=True):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
