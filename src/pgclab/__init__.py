@@ -52,6 +52,7 @@ from .detector import (
     hamming_norm,
     pd_at_pfa,
     pearson,
+    reprint_scores,
     roc,
     score_experiment,
 )

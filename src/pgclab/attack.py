@@ -61,7 +61,11 @@ def stream_seed(seed: int, stream: int, index: int = 0) -> int:
 
 @dataclass
 class PairedDataset:
-    """Original codes paired with their simulated scans, tagged by split."""
+    """Original codes paired with their simulated scans, tagged by split.
+
+    channel_params names every printer of the dataset; scans may hold
+    only some of them (see load_dataset).
+    """
 
     geometry: Geometry
     seed: int
@@ -77,7 +81,7 @@ class PairedDataset:
 
     @property
     def printers(self) -> tuple[str, ...]:
-        return tuple(sorted(self.scans))
+        return tuple(sorted(self.channel_params))
 
     def indices(self, tag: str) -> list[int]:
         if tag not in SPLITS:
@@ -333,10 +337,14 @@ def calibrate_pixel_threshold(ds: PairedDataset, printer: str) -> float:
 
 
 def estimate_grey(am: AttackModel, scan: PixelImage, geometry: Geometry | None = None) -> PixelImage:
-    """The model's real-valued reconstruction of a scan, as one image."""
+    """The model's real-valued reconstruction of a scan, as one image.
+
+    scan is a byte0_255 luminance scan or its unit_interval ink_intensity.
+    """
     if geometry is None:
         geometry = Geometry()
-    bs = split_blocks(ink_intensity(scan), geometry.block_px)
+    ink = scan if scan.domain == UNIT_INTERVAL else ink_intensity(scan)
+    bs = split_blocks(ink, geometry.block_px)
     out = nn.forward(am.model, bs.blocks)
     grey = BlockSet(bs.block_px, bs.grid_rows, bs.grid_cols, out, UNIT_INTERVAL)
     return assemble_blocks(grey)
@@ -377,7 +385,7 @@ def save_dataset(ds: PairedDataset, out_dir) -> None:
         imgio.write_pbm(m, out / rel)
         original_paths.append(rel)
     scan_paths: dict[str, list[str]] = {}
-    for pid in ds.printers:
+    for pid in sorted(ds.scans):
         (out / "scans" / pid).mkdir(parents=True, exist_ok=True)
         scan_paths[pid] = []
         for i, img in enumerate(ds.scans[pid]):
@@ -399,8 +407,12 @@ def save_dataset(ds: PairedDataset, out_dir) -> None:
         fh.write("\n")
 
 
-def load_dataset(in_dir) -> PairedDataset:
-    """Read a dataset written by save_dataset."""
+def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
+    """Read a dataset written by save_dataset.
+
+    With printer given, only that printer's scans are read; printers and
+    printer_index still cover every printer in the manifest.
+    """
     root = Path(in_dir)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
@@ -428,6 +440,10 @@ def load_dataset(in_dir) -> PairedDataset:
         scan_paths = manifest["scans"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{manifest_path}: malformed manifest ({exc})") from None
+    if printer is not None:
+        if printer not in scan_paths:
+            raise UnknownIdError(f"printer {printer!r} not in dataset")
+        scan_paths = {printer: scan_paths[printer]}
     originals = [imgio.read_pbm(root / rel) for rel in original_paths]
     scans = {
         pid: [imgio.read_pgm(root / rel) for rel in rels]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -135,22 +136,83 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _blur(values: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with clamp-to-edge borders."""
+# At most this many taps are summed by table lookup: a window code of
+# that many bits indexes a table of 2 ** 16 float64 sums (512 KiB).
+_TABLE_TAPS = 16
+# print_scan works through an image in strips of this many rows.  A
+# strip's float64 rows and scratch stay in the L2 cache, and its
+# temporaries are small enough for malloc to reuse instead of mapping
+# and faulting in fresh pages for every image.
+_STRIP_ROWS = 64
+
+
+def _strips(h: int):
+    """Row slices covering 0..h in order, _STRIP_ROWS rows at most each."""
+    return [slice(y0, min(y0 + _STRIP_ROWS, h)) for y0 in range(0, h, _STRIP_ROWS)]
+
+
+@lru_cache(maxsize=8)
+def _window_table(sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel taps, and the horizontal blur of every 0/1 window.
+
+    Entry c of the table is the sum 0 + t0 * b0 + t1 * b1 + ..., taken in
+    that order in float64, where bit k of c is the pixel under tap k; the
+    first min(taps, _TABLE_TAPS) taps are covered.  That is the order of a
+    sequential multiply-add over the image, so a lookup gives its bytes.
+    """
     kernel = _gaussian_kernel(sigma)
+    n = min(len(kernel), _TABLE_TAPS)
+    codes = np.arange(1 << n)
+    table = np.zeros(1 << n)
+    for k, tap in enumerate(kernel[:n]):
+        table += tap * ((codes >> k) & 1).astype(np.float64)
+    kernel.flags.writeable = False
+    table.flags.writeable = False
+    return kernel, table
+
+
+def _blur(values: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur of a 0/1 mask with clamp-to-edge borders.
+
+    Returns float64 (a view into the work buffer when the kernel has more
+    than one tap).  Each pass sums tap * pixel in tap order starting from
+    0.  The horizontal pass reads 0/1 pixels, so each of its sums depends
+    only on the window's bits and is looked up in _window_table by a
+    uint16 window code; taps beyond _TABLE_TAPS are added one by one.
+    """
+    kernel, table = _window_table(sigma)
     radius = (len(kernel) - 1) // 2
     if radius == 0:
-        return values
+        return values.astype(np.float64)
     h, w = values.shape
-    padded = np.pad(values, ((0, 0), (radius, radius)), mode="edge")
-    out = np.zeros_like(values)
-    for k, tap in enumerate(kernel):
-        out += tap * padded[:, k : k + w]
-    padded = np.pad(out, ((radius, radius), (0, 0)), mode="edge")
-    out = np.zeros_like(values)
-    for k, tap in enumerate(kernel):
-        out += tap * padded[k : k + h, :]
-    return out
+    n = min(len(kernel), _TABLE_TAPS)
+    # Horizontal pass into the middle rows; the rows above and below hold
+    # the clamp-to-edge border of the vertical pass.
+    padded = np.empty((h + 2 * radius, w))
+    for rows in _strips(h):
+        bits = np.pad(values[rows].astype(np.uint16), ((0, 0), (radius, radius)), mode="edge")
+        code = bits[:, :w].copy()
+        for k in range(1, n):
+            code |= bits[:, k : k + w] << k
+        out = padded[rows.start + radius : rows.stop + radius]
+        # Codes are below len(table); mode="raise" would buffer the output.
+        np.take(table, code, out=out, mode="clip")
+        for k in range(n, len(kernel)):
+            out += kernel[k] * bits[:, k : k + w]
+    padded[:radius] = padded[radius]
+    padded[radius + h :] = padded[radius + h - 1]
+
+    # Vertical pass.  A strip reads padded rows from its own first row on,
+    # so its result can overwrite the rows above the next strip.
+    acc, part = np.empty((2, _STRIP_ROWS, w))
+    for rows in _strips(h):
+        m = rows.stop - rows.start
+        np.multiply(kernel[0], padded[rows], out=acc[:m])
+        for k in range(1, len(kernel)):
+            np.multiply(kernel[k], padded[rows.start + k : rows.stop + k], out=part[:m])
+            acc[:m] += part[:m]
+        padded[rows] = acc[:m]
+    return padded[:h]
 
 
 def print_scan(img: PixelImage, params: ChannelParams, seed: int) -> PixelImage:
@@ -164,27 +226,45 @@ def print_scan(img: PixelImage, params: ChannelParams, seed: int) -> PixelImage:
         raise DomainError("print_scan expects a binary01 input image")
     params.validate()
     rng = np.random.default_rng(seed)
+    h, w = img.pixels.shape
+    # Random draws fill row-major strips in order, so they are the values
+    # of one draw over the whole image.
+    draws = np.empty((_STRIP_ROWS, w))
 
     ink = img.pixels.astype(bool)
     if params.dot_gain_radius > 0 and params.dot_gain_prob > 0.0:
         dilated = _dilate(ink, params.dot_gain_radius)
-        candidates = dilated & ~ink
         if params.dot_gain_prob >= 1.0:
             ink = dilated
         else:
-            draws = rng.random(ink.shape)
-            ink = ink | (candidates & (draws < params.dot_gain_prob))
+            candidates = dilated & ~ink
+            for rows in _strips(h):
+                u = rng.random(out=draws[: rows.stop - rows.start])
+                candidates[rows] &= u < params.dot_gain_prob
+            ink |= candidates
 
-    v = ink.astype(np.float64)
     if params.psf_sigma > 0.0:
-        v = _blur(v, params.psf_sigma)
+        v = _blur(ink, params.psf_sigma)
+    else:
+        v = ink.astype(np.float64)
 
-    v = np.clip(params.gain * v + params.offset, 0.0, 1.0)
-
-    if params.noise_sigma > 0.0:
-        v = np.clip(v + rng.normal(0.0, params.noise_sigma, size=v.shape), 0.0, 1.0)
-
-    lum = 255.0 * (1.0 - v)
-    if params.quantize:
-        return PixelImage(np.rint(lum).astype(np.uint8), BYTE0_255)
-    return PixelImage(lum.astype(np.float32), BYTE0_255)
+    # v = clamp01(gain * v + offset), v = clamp01(v + noise_sigma * z) and
+    # 255 * (1 - v), computed in place, strip by strip.
+    scan = np.empty((h, w), np.uint8 if params.quantize else np.float32)
+    for rows in _strips(h):
+        s = v[rows]
+        s *= params.gain
+        s += params.offset
+        np.clip(s, 0.0, 1.0, out=s)
+        if params.noise_sigma > 0.0:
+            # rng.normal(0, sigma) draws standard normals z and returns 0 + sigma * z.
+            z = rng.standard_normal(out=draws[: rows.stop - rows.start])
+            z *= params.noise_sigma
+            s += z
+            np.clip(s, 0.0, 1.0, out=s)
+        np.subtract(1.0, s, out=s)
+        s *= 255.0
+        if params.quantize:
+            np.rint(s, out=s)
+        scan[rows] = s
+    return PixelImage(scan, BYTE0_255)

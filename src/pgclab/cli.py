@@ -25,7 +25,6 @@ from .attack import (
     STREAM_REPRINT_FAKE,
     AttackModel,
     PairedDataset,
-    baseline_thr,
     build_dataset,
     calibrate_pixel_threshold,
     calibrate_threshold,
@@ -38,7 +37,16 @@ from .attack import (
 )
 from .channel import ChannelParams, preset_with_overrides
 from .codegen import BYTE0_255, Geometry, PixelImage, binarize, ink_intensity, modules_from_pixels
-from .detector import MEASURES, auc, hamming_norm, pd_at_pfa, pearson, roc, score_experiment
+from .detector import (
+    MEASURES,
+    ScoreSet,
+    auc,
+    hamming_norm,
+    pd_at_pfa,
+    pearson,
+    reprint_scores,
+    roc,
+)
 from .errors import ConfigError, MissingInputError, PgcError, StateError
 from .imgio import read_pbm, write_pbm, write_pgm
 
@@ -246,8 +254,8 @@ def _estimate_dir(cfg: ExperimentConfig, printer: str, source: str) -> Path:
     return cfg.out_dir / "estimates" / f"{printer}_{source}"
 
 
-def _load_ds(cfg: ExperimentConfig) -> PairedDataset:
-    return load_dataset(_dataset_dir(cfg))
+def _load_ds(cfg: ExperimentConfig, printer: str) -> PairedDataset:
+    return load_dataset(_dataset_dir(cfg), printer)
 
 
 def cmd_gen(cfg: ExperimentConfig) -> None:
@@ -271,8 +279,7 @@ def cmd_gen(cfg: ExperimentConfig) -> None:
 def cmd_train(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
     """Train and calibrate one model; write the model file and loss table."""
     arch = arch or cfg.arch
-    ds = _load_ds(cfg)
-    ds.printer_index(printer)
+    ds = _load_ds(cfg, printer)
     val = split_arrays(ds, printer, SPLIT_VAL)
     am, history = train_attack(ds, printer, arch, cfg.train, val=val)
     am = calibrate_threshold(am, ds, val=val)
@@ -295,8 +302,7 @@ def cmd_train(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> N
 def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
     """Estimate test codes with the trained model and the Thr baseline."""
     arch = arch or cfg.arch
-    ds = _load_ds(cfg)
-    ds.printer_index(printer)
+    ds = _load_ds(cfg, printer)
     model_path = _model_path(cfg, printer, arch)
     if not model_path.exists():
         raise MissingInputError(f"no model file at {model_path}; run the train command first")
@@ -305,7 +311,8 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
         raise StateError(f"{model_path} has no calibrated threshold; re-run train")
     am = AttackModel(model=model, threshold=threshold, printer=printer, arch=arch)
 
-    thr_estimates, thr_t = baseline_thr(ds, printer)
+    thr_t = calibrate_pixel_threshold(ds, printer)
+    mpx = ds.geometry.module_px
     test_idx = ds.indices(SPLIT_TEST)
     model_dir = _estimate_dir(cfg, printer, arch)
     thr_dir = _estimate_dir(cfg, printer, "thr")
@@ -314,20 +321,20 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
 
     rows = []
     sums = np.zeros(4)
-    for pos, i in enumerate(test_idx):
-        scan = ds.scans[printer][i]
+    for i in test_idx:
+        # One ink image feeds the model, the Thr baseline (as baseline_thr
+        # computes it) and the baseline's Pearson score.
+        ink = ink_intensity(ds.scans[printer][i])
         original = ds.originals[i]
         ref = ds.rendered_original(i).pixels
-        grey = estimate_grey(am, scan, ds.geometry)
-        xhat = modules_from_pixels(
-            binarize(grey, am.threshold), ds.geometry.module_px
-        )
-        xhat_thr = thr_estimates[pos]
+        grey = estimate_grey(am, ink, ds.geometry)
+        xhat = modules_from_pixels(binarize(grey, am.threshold), mpx)
+        xhat_thr = modules_from_pixels(binarize(ink, thr_t), mpx)
         write_pbm(xhat, model_dir / f"est_{i:04d}.pbm")
         write_pbm(xhat_thr, thr_dir / f"est_{i:04d}.pbm")
         r_model = pearson(ref, grey.pixels)
         h_model = hamming_norm(original.bits, xhat.bits)
-        r_thr = pearson(ref, ink_intensity(scan).pixels)
+        r_thr = pearson(ref, ink.pixels)
         h_thr = hamming_norm(original.bits, xhat_thr.bits)
         rows.append((i, r_model, h_model, r_thr, h_thr))
         sums += (r_model, h_model, r_thr, h_thr)
@@ -360,7 +367,7 @@ def _load_estimates(cfg: ExperimentConfig, printer: str, source: str, test_idx):
 def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
     """Score re-prints of the estimates against authentic re-prints."""
     arch = arch or cfg.arch
-    ds = _load_ds(cfg)
+    ds = _load_ds(cfg, printer)
     p_idx = ds.printer_index(printer)
     test_idx = ds.indices(SPLIT_TEST)
     originals = [ds.originals[i] for i in test_idx]
@@ -368,27 +375,24 @@ def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> Non
     auth_seed = stream_seed(ds.seed, STREAM_REPRINT_AUTH + p_idx)
     fake_seed = stream_seed(ds.seed, STREAM_REPRINT_FAKE + p_idx)
     params = ds.channel_params[printer]
+    mpx = ds.geometry.module_px
     reports = cfg.out_dir / "reports"
+    sources = {s: _load_estimates(cfg, printer, s, test_idx) for s in (arch, "thr")}
+    # Authentic re-prints depend on neither fake source: score them once.
+    authentic = reprint_scores(originals, originals, params, mpx, auth_seed, defender_t)
 
     summary_rows = []
     curves_by_measure: dict[str, list] = {m: [] for m in cfg.measures}
-    for source in (arch, "thr"):
-        estimates = _load_estimates(cfg, printer, source, test_idx)
-        scores = score_experiment(
-            originals, estimates, params, ds.geometry.module_px,
-            auth_seed, fake_seed, defender_t,
-        )
+    for source, estimates in sources.items():
+        fake = reprint_scores(originals, estimates, params, mpx, fake_seed, defender_t)
         diff_dir = reports / "diff" / f"{printer}_{source}"
         diff_dir.mkdir(parents=True, exist_ok=True)
         for original, xhat, i in zip(originals, estimates, test_idx):
             diff = (original.bits != xhat.bits).astype(np.uint8) * 255
-            diff_px = np.repeat(
-                np.repeat(diff, ds.geometry.module_px, axis=0),
-                ds.geometry.module_px, axis=1,
-            )
+            diff_px = np.repeat(np.repeat(diff, mpx, axis=0), mpx, axis=1)
             write_pgm(PixelImage(diff_px, BYTE0_255), diff_dir / f"diff_{i:04d}.pgm")
         for measure in cfg.measures:
-            ss = scores[measure]
+            ss = ScoreSet(authentic[measure], fake[measure], measure)
             _write_csv(
                 reports / f"scores_{printer}_{source}_{measure}.csv",
                 ["score", "label"],

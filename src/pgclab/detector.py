@@ -118,6 +118,43 @@ def pd_at_pfa(curve: RocCurve, target_pfa: float) -> float:
     return max(feasible) if feasible else 0.0
 
 
+def reprint_scores(
+    originals: list[ModuleMatrix],
+    printed: list[ModuleMatrix],
+    params: ChannelParams,
+    module_px: int,
+    seed: int,
+    defender_threshold: float,
+) -> dict[str, np.ndarray]:
+    """Score a simulated re-print of each printed code against its original.
+
+    Print i is print_scan(render(printed_i)) seeded with seed ^ i.  Pearson
+    compares the original bits against the grey ink intensity of the
+    print; Hamming compares the original modules against the print
+    binarized at the defender's own pixel threshold and majority-voted per
+    module.  Returns one float64 score array per measure.
+    """
+    if len(printed) != len(originals):
+        raise MissingInputError(
+            f"{len(originals)} originals but {len(printed)} printed codes"
+        )
+    if not originals:
+        raise MissingInputError("re-print scoring needs at least one code")
+    r, h = [], []
+    for i, (code, xp) in enumerate(zip(originals, printed)):
+        scan = print_scan(render(xp, module_px), params, seed ^ i)
+        ink = ink_intensity(scan)
+        r.append(pearson(render(code, module_px).pixels, ink.pixels))
+        decided = modules_from_pixels(
+            binarize(ink, defender_threshold, HIGH_IS_ONE), module_px
+        )
+        h.append(hamming_norm(code.bits, decided.bits))
+    return {
+        MEASURE_PEARSON: np.asarray(r, dtype=np.float64),
+        MEASURE_HAMMING: np.asarray(h, dtype=np.float64),
+    }
+
+
 def score_experiment(
     originals: list[ModuleMatrix],
     estimates: list[ModuleMatrix],
@@ -129,40 +166,12 @@ def score_experiment(
 ) -> dict[str, ScoreSet]:
     """Score simulated re-prints of originals (H0) and estimates (H1).
 
-    For code i, the authentic print is print_scan(render(x_i)) seeded with
-    authentic_seed ^ i and the fake is print_scan(render(x_hat_i)) seeded
-    with fake_seed ^ i.  Pearson compares the original bits against the
-    grey ink intensity of the print; Hamming compares the original modules
-    against the print binarized at the defender's own pixel threshold and
-    majority-voted per module.  Returns one ScoreSet per measure.
+    The authentic prints are reprint_scores of the originals seeded with
+    authentic_seed, the fakes those of the estimates seeded with
+    fake_seed.  Returns one ScoreSet per measure.
     """
-    if len(estimates) != len(originals):
-        raise MissingInputError(
-            f"{len(originals)} originals but {len(estimates)} estimates"
-        )
-    if not originals:
-        raise MissingInputError("score_experiment needs at least one code")
-
-    def _scores(code: ModuleMatrix, printed: ModuleMatrix, seed: int):
-        scan = print_scan(render(printed, module_px), params, seed)
-        ink = ink_intensity(scan)
-        ref = render(code, module_px).pixels
-        r = pearson(ref, ink.pixels)
-        decided = modules_from_pixels(
-            binarize(ink, defender_threshold, HIGH_IS_ONE), module_px
-        )
-        h = hamming_norm(code.bits, decided.bits)
-        return r, h
-
-    auth_r, auth_h, fake_r, fake_h = [], [], [], []
-    for i, (x, xhat) in enumerate(zip(originals, estimates)):
-        r, h = _scores(x, x, authentic_seed ^ i)
-        auth_r.append(r)
-        auth_h.append(h)
-        r, h = _scores(x, xhat, fake_seed ^ i)
-        fake_r.append(r)
-        fake_h.append(h)
-    return {
-        MEASURE_PEARSON: ScoreSet(auth_r, fake_r, MEASURE_PEARSON),
-        MEASURE_HAMMING: ScoreSet(auth_h, fake_h, MEASURE_HAMMING),
-    }
+    auth = reprint_scores(originals, originals, params, module_px,
+                          authentic_seed, defender_threshold)
+    fake = reprint_scores(originals, estimates, params, module_px,
+                          fake_seed, defender_threshold)
+    return {m: ScoreSet(auth[m], fake[m], m) for m in MEASURES}

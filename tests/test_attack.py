@@ -25,7 +25,7 @@ from pgclab.attack import (
     train_attack,
 )
 from pgclab.channel import ChannelParams, preset
-from pgclab.codegen import Geometry
+from pgclab.codegen import Geometry, ink_intensity
 from pgclab.errors import (
     FormatError,
     MissingInputError,
@@ -324,6 +324,8 @@ def test_estimate_identity_roundtrip():
     for i in ds.indices(SPLIT_TEST):
         grey = estimate_grey(am, ds.scans["ID"][i])
         assert grey.pixels.shape == (384, 384)
+        same = estimate_grey(am, ink_intensity(ds.scans["ID"][i]))
+        assert same.pixels.tobytes() == grey.pixels.tobytes()
         xhat = estimate_code(am, ds.scans["ID"][i])
         np.testing.assert_array_equal(xhat.bits, ds.originals[i].bits)
 
@@ -380,6 +382,23 @@ def test_save_load_dataset_roundtrip(tmp_path):
     for i in range(3):
         np.testing.assert_array_equal(back.originals[i].bits, ds.originals[i].bits)
         np.testing.assert_array_equal(back.scans["SA"][i].pixels, ds.scans["SA"][i].pixels)
+
+
+def test_load_dataset_one_printer_keeps_printer_index(tmp_path):
+    params = {pid: preset(pid) for pid in ("SA", "LX", "HP")}
+    ds = build_dataset(2, (1, 1, 0), printer_params=params, seed=8)
+    save_dataset(ds, tmp_path)
+    back = load_dataset(tmp_path, "LX")
+    assert set(back.scans) == {"LX"}
+    assert back.printers == ds.printers == ("HP", "LX", "SA")
+    assert back.printer_index("LX") == ds.printer_index("LX") == 1
+    assert back.channel_params == ds.channel_params
+    for i in range(2):
+        np.testing.assert_array_equal(back.scans["LX"][i].pixels, ds.scans["LX"][i].pixels)
+    with pytest.raises(UnknownIdError):
+        split_arrays(back, "SA", SPLIT_TRAIN)
+    with pytest.raises(UnknownIdError):
+        load_dataset(tmp_path, "CA")
 
 
 def test_load_dataset_missing_manifest(tmp_path):

@@ -2,10 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgclab.channel import (
     PRINTER_IDS,
     ChannelParams,
+    _blur,
+    _dilate,
+    _gaussian_kernel,
     preset,
     preset_with_overrides,
     print_scan,
@@ -158,3 +163,119 @@ def test_gain_offset_affine_stage():
     img = bits_image([[1]])
     out = print_scan(img, ChannelParams(gain=0.5, offset=0.1, quantize=False), seed=0)
     np.testing.assert_allclose(out.pixels, [[255 * (1 - 0.6)]], rtol=1e-6)
+
+
+# ---------------------------------------------------------------- reference
+# The straightforward channel: a multiply-add per tap over whole padded
+# images, and a tail that allocates each stage.  print_scan must give
+# exactly its bytes.
+
+def reference_blur(values, sigma):
+    kernel = _gaussian_kernel(sigma)
+    radius = (len(kernel) - 1) // 2
+    if radius == 0:
+        return values
+    h, w = values.shape
+    padded = np.pad(values, ((0, 0), (radius, radius)), mode="edge")
+    out = np.zeros_like(values)
+    for k, tap in enumerate(kernel):
+        out += tap * padded[:, k : k + w]
+    padded = np.pad(out, ((radius, radius), (0, 0)), mode="edge")
+    out = np.zeros_like(values)
+    for k, tap in enumerate(kernel):
+        out += tap * padded[k : k + h, :]
+    return out
+
+
+def reference_print_scan(img, params, seed):
+    params.validate()
+    rng = np.random.default_rng(seed)
+
+    ink = img.pixels.astype(bool)
+    if params.dot_gain_radius > 0 and params.dot_gain_prob > 0.0:
+        dilated = _dilate(ink, params.dot_gain_radius)
+        candidates = dilated & ~ink
+        if params.dot_gain_prob >= 1.0:
+            ink = dilated
+        else:
+            draws = rng.random(ink.shape)
+            ink = ink | (candidates & (draws < params.dot_gain_prob))
+
+    v = ink.astype(np.float64)
+    if params.psf_sigma > 0.0:
+        v = reference_blur(v, params.psf_sigma)
+
+    v = np.clip(params.gain * v + params.offset, 0.0, 1.0)
+
+    if params.noise_sigma > 0.0:
+        v = np.clip(v + rng.normal(0.0, params.noise_sigma, size=v.shape), 0.0, 1.0)
+
+    lum = 255.0 * (1.0 - v)
+    if params.quantize:
+        return PixelImage(np.rint(lum).astype(np.uint8), BYTE0_255)
+    return PixelImage(lum.astype(np.float32), BYTE0_255)
+
+
+def assert_same_bytes(a, b):
+    assert a.domain == b.domain
+    assert a.pixels.dtype == b.pixels.dtype and a.pixels.shape == b.pixels.shape
+    assert a.pixels.tobytes() == b.pixels.tobytes()
+
+
+SA = preset("SA")
+# Kernels have 2 * floor(3 sigma) + 1 taps: sigma 0.3 has one tap (no
+# blur), 2.6 the 15 taps of the largest table, 8/3 the 17 taps that put
+# one tap past the table, 5.4 33 taps.
+REFERENCE_CASES = [preset(pid) for pid in PRINTER_IDS] + [
+    dataclasses.replace(SA, quantize=False),
+    dataclasses.replace(SA, dot_gain_prob=1.0),
+    dataclasses.replace(SA, noise_sigma=0.0),
+    dataclasses.replace(SA, psf_sigma=0.3),
+    dataclasses.replace(SA, psf_sigma=2.6),
+    dataclasses.replace(SA, psf_sigma=8 / 3),
+    dataclasses.replace(SA, psf_sigma=5.4),
+    dataclasses.replace(SA, psf_sigma=0.0, gain=0.6, offset=-0.1),
+    ChannelParams(),
+]
+
+
+@pytest.mark.parametrize("params", REFERENCE_CASES, ids=repr)
+def test_print_scan_matches_reference(params):
+    img = render(generate_module_matrix(21, 64, 64), 6)
+    assert_same_bytes(print_scan(img, params, seed=77), reference_print_scan(img, params, 77))
+
+
+def test_print_scan_matches_reference_non_square():
+    img = PixelImage(render(generate_module_matrix(22, 64, 64), 6).pixels[:100, :250].copy(),
+                     BINARY01)
+    for pid in ("SA", "HP"):
+        assert_same_bytes(print_scan(img, preset(pid), seed=5),
+                          reference_print_scan(img, preset(pid), 5))
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.2, 2.6, 8 / 3, 5.4])
+def test_blur_matches_reference(sigma):
+    mask = np.random.default_rng(3).random((130, 70)) < 0.4
+    want = reference_blur(mask.astype(np.float64), sigma)
+    assert _blur(mask, sigma).tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    radius=st.integers(0, 2),
+    prob=st.floats(0.0, 1.0),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
+    gain=st.floats(0.05, 3.0),
+    offset=st.floats(-1.0, 1.0),
+    noise=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    quantize=st.booleans(),
+    h=st.integers(1, 150),
+    w=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_print_scan_matches_reference_property(radius, prob, sigma, gain, offset, noise,
+                                               quantize, h, w, seed):
+    params = ChannelParams(dot_gain_radius=radius, dot_gain_prob=prob, psf_sigma=sigma,
+                           gain=gain, offset=offset, noise_sigma=noise, quantize=quantize)
+    img = bits_image(np.random.default_rng(seed).random((h, w)) < 0.5)
+    assert_same_bytes(print_scan(img, params, seed), reference_print_scan(img, params, seed))

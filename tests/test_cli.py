@@ -5,7 +5,15 @@ import re
 import numpy as np
 import pytest
 
+from pgclab.attack import (
+    SPLIT_TEST,
+    STREAM_REPRINT_AUTH,
+    calibrate_pixel_threshold,
+    load_dataset,
+    stream_seed,
+)
 from pgclab.cli import load_config, main
+from pgclab.detector import reprint_scores
 from pgclab.errors import ConfigError, MissingInputError
 
 
@@ -155,6 +163,12 @@ def test_full_pipeline_tiny(tmp_path, capsys):
     assert (reports / "roc_SA_pearson.svg").exists()
     assert (reports / "roc_SA_hamming.svg").exists()
 
+    # Both fake sources are scored against the same authentic re-prints.
+    for measure in ("pearson", "hamming"):
+        auth = [(reports / f"scores_SA_{source}_{measure}.csv").read_text().split("\n")[1:2]
+                for source in ("bn", "thr")]
+        assert auth[0] == auth[1] and auth[0][0].endswith(",authentic")
+
     shown = capsys.readouterr().out
     assert "gen: 6 codes" in shown
     assert "train: bn on SA" in shown
@@ -259,3 +273,31 @@ def test_config_type_errors_exit_as_config_errors(tmp_path, capsys, mutate, need
     assert err.startswith("pgclab: error [config]")
     assert re.search(needle, err)
     assert not (tmp_path / "run").exists()
+
+
+def test_verbs_read_only_their_printers_scans(tmp_path):
+    """Re-print seeds follow the printer's place in the whole dataset, so
+    roc writes the same bytes when other printers' scans are gone."""
+    p = write_cfg(tmp_path, lambda c: c.update(printers=["SA", "LX"]))
+    out = tmp_path / "run"
+    common = ["--config", str(p)]
+    for verb in ("gen", "train", "attack", "roc"):
+        args = [verb, *common] + ([] if verb == "gen" else ["--printer", "SA"])
+        assert run(args) == 0
+    reports = sorted((out / "reports").glob("*.csv"))
+    before = {f.name: f.read_bytes() for f in reports}
+    for scan in (out / "dataset" / "scans" / "LX").glob("*.pgm"):
+        scan.unlink()
+    for verb in ("train", "attack", "roc"):
+        assert run([verb, *common, "--printer", "SA"]) == 0
+    assert {f.name: f.read_bytes() for f in reports} == before
+
+    # SA is printer 1 of (LX, SA): its authentic re-prints use stream 101.
+    ds = load_dataset(out / "dataset", "SA")
+    test = [ds.originals[i] for i in ds.indices(SPLIT_TEST)]
+    auth = reprint_scores(test, test, ds.channel_params["SA"], 6,
+                          stream_seed(5, STREAM_REPRINT_AUTH + 1),
+                          calibrate_pixel_threshold(ds, "SA"))
+    rows = (out / "reports" / "scores_SA_bn_pearson.csv").read_text().split("\n")[1:]
+    assert [float(r.split(",")[0]) for r in rows if r.endswith(",authentic")] \
+        == auth["pearson"].tolist()

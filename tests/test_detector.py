@@ -18,6 +18,7 @@ from pgclab.detector import (
     hamming_norm,
     pd_at_pfa,
     pearson,
+    reprint_scores,
     roc,
     score_experiment,
 )
@@ -253,6 +254,20 @@ def test_complemented_estimate_scores_poorly():
     assert (out[MEASURE_HAMMING].authentic == 0.0).all()
     for measure in MEASURES:
         assert auc(roc(out[measure])) == 1.0
+
+
+def test_reprint_scores_are_score_experiments():
+    codes = small_codes(4, 400)
+    estimates = [ModuleMatrix(np.where(np.eye(8, dtype=bool), 1 - c.bits, c.bits))
+                 for c in codes]
+    params = preset("HP")
+    out = score_experiment(codes, estimates, params, 3, authentic_seed=70, fake_seed=71,
+                           defender_threshold=0.4)
+    auth = reprint_scores(codes, codes, params, 3, 70, 0.4)
+    fake = reprint_scores(codes, estimates, params, 3, 71, 0.4)
+    for measure in MEASURES:
+        assert out[measure].authentic.tobytes() == auth[measure].tobytes()
+        assert out[measure].fake.tobytes() == fake[measure].tobytes()
 
 
 def test_score_experiment_validates_lengths():
