@@ -8,13 +8,14 @@ so rebuilding a dataset or retraining a model reproduces every byte.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import imgio, nn
-from .channel import PRINTER_IDS, ChannelParams, preset, print_scan
+from .channel import PRINTER_IDS, ChannelParams, parallel_map, preset, print_scan
 from .codegen import (
     UNIT_INTERVAL,
     BlockSet,
@@ -117,6 +118,11 @@ class AttackModel:
     val_loss: float | None = None
 
 
+def _scan_job(job) -> PixelImage:
+    code, module_px, params, seed = job
+    return print_scan(render(code, module_px), params, seed)
+
+
 def build_dataset(
     n_images: int,
     split_sizes: tuple[int, int, int] | None = None,
@@ -126,8 +132,10 @@ def build_dataset(
 ) -> PairedDataset:
     """Generate codes, render them, and scan each through every printer.
 
-    Split assignment is by index order: the first split_sizes[0] images
-    train, the next split_sizes[1] validate, the rest test.
+    The scans run on parallel_map's workers, each seeded by its own
+    (printer, image) stream.  Split assignment is by index order: the
+    first split_sizes[0] images train, the next split_sizes[1] validate,
+    the rest test.
     """
     if geometry is None:
         geometry = Geometry()
@@ -156,17 +164,14 @@ def build_dataset(
         generate_module_matrix(stream_seed(seed, 0, i), geometry.rows, geometry.cols)
         for i in range(n_images)
     ]
-    scans: dict[str, list[PixelImage]] = {}
-    for p_idx, pid in enumerate(sorted(printer_params)):
-        params = printer_params[pid]
-        scans[pid] = [
-            print_scan(
-                render(originals[i], geometry.module_px),
-                params,
-                stream_seed(seed, 1 + p_idx, i),
-            )
-            for i in range(n_images)
-        ]
+    pids = sorted(printer_params)
+    jobs = [
+        (originals[i], geometry.module_px, printer_params[pid], stream_seed(seed, 1 + p_idx, i))
+        for p_idx, pid in enumerate(pids)
+        for i in range(n_images)
+    ]
+    flat = parallel_map(_scan_job, jobs)
+    scans = {pid: flat[p * n_images : (p + 1) * n_images] for p, pid in enumerate(pids)}
     split = (
         [SPLIT_TRAIN] * split_sizes[0]
         + [SPLIT_VAL] * split_sizes[1]
@@ -239,7 +244,9 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
     history = []
     best_val = None
-    best_params = None
+    # The best epoch's parameters, copied into buffers allocated once.
+    params = model.weights + model.biases
+    best_params = [np.empty_like(p) for p in params] if xv.shape[0] else []
     for _ in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         total = 0.0
@@ -249,17 +256,15 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
             nn.optimizer_step(model, (gw, gb), state, cfg)
             total += value * len(sel)
         history.append(total / n)
-        if xv.shape[0]:
+        if best_params:
             val = nn.batch_loss(model, xv, tv)
             if best_val is None or val < best_val:
                 best_val = val
-                best_params = ([w.copy() for w in model.weights],
-                               [b.copy() for b in model.biases])
-    if best_params is not None:
-        for w, bw in zip(model.weights, best_params[0]):
-            w[:] = bw
-        for b, bb in zip(model.biases, best_params[1]):
-            b[:] = bb
+                for dst, p in zip(best_params, params):
+                    np.copyto(dst, p)
+    if best_val is not None:
+        for p, src in zip(params, best_params):
+            np.copyto(p, src)
     am = AttackModel(model=model, threshold=None, printer=printer, arch=arch,
                      val_loss=best_val)
     return am, history
@@ -407,6 +412,32 @@ def save_dataset(ds: PairedDataset, out_dir) -> None:
         fh.write("\n")
 
 
+def _manifest_paths(rels, what: str, root: Path, manifest_path: Path) -> list[str]:
+    """A manifest's list of relative paths as real paths, each under root.
+
+    Each path is normalized, its directory resolved once for all of its
+    files, and a file that is a symbolic link resolved on its own; the
+    returned path is the one checked, and the one read.
+    """
+    if not isinstance(rels, list) or not all(isinstance(rel, str) for rel in rels):
+        raise FormatError(f"{manifest_path}: {what} must be a list of path strings")
+    base = os.path.realpath(root)
+    prefix = os.path.join(base, "")
+    real_dirs: dict[str, str] = {}
+    paths = []
+    for rel in rels:
+        head, name = os.path.split(os.path.normpath(os.path.join(base, rel)))
+        if head not in real_dirs:
+            real_dirs[head] = os.path.realpath(head)
+        path = os.path.join(real_dirs[head], name)
+        if os.path.islink(path):
+            path = os.path.realpath(path)
+        if not path.startswith(prefix):
+            raise FormatError(f"{manifest_path}: {what} path {rel!r} lies outside {root}")
+        paths.append(path)
+    return paths
+
+
 def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
     """Read a dataset written by save_dataset.
 
@@ -438,15 +469,23 @@ def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
         }
         original_paths = manifest["originals"]
         scan_paths = manifest["scans"]
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{manifest_path}: malformed manifest ({exc})") from None
+    if not isinstance(scan_paths, dict):
+        raise FormatError(f"{manifest_path}: scans must map printer ids to path lists")
     if printer is not None:
         if printer not in scan_paths:
             raise UnknownIdError(f"printer {printer!r} not in dataset")
         scan_paths = {printer: scan_paths[printer]}
-    originals = [imgio.read_pbm(root / rel) for rel in original_paths]
+    originals = [
+        imgio.read_pbm(path)
+        for path in _manifest_paths(original_paths, "originals", root, manifest_path)
+    ]
     scans = {
-        pid: [imgio.read_pgm(root / rel) for rel in rels]
+        pid: [
+            imgio.read_pgm(path)
+            for path in _manifest_paths(rels, f"scans[{pid!r}]", root, manifest_path)
+        ]
         for pid, rels in scan_paths.items()
     }
     return PairedDataset(

@@ -17,13 +17,17 @@ Everything is deterministic given (image, params, seed).
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .codegen import BINARY01, BYTE0_255, PixelImage
-from .errors import DomainError, ParameterError, UnknownIdError
+from .errors import DomainError, ParameterError, PgcError, UnknownIdError
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,9 @@ def _dilate(ink: np.ndarray, radius: int) -> np.ndarray:
 def _gaussian_kernel(sigma: float) -> np.ndarray:
     """1-D Gaussian taps truncated at floor(3 * sigma), renormalized."""
     radius = int(math.floor(3.0 * sigma))
+    if radius == 0:
+        # One tap; its weight renormalizes to 1 (exp would give 0/0 for tiny sigma).
+        return np.ones(1)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
     return kernel / kernel.sum()
@@ -268,3 +275,121 @@ def print_scan(img: PixelImage, params: ChannelParams, seed: int) -> PixelImage:
             np.rint(s, out=s)
         scan[rows] = s
     return PixelImage(scan, BYTE0_255)
+
+
+def _worker(fn, jobs, conn) -> None:
+    """Send back (True, fn(jobs[j])) for each index j received until None;
+    stop after the first error."""
+    # Ctrl-C reaches the whole process group; the parent handles it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with conn:
+        while True:
+            try:
+                j = conn.recv()
+            except EOFError:  # the parent has gone
+                return
+            if j is None:
+                return
+            try:
+                conn.send((True, fn(jobs[j])))
+                continue
+            except Exception as exc:
+                err = exc
+            try:
+                # Sent as it is only if the parent can unpickle it.
+                pickle.loads(pickle.dumps(err))
+            except Exception:
+                err = PgcError(f"{type(err).__name__}: {err}")
+            conn.send((False, err))
+            return
+
+
+def parallel_map(fn, jobs) -> list:
+    """[fn(job) for job in jobs], run on one forked worker per usable CPU.
+
+    fn must be a module-level function whose result depends only on its
+    job (each job carries its own seed), so the results do not depend on
+    which worker ran them.  The parent hands out job indices one at a time,
+    keeping two in each worker's hands, so a worker on a slower CPU simply
+    runs fewer jobs.  Each worker talks to the parent over its own pipe;
+    the parent receives the results on the calling thread, from whichever
+    worker is ready, and returns them in job order.  An exception fn raises is
+    re-raised here with its type and message, and a worker that dies
+    raises PgcError.  Every worker has exited when this returns, also when
+    it raises.
+
+    Workers are forked, not spawned, so they neither re-import numpy nor
+    unpickle fn and the jobs.  pgclab starts no threads, and OpenBLAS
+    stops its thread pool around a fork.
+    """
+    jobs = list(jobs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = min(cpus, len(jobs))
+    if n <= 1:
+        return [fn(job) for job in jobs]
+    import multiprocessing  # here, so that importing pgclab does not load it
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    held = [deque() for _ in range(n)]  # indices handed to worker w, unanswered
+    stopped = [False] * n
+    unassigned = iter(range(len(jobs)))
+
+    def hand_out(w: int) -> None:
+        if stopped[w]:
+            return
+        j = next(unassigned, None)
+        if j is None:
+            stopped[w] = True
+        else:
+            held[w].append(j)
+        try:
+            conns[w].send(j)
+        except ConnectionError:  # the worker has died; recv reports it
+            pass
+
+    done = False
+    try:
+        for w in range(n):
+            parent_end, child_end = ctx.Pipe()
+            proc = ctx.Process(target=_worker, args=(fn, jobs, child_end), daemon=True)
+            proc.start()
+            # Closed before the next fork, so the worker holds the only
+            # copy of its end and its exit ends the pipe.
+            child_end.close()
+            procs.append(proc)
+            conns.append(parent_end)
+        for _ in range(2):
+            for w in range(n):
+                hand_out(w)
+        results = [None] * len(jobs)
+        left = len(jobs)
+        busy = list(conns)
+        while left:
+            for conn in wait(busy):
+                w = conns.index(conn)
+                try:
+                    ok, value = conn.recv()
+                except (EOFError, ConnectionResetError):
+                    # A reset, when the worker died with an index unread.
+                    procs[w].join()
+                    raise PgcError(
+                        f"worker {w} exited with code {procs[w].exitcode} before job {held[w][0]}"
+                    ) from None
+                if not ok:
+                    raise value
+                results[held[w].popleft()] = value
+                left -= 1
+                hand_out(w)
+                if not held[w]:
+                    busy.remove(conn)
+        done = True
+        return results
+    finally:
+        for proc in procs:
+            if not done:
+                proc.kill()
+            proc.join()
+        for conn in conns:
+            conn.close()

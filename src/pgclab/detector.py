@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, print_scan
+from .channel import ChannelParams, parallel_map, print_scan
 from .codegen import (
     HIGH_IS_ONE,
     ModuleMatrix,
@@ -118,6 +118,14 @@ def pd_at_pfa(curve: RocCurve, target_pfa: float) -> float:
     return max(feasible) if feasible else 0.0
 
 
+def _reprint_job(job) -> tuple[float, float]:
+    code, xp, params, module_px, seed, defender_threshold = job
+    ink = ink_intensity(print_scan(render(xp, module_px), params, seed))
+    r = pearson(render(code, module_px).pixels, ink.pixels)
+    decided = modules_from_pixels(binarize(ink, defender_threshold, HIGH_IS_ONE), module_px)
+    return r, hamming_norm(code.bits, decided.bits)
+
+
 def reprint_scores(
     originals: list[ModuleMatrix],
     printed: list[ModuleMatrix],
@@ -132,7 +140,8 @@ def reprint_scores(
     compares the original bits against the grey ink intensity of the
     print; Hamming compares the original modules against the print
     binarized at the defender's own pixel threshold and majority-voted per
-    module.  Returns one float64 score array per measure.
+    module.  The prints run on parallel_map's workers.  Returns one
+    float64 score array per measure.
     """
     if len(printed) != len(originals):
         raise MissingInputError(
@@ -140,15 +149,11 @@ def reprint_scores(
         )
     if not originals:
         raise MissingInputError("re-print scoring needs at least one code")
-    r, h = [], []
-    for i, (code, xp) in enumerate(zip(originals, printed)):
-        scan = print_scan(render(xp, module_px), params, seed ^ i)
-        ink = ink_intensity(scan)
-        r.append(pearson(render(code, module_px).pixels, ink.pixels))
-        decided = modules_from_pixels(
-            binarize(ink, defender_threshold, HIGH_IS_ONE), module_px
-        )
-        h.append(hamming_norm(code.bits, decided.bits))
+    jobs = [
+        (code, xp, params, module_px, seed ^ i, defender_threshold)
+        for i, (code, xp) in enumerate(zip(originals, printed))
+    ]
+    r, h = zip(*parallel_map(_reprint_job, jobs))
     return {
         MEASURE_PEARSON: np.asarray(r, dtype=np.float64),
         MEASURE_HAMMING: np.asarray(h, dtype=np.float64),

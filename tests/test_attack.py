@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -416,6 +418,64 @@ def test_load_dataset_rejects_bad_manifest(tmp_path):
     mf.write_text('{"version": 99}')
     with pytest.raises(FormatError):
         load_dataset(tmp_path)
+
+
+def edit_manifest(root, edit):
+    mf = root / "manifest.json"
+    manifest = json.loads(mf.read_text())
+    edit(manifest)
+    mf.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda m: m.update(originals=7), "originals must be a list"),
+    (lambda m: m.update(originals=[3]), "originals must be a list"),
+    (lambda m: m.update(scans=["scans/ID/scan_0000.pgm"]), "scans must map"),
+    (lambda m: m["scans"].update(ID=5), r"scans\['ID'\] must be a list"),
+    (lambda m: m["scans"].update(ID={"SA": 5}), r"scans\['ID'\] must be a list"),
+    (lambda m: m.update(printers=[]), "malformed manifest"),
+    (lambda m: m.update(seed="x"), "malformed manifest"),
+], ids=["originals-int", "originals-element", "scans-list", "scans-entry-int",
+        "scans-entry-dict", "printers-list", "seed-text"])
+def test_load_dataset_rejects_wrong_manifest_types(tmp_path, edit, needle):
+    save_dataset(identity_dataset(2, (1, 1, 0)), tmp_path)
+    edit_manifest(tmp_path, edit)
+    with pytest.raises(FormatError, match=needle):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["originals", "scans"])
+@pytest.mark.parametrize("path", ["../outside.pbm", "{abs}", "originals/../../outside.pbm",
+                                  "file_link.pbm", "dir_link/outside.pbm", ""])
+def test_load_dataset_rejects_paths_outside_the_dataset(tmp_path, key, path):
+    root = tmp_path / "ds"
+    save_dataset(identity_dataset(2, (1, 1, 0)), root)
+    # A readable image outside the dataset: only the path check refuses it.
+    src = root / ("originals/code_0000.pbm" if key == "originals" else "scans/ID/scan_0000.pgm")
+    outside = tmp_path / "outside.pbm"
+    outside.write_bytes(src.read_bytes())
+    (root / "file_link.pbm").symlink_to(outside)
+    (root / "dir_link").symlink_to(tmp_path)
+    path = path.format(abs=outside)
+
+    def edit(m):
+        if key == "originals":
+            m["originals"][0] = path
+        else:
+            m["scans"]["ID"][0] = path
+
+    edit_manifest(root, edit)
+    with pytest.raises(FormatError, match="lies outside"):
+        load_dataset(root)
+
+
+def test_load_dataset_follows_links_inside_the_dataset(tmp_path):
+    ds = identity_dataset(2, (1, 1, 0))
+    save_dataset(ds, tmp_path)
+    (tmp_path / "link.pbm").symlink_to(tmp_path / "originals" / "code_0001.pbm")
+    edit_manifest(tmp_path, lambda m: m["originals"].__setitem__(0, "link.pbm"))
+    back = load_dataset(tmp_path)
+    assert back.originals[0].bits.tobytes() == ds.originals[1].bits.tobytes()
 
 
 # ---------------------------------------------------------------- convergence

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,17 @@ def test_blur_matches_reference(sigma):
     mask = np.random.default_rng(3).random((130, 70)) < 0.4
     want = reference_blur(mask.astype(np.float64), sigma)
     assert _blur(mask, sigma).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [1e-170, 1e-3, 0.3, 1 / 3 - 1e-12])
+def test_one_tap_kernel_is_one_without_warnings(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = _gaussian_kernel(sigma)
+        img = bits_image(np.random.default_rng(4).random((20, 30)) < 0.5)
+        scan = print_scan(img, dataclasses.replace(SA, psf_sigma=sigma), seed=3)
+    assert kernel.tolist() == [1.0]
+    assert_same_bytes(scan, print_scan(img, dataclasses.replace(SA, psf_sigma=0.0), seed=3))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,13 @@
 import copy
 import json
+import multiprocessing
+import os
 import re
 
 import numpy as np
 import pytest
 
+from pgclab import attack
 from pgclab.attack import (
     SPLIT_TEST,
     STREAM_REPRINT_AUTH,
@@ -14,7 +17,7 @@ from pgclab.attack import (
 )
 from pgclab.cli import load_config, main
 from pgclab.detector import reprint_scores
-from pgclab.errors import ConfigError, MissingInputError
+from pgclab.errors import ConfigError, DomainError, MissingInputError
 
 
 BASE = {
@@ -174,6 +177,32 @@ def test_full_pipeline_tiny(tmp_path, capsys):
     assert "train: bn on SA" in shown
     assert "attack: SA/bn" in shown
     assert "roc: SA fakes from" in shown
+
+
+def test_forked_and_one_cpu_pipelines_write_the_same_bytes(tmp_path, monkeypatch):
+    p = write_cfg(tmp_path, lambda c: c["dataset"].update(n_images=7, split=[4, 1, 2]))
+    trees = []
+    for n in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)))
+        out = tmp_path / f"cpus{n}"
+        for verb in ("gen", "train", "attack", "roc"):
+            args = [verb, "--config", str(p), "--out", str(out)]
+            assert run(args if verb == "gen" else [*args, "--printer", "SA"]) == 0
+            assert multiprocessing.active_children() == []
+        trees.append({f.relative_to(out): f.read_bytes()
+                      for f in sorted(out.rglob("*")) if f.is_file()})
+    assert trees[0] == trees[1]
+
+
+def test_worker_error_exits_with_its_category(tmp_path, monkeypatch, capsys):
+    def jammed(img, params, seed):
+        raise DomainError("scanner jammed")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(attack, "print_scan", jammed)
+    assert run(["gen", "--config", str(write_cfg(tmp_path))]) == 1
+    assert "pgclab: error [domain] scanner jammed" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_gen_is_reproducible_across_out_dirs(tmp_path):

@@ -1,0 +1,194 @@
+"""channel.parallel_map and the two callers that fan out on it."""
+
+import multiprocessing
+import os
+import signal
+import time
+
+import numpy as np
+import pytest
+
+from pgclab.attack import build_dataset, stream_seed
+from pgclab.channel import parallel_map, preset, print_scan
+from pgclab.codegen import (
+    HIGH_IS_ONE,
+    ModuleMatrix,
+    binarize,
+    generate_module_matrix,
+    ink_intensity,
+    modules_from_pixels,
+    render,
+)
+from pgclab.detector import MEASURES, hamming_norm, pearson, reprint_scores
+from pgclab.errors import DomainError, PgcError
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail a test that waits on its workers for over a minute, not hang."""
+    def expire(signum, frame):
+        raise TimeoutError("parallel_map still waiting after 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def square_with_pid(j):
+    return j * j, os.getpid()
+
+
+def slow_first_job(j):
+    if j == 0:
+        time.sleep(0.5)
+    return os.getpid()
+
+
+def fail_at_five(j):
+    if j == 5:
+        raise DomainError(f"job {j} is off its domain")
+    return j
+
+
+def die_at_five(j):
+    if j == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return j
+
+
+def die_at_five_with_a_job_queued(j):
+    if j == 5:
+        time.sleep(0.1)  # the parent hands this worker its next index meanwhile
+        os.kill(os.getpid(), signal.SIGKILL)
+    return j
+
+
+def mark_then_fail_at_one(job):
+    j, marks = job
+    if j == 1:
+        raise DomainError("job 1 failed")
+    time.sleep(0.2)
+    (marks / str(j)).touch()
+    return j
+
+
+class Unpicklable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def raise_unpicklable(j):
+    raise Unpicklable(j, "x")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_results_come_back_in_job_order(monkeypatch, n):
+    cpus(monkeypatch, n)
+    out = parallel_map(square_with_pid, range(23))
+    assert [r for r, _ in out] == [j * j for j in range(23)]
+    pids = {pid for _, pid in out}
+    assert len(pids) == n and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_runs_in_the_caller(monkeypatch):
+    cpus(monkeypatch, 1)
+    out = parallel_map(square_with_pid, range(5))
+    assert out == [(j * j, os.getpid()) for j in range(5)]
+
+
+def test_no_more_workers_than_jobs(monkeypatch):
+    cpus(monkeypatch, 8)
+    out = parallel_map(square_with_pid, range(2))
+    assert [r for r, _ in out] == [0, 1]
+    assert len({pid for _, pid in out}) == 2
+    assert parallel_map(square_with_pid, []) == []
+
+
+def test_a_slow_worker_runs_fewer_jobs(monkeypatch):
+    cpus(monkeypatch, 2)
+    pids = parallel_map(slow_first_job, range(12))
+    # Jobs are handed out as workers free up: while job 0 sleeps, the other
+    # worker runs everything but the one job queued behind it.
+    assert pids.count(pids[0]) <= 3
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_keeps_its_type_and_message(monkeypatch):
+    cpus(monkeypatch, 2)
+    with pytest.raises(DomainError, match="^job 5 is off its domain$"):
+        parallel_map(fail_at_five, range(12))
+    assert multiprocessing.active_children() == []
+
+
+def test_error_stops_the_other_workers(monkeypatch, tmp_path):
+    cpus(monkeypatch, 2)
+    with pytest.raises(DomainError, match="job 1 failed"):
+        parallel_map(mark_then_fail_at_one, [(j, tmp_path) for j in range(20)])
+    assert multiprocessing.active_children() == []
+    # Worker 0 would have run all ten of its jobs had it not been killed.
+    assert len(list(tmp_path.iterdir())) < 10
+
+
+def test_unpicklable_worker_error_becomes_pgc_error(monkeypatch):
+    cpus(monkeypatch, 2)
+    with pytest.raises(PgcError, match="Unpicklable: 0 x"):
+        parallel_map(raise_unpicklable, range(4))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fn", [die_at_five, die_at_five_with_a_job_queued])
+def test_killed_worker_raises_pgc_error(monkeypatch, fn):
+    cpus(monkeypatch, 2)
+    with pytest.raises(PgcError, match=r"^worker [01] exited with code -9 before job 5$"):
+        parallel_map(fn, range(12))
+    assert multiprocessing.active_children() == []
+
+
+# The per-image loops that build_dataset and reprint_scores ran before
+# they fanned out, kept as references for the bytes.
+
+def reference_scans(ds, printer_params, seed):
+    scans = {}
+    for p_idx, pid in enumerate(sorted(printer_params)):
+        scans[pid] = [
+            print_scan(render(ds.originals[i], ds.geometry.module_px), printer_params[pid],
+                       stream_seed(seed, 1 + p_idx, i)).pixels.tobytes()
+            for i in range(ds.n_images)
+        ]
+    return scans
+
+
+def reference_reprint_scores(originals, printed, params, module_px, seed, threshold):
+    r, h = [], []
+    for i, (code, xp) in enumerate(zip(originals, printed)):
+        ink = ink_intensity(print_scan(render(xp, module_px), params, seed ^ i))
+        r.append(pearson(render(code, module_px).pixels, ink.pixels))
+        decided = modules_from_pixels(binarize(ink, threshold, HIGH_IS_ONE), module_px)
+        h.append(hamming_norm(code.bits, decided.bits))
+    return [np.asarray(r).tobytes(), np.asarray(h).tobytes()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_dataset_matches_the_per_image_loop(monkeypatch, n):
+    printers = {pid: preset(pid) for pid in ("SA", "HP", "LX")}
+    cpus(monkeypatch, n)
+    ds = build_dataset(5, (3, 1, 1), printer_params=printers, seed=9)
+    got = {pid: [s.pixels.tobytes() for s in scans] for pid, scans in ds.scans.items()}
+    assert got == reference_scans(ds, printers, 9)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_reprint_scores_match_the_per_image_loop(monkeypatch, n):
+    codes = [generate_module_matrix(500 + i, 8, 8) for i in range(7)]
+    estimates = [ModuleMatrix(np.roll(c.bits, 1, axis=1)) for c in codes]
+    cpus(monkeypatch, n)
+    out = reprint_scores(codes, estimates, preset("CA"), 3, 81, 0.45)
+    assert [out[m].tobytes() for m in MEASURES] == reference_reprint_scores(
+        codes, estimates, preset("CA"), 3, 81, 0.45)
