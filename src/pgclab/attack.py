@@ -198,14 +198,14 @@ def split_arrays(ds: PairedDataset, printer: str, tag: str):
         raise UnknownIdError(f"printer {printer!r} not in dataset")
     idx = ds.indices(tag)
     bpx = ds.geometry.block_px
-    dim = ds.geometry.block_dim
-    if not idx:
-        return (np.zeros((0, dim), np.float32), np.zeros((0, dim), np.float32))
-    xs, ts = [], []
-    for i in idx:
-        xs.append(split_blocks(ink_intensity(ds.scans[printer][i]), bpx).blocks)
-        ts.append(split_blocks(ds.rendered_original(i), bpx).blocks.astype(np.float32))
-    return np.concatenate(xs), np.concatenate(ts)
+    per = ds.geometry.blocks_per_image
+    x = np.empty((len(idx) * per, ds.geometry.block_dim), np.float32)
+    t = np.empty_like(x)
+    for k, i in enumerate(idx):
+        rows = slice(k * per, (k + 1) * per)
+        x[rows] = split_blocks(ink_intensity(ds.scans[printer][i]), bpx).blocks
+        t[rows] = split_blocks(ds.rendered_original(i), bpx).blocks
+    return x, t
 
 
 def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig,
@@ -488,6 +488,11 @@ def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
         ]
         for pid, rels in scan_paths.items()
     }
+    if any(m.bits.shape != (geometry.rows, geometry.cols) for m in originals) or any(
+        img.pixels.shape != (geometry.image_height, geometry.image_width)
+        for imgs in scans.values() for img in imgs
+    ):
+        raise FormatError(f"{manifest_path}: an image's size does not match {geometry}")
     return PairedDataset(
         geometry=geometry,
         seed=seed,

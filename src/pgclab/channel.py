@@ -320,7 +320,8 @@ def parallel_map(fn, jobs) -> list:
 
     Workers are forked, not spawned, so they neither re-import numpy nor
     unpickle fn and the jobs.  pgclab starts no threads, and OpenBLAS
-    stops its thread pool around a fork.
+    stops its thread pool around a fork.  fn must not call BLAS: each
+    forked worker would start its own OpenBLAS pool of one thread per CPU.
     """
     jobs = list(jobs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

@@ -35,8 +35,16 @@ from .attack import (
     stream_seed,
     train_attack,
 )
-from .channel import ChannelParams, preset_with_overrides
-from .codegen import BYTE0_255, Geometry, PixelImage, binarize, ink_intensity, modules_from_pixels
+from .channel import ChannelParams, parallel_map, preset_with_overrides
+from .codegen import (
+    BYTE0_255,
+    Geometry,
+    PixelImage,
+    binarize,
+    ink_intensity,
+    modules_from_pixels,
+    render,
+)
 from .detector import (
     MEASURES,
     ScoreSet,
@@ -299,8 +307,39 @@ def cmd_train(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> N
     )
 
 
+def _attack_job(job) -> tuple[float, float, float, float]:
+    """Score one test code's two estimates and write them as PBMs.
+
+    Runs on parallel_map's workers, so it does no BLAS work: the model's
+    grey estimate comes from the parent.
+    """
+    scan, original, grey, model_t, thr_t, module_px, model_path, thr_path = job
+    ink = ink_intensity(scan)
+    ref = render(original, module_px).pixels
+    xhat = modules_from_pixels(binarize(grey, model_t), module_px)
+    xhat_thr = modules_from_pixels(binarize(ink, thr_t), module_px)
+    write_pbm(xhat, model_path)
+    write_pbm(xhat_thr, thr_path)
+    return (
+        pearson(ref, grey.pixels),
+        hamming_norm(original.bits, xhat.bits),
+        pearson(ref, ink.pixels),
+        hamming_norm(original.bits, xhat_thr.bits),
+    )
+
+
+# cmd_attack runs the forward passes of this many test codes, then scores
+# them on the workers, so it holds at most this many grey estimates.
+_ATTACK_WINDOW = 24
+
+
 def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
-    """Estimate test codes with the trained model and the Thr baseline."""
+    """Estimate test codes with the trained model and the Thr baseline.
+
+    The model's forward passes run here, one test code at a time; the
+    thresholding, votes, scores and PBM writes run on parallel_map's
+    workers, which must not start BLAS thread pools of their own.
+    """
     arch = arch or cfg.arch
     ds = _load_ds(cfg, printer)
     model_path = _model_path(cfg, printer, arch)
@@ -319,25 +358,21 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
     model_dir.mkdir(parents=True, exist_ok=True)
     thr_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    scans = ds.scans[printer]
+    scores = []
+    for start in range(0, len(test_idx), _ATTACK_WINDOW):
+        # A temporary list, so that one window's greys are freed before
+        # the next window's forward passes.
+        scores += parallel_map(_attack_job, [
+            (scans[i], ds.originals[i], estimate_grey(am, scans[i], ds.geometry),
+             am.threshold, thr_t, mpx,
+             model_dir / f"est_{i:04d}.pbm", thr_dir / f"est_{i:04d}.pbm")
+            for i in test_idx[start : start + _ATTACK_WINDOW]
+        ])
+    rows = [(i, *s) for i, s in zip(test_idx, scores)]
     sums = np.zeros(4)
-    for i in test_idx:
-        # One ink image feeds the model, the Thr baseline (as baseline_thr
-        # computes it) and the baseline's Pearson score.
-        ink = ink_intensity(ds.scans[printer][i])
-        original = ds.originals[i]
-        ref = ds.rendered_original(i).pixels
-        grey = estimate_grey(am, ink, ds.geometry)
-        xhat = modules_from_pixels(binarize(grey, am.threshold), mpx)
-        xhat_thr = modules_from_pixels(binarize(ink, thr_t), mpx)
-        write_pbm(xhat, model_dir / f"est_{i:04d}.pbm")
-        write_pbm(xhat_thr, thr_dir / f"est_{i:04d}.pbm")
-        r_model = pearson(ref, grey.pixels)
-        h_model = hamming_norm(original.bits, xhat.bits)
-        r_thr = pearson(ref, ink.pixels)
-        h_thr = hamming_norm(original.bits, xhat_thr.bits)
-        rows.append((i, r_model, h_model, r_thr, h_thr))
-        sums += (r_model, h_model, r_thr, h_thr)
+    for s in scores:
+        sums += s
     means = sums / len(test_idx)
     rows.append(("mean", *[float(v) for v in means]))
     report = cfg.out_dir / "reports" / f"{printer}_{arch}_metrics.csv"

@@ -249,9 +249,11 @@ def modules_from_pixels(img: PixelImage, module_px: int) -> ModuleMatrix:
             f"image {h}x{w} not divisible into {module_px}x{module_px} cells"
         )
     rows, cols = h // module_px, w // module_px
+    # Each module row's pixel rows first, then its column groups: the same
+    # exact int64 counts as one sum over both axes.
     counts = (
-        img.pixels.reshape(rows, module_px, cols, module_px)
-        .sum(axis=(1, 3), dtype=np.int64)
+        img.pixels.reshape(rows, module_px, w).sum(axis=1, dtype=np.int64)
+        .reshape(rows, cols, module_px).sum(axis=2)
     )
     bits = (2 * counts > module_px * module_px).astype(np.uint8)
     return ModuleMatrix(bits)

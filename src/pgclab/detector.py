@@ -63,19 +63,21 @@ def pearson(x, y) -> float:
     Convention: x holds the rendered original bits (1 = dark) and y the
     ink intensity of the print under test.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
+    # Own float64 copies, centered in place; one buffer takes each product.
+    xc = np.array(x, dtype=np.float64, order="C").ravel()
+    yc = np.array(y, dtype=np.float64, order="C").ravel()
+    if xc.shape != yc.shape:
         raise DimensionError("pearson inputs must have equal length")
-    if x.size < 2:
+    if xc.size < 2:
         raise DimensionError("pearson needs at least 2 samples")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = np.sqrt(np.sum(xc * xc))
-    sy = np.sqrt(np.sum(yc * yc))
+    xc -= xc.mean()
+    yc -= yc.mean()
+    prod = np.multiply(xc, xc)
+    sx = np.sqrt(np.sum(prod))
+    sy = np.sqrt(np.sum(np.multiply(yc, yc, out=prod)))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInputError("pearson undefined for a constant input")
-    return float(np.clip(np.sum(xc * yc) / (sx * sy), -1.0, 1.0))
+    return float(np.clip(np.sum(np.multiply(xc, yc, out=prod)) / (sx * sy), -1.0, 1.0))
 
 
 def hamming_norm(a, b) -> float:

@@ -27,7 +27,14 @@ from pgclab.attack import (
     train_attack,
 )
 from pgclab.channel import ChannelParams, preset
-from pgclab.codegen import Geometry, ink_intensity
+from pgclab.codegen import (
+    BYTE0_255,
+    Geometry,
+    ModuleMatrix,
+    PixelImage,
+    ink_intensity,
+    split_blocks,
+)
 from pgclab.errors import (
     FormatError,
     MissingInputError,
@@ -35,6 +42,7 @@ from pgclab.errors import (
     StateError,
     UnknownIdError,
 )
+from pgclab.imgio import write_pbm, write_pgm
 from pgclab.nn import ACT_IDENTITY, LayerSpec, MlpModel, TrainConfig
 
 
@@ -123,6 +131,19 @@ def test_split_arrays_shapes_and_ranges():
         split_arrays(ds, "XX", SPLIT_TRAIN)
     with pytest.raises(ParameterError):
         split_arrays(ds, "ID", "holdout")
+
+
+def test_split_arrays_match_the_concatenated_blocks():
+    """The preallocated arrays hold the bytes the per-image concatenation gave."""
+    ds = build_dataset(4, (3, 1, 0), printer_params={"SA": preset("SA")}, seed=2)
+    x, t = split_arrays(ds, "SA", SPLIT_TRAIN)
+    idx = ds.indices(SPLIT_TRAIN)
+    want_x = np.concatenate([split_blocks(ink_intensity(ds.scans["SA"][i]), 24).blocks
+                             for i in idx])
+    want_t = np.concatenate([split_blocks(ds.rendered_original(i), 24).blocks.astype(np.float32)
+                             for i in idx])
+    assert x.tobytes() == want_x.tobytes()
+    assert t.tobytes() == want_t.tobytes()
 
 
 def test_split_arrays_empty_tag():
@@ -467,6 +488,18 @@ def test_load_dataset_rejects_paths_outside_the_dataset(tmp_path, key, path):
     edit_manifest(root, edit)
     with pytest.raises(FormatError, match="lies outside"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize("path", ["originals/code_0001.pbm", "scans/ID/scan_0001.pgm"])
+def test_load_dataset_rejects_images_off_the_geometry(tmp_path, path):
+    save_dataset(identity_dataset(2, (1, 1, 0)), tmp_path)
+    if path.endswith(".pbm"):
+        write_pbm(ModuleMatrix(np.zeros((16, 16), np.uint8)), tmp_path / path)
+    else:
+        # 96 px divides into 24 px blocks, so only the size check refuses it.
+        write_pgm(PixelImage(np.full((96, 96), 200, np.uint8), BYTE0_255), tmp_path / path)
+    with pytest.raises(FormatError, match="size does not match"):
+        load_dataset(tmp_path)
 
 
 def test_load_dataset_follows_links_inside_the_dataset(tmp_path):

@@ -3,21 +3,27 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
-from pgclab import attack
+from pgclab import attack, cli, nn
 from pgclab.attack import (
     SPLIT_TEST,
     STREAM_REPRINT_AUTH,
+    AttackModel,
     calibrate_pixel_threshold,
+    estimate_grey,
     load_dataset,
     stream_seed,
 )
-from pgclab.cli import load_config, main
-from pgclab.detector import reprint_scores
-from pgclab.errors import ConfigError, DomainError, MissingInputError
+from pgclab.cli import _estimate_dir, _load_ds, _model_path, _write_csv, load_config, main
+from pgclab.channel import parallel_map
+from pgclab.codegen import binarize, ink_intensity, modules_from_pixels
+from pgclab.detector import hamming_norm, pearson, reprint_scores
+from pgclab.errors import ConfigError, DomainError, MissingInputError, StateError
+from pgclab.imgio import write_pbm
 
 
 BASE = {
@@ -202,6 +208,115 @@ def test_worker_error_exits_with_its_category(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(attack, "print_scan", jammed)
     assert run(["gen", "--config", str(write_cfg(tmp_path))]) == 1
     assert "pgclab: error [domain] scanner jammed" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def serial_cmd_attack(cfg, printer, arch=None):
+    """cmd_attack as one serial loop over the test codes, kept as the
+    reference for the bytes it writes."""
+    arch = arch or cfg.arch
+    ds = _load_ds(cfg, printer)
+    model_path = _model_path(cfg, printer, arch)
+    if not model_path.exists():
+        raise MissingInputError(f"no model file at {model_path}; run the train command first")
+    model, threshold = nn.load_model(model_path)
+    if threshold is None:
+        raise StateError(f"{model_path} has no calibrated threshold; re-run train")
+    am = AttackModel(model=model, threshold=threshold, printer=printer, arch=arch)
+
+    thr_t = calibrate_pixel_threshold(ds, printer)
+    mpx = ds.geometry.module_px
+    test_idx = ds.indices(SPLIT_TEST)
+    model_dir = _estimate_dir(cfg, printer, arch)
+    thr_dir = _estimate_dir(cfg, printer, "thr")
+    model_dir.mkdir(parents=True, exist_ok=True)
+    thr_dir.mkdir(parents=True, exist_ok=True)
+
+    rows = []
+    sums = np.zeros(4)
+    for i in test_idx:
+        # One ink image feeds the model, the Thr baseline (as baseline_thr
+        # computes it) and the baseline's Pearson score.
+        ink = ink_intensity(ds.scans[printer][i])
+        original = ds.originals[i]
+        ref = ds.rendered_original(i).pixels
+        grey = estimate_grey(am, ink, ds.geometry)
+        xhat = modules_from_pixels(binarize(grey, am.threshold), mpx)
+        xhat_thr = modules_from_pixels(binarize(ink, thr_t), mpx)
+        write_pbm(xhat, model_dir / f"est_{i:04d}.pbm")
+        write_pbm(xhat_thr, thr_dir / f"est_{i:04d}.pbm")
+        r_model = pearson(ref, grey.pixels)
+        h_model = hamming_norm(original.bits, xhat.bits)
+        r_thr = pearson(ref, ink.pixels)
+        h_thr = hamming_norm(original.bits, xhat_thr.bits)
+        rows.append((i, r_model, h_model, r_thr, h_thr))
+        sums += (r_model, h_model, r_thr, h_thr)
+    means = sums / len(test_idx)
+    rows.append(("mean", *[float(v) for v in means]))
+    report = cfg.out_dir / "reports" / f"{printer}_{arch}_metrics.csv"
+    _write_csv(
+        report,
+        ["image", "pearson_model", "hamming_model", "pearson_thr", "hamming_thr"],
+        rows,
+    )
+
+
+def attack_outputs(out):
+    return {f.relative_to(out): f.read_bytes()
+            for d in ("estimates", "reports") for f in sorted((out / d).rglob("*"))
+            if f.is_file()}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A trained SA model on 5 test codes, and the serial loop's attack outputs."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    p = write_cfg(tmp_path, lambda c: c["dataset"].update(n_images=10, split=[4, 1, 5]))
+    for verb in ("gen", "train"):
+        assert run([verb, "--config", str(p)] + (["--printer", "SA"] if verb == "train" else [])) == 0
+    out = tmp_path / "run"
+    serial_cmd_attack(load_config(p), "SA")
+    want = attack_outputs(out)
+    for d in ("estimates", "reports"):
+        shutil.rmtree(out / d)
+    return p, out, want
+
+
+@pytest.mark.parametrize("window, fan_outs", [(24, [5]), (2, [2, 2, 1])],
+                         ids=["one-window", "three-windows"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_attack_writes_the_serial_loops_bytes(trained, tmp_path, monkeypatch, n,
+                                              window, fan_outs):
+    p, out, want = trained
+    mine = tmp_path / "run"
+    shutil.copytree(out, mine)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(cli, "_ATTACK_WINDOW", window)
+    sizes = []
+
+    def counted(fn, jobs):
+        sizes.append(len(jobs))
+        return parallel_map(fn, jobs)
+
+    monkeypatch.setattr(cli, "parallel_map", counted)
+    assert run(["attack", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 0
+    assert multiprocessing.active_children() == []
+    assert sizes == fan_outs
+    assert attack_outputs(mine) == want
+    assert len(want) == 2 * 5 + 1
+
+
+def test_attack_worker_error_exits_with_its_category(trained, tmp_path, monkeypatch, capsys):
+    def jammed(m, path):
+        raise DomainError("estimate jammed")
+
+    p, out, _ = trained
+    mine = tmp_path / "run"
+    shutil.copytree(out, mine)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "write_pbm", jammed)
+    assert run(["attack", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 1
+    assert "pgclab: error [domain] estimate jammed" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
 
 

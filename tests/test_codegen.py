@@ -202,6 +202,32 @@ def test_majority_vote_and_tie():
     assert modules_from_pixels(PixelImage(tie, BINARY01), 2).bits[0, 0] == 0
 
 
+def modules_from_pixels_two_axis_sum(img, module_px):
+    """The vote as one sum over both cell axes, kept as the reference."""
+    rows, cols = img.height // module_px, img.width // module_px
+    counts = (
+        img.pixels.reshape(rows, module_px, cols, module_px)
+        .sum(axis=(1, 3), dtype=np.int64)
+    )
+    return (2 * counts > module_px * module_px).astype(np.uint8)
+
+
+@pytest.mark.parametrize("k", [1, 6, 16, 17])
+def test_modules_from_pixels_matches_the_two_axis_sum(k):
+    """Cells with every count from empty to full, exact halves included;
+    at 16 and 17 px a cell counts past 255."""
+    rng = np.random.default_rng(k)
+    n = k * k
+    counts = rng.integers(0, n + 1, (9, 10))
+    counts.flat[:5] = (0, n // 2, n // 2 + 1, n - 1, n)
+    cells = rng.permuted(np.arange(n) < counts[..., None], axis=-1)
+    pixels = cells.reshape(9, 10, k, k).transpose(0, 2, 1, 3).reshape(9 * k, 10 * k)
+    img = PixelImage(pixels.astype(np.uint8), BINARY01)
+    got = modules_from_pixels(img, k).bits
+    np.testing.assert_array_equal(got, modules_from_pixels_two_axis_sum(img, k))
+    np.testing.assert_array_equal(got, (2 * counts > n).astype(np.uint8))
+
+
 def test_modules_from_pixels_validation():
     with pytest.raises(DomainError):
         modules_from_pixels(PixelImage(np.zeros((4, 4)), UNIT_INTERVAL), 2)

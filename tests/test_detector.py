@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgclab.channel import ChannelParams, preset
-from pgclab.codegen import ModuleMatrix, generate_module_matrix
+from pgclab.channel import ChannelParams, preset, print_scan
+from pgclab.codegen import (
+    BYTE0_255,
+    ModuleMatrix,
+    PixelImage,
+    generate_module_matrix,
+    ink_intensity,
+    render,
+)
 from pgclab.detector import (
     MEASURE_HAMMING,
     MEASURE_PEARSON,
@@ -74,6 +81,40 @@ def test_pearson_degenerate_and_shape_errors():
         pearson([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(DimensionError):
         pearson([1.0], [1.0])
+
+
+def pearson_copying(x, y):
+    """Pearson with a fresh array per step, kept as the reference."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sx = np.sqrt(np.sum(xc * xc))
+    sy = np.sqrt(np.sum(yc * yc))
+    return float(np.clip(np.sum(xc * yc) / (sx * sy), -1.0, 1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+def test_pearson_bit_identical_to_copying_form(dtype):
+    """Rendered codes against their scans; inputs come back unmodified,
+    also float64 ones that np.asarray would not copy."""
+    for k in range(10):
+        code = generate_module_matrix(40 + k, 16, 16)
+        ref = render(code, 6).pixels
+        scan = print_scan(render(code, 6), preset(("SA", "HP")[k % 2]), k).pixels
+        if dtype is np.uint8:
+            x, y = ref, scan
+        else:
+            x = ref.astype(dtype)
+            y = ink_intensity(PixelImage(scan, BYTE0_255)).pixels.astype(dtype)
+        if k == 9:
+            x, y = x.T, y.T  # non-contiguous views
+        before = (x.copy(), y.copy())
+        got, want = pearson(x, y), pearson_copying(x, y)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        np.testing.assert_array_equal(x, before[0])
+        np.testing.assert_array_equal(y, before[1])
+        assert x.dtype == y.dtype == dtype
 
 
 def test_pearson_clipped_to_unit_interval():
