@@ -1,6 +1,6 @@
-"""Attacker pipeline: dataset build, training, calibration, code recovery.
+"""Attacker pipeline: dataset build, training, calibration, estimation.
 
-Also the non-learning baseline that thresholds scan pixels directly.  All
+Also the pixel-threshold calibration of the non-learning baseline.  All
 randomness flows from one dataset seed through fixed per-purpose streams,
 so rebuilding a dataset or retraining a model reproduces every byte.
 """
@@ -23,10 +23,8 @@ from .codegen import (
     ModuleMatrix,
     PixelImage,
     assemble_blocks,
-    binarize,
     generate_module_matrix,
     ink_intensity,
-    modules_from_pixels,
     render,
     split_blocks,
 )
@@ -45,7 +43,14 @@ SPLITS = (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)
 
 DEFAULT_SPLIT = (100, 50, 234)
 
-ARCHS = ("fc2", "fc3", "fc4", "bn")
+# Each architecture's model builder, called with the training seed.
+_BUILDERS = {
+    "fc2": lambda s: nn.build_fc(2, s),
+    "fc3": lambda s: nn.build_fc(3, s),
+    "fc4": lambda s: nn.build_fc(4, s),
+    "bn": nn.build_bn,
+}
+ARCHS = tuple(_BUILDERS)
 
 # Seed streams: per-purpose bases spaced far apart off the dataset seed,
 # with the image index XORed in.  Stream 0 generates codes; streams 1..P
@@ -225,13 +230,7 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
     The threshold is left unset; run calibrate_threshold afterwards.
     """
     cfg.validate()
-    builders = {
-        "fc2": lambda s: nn.build_fc(2, s),
-        "fc3": lambda s: nn.build_fc(3, s),
-        "fc4": lambda s: nn.build_fc(4, s),
-        "bn": nn.build_bn,
-    }
-    if arch not in builders:
+    if arch not in _BUILDERS:
         raise ParameterError(f"unknown arch {arch!r} (known: {', '.join(ARCHS)})")
     x, t = split_arrays(ds, printer, SPLIT_TRAIN)
     n = x.shape[0]
@@ -239,7 +238,7 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
         raise StateError("empty train split")
     xv, tv = split_arrays(ds, printer, SPLIT_VAL) if val is None else val
 
-    model = builders[arch](cfg.seed)
+    model = _BUILDERS[arch](cfg.seed)
     state = nn.init_adam(model)
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
     history = []
@@ -304,14 +303,12 @@ def calibrate_grid(values: np.ndarray, targets: np.ndarray):
     return float(grid[k]), int(errors[k]) / v.size
 
 
-def calibrate_threshold(am: AttackModel, ds: PairedDataset, printer: str | None = None,
-                        val=None):
+def calibrate_threshold(am: AttackModel, ds: PairedDataset, val=None):
     """Pick the output threshold on the validation split; returns a new AttackModel.
 
     val, when given, is that split's (inputs, targets) from split_arrays.
     """
-    printer = am.printer if printer is None else printer
-    x, t = split_arrays(ds, printer, SPLIT_VAL) if val is None else val
+    x, t = split_arrays(ds, am.printer, SPLIT_VAL) if val is None else val
     if x.shape[0] == 0:
         raise StateError("empty validation split")
     outputs = nn.forward(am.model, x)
@@ -341,39 +338,16 @@ def calibrate_pixel_threshold(ds: PairedDataset, printer: str) -> float:
     return best_t
 
 
-def estimate_grey(am: AttackModel, scan: PixelImage, geometry: Geometry | None = None) -> PixelImage:
+def estimate_grey(am: AttackModel, scan: PixelImage, geometry: Geometry) -> PixelImage:
     """The model's real-valued reconstruction of a scan, as one image.
 
     scan is a byte0_255 luminance scan or its unit_interval ink_intensity.
     """
-    if geometry is None:
-        geometry = Geometry()
     ink = scan if scan.domain == UNIT_INTERVAL else ink_intensity(scan)
     bs = split_blocks(ink, geometry.block_px)
     out = nn.forward(am.model, bs.blocks)
     grey = BlockSet(bs.block_px, bs.grid_rows, bs.grid_cols, out, UNIT_INTERVAL)
     return assemble_blocks(grey)
-
-
-def estimate_code(am: AttackModel, scan: PixelImage, geometry: Geometry | None = None) -> ModuleMatrix:
-    """Recover the module matrix behind one scan with the trained model."""
-    if am.threshold is None:
-        raise StateError("attack model has no calibrated threshold")
-    if geometry is None:
-        geometry = Geometry()
-    grey = estimate_grey(am, scan, geometry)
-    return modules_from_pixels(binarize(grey, am.threshold), geometry.module_px)
-
-
-def baseline_thr(ds: PairedDataset, printer: str):
-    """Threshold-only estimation: returns (test estimates, calibrated t)."""
-    t = calibrate_pixel_threshold(ds, printer)
-    mpx = ds.geometry.module_px
-    estimates = [
-        modules_from_pixels(binarize(ink_intensity(ds.scans[printer][i]), t), mpx)
-        for i in ds.indices(SPLIT_TEST)
-    ]
-    return estimates, t
 
 
 MANIFEST_NAME = "manifest.json"

@@ -57,32 +57,24 @@ class ChannelParams:
             raise ParameterError("noise_sigma must be >= 0")
 
 
-@dataclass(frozen=True)
-class PrinterPreset:
-    """A named, immutable printer parameterization."""
-
-    id: str
-    params: ChannelParams
-
-
 # Two virtual laser printers (SA, LX) and two inkjets (HP, CA).  Values are
 # tuning knobs, not measurements: dot gain grows SA <= LX < CA < HP and the
 # inkjets are noisier than the lasers.  Blur is the main module killer at
 # 6 px/module; these settings leave direct thresholding with a few percent
 # of module errors while a trained model recovers nearly all of them.
 _PRESETS = {
-    "SA": PrinterPreset("SA", ChannelParams(
+    "SA": ChannelParams(
         dot_gain_radius=1, dot_gain_prob=0.50, psf_sigma=2.2,
-        gain=1.0, offset=0.03, noise_sigma=0.12, quantize=True)),
-    "LX": PrinterPreset("LX", ChannelParams(
+        gain=1.0, offset=0.03, noise_sigma=0.12, quantize=True),
+    "LX": ChannelParams(
         dot_gain_radius=1, dot_gain_prob=0.55, psf_sigma=2.3,
-        gain=1.0, offset=0.04, noise_sigma=0.12, quantize=True)),
-    "CA": PrinterPreset("CA", ChannelParams(
+        gain=1.0, offset=0.04, noise_sigma=0.12, quantize=True),
+    "CA": ChannelParams(
         dot_gain_radius=1, dot_gain_prob=0.65, psf_sigma=2.4,
-        gain=1.0, offset=0.05, noise_sigma=0.14, quantize=True)),
-    "HP": PrinterPreset("HP", ChannelParams(
+        gain=1.0, offset=0.05, noise_sigma=0.14, quantize=True),
+    "HP": ChannelParams(
         dot_gain_radius=1, dot_gain_prob=0.85, psf_sigma=2.6,
-        gain=1.0, offset=0.06, noise_sigma=0.15, quantize=True)),
+        gain=1.0, offset=0.06, noise_sigma=0.15, quantize=True),
 }
 
 PRINTER_IDS = tuple(_PRESETS)
@@ -91,7 +83,7 @@ PRINTER_IDS = tuple(_PRESETS)
 def preset(printer_id: str) -> ChannelParams:
     """Return the fixed channel parameters of a named virtual printer."""
     try:
-        return _PRESETS[printer_id].params
+        return _PRESETS[printer_id]
     except KeyError:
         raise UnknownIdError(
             f"unknown printer id {printer_id!r} (known: {', '.join(PRINTER_IDS)})"

@@ -19,6 +19,7 @@ import numpy as np
 from . import nn
 from .attack import (
     ARCHS,
+    DEFAULT_SPLIT,
     SPLIT_TEST,
     SPLIT_VAL,
     STREAM_REPRINT_AUTH,
@@ -35,7 +36,7 @@ from .attack import (
     stream_seed,
     train_attack,
 )
-from .channel import ChannelParams, parallel_map, preset_with_overrides
+from .channel import PRINTER_IDS, ChannelParams, parallel_map, preset_with_overrides
 from .codegen import (
     BYTE0_255,
     Geometry,
@@ -74,36 +75,53 @@ class ExperimentConfig:
     plots: bool
 
 
-_TOP_KEYS = {"out_dir", "geometry", "dataset", "printers", "training", "evaluation"}
-_DATASET_KEYS = {"n_images", "split", "seed"}
-_TRAINING_KEYS = {"arch", "epochs", "batch_size", "learning_rate", "lam", "regularizer", "seed"}
-_EVAL_KEYS = {"measures", "target_pfa", "plots"}
+def _typed(kind, what: str, convert=None):
+    """Parser of a value that JSON loads as kind, passed through convert.
+
+    JSON true/false load as bool, a subclass of int; they are not numbers.
+    """
+    def parse(value, name: str):
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+            raise ConfigError(f"{name} must be {what}, not {value!r}")
+        return value if convert is None else convert(value)
+    return parse
 
 
-def _object(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be an object")
-    return value
+_int = _typed(int, "an integer")
+_number = _typed((int, float), "a number", float)
+_str = _typed(str, "a string")
+_bool = _typed(bool, "true or false")
+_list = _typed(list, "a list")
 
 
-def _int(value, name: str) -> int:
-    # JSON true/false load as bool, a subclass of int; they are not counts.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
-    return value
+def _split(value, name: str):
+    # null stands for an absent split.
+    if value is None:
+        return None
+    if not (isinstance(value, list) and len(value) == 3):
+        raise ConfigError(f"{name} must be a list of three counts")
+    return tuple(_int(s, name) for s in value)
 
 
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, not {value!r}")
-    return float(value)
+def _numbers(value, name: str) -> list[float]:
+    return [_number(v, name) for v in _list(value, name)]
 
 
-def _list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list, not {value!r}")
-    return value
+# The parser of each key of each section.  Absent geometry and training
+# keys take the defaults of Geometry and TrainConfig.
+_SECTIONS = {
+    "geometry": {"rows": _int, "cols": _int, "module_px": _int, "block_px": _int},
+    "dataset": {"n_images": _int, "split": _split, "seed": _int},
+    "training": {"arch": _str, "epochs": _int, "batch_size": _int, "learning_rate": _number,
+                 "lam": _number, "regularizer": _str, "seed": _int},
+    "evaluation": {"measures": _list, "target_pfa": _numbers, "plots": _bool},
+}
+
+
+def _reject_unknown(raw: dict, known, where: str) -> None:
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
 def load_config(path, out=None, seed=None) -> ExperimentConfig:
@@ -122,47 +140,42 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
             raise ConfigError(f"{cfg_path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{cfg_path}: top level must be an object")
-    unknown = sorted(set(raw) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"config: unknown key(s) {', '.join(unknown)}")
+    _reject_unknown(raw, {"out_dir", "printers", *_SECTIONS}, "config")
+    sections = {}
+    for section, table in _SECTIONS.items():
+        values = raw.get(section, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"{section} must be an object")
+        _reject_unknown(values, table, section)
+        sections[section] = {k: table[k](v, f"{section}.{k}") for k, v in values.items()}
 
-    geo_raw = _object(raw, "geometry")
-    bad = sorted(set(geo_raw) - {"rows", "cols", "module_px", "block_px"})
-    if bad:
-        raise ConfigError(f"geometry: unknown key(s) {', '.join(bad)}")
-    geometry = Geometry(**{k: _int(v, f"geometry.{k}") for k, v in geo_raw.items()})
+    geometry = Geometry(**sections["geometry"])
     try:
         geometry.validate()
     except PgcError as exc:
         raise ConfigError(str(exc)) from None
 
-    ds_raw = _object(raw, "dataset")
-    bad = sorted(set(ds_raw) - _DATASET_KEYS)
-    if bad:
-        raise ConfigError(f"dataset: unknown key(s) {', '.join(bad)}")
-    if "n_images" not in ds_raw:
+    ds = sections["dataset"]
+    if "n_images" not in ds:
         raise ConfigError("dataset.n_images is required")
-    n_images = _int(ds_raw["n_images"], "dataset.n_images")
+    n_images = ds["n_images"]
     if n_images < 1:
         raise ConfigError("dataset.n_images must be >= 1")
-    split = ds_raw.get("split")
+    split = ds.get("split")
     if split is not None:
-        if not (isinstance(split, list) and len(split) == 3):
-            raise ConfigError("dataset.split must be a list of three counts")
-        split = tuple(_int(s, "dataset.split") for s in split)
         if any(s < 0 for s in split):
             raise ConfigError("dataset.split counts must be >= 0")
         if sum(split) != n_images:
             raise ConfigError(
                 f"dataset.split must sum to dataset.n_images ({sum(split)} != {n_images})"
             )
-    elif n_images != 384:
-        raise ConfigError("dataset.split is required when n_images != 384")
-    dataset_seed = _int(ds_raw.get("seed", 0), "dataset.seed")
+    elif n_images != sum(DEFAULT_SPLIT):
+        raise ConfigError(f"dataset.split is required when n_images != {sum(DEFAULT_SPLIT)}")
+    dataset_seed = ds.get("seed", 0)
     if dataset_seed < 0:
         raise ConfigError("dataset.seed must be >= 0")
 
-    printers_raw = raw.get("printers", [{"id": pid} for pid in ("SA", "LX", "CA", "HP")])
+    printers_raw = raw.get("printers", list(PRINTER_IDS))
     if not (isinstance(printers_raw, list) and printers_raw):
         raise ConfigError("printers must be a non-empty list")
     printers: dict[str, ChannelParams] = {}
@@ -171,10 +184,8 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
             entry = {"id": entry}
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError(f"printers[{i}] must be an id or an object with an id")
-        bad = sorted(set(entry) - {"id", "overrides"})
-        if bad:
-            raise ConfigError(f"printers[{i}]: unknown key(s) {', '.join(bad)}")
-        pid = entry["id"]
+        _reject_unknown(entry, ("id", "overrides"), f"printers[{i}]")
+        pid = _str(entry["id"], f"printers[{i}].id")
         if pid in printers:
             raise ConfigError(f"printers: duplicate id {pid!r}")
         try:
@@ -182,53 +193,35 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
         except PgcError as exc:
             raise ConfigError(f"printers[{i}]: {exc}") from None
 
-    tr_raw = _object(raw, "training")
-    bad = sorted(set(tr_raw) - _TRAINING_KEYS)
-    if bad:
-        raise ConfigError(f"training: unknown key(s) {', '.join(bad)}")
-    arch = tr_raw.get("arch", "bn")
+    training = sections["training"]
+    arch = training.pop("arch", "bn")
     if arch not in ARCHS:
         raise ConfigError(f"training.arch must be one of {', '.join(ARCHS)}")
-    train = nn.TrainConfig(
-        epochs=_int(tr_raw.get("epochs", 1000), "training.epochs"),
-        batch_size=_int(tr_raw.get("batch_size", 128), "training.batch_size"),
-        learning_rate=_number(tr_raw.get("learning_rate", 1e-3), "training.learning_rate"),
-        lam=_number(tr_raw.get("lam", 0.0), "training.lam"),
-        regularizer=tr_raw.get("regularizer", nn.REG_NONE),
-        seed=_int(tr_raw.get("seed", 0), "training.seed"),
-    )
+    train = nn.TrainConfig(**training)
     try:
         train.validate()
     except PgcError as exc:
         raise ConfigError(f"training: {exc}") from None
 
-    ev_raw = _object(raw, "evaluation")
-    bad = sorted(set(ev_raw) - _EVAL_KEYS)
-    if bad:
-        raise ConfigError(f"evaluation: unknown key(s) {', '.join(bad)}")
-    measures = _list(ev_raw.get("measures", list(MEASURES)), "evaluation.measures")
+    evaluation = sections["evaluation"]
+    measures = evaluation.get("measures", list(MEASURES))
     for m in measures:
         if not isinstance(m, str) or m not in MEASURES:
             raise ConfigError(f"evaluation.measures: unknown measure {m!r}")
-    target_pfa = [
-        _number(t, "evaluation.target_pfa")
-        for t in _list(ev_raw.get("target_pfa", [0.0, 0.05, 0.1]), "evaluation.target_pfa")
-    ]
+    target_pfa = evaluation.get("target_pfa", [0.0, 0.05, 0.1])
     for t in target_pfa:
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"evaluation.target_pfa: {t} outside [0, 1]")
-    plots = ev_raw.get("plots", False)
-    if not isinstance(plots, bool):
-        raise ConfigError(f"evaluation.plots must be true or false, not {plots!r}")
 
-    out_dir = out if out is not None else raw.get("out_dir")
-    if not out_dir:
+    if out is None:
+        out = _str(raw.get("out_dir", ""), "out_dir")
+    if not out:
         raise ConfigError("out_dir missing (set it in the config or pass --out)")
     if seed is not None:
         dataset_seed = int(seed)
         train = replace(train, seed=int(seed))
     return ExperimentConfig(
-        out_dir=Path(out_dir),
+        out_dir=Path(out),
         geometry=geometry,
         n_images=n_images,
         split_sizes=split,
@@ -238,7 +231,7 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
         train=train,
         measures=list(measures),
         target_pfa=target_pfa,
-        plots=plots,
+        plots=evaluation.get("plots", False),
     )
 
 

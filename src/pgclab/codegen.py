@@ -18,9 +18,6 @@ BINARY01 = "binary01"
 BYTE0_255 = "byte0_255"
 UNIT_INTERVAL = "unit_interval"
 
-HIGH_IS_ONE = "high_is_one"
-LOW_IS_ONE = "low_is_one"
-
 _DOMAINS = (BINARY01, BYTE0_255, UNIT_INTERVAL)
 
 
@@ -210,27 +207,21 @@ def assemble_blocks(bs: BlockSet) -> PixelImage:
     return PixelImage(np.ascontiguousarray(px), bs.domain)
 
 
-def binarize(values, t: float, polarity: str = HIGH_IS_ONE):
-    """Threshold unit-interval values to bits.
+def binarize(values, t: float):
+    """Threshold unit-interval values to bits: 1 iff value >= t (ties go to 1).
 
-    ``high_is_one``: output 1 iff value >= t (ties go to 1).  ``low_is_one``:
-    output 1 iff value < t, used on raw luminance where ink is dark.  Accepts
-    an array (returned as a uint8 array) or a PixelImage (returned as a
-    binary01 PixelImage).
+    Accepts an array (returned as a uint8 array) or a PixelImage (returned
+    as a binary01 PixelImage).
     """
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"threshold {t} outside [0, 1]")
-    if polarity not in (HIGH_IS_ONE, LOW_IS_ONE):
-        raise ParameterError(f"unknown polarity {polarity!r}")
     if isinstance(values, PixelImage):
         if values.domain == BYTE0_255:
             raise DomainError("binarize expects unit_interval input; normalize first")
-        bits = binarize(values.pixels, t, polarity)
+        bits = binarize(values.pixels, t)
         return PixelImage(bits, BINARY01)
     arr = np.asarray(values)
-    if polarity == HIGH_IS_ONE:
-        return (arr >= t).astype(np.uint8)
-    return (arr < t).astype(np.uint8)
+    return (arr >= t).astype(np.uint8)
 
 
 def modules_from_pixels(img: PixelImage, module_px: int) -> ModuleMatrix:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .channel import ChannelParams, parallel_map, print_scan
 from .codegen import (
-    HIGH_IS_ONE,
     ModuleMatrix,
     binarize,
     ink_intensity,
@@ -124,7 +123,7 @@ def _reprint_job(job) -> tuple[float, float]:
     code, xp, params, module_px, seed, defender_threshold = job
     ink = ink_intensity(print_scan(render(xp, module_px), params, seed))
     r = pearson(render(code, module_px).pixels, ink.pixels)
-    decided = modules_from_pixels(binarize(ink, defender_threshold, HIGH_IS_ONE), module_px)
+    decided = modules_from_pixels(binarize(ink, defender_threshold), module_px)
     return r, hamming_norm(code.bits, decided.bits)
 
 
@@ -161,24 +160,3 @@ def reprint_scores(
         MEASURE_HAMMING: np.asarray(h, dtype=np.float64),
     }
 
-
-def score_experiment(
-    originals: list[ModuleMatrix],
-    estimates: list[ModuleMatrix],
-    params: ChannelParams,
-    module_px: int,
-    authentic_seed: int,
-    fake_seed: int,
-    defender_threshold: float,
-) -> dict[str, ScoreSet]:
-    """Score simulated re-prints of originals (H0) and estimates (H1).
-
-    The authentic prints are reprint_scores of the originals seeded with
-    authentic_seed, the fakes those of the estimates seeded with
-    fake_seed.  Returns one ScoreSet per measure.
-    """
-    auth = reprint_scores(originals, originals, params, module_px,
-                          authentic_seed, defender_threshold)
-    fake = reprint_scores(originals, estimates, params, module_px,
-                          fake_seed, defender_threshold)
-    return {m: ScoreSet(auth[m], fake[m], m) for m in MEASURES}

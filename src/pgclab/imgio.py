@@ -1,10 +1,10 @@
-"""Reading and writing PGM (P5), PBM (P4) and 0/1 text matrix files.
+"""Reading and writing PGM (P5) and PBM (P4) files.
 
 Grayscale images use 8-bit binary PGM with maxval 255.  On write, binary01
 and unit_interval pixels are scaled by 255 and rounded to nearest;
 byte0_255 pixels are rounded if stored as floats.  On read, pixels come
 back as a byte0_255 image.  Module matrices use PBM P4 (1 = black = dark
-module) or a plain text format with one row of 0/1 characters per line.
+module).
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ def read_pgm(path) -> PixelImage:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise FormatError(f"bad PGM header in {path}") from exc
+    if width < 1 or height < 1:
+        raise FormatError(f"bad PGM size {width}x{height} in {path}")
     if maxval != 255:
         raise FormatError(f"unsupported PGM maxval {maxval} (want 255)")
     raster = data[pos : pos + width * height]
@@ -92,6 +94,8 @@ def read_pbm(path) -> ModuleMatrix:
         width, height = int(tokens[1]), int(tokens[2])
     except ValueError as exc:
         raise FormatError(f"bad PBM header in {path}") from exc
+    if width < 1 or height < 1:
+        raise FormatError(f"bad PBM size {width}x{height} in {path}")
     row_bytes = (width + 7) // 8
     raster = data[pos : pos + row_bytes * height]
     if len(raster) != row_bytes * height:
@@ -99,25 +103,3 @@ def read_pbm(path) -> ModuleMatrix:
     packed = np.frombuffer(raster, dtype=np.uint8).reshape(height, row_bytes)
     bits = np.unpackbits(packed, axis=1)[:, :width]
     return ModuleMatrix(bits)
-
-
-def write_matrix_text(m: ModuleMatrix, path) -> None:
-    """Write a module matrix as one line of 0/1 characters per row."""
-    lines = ["".join("1" if b else "0" for b in row) for row in m.bits]
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def read_matrix_text(path) -> ModuleMatrix:
-    """Read the 0/1 text matrix format written by write_matrix_text."""
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines:
-        raise FormatError(f"empty matrix file: {path}")
-    width = len(lines[0])
-    rows = []
-    for ln in lines:
-        if len(ln) != width or set(ln) - {"0", "1"}:
-            raise FormatError(f"malformed matrix row in {path}")
-        rows.append([1 if ch == "1" else 0 for ch in ln])
-    return ModuleMatrix(np.array(rows, dtype=np.uint8))

@@ -8,7 +8,7 @@ given the seeds, with fixed reduction orders.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,22 +84,6 @@ class MlpModel:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
-
-    @property
-    def dims(self) -> list[int]:
-        return [self.layers[0].in_dim] + [s.out_dim for s in self.layers]
-
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            list(self.layers),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.bottleneck_index,
-        )
 
     def astype(self, dtype) -> "MlpModel":
         return MlpModel(
@@ -202,41 +186,21 @@ def _forward_acts(m: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _as_batch(m: MlpModel, x: np.ndarray):
+def _as_batch(m: MlpModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != m.in_dim:
         raise DimensionError(f"input shape {x.shape} does not match in_dim {m.in_dim}")
-    return x.astype(m.weights[0].dtype, copy=False), squeeze
+    return x.astype(m.weights[0].dtype, copy=False)
 
 
 def forward(m: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Run the network on one vector or a (n, in_dim) batch."""
-    xb, squeeze = _as_batch(m, x)
-    out = _forward_acts(m, xb)[-1]
-    return out[0] if squeeze else out
+    """Run the network on a (n, in_dim) batch."""
+    return _forward_acts(m, _as_batch(m, x))[-1]
 
 
 def weight_sq_sum(m: MlpModel) -> float:
     """Sum of squared weights (biases excluded), in float64."""
     return float(sum(np.sum(w.astype(np.float64) ** 2) for w in m.weights))
-
-
-def loss(pred: np.ndarray, target: np.ndarray, m: MlpModel | None = None,
-         cfg: TrainConfig | None = None) -> float:
-    """Squared error for one sample, plus the optional l2 weight penalty."""
-    pred = np.asarray(pred)
-    target = np.asarray(target)
-    if pred.shape != target.shape:
-        raise DimensionError("pred and target shapes differ")
-    value = float(np.sum((pred.astype(np.float64) - target.astype(np.float64)) ** 2))
-    if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS and cfg.lam > 0:
-        if m is None:
-            raise ParameterError("l2_weights regularizer needs the model")
-        value += cfg.lam * weight_sq_sum(m)
-    return value
 
 
 def batch_loss(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
@@ -259,7 +223,7 @@ def _objective(m: MlpModel, pred: np.ndarray, tb: np.ndarray,
 
 
 def _check_batch(m: MlpModel, batch_x, batch_t):
-    xb, _ = _as_batch(m, batch_x)
+    xb = _as_batch(m, batch_x)
     if xb.shape[0] == 0:
         raise DimensionError("empty batch")
     tb = np.asarray(batch_t).astype(xb.dtype, copy=False)
@@ -293,17 +257,6 @@ def _grads_from_acts(m: MlpModel, acts: list[np.ndarray], tb: np.ndarray,
         if k > 0:
             dz = dz @ m.weights[k]
     return grad_w, grad_b
-
-
-def backward(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
-             cfg: TrainConfig | None = None):
-    """Exact gradient of batch_loss w.r.t. every weight and bias.
-
-    Returns (grad_weights, grad_biases) with the same shapes and dtype as
-    the model parameters.
-    """
-    xb, tb = _check_batch(m, batch_x, batch_t)
-    return _grads_from_acts(m, _forward_acts(m, xb), tb, cfg)
 
 
 def loss_and_grads(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
@@ -485,10 +438,10 @@ def gradient_check(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
     sampled coordinates.
     """
     md = m.astype(np.float64)
-    xb, _ = _as_batch(md, batch_x)
-    tb = np.asarray(batch_t, dtype=np.float64)
-    grad_w, grad_b = backward(md, xb, tb, cfg)
-    base_masks = _relu_masks(md, _forward_acts(md, xb))
+    xb, tb = _check_batch(md, batch_x, batch_t)
+    acts = _forward_acts(md, xb)
+    grad_w, grad_b = _grads_from_acts(md, acts, tb, cfg)
+    base_masks = _relu_masks(md, acts)
 
     arrays = list(md.weights) + list(md.biases)
     grads = list(grad_w) + list(grad_b)

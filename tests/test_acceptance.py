@@ -10,10 +10,8 @@ import pytest
 from pgclab.attack import (
     SPLIT_TEST,
     build_dataset,
-    baseline_thr,
     calibrate_pixel_threshold,
     calibrate_threshold,
-    estimate_code,
     estimate_grey,
     stream_seed,
     train_attack,
@@ -24,9 +22,9 @@ from pgclab.channel import ChannelParams, preset
 from pgclab.cli import main
 from pgclab.codegen import (
     UNIT_INTERVAL,
-    Geometry,
     PixelImage,
     assemble_blocks,
+    binarize,
     generate_module_matrix,
     ink_intensity,
     modules_from_pixels,
@@ -39,8 +37,8 @@ from pgclab.detector import (
     auc,
     hamming_norm,
     pearson,
+    reprint_scores,
     roc,
-    score_experiment,
 )
 from pgclab.nn import (
     TrainConfig,
@@ -51,6 +49,16 @@ from pgclab.nn import (
     load_model,
     save_model,
 )
+
+
+def _thr_estimates(ds, printer):
+    """The Thr baseline's test estimates, as cmd_attack computes them."""
+    t = calibrate_pixel_threshold(ds, printer)
+    return [
+        modules_from_pixels(binarize(ink_intensity(ds.scans[printer][i]), t),
+                            ds.geometry.module_px)
+        for i in ds.indices(SPLIT_TEST)
+    ]
 
 
 def _report(n: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -70,15 +78,15 @@ def sa_run():
     t0 = time.monotonic()
     am, history = train_attack(ds, "SA", "bn", cfg)
     am = calibrate_threshold(am, ds)
-    thr_estimates, _ = baseline_thr(ds, "SA")
+    thr_estimates = _thr_estimates(ds, "SA")
     test_idx = ds.indices(SPLIT_TEST)
 
     bn_estimates, rows = [], []
     for pos, i in enumerate(test_idx):
         scan = ds.scans["SA"][i]
         ref = ds.rendered_original(i).pixels
-        grey = estimate_grey(am, scan)
-        xhat = estimate_code(am, scan)
+        grey = estimate_grey(am, scan, ds.geometry)
+        xhat = modules_from_pixels(binarize(grey, am.threshold), ds.geometry.module_px)
         bn_estimates.append(xhat)
         rows.append((
             pearson(ref, grey.pixels),
@@ -122,7 +130,7 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_identity_channel_exactness():
     ds = build_dataset(14, (10, 2, 2), printer_params={"ID": ChannelParams()}, seed=3)
-    thr_estimates, _ = baseline_thr(ds, "ID")
+    thr_estimates = _thr_estimates(ds, "ID")
     test_idx = ds.indices(SPLIT_TEST)
     thr_errs = [
         hamming_norm(ds.originals[i].bits, est.bits)
@@ -132,10 +140,11 @@ def test_criterion_2_identity_channel_exactness():
     cfg = TrainConfig(epochs=50, batch_size=128, learning_rate=1e-3, seed=4)
     am, _ = train_attack(ds, "ID", "bn", cfg)
     am = calibrate_threshold(am, ds)
-    bn_errs = [
-        hamming_norm(ds.originals[i].bits, estimate_code(am, ds.scans["ID"][i]).bits)
-        for i in test_idx
-    ]
+    bn_errs = []
+    for i in test_idx:
+        grey = estimate_grey(am, ds.scans["ID"][i], ds.geometry)
+        xhat = modules_from_pixels(binarize(grey, am.threshold), ds.geometry.module_px)
+        bn_errs.append(hamming_norm(ds.originals[i].bits, xhat.bits))
     _report(
         2,
         "identity channel: Thr exact, trained BN within 0.01",
@@ -168,13 +177,12 @@ def test_criterion_4_detection_difficulty(sa_run):
     p = ds.printer_index("SA")
     auth_seed = stream_seed(ds.seed, STREAM_REPRINT_AUTH + p)
     fake_seed = stream_seed(ds.seed, STREAM_REPRINT_FAKE + p)
+    params, mpx = ds.channel_params["SA"], ds.geometry.module_px
+    authentic = reprint_scores(originals, originals, params, mpx, auth_seed, defender_t)
     aucs = {}
     for label, estimates in (("bn", sa_run["bn_estimates"]), ("thr", sa_run["thr_estimates"])):
-        scores = score_experiment(
-            originals, estimates, ds.channel_params["SA"], ds.geometry.module_px,
-            auth_seed, fake_seed, defender_t,
-        )
-        aucs[label] = {m: auc(roc(scores[m])) for m in MEASURES}
+        fake = reprint_scores(originals, estimates, params, mpx, fake_seed, defender_t)
+        aucs[label] = {m: auc(roc(ScoreSet(authentic[m], fake[m], m))) for m in MEASURES}
     ok = all(aucs["bn"][m] < aucs["thr"][m] for m in MEASURES)
     detail = ", ".join(
         f"{m} AUC bn {aucs['bn'][m]:.3f} < thr {aucs['thr'][m]:.3f}" for m in MEASURES

@@ -12,12 +12,10 @@ from pgclab.attack import (
     SPLIT_TRAIN,
     SPLIT_VAL,
     AttackModel,
-    baseline_thr,
     build_dataset,
     calibrate_grid,
     calibrate_pixel_threshold,
     calibrate_threshold,
-    estimate_code,
     estimate_grey,
     load_dataset,
     save_dataset,
@@ -29,10 +27,11 @@ from pgclab.attack import (
 from pgclab.channel import ChannelParams, preset
 from pgclab.codegen import (
     BYTE0_255,
-    Geometry,
     ModuleMatrix,
     PixelImage,
+    binarize,
     ink_intensity,
+    modules_from_pixels,
     split_blocks,
 )
 from pgclab.errors import (
@@ -62,6 +61,16 @@ def identity_model(dim=576):
     )
     m.validate()
     return m
+
+
+def thr_estimates(ds, printer):
+    """The Thr baseline's test estimates, as cmd_attack computes them."""
+    t = calibrate_pixel_threshold(ds, printer)
+    return [
+        modules_from_pixels(binarize(ink_intensity(ds.scans[printer][i]), t),
+                            ds.geometry.module_px)
+        for i in ds.indices(SPLIT_TEST)
+    ]
 
 
 # ---------------------------------------------------------------- dataset
@@ -345,31 +354,23 @@ def test_estimate_identity_roundtrip():
     ds = identity_dataset()
     am = calibrate_threshold(AttackModel(identity_model(), None, "ID", "fc2"), ds)
     for i in ds.indices(SPLIT_TEST):
-        grey = estimate_grey(am, ds.scans["ID"][i])
+        grey = estimate_grey(am, ds.scans["ID"][i], ds.geometry)
         assert grey.pixels.shape == (384, 384)
-        same = estimate_grey(am, ink_intensity(ds.scans["ID"][i]))
+        same = estimate_grey(am, ink_intensity(ds.scans["ID"][i]), ds.geometry)
         assert same.pixels.tobytes() == grey.pixels.tobytes()
-        xhat = estimate_code(am, ds.scans["ID"][i])
+        xhat = modules_from_pixels(binarize(grey, am.threshold), ds.geometry.module_px)
         np.testing.assert_array_equal(xhat.bits, ds.originals[i].bits)
 
 
-def test_estimate_requires_calibration():
+def test_thr_estimates_identity_is_exact():
     ds = identity_dataset()
-    am = AttackModel(identity_model(), None, "ID", "fc2")
-    with pytest.raises(StateError):
-        estimate_code(am, ds.scans["ID"][0])
-
-
-def test_baseline_thr_identity_is_exact():
-    ds = identity_dataset()
-    estimates, t = baseline_thr(ds, "ID")
-    assert t == pytest.approx(0.01)
+    estimates = thr_estimates(ds, "ID")
     assert len(estimates) == len(ds.indices(SPLIT_TEST))
     for est, i in zip(estimates, ds.indices(SPLIT_TEST)):
         np.testing.assert_array_equal(est.bits, ds.originals[i].bits)
 
 
-def test_baseline_thr_degrades_with_noise():
+def test_thr_estimates_degrade_with_noise():
     # iid pixel noise alone is absorbed by the 36-pixel majority vote, so
     # the heavy-noise channel is a realistic printer with the noise raised
     from pgclab.channel import preset_with_overrides
@@ -378,9 +379,9 @@ def test_baseline_thr_degrades_with_noise():
         printer_params={"NZ": preset_with_overrides("SA", {"noise_sigma": 0.5})},
         seed=3,
     )
-    est_noisy, _ = baseline_thr(noisy, "NZ")
+    est_noisy = thr_estimates(noisy, "NZ")
     clean = identity_dataset()
-    est_clean, _ = baseline_thr(clean, "ID")
+    est_clean = thr_estimates(clean, "ID")
     def mean_err(ests, ds):
         return float(np.mean([
             np.mean(e.bits != ds.originals[i].bits)

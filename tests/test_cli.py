@@ -4,9 +4,13 @@ import multiprocessing
 import os
 import re
 import shutil
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgclab import attack, cli, nn
 from pgclab.attack import (
@@ -19,10 +23,10 @@ from pgclab.attack import (
     stream_seed,
 )
 from pgclab.cli import _estimate_dir, _load_ds, _model_path, _write_csv, load_config, main
-from pgclab.channel import parallel_map
-from pgclab.codegen import binarize, ink_intensity, modules_from_pixels
+from pgclab.channel import parallel_map, preset
+from pgclab.codegen import Geometry, binarize, ink_intensity, modules_from_pixels
 from pgclab.detector import hamming_norm, pearson, reprint_scores
-from pgclab.errors import ConfigError, DomainError, MissingInputError, StateError
+from pgclab.errors import ConfigError, DomainError, MissingInputError, PgcError, StateError
 from pgclab.imgio import write_pbm
 
 
@@ -114,6 +118,10 @@ def test_load_config_missing_file(tmp_path):
         (lambda c: c["evaluation"].update(target_pfa=[1.5]), "evaluation.target_pfa"),
         (lambda c: c["geometry"].update(block_px=25), "block"),
         (lambda c: c.pop("out_dir"), "out_dir"),
+        (lambda c: c.update(out_dir=5), "out_dir"),
+        (lambda c: c.update(out_dir=["a"]), "out_dir"),
+        (lambda c: c.update(printers=[{"id": ["SA"]}]), r"printers\[0\]"),
+        (lambda c: c.update(printers=[{"id": {}}]), r"printers\[0\]"),
     ],
 )
 def test_load_config_names_offending_field(tmp_path, mutate, needle):
@@ -127,6 +135,85 @@ def test_load_config_rejects_bad_json(tmp_path):
     p.write_text("{nope")
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+# Every field of BASE, by its path: the top-level keys, each section's
+# keys, and the first printer entry.
+FIELDS = (
+    [(key,) for key in BASE]
+    + [(key, sub) for key, value in BASE.items() if isinstance(value, dict) for sub in value]
+    + [("printers", 0)]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["SA", "HP", "bn", "fc2", "none", "pearson", "hamming"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["id", "overrides", "noise_sigma", "quantize", "rows", "x"]),
+        inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
+@example(field=("out_dir",), value=5)
+@example(field=("out_dir",), value=["a"])
+@example(field=("printers", 0), value={"id": ["SA"]})
+@example(field=("printers", 0), value={"id": {}})
+def test_load_config_loads_or_raises_pgc_error(tmp_path_factory, field, value):
+    """One field of a valid config replaced by any JSON value: the config
+    loads, or load_config raises one of pgclab's typed errors."""
+    cfg = copy.deepcopy(BASE)
+    cfg["out_dir"] = "run"
+    *parents, last = field
+    holder = cfg
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    p = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    p.write_text(json.dumps(cfg))
+    try:
+        load_config(p)
+    except PgcError:
+        pass
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_config(path):
+    """The JSON block under the README's "Config schema" heading."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path.write_text(block)
+    return path
+
+
+@pytest.mark.parametrize(
+    "source, n_images, split, seed, printers, epochs",
+    [
+        ("configs/desk.json", 70, (40, 10, 20), 7, ["SA", "LX", "CA", "HP"], 150),
+        ("configs/paper.json", 384, (100, 50, 234), 1, ["SA", "LX", "CA", "HP"], 1000),
+        ("README.md", 70, (40, 10, 20), 7, ["SA", "HP"], 150),
+    ],
+)
+def test_shipped_configs_load(tmp_path, source, n_images, split, seed, printers, epochs):
+    path = readme_config(tmp_path / "readme.json") if source == "README.md" else ROOT / source
+    cfg = load_config(path)
+    assert cfg.out_dir.parent == Path("runs")
+    assert cfg.geometry == Geometry(64, 64, 6, 24)
+    assert (cfg.n_images, cfg.split_sizes, cfg.dataset_seed) == (n_images, split, seed)
+    assert list(cfg.printers) == printers
+    assert cfg.arch == "bn"
+    assert cfg.train == nn.TrainConfig(epochs=epochs, batch_size=128, learning_rate=0.001,
+                                       lam=0.0, regularizer="none", seed=11)
+    assert cfg.measures == ["pearson", "hamming"]
+    assert cfg.target_pfa == [0.0, 0.01, 0.05, 0.1]
+    assert cfg.plots is True
+    if source == "README.md":
+        assert cfg.printers["HP"] == replace(preset("HP"), noise_sigma=0.2)
+    else:
+        assert all(cfg.printers[pid] == preset(pid) for pid in printers)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -318,6 +405,19 @@ def test_attack_worker_error_exits_with_its_category(trained, tmp_path, monkeypa
     assert run(["attack", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 1
     assert "pgclab: error [domain] estimate jammed" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+
+
+def test_attack_rejects_an_uncalibrated_model(trained, tmp_path, capsys):
+    p, out, _ = trained
+    mine = tmp_path / "run"
+    shutil.copytree(out, mine)
+    model_path = mine / "models" / "SA_bn.pgcm"
+    model, _ = nn.load_model(model_path)
+    nn.save_model(model, None, model_path)
+    assert run(["attack", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pgclab: error [state]")
+    assert "re-run train" in err
 
 
 def test_gen_is_reproducible_across_out_dirs(tmp_path):

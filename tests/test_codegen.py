@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from pgclab.codegen import (
     BINARY01,
     BYTE0_255,
-    HIGH_IS_ONE,
-    LOW_IS_ONE,
     UNIT_INTERVAL,
     BlockSet,
     Geometry,
@@ -162,14 +160,11 @@ def test_blockset_rejects_bad_shapes():
 def test_binarize_rules():
     np.testing.assert_array_equal(binarize(np.array([0.2, 0.8]), 0.5), [0, 1])
     np.testing.assert_array_equal(binarize(np.array([0.5]), 0.5), [1])  # tie -> 1
-    np.testing.assert_array_equal(binarize(np.array([0.2, 0.8]), 0.5, LOW_IS_ONE), [1, 0])
 
 
 def test_binarize_validation():
     with pytest.raises(ParameterError):
         binarize(np.array([0.5]), 1.5)
-    with pytest.raises(ParameterError):
-        binarize(np.array([0.5]), 0.5, "sideways")
     with pytest.raises(DomainError):
         binarize(PixelImage(np.zeros((2, 2), np.uint8), BYTE0_255), 0.5)
 

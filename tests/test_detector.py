@@ -27,9 +27,8 @@ from pgclab.detector import (
     pearson,
     reprint_scores,
     roc,
-    score_experiment,
 )
-from pgclab.errors import DegenerateInputError, DimensionError
+from pgclab.errors import DegenerateInputError, DimensionError, MissingInputError
 
 
 # ---------------------------------------------------------------- pearson
@@ -275,45 +274,30 @@ def small_codes(n, seed):
 
 def test_perfect_clone_same_seeds_scores_identically():
     codes = small_codes(5, 100)
-    out = score_experiment(codes, [ModuleMatrix(c.bits.copy()) for c in codes],
-                           preset("SA"), 3, authentic_seed=50, fake_seed=50,
-                           defender_threshold=0.5)
-    assert set(out) == set(MEASURES)
+    clones = [ModuleMatrix(c.bits.copy()) for c in codes]
+    auth = reprint_scores(codes, codes, preset("SA"), 3, 50, 0.5)
+    fake = reprint_scores(codes, clones, preset("SA"), 3, 50, 0.5)
+    assert set(auth) == set(fake) == set(MEASURES)
     for measure in MEASURES:
-        ss = out[measure]
-        np.testing.assert_array_equal(ss.authentic, ss.fake)
+        np.testing.assert_array_equal(auth[measure], fake[measure])
 
 
 def test_complemented_estimate_scores_poorly():
     codes = small_codes(4, 200)
     flipped = [ModuleMatrix(1 - c.bits) for c in codes]
-    out = score_experiment(codes, flipped, ChannelParams(), 3,
-                           authentic_seed=60, fake_seed=61, defender_threshold=0.5)
-    assert (out[MEASURE_PEARSON].fake < 0).all()
-    assert (out[MEASURE_PEARSON].authentic > 0.99).all()
-    assert (out[MEASURE_HAMMING].fake == 1.0).all()
-    assert (out[MEASURE_HAMMING].authentic == 0.0).all()
+    auth = reprint_scores(codes, codes, ChannelParams(), 3, 60, 0.5)
+    fake = reprint_scores(codes, flipped, ChannelParams(), 3, 61, 0.5)
+    assert (fake[MEASURE_PEARSON] < 0).all()
+    assert (auth[MEASURE_PEARSON] > 0.99).all()
+    assert (fake[MEASURE_HAMMING] == 1.0).all()
+    assert (auth[MEASURE_HAMMING] == 0.0).all()
     for measure in MEASURES:
-        assert auc(roc(out[measure])) == 1.0
+        assert auc(roc(ScoreSet(auth[measure], fake[measure], measure))) == 1.0
 
 
-def test_reprint_scores_are_score_experiments():
-    codes = small_codes(4, 400)
-    estimates = [ModuleMatrix(np.where(np.eye(8, dtype=bool), 1 - c.bits, c.bits))
-                 for c in codes]
-    params = preset("HP")
-    out = score_experiment(codes, estimates, params, 3, authentic_seed=70, fake_seed=71,
-                           defender_threshold=0.4)
-    auth = reprint_scores(codes, codes, params, 3, 70, 0.4)
-    fake = reprint_scores(codes, estimates, params, 3, 71, 0.4)
-    for measure in MEASURES:
-        assert out[measure].authentic.tobytes() == auth[measure].tobytes()
-        assert out[measure].fake.tobytes() == fake[measure].tobytes()
-
-
-def test_score_experiment_validates_lengths():
+def test_reprint_scores_validates_lengths():
     codes = small_codes(2, 300)
-    with pytest.raises(Exception):
-        score_experiment(codes, codes[:1], ChannelParams(), 3, 1, 2, 0.5)
-    with pytest.raises(Exception):
-        score_experiment([], [], ChannelParams(), 3, 1, 2, 0.5)
+    with pytest.raises(MissingInputError):
+        reprint_scores(codes, codes[:1], ChannelParams(), 3, 1, 0.5)
+    with pytest.raises(MissingInputError):
+        reprint_scores([], [], ChannelParams(), 3, 1, 0.5)

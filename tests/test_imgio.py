@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgclab.codegen import BINARY01, BYTE0_255, UNIT_INTERVAL, ModuleMatrix, PixelImage
-from pgclab.errors import FormatError
-from pgclab.imgio import (
-    read_matrix_text,
-    read_pbm,
-    read_pgm,
-    write_matrix_text,
-    write_pbm,
-    write_pgm,
-)
+from pgclab.errors import FormatError, PgcError
+from pgclab.imgio import read_pbm, read_pgm, write_pbm, write_pgm
 
 
 def test_pgm_byte_roundtrip(tmp_path):
@@ -53,6 +48,10 @@ def test_pgm_errors(tmp_path):
     p.write_bytes(b"P5\n2 2\n255\n\x00\x01")  # short payload
     with pytest.raises(FormatError):
         read_pgm(p)
+    for size in (b"-1 -1", b"0 3", b"3 0", b"-2 -3"):
+        p.write_bytes(b"P5\n" + size + b"\n255\nxxxxxx")
+        with pytest.raises(FormatError):
+            read_pgm(p)
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17])
@@ -72,17 +71,47 @@ def test_pbm_errors(tmp_path):
     p.write_bytes(b"P4\n9 2\n\x00")  # needs 2 rows of 2 bytes
     with pytest.raises(FormatError):
         read_pbm(p)
+    for size in (b"-1 -5", b"0 2", b"8 0", b"-9 -2"):
+        p.write_bytes(b"P4\n" + size + b"\n\x00\x00")
+        with pytest.raises(FormatError):
+            read_pbm(p)
 
 
-def test_matrix_text_roundtrip(tmp_path):
-    m = ModuleMatrix(np.array([[1, 0, 1], [0, 0, 1]], np.uint8))
-    p = tmp_path / "m.txt"
-    write_matrix_text(m, p)
-    np.testing.assert_array_equal(read_matrix_text(p).bits, m.bits)
 
 
-def test_matrix_text_rejects_garbage(tmp_path):
-    p = tmp_path / "g.txt"
-    p.write_text("1 0\n0 x\n")
-    with pytest.raises(FormatError):
-        read_matrix_text(p)
+READERS = {b"P5": read_pgm, b"P4": read_pbm}
+JUNK = st.binary(max_size=4) | st.lists(
+    st.sampled_from(b"0123456789-+_ \t\n#P45x"), max_size=4).map(bytes)
+# A header token: mostly a small integer, sometimes junk bytes.
+TOKEN = st.integers(-3, 12).map(lambda n: str(n).encode()) | JUNK
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    magic=st.sampled_from(sorted(READERS)),
+    width=TOKEN,
+    height=TOKEN,
+    maxval=st.just(b"255") | TOKEN,
+    edits=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 3), JUNK), max_size=2),
+    raster=st.binary(max_size=24),
+)
+@example(magic=b"P5", width=b"-1", height=b"-1", maxval=b"255", edits=[], raster=b"x")
+@example(magic=b"P4", width=b"-1", height=b"-5", maxval=b"", edits=[], raster=b"")
+def test_readers_parse_or_raise_pgc_error(tmp_path_factory, magic, width, height, maxval,
+                                          edits, raster):
+    """A PGM or PBM header built from mutated tokens and bytes either parses
+    to an image of at least one pixel each way, or the reader raises one of
+    pgclab's typed errors."""
+    data = bytearray(magic + b"\n" + width + b" " + height + b"\n")
+    if magic == b"P5":
+        data += maxval + b"\n"
+    for pos, n, new in edits:
+        data[pos : pos + n] = new
+    p = tmp_path_factory.getbasetemp() / "fuzzed.img"
+    p.write_bytes(bytes(data) + raster)
+    try:
+        out = READERS[magic](p)
+    except PgcError:
+        return
+    shape = out.pixels.shape if magic == b"P5" else out.bits.shape
+    assert min(shape) >= 1

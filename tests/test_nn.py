@@ -14,7 +14,6 @@ from pgclab.nn import (
     LayerSpec,
     MlpModel,
     TrainConfig,
-    backward,
     batch_loss,
     build_bn,
     build_fc,
@@ -22,7 +21,6 @@ from pgclab.nn import (
     gradient_check,
     init_adam,
     load_model,
-    loss,
     loss_and_grads,
     optimizer_step,
     save_model,
@@ -42,11 +40,28 @@ def small_model(dims, acts, seed=0, dtype=np.float32):
     return m
 
 
+def dims(m):
+    return [m.in_dim] + [s.out_dim for s in m.layers]
+
+
+def n_params(m):
+    return sum(w.size for w in m.weights) + sum(b.size for b in m.biases)
+
+
+def bias_model(pred):
+    """A one-layer identity model whose output is pred for every input."""
+    pred = np.asarray(pred, np.float32)
+    m = MlpModel([LayerSpec(1, pred.size, ACT_IDENTITY)],
+                 [np.zeros((pred.size, 1), np.float32)], [pred])
+    m.validate()
+    return m
+
+
 # ---------------------------------------------------------------- builders
 
 def test_build_fc_shapes():
     m = build_fc(2, seed=0)
-    assert m.dims == [576, 576, 576, 576]
+    assert dims(m) == [576, 576, 576, 576]
     assert [s.activation for s in m.layers] == [ACT_RELU, ACT_RELU, ACT_SIGMOID]
     assert all(w.shape == (576, 576) for w in m.weights)
     assert all(w.dtype == np.float32 for w in m.weights)
@@ -65,12 +80,13 @@ def test_build_fc_rejects_other_depths():
 
 def test_build_bn_shapes():
     m = build_bn(seed=3)
-    assert m.dims == [576, 256, 128, 36, 128, 256, 576]
+    assert dims(m) == [576, 256, 128, 36, 128, 256, 576]
     assert m.bottleneck_index == 2
     assert [s.activation for s in m.layers[:-1]] == [ACT_RELU] * 5
     assert m.layers[-1].activation == ACT_SIGMOID
-    expect = sum(a * b for a, b in zip(m.dims[:-1], m.dims[1:])) + sum(m.dims[1:])
-    assert m.n_params == expect
+    d = dims(m)
+    expect = sum(a * b for a, b in zip(d[:-1], d[1:])) + sum(d[1:])
+    assert n_params(m) == expect
 
 
 def test_builders_are_deterministic():
@@ -108,33 +124,37 @@ def test_forward_sigmoid_range_and_shapes():
     assert y.shape == (5, CODE_DIM)
     assert y.dtype == np.float32
     assert (y > 0).all() and (y < 1).all()
-    single = forward(m, x[0])
-    assert single.shape == y[0].shape
+    single = forward(m, x[:1])
+    assert single.shape == (1, CODE_DIM)
     # batched matmul may differ from the one-row path in the last ulp
-    np.testing.assert_allclose(single, y[0], rtol=1e-6)
+    np.testing.assert_allclose(single[0], y[0], rtol=1e-6)
 
 
 def test_forward_rejects_wrong_width():
     m = small_model([4, 3], [ACT_SIGMOID])
     with pytest.raises(DimensionError):
         forward(m, np.zeros((2, 5), np.float32))
+    with pytest.raises(DimensionError):
+        forward(m, np.zeros(4, np.float32))
 
 
 # ---------------------------------------------------------------- loss
 
-def test_loss_examples():
-    assert loss(np.array([0.3, 0.7]), np.array([0.3, 0.7])) == 0.0
-    assert loss(np.array([0.5, 0.5]), np.array([0.0, 1.0])) == pytest.approx(0.5)
+def test_batch_loss_examples():
+    x = np.zeros((1, 1), np.float32)
+    assert batch_loss(bias_model([0.25, 0.75]), x, [[0.25, 0.75]]) == 0.0
+    assert batch_loss(bias_model([0.5, 0.5]), x, [[0.0, 1.0]]) == pytest.approx(0.5)
 
 
-def test_loss_regularizer_matches_bruteforce():
+def test_batch_loss_regularizer_matches_bruteforce():
     m = small_model([3, 4, 2], [ACT_RELU, ACT_SIGMOID], seed=2)
     cfg = TrainConfig(lam=0.1, regularizer=REG_L2_WEIGHTS)
-    pred = np.array([[0.2, 0.9]])
+    x = np.array([[0.3, 0.1, 0.8]], np.float32)
     target = np.array([[1.0, 0.0]])
+    pred = forward(m, x).astype(np.float64)
     plain = float(np.sum((pred - target) ** 2))
     sq = sum(float(v) ** 2 for w in m.weights for v in w.ravel())
-    got = loss(pred, target, m, cfg)
+    got = batch_loss(m, x, target, cfg)
     assert got == pytest.approx(plain + 0.1 * sq, rel=1e-6)
     assert weight_sq_sum(m) == pytest.approx(sq, rel=1e-6)
 
@@ -143,13 +163,18 @@ def test_batch_loss_is_mean_over_samples():
     m = small_model([4, 3], [ACT_SIGMOID], seed=3)
     x = np.random.default_rng(4).random((6, 4), dtype=np.float32)
     t = np.random.default_rng(5).random((6, 3), dtype=np.float32)
-    per = [loss(forward(m, x[i]), t[i]) for i in range(6)]
+    per = [batch_loss(m, x[i : i + 1], t[i : i + 1]) for i in range(6)]
     assert batch_loss(m, x, t) == pytest.approx(float(np.mean(per)), rel=1e-6)
 
 
-def test_loss_rejects_mismatched_shapes():
+def test_batch_loss_rejects_mismatched_shapes():
+    m = small_model([4, 3], [ACT_SIGMOID])
+    x = np.zeros((2, 4), np.float32)
+    for t in (np.zeros((2, 4)), np.zeros((3, 3)), np.zeros(6)):
+        with pytest.raises(DimensionError):
+            batch_loss(m, x, t)
     with pytest.raises(DimensionError):
-        loss(np.zeros(3), np.zeros(4))
+        batch_loss(m, np.zeros((0, 4), np.float32), np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------- gradients
@@ -158,7 +183,7 @@ def test_zero_gradient_at_exact_fit():
     m = small_model([3, 3], [ACT_IDENTITY], seed=6)
     x = np.random.default_rng(7).random((4, 3))
     t = forward(m, x)
-    gw, gb = backward(m, x, t)
+    _, gw, gb = loss_and_grads(m, x, t)
     for g in gw + gb:
         assert not g.any()
 
@@ -168,26 +193,23 @@ def test_batch_gradient_is_mean_of_singles():
     rng = np.random.default_rng(9)
     x = rng.random((2, 5))
     t = rng.random((2, 2))
-    gw, gb = backward(m, x, t)
-    gw0, gb0 = backward(m, x[:1], t[:1])
-    gw1, gb1 = backward(m, x[1:], t[1:])
+    _, gw, gb = loss_and_grads(m, x, t)
+    _, gw0, gb0 = loss_and_grads(m, x[:1], t[:1])
+    _, gw1, gb1 = loss_and_grads(m, x[1:], t[1:])
     for g, a, b in zip(gw, gw0, gw1):
         np.testing.assert_allclose(g, (a + b) / 2, rtol=1e-12, atol=1e-15)
     for g, a, b in zip(gb, gb0, gb1):
         np.testing.assert_allclose(g, (a + b) / 2, rtol=1e-12, atol=1e-15)
 
 
-def test_loss_and_grads_agrees_with_parts():
+def test_loss_and_grads_value_is_batch_loss():
     m = small_model([6, 5, 3], [ACT_RELU, ACT_SIGMOID], seed=10)
     rng = np.random.default_rng(11)
     x = rng.random((4, 6), dtype=np.float32)
     t = rng.random((4, 3), dtype=np.float32)
     cfg = TrainConfig(lam=0.01, regularizer=REG_L2_WEIGHTS)
-    value, gw, gb = loss_and_grads(m, x, t, cfg)
-    assert value == pytest.approx(batch_loss(m, x, t, cfg), rel=1e-7)
-    gw2, gb2 = backward(m, x, t, cfg)
-    for a, b in zip(gw + gb, gw2 + gb2):
-        np.testing.assert_array_equal(a, b)
+    value, _, _ = loss_and_grads(m, x, t, cfg)
+    assert value == batch_loss(m, x, t, cfg)
 
 
 @pytest.mark.parametrize(
@@ -205,7 +227,7 @@ def test_gradient_check_small_models(dims, acts, cfg):
     rng = np.random.default_rng(12)
     x = rng.random((6, dims[0]), dtype=np.float32)
     t = rng.random((6, dims[-1]), dtype=np.float32)
-    err = gradient_check(m, x, t, cfg, n_coords=m.n_params, step=1e-3, seed=0)
+    err = gradient_check(m, x, t, cfg, n_coords=n_params(m), step=1e-3, seed=0)
     assert err <= 1e-3
 
 
@@ -307,9 +329,9 @@ def test_saved_file_size_formula(tmp_path):
     m = small_model([8, 5, 8], [ACT_RELU, ACT_SIGMOID], seed=23)
     p = tmp_path / "m.pgcm"
     save_model(m, None, p)
-    assert p.stat().st_size == 12 + 12 * len(m.layers) + 4 * m.n_params + 1
+    assert p.stat().st_size == 12 + 12 * len(m.layers) + 4 * n_params(m) + 1
     save_model(m, 0.5, p)
-    assert p.stat().st_size == 12 + 12 * len(m.layers) + 4 * m.n_params + 1 + 4
+    assert p.stat().st_size == 12 + 12 * len(m.layers) + 4 * n_params(m) + 1 + 4
 
 
 def test_bottleneck_index_is_not_persisted(tmp_path):
@@ -318,7 +340,7 @@ def test_bottleneck_index_is_not_persisted(tmp_path):
     save_model(m, None, p)
     m2, _ = load_model(p)
     assert m2.bottleneck_index is None
-    assert m2.dims == m.dims
+    assert dims(m2) == dims(m)
 
 
 def test_load_rejects_corrupt_files(tmp_path):

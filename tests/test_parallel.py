@@ -11,7 +11,6 @@ import pytest
 from pgclab.attack import build_dataset, stream_seed
 from pgclab.channel import parallel_map, preset, print_scan
 from pgclab.codegen import (
-    HIGH_IS_ONE,
     ModuleMatrix,
     binarize,
     generate_module_matrix,
@@ -170,7 +169,7 @@ def reference_reprint_scores(originals, printed, params, module_px, seed, thresh
     for i, (code, xp) in enumerate(zip(originals, printed)):
         ink = ink_intensity(print_scan(render(xp, module_px), params, seed ^ i))
         r.append(pearson(render(code, module_px).pixels, ink.pixels))
-        decided = modules_from_pixels(binarize(ink, threshold, HIGH_IS_ONE), module_px)
+        decided = modules_from_pixels(binarize(ink, threshold), module_px)
         h.append(hamming_norm(code.bits, decided.bits))
     return [np.asarray(r).tobytes(), np.asarray(h).tobytes()]
 
