@@ -108,6 +108,8 @@ def preset_with_overrides(printer_id: str, overrides: dict | None = None) -> Cha
                 ok = isinstance(value, allowed) and not isinstance(value, bool)
             if not ok:
                 raise ParameterError(f"{key} must be {kind.__name__}, not {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"{key} must be finite, not {value!r}")
     params.validate()
     return params
 

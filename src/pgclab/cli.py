@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -88,10 +89,18 @@ def _typed(kind, what: str, convert=None):
 
 
 _int = _typed(int, "an integer")
-_number = _typed((int, float), "a number", float)
+_real = _typed((int, float), "a number", float)
 _str = _typed(str, "a string")
 _bool = _typed(bool, "true or false")
 _list = _typed(list, "a list")
+
+
+def _number(value, name: str) -> float:
+    # JSON's NaN and Infinity load as floats; they are not numbers here.
+    value = _real(value, name)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, not {value!r}")
+    return value
 
 
 def _split(value, name: str):
@@ -188,8 +197,11 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
         pid = _str(entry["id"], f"printers[{i}].id")
         if pid in printers:
             raise ConfigError(f"printers: duplicate id {pid!r}")
+        overrides = entry.get("overrides", {})
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"printers[{i}].overrides must be an object, not {overrides!r}")
         try:
-            printers[pid] = preset_with_overrides(pid, entry.get("overrides"))
+            printers[pid] = preset_with_overrides(pid, overrides)
         except PgcError as exc:
             raise ConfigError(f"printers[{i}]: {exc}") from None
 

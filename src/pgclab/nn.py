@@ -161,11 +161,14 @@ def build_bn(seed: int) -> MlpModel:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows; 1/(1+e) for z >= 0 and e/(1+e) below are
-    # the two stable forms, evaluated on the same e.
+    # the two stable forms, sharing the denominator 1 + e.  The numerator
+    # exp(min(z, 0)) is exactly 1 for z >= 0 and has e's bits for z < 0,
+    # where min(z, 0) is -|z|, so no select on the sign is needed.
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
+    out = np.minimum(z, 0)
+    np.exp(out, out=out)
     e += 1.0
     out /= e
     return out
@@ -269,10 +272,16 @@ def loss_and_grads(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
     return value, grad_w, grad_b
 
 
+# Adam runs over chunks of this many elements of each flattened array, so
+# that a chunk of the parameter, gradient, moments and scratch stays in
+# cache across the update's 14 passes.
+ADAM_CHUNK = 65536
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, the step counter, and two scratch
-    buffers as large as the largest parameter array."""
+    buffers of one chunk each."""
 
     step: int
     m_w: list[np.ndarray]
@@ -287,7 +296,7 @@ class AdamState:
 
 
 def init_adam(model: MlpModel) -> AdamState:
-    size = max(p.size for p in model.weights + model.biases)
+    size = min(ADAM_CHUNK, max(p.size for p in model.weights + model.biases))
     dtype = model.weights[0].dtype
     return AdamState(
         step=0,
@@ -302,9 +311,10 @@ def init_adam(model: MlpModel) -> AdamState:
 def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig):
     """One Adam update, in place; returns (model, state) for chaining.
 
-    Per array: mom = b1 mom + (1 - b1) g, vel = b2 vel + (1 - b2) g^2,
+    Per element: mom = b1 mom + (1 - b1) g, vel = b2 vel + (1 - b2) g^2,
     p -= lr (mom / c1) / (sqrt(vel / c2) + eps), every product and
-    quotient rounded in the parameter dtype.
+    quotient rounded in the parameter dtype.  Every array must be
+    C-contiguous: the update runs on flat views of them.
     """
     if state is None:
         raise StateError("optimizer state not initialized (call init_adam)")
@@ -319,23 +329,28 @@ def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig):
         (m.weights, grad_w, state.m_w, state.v_w),
         (m.biases, grad_b, state.m_b, state.v_b),
     ):
-        for p, g, mom, vel in zip(params, gs, ms, vs):
-            s1 = state.scratch[0][: p.size].reshape(p.shape)
-            s2 = state.scratch[1][: p.size].reshape(p.shape)
-            mom *= b1
-            np.multiply(g, 1.0 - b1, out=s1)
-            mom += s1
-            vel *= b2
-            np.multiply(g, g, out=s1)
-            s1 *= 1.0 - b2
-            vel += s1
-            np.divide(vel, c2, out=s1)
-            np.sqrt(s1, out=s1)
-            s1 += eps
-            np.divide(mom, c1, out=s2)
-            s2 *= lr
-            s2 /= s1
-            p -= s2
+        for arrays in zip(params, gs, ms, vs):
+            if not all(a.flags.c_contiguous for a in arrays):
+                raise StateError("Adam's arrays must be C-contiguous")
+            flat = [a.reshape(-1) for a in arrays]
+            for lo in range(0, flat[0].size, ADAM_CHUNK):
+                p, g, mom, vel = (a[lo : lo + ADAM_CHUNK] for a in flat)
+                s1 = state.scratch[0][: p.size]
+                s2 = state.scratch[1][: p.size]
+                mom *= b1
+                np.multiply(g, 1.0 - b1, out=s1)
+                mom += s1
+                vel *= b2
+                np.multiply(g, g, out=s1)
+                s1 *= 1.0 - b2
+                vel += s1
+                np.divide(vel, c2, out=s1)
+                np.sqrt(s1, out=s1)
+                s1 += eps
+                np.divide(mom, c1, out=s2)
+                s2 *= lr
+                s2 /= s1
+                p -= s2
     return m, state
 
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -111,6 +112,23 @@ def test_load_config_missing_file(tmp_path):
         (lambda c: c.update(printers=["ZZ"]), r"printers\[0\]"),
         (lambda c: c.update(printers=[{"id": "SA", "speed": 9}]), r"printers\[0\]"),
         (lambda c: c.update(printers=[{"id": "SA", "overrides": {"noise_sigma": -1}}]), r"printers\[0\]"),
+        *[
+            (lambda c, key=key, v=v: c.update(printers=[{"id": "SA", "overrides": {key: v}}]),
+             rf"printers\[0\]: {key} must be finite")
+            for key in ("noise_sigma", "gain", "psf_sigma")
+            for v in (math.nan, math.inf, -math.inf)
+        ],
+        *[
+            (lambda c, v=v: c.update(printers=[{"id": "SA", "overrides": v}]),
+             r"printers\[0\]\.overrides must be an object")
+            for v in (None, False, "", 0, [], [1])
+        ],
+        *[
+            (lambda c, key=key, v=v: c["training"].update({key: v}), rf"training\.{key} must be a finite")
+            for key in ("learning_rate", "lam")
+            for v in (math.nan, math.inf, -math.inf)
+        ],
+        (lambda c: c["evaluation"].update(target_pfa=[math.nan]), "evaluation.target_pfa"),
         (lambda c: c["training"].update(arch="cnn"), "training.arch"),
         (lambda c: c["training"].update(epochs=0), "training"),
         (lambda c: c["training"].update(momentum=0.9), "training"),

@@ -448,19 +448,27 @@ def adam_per_array(params, grads, moments, step, lr, b1=0.9, b2=0.999, eps=1e-8)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sigmoid_bit_identical_to_masked_form(dtype):
     info = np.finfo(dtype)
+    uint = np.uint32 if dtype == np.float32 else np.uint64
     special = np.array(
         [0.0, -0.0, 88.0, -88.0, 1e4, -1e4, 1.0, -1.0, 17.0, -17.0, 40.0, -40.0,
-         710.0, -710.0, -745.0, np.inf, -np.inf, info.max, -info.max,
+         710.0, -710.0, -745.0, np.inf, -np.inf, np.nan, -np.nan, info.max, -info.max,
          info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal],
         dtype=dtype,
     )
     rng = np.random.default_rng(30)
+    if dtype == np.float32:
+        # Every 4099th of the 2**32 bit patterns: every exponent, both
+        # signs, and quiet and signalling NaN payloads.
+        patterns = np.arange(0, 2**32, 4099, dtype=np.uint64).astype(uint)
+    else:
+        patterns = rng.integers(0, 2**64, 2**20, dtype=uint)
     z = np.concatenate([
         special,
         rng.normal(0.0, 8.0, 128 * 576).astype(dtype),
         (rng.normal(0.0, 1.0, 1001) * info.smallest_subnormal * 64).astype(dtype),
+        patterns.view(dtype),
     ])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         want = sigmoid_masked(z)
         np.testing.assert_array_equal(_bits(nn._sigmoid(z)), _bits(want))
         batch = z[len(special) : len(special) + 128 * 576].reshape(128, 576)
@@ -487,12 +495,17 @@ def test_loss_and_grads_bit_identical_to_plain_form(build):
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
-def test_optimizer_step_bit_identical_to_per_array_adam():
-    """Six consecutive bn steps on real gradients, compared after each."""
-    m = build_bn(33)
+@pytest.mark.parametrize("build", [build_bn, lambda seed: build_fc(2, seed)])
+def test_optimizer_step_bit_identical_to_per_array_adam(build):
+    """Six consecutive steps on real gradients, compared after each.  Both
+    models have arrays that span several Adam chunks, the last one partial
+    (fc2's 576x576 weights span six); each array is updated in place."""
+    m = build(33)
+    assert any(w.size > nn.ADAM_CHUNK and w.size % nn.ADAM_CHUNK for w in m.weights)
     params = [p.copy() for p in m.weights + m.biases]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     state = init_adam(m)
+    arrays = m.weights + m.biases + state.m_w + state.m_b + state.v_w + state.v_b
     cfg = TrainConfig(learning_rate=0.05)
     rng = np.random.default_rng(34)
     for step in range(1, 7):
@@ -503,5 +516,16 @@ def test_optimizer_step_bit_identical_to_per_array_adam():
         adam_per_array(params, gw + gb, moments, step, cfg.learning_rate)
         got_all = m.weights + m.biases + state.m_w + state.m_b + state.v_w + state.v_b
         want_all = params + [mom for mom, _ in moments] + [vel for _, vel in moments]
-        for got, want in zip(got_all, want_all, strict=True):
+        for got, same, want in zip(got_all, arrays, want_all, strict=True):
+            assert got is same
             np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_adam_rejects_non_contiguous_arrays():
+    # The update writes through flat views, which a copy would silently lose.
+    m = small_model([4, 3], [ACT_SIGMOID], seed=13)
+    st = init_adam(m)
+    m.weights[0] = np.asfortranarray(m.weights[0])
+    grads = ([np.ones_like(w) for w in m.weights], [np.ones_like(b) for b in m.biases])
+    with pytest.raises(StateError):
+        optimizer_step(m, grads, st, TrainConfig())
