@@ -17,6 +17,7 @@ import numpy as np
 from . import imgio, nn
 from .channel import PRINTER_IDS, ChannelParams, parallel_map, preset, print_scan
 from .codegen import (
+    BYTE0_255,
     UNIT_INTERVAL,
     BlockSet,
     Geometry,
@@ -274,33 +275,53 @@ def threshold_grid() -> np.ndarray:
     return np.arange(101, dtype=np.float64) / 100.0
 
 
-def calibrate_grid(values: np.ndarray, targets: np.ndarray):
+def _weight_below(x: np.ndarray, w, points: np.ndarray):
+    """Of one class's values x, with weights w (None weighs each 1), the
+    weight below each point, the weight of the numbers and the total weight.
+
+    Sorting puts NaNs last; the search at inf counts the numbers before them.
+    """
+    if w is None:
+        x = np.sort(x)
+    else:
+        order = np.argsort(x)
+        x, cum = x[order], np.concatenate(([0], np.cumsum(w[order])))
+    below = np.searchsorted(x, points, side="left")
+    numbers = np.searchsorted(x, np.inf, side="right")
+    if w is None:
+        return below, numbers, x.size
+    return cum[below], cum[numbers], cum[-1]
+
+
+def calibrate_grid(values: np.ndarray, targets: np.ndarray, counts=None):
     """Return the grid point t and error minimizing mean bit disagreement.
 
     Ties break toward the smallest t.  values are reals in [0, 1], targets
     the binary truth; a value counts as 1 when >= t, compared in float64.
-    Sort-and-count (Fawcett 2006): each class is sorted once, and the
-    errors at t are the 0-targets at or above t plus the 1-targets below
-    it (a NaN is never >= t).  Equals sweeping every grid point exactly.
+    counts, when given, says how many times each (value, target) pair
+    occurs.  Sort-and-count (Fawcett 2006): each class is sorted once, and
+    the errors at t are the 0-targets at or above t plus the 1-targets
+    below it (a NaN is never >= t).  Equals sweeping every grid point exactly.
     """
     values = np.asarray(values)
     targets = np.asarray(targets).astype(bool)
     if values.shape != targets.shape:
         raise ParameterError("values and targets shapes differ")
-    if values.size == 0:
+    w = None if counts is None else np.asarray(counts, dtype=np.int64).ravel()
+    if w is not None and w.size != values.size:
+        raise ParameterError("counts and values sizes differ")
+    total = values.size if w is None else int(w.sum())
+    if total == 0:
         raise StateError("nothing to calibrate on")
     v = values.astype(np.float64, copy=False).ravel()
     tb = targets.ravel()
-    zeros = np.sort(np.compress(~tb, v))
-    ones = np.sort(np.compress(tb, v))
     grid = threshold_grid()
-    # Sorting puts NaNs last; the searches at inf count the numbers before them.
-    zeros_num = np.searchsorted(zeros, np.inf, side="right")
-    ones_nan = ones.size - np.searchsorted(ones, np.inf, side="right")
-    errors = (zeros_num - np.searchsorted(zeros, grid, side="left")
-              + np.searchsorted(ones, grid, side="left") + ones_nan)
+    split = [(np.compress(c, v), None if w is None else np.compress(c, w)) for c in (~tb, tb)]
+    zeros_below, zeros_num, _ = _weight_below(*split[0], grid)
+    ones_below, ones_num, ones_all = _weight_below(*split[1], grid)
+    errors = zeros_num - zeros_below + ones_below + (ones_all - ones_num)
     k = int(np.argmin(errors))
-    return float(grid[k]), int(errors[k]) / v.size
+    return float(grid[k]), int(errors[k]) / total
 
 
 def calibrate_threshold(am: AttackModel, ds: PairedDataset, val=None):
@@ -321,20 +342,30 @@ def calibrate_pixel_threshold(ds: PairedDataset, printer: str) -> float:
 
     Same grid and criterion as calibrate_threshold, applied to pixels
     instead of model outputs.  Also serves as the defender's calibration,
-    which only ever sees authentic prints.
+    which only ever sees authentic prints.  A uint8 scan holds only 256
+    ink levels, so its pixels are counted per (target bit, byte) instead
+    of sorted one by one.
     """
     if printer not in ds.scans:
         raise UnknownIdError(f"printer {printer!r} not in dataset")
     idx = ds.indices(SPLIT_VAL)
     if not idx:
         raise StateError("empty validation split")
-    values = np.concatenate(
-        [ink_intensity(ds.scans[printer][i]).pixels.ravel() for i in idx]
-    )
-    targets = np.concatenate(
-        [ds.rendered_original(i).pixels.ravel() for i in idx]
-    )
-    best_t, _ = calibrate_grid(values, targets)
+    scans = [ds.scans[printer][i] for i in idx]
+    if any(scan.pixels.dtype != np.uint8 for scan in scans):
+        values = np.concatenate([ink_intensity(scan).pixels.ravel() for scan in scans])
+        targets = np.concatenate([ds.rendered_original(i).pixels.ravel() for i in idx])
+        best_t, _ = calibrate_grid(values, targets)
+        return best_t
+    counts = np.zeros(512, np.int64)
+    for i, scan in zip(idx, scans):
+        key = ds.rendered_original(i).pixels.astype(np.uint16)
+        key <<= 8
+        key |= scan.pixels
+        counts += np.bincount(key.ravel(), minlength=512)
+    levels = ink_intensity(PixelImage(np.arange(256, dtype=np.uint8)[None], BYTE0_255))
+    best_t, _ = calibrate_grid(np.tile(levels.pixels.ravel(), 2),
+                               np.repeat([False, True], 256), counts)
     return best_t
 
 

@@ -54,6 +54,7 @@ from .detector import (
     hamming_norm,
     pd_at_pfa,
     pearson,
+    pearson_reference,
     reprint_scores,
     roc,
 )
@@ -320,7 +321,7 @@ def _attack_job(job) -> tuple[float, float, float, float]:
     """
     scan, original, grey, model_t, thr_t, module_px, model_path, thr_path = job
     ink = ink_intensity(scan)
-    ref = render(original, module_px).pixels
+    ref = pearson_reference(render(original, module_px).pixels)
     xhat = modules_from_pixels(binarize(grey, model_t), module_px)
     xhat_thr = modules_from_pixels(binarize(ink, thr_t), module_px)
     write_pbm(xhat, model_path)
@@ -418,13 +419,17 @@ def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> Non
     mpx = ds.geometry.module_px
     reports = cfg.out_dir / "reports"
     sources = {s: _load_estimates(cfg, printer, s, test_idx) for s in (arch, "thr")}
-    # Authentic re-prints depend on neither fake source: score them once.
-    authentic = reprint_scores(originals, originals, params, mpx, auth_seed, defender_t)
+    # One fan-out scores the authentic re-prints, which depend on neither
+    # fake source, and both fake sources.
+    (authentic, *fakes), constant = reprint_scores(
+        originals,
+        [(originals, auth_seed)] + [(estimates, fake_seed) for estimates in sources.values()],
+        params, mpx, defender_t,
+    )
 
     summary_rows = []
     curves_by_measure: dict[str, list] = {m: [] for m in cfg.measures}
-    for source, estimates in sources.items():
-        fake = reprint_scores(originals, estimates, params, mpx, fake_seed, defender_t)
+    for (source, estimates), fake in zip(sources.items(), fakes):
         diff_dir = reports / "diff" / f"{printer}_{source}"
         diff_dir.mkdir(parents=True, exist_ok=True)
         for original, xhat, i in zip(originals, estimates, test_idx):
@@ -465,6 +470,8 @@ def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> Non
             )
     for row in summary_rows:
         print(f"roc: {printer} fakes from {row[0]}, {row[1]} AUC {row[2]:.4f}")
+    counts = ", ".join(f"{n} {name}" for name, n in zip(("authentic", *sources), constant))
+    print(f"roc: {printer} constant re-prints, each scored Pearson 0: {counts}")
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")

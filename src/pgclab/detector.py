@@ -56,27 +56,43 @@ class RocCurve:
     points: list[tuple[float, float, float]]
 
 
+@dataclass(frozen=True)
+class PearsonReference:
+    """The x side of pearson prepared once: a centred float64 copy and its norm."""
+
+    centred: np.ndarray
+    norm: float
+
+
+def pearson_reference(x) -> PearsonReference:
+    """Prepare x for several pearson(x, y) calls, with the same bits."""
+    xc = np.array(x, dtype=np.float64, order="C").ravel()
+    xc -= xc.mean()
+    return PearsonReference(xc, np.sqrt(np.sum(np.multiply(xc, xc))))
+
+
 def pearson(x, y) -> float:
     """Sample Pearson correlation, in [-1, 1].
 
     Convention: x holds the rendered original bits (1 = dark) and y the
-    ink intensity of the print under test.
+    ink intensity of the print under test.  x may be a PearsonReference
+    from pearson_reference, which saves centring it on each call.
     """
-    # Own float64 copies, centered in place; one buffer takes each product.
-    xc = np.array(x, dtype=np.float64, order="C").ravel()
+    # An own float64 copy of y, centered in place; one buffer takes each product.
     yc = np.array(y, dtype=np.float64, order="C").ravel()
-    if xc.shape != yc.shape:
+    n = x.centred.size if isinstance(x, PearsonReference) else np.size(x)
+    if n != yc.size:
         raise DimensionError("pearson inputs must have equal length")
-    if xc.size < 2:
+    if n < 2:
         raise DimensionError("pearson needs at least 2 samples")
-    xc -= xc.mean()
+    ref = x if isinstance(x, PearsonReference) else pearson_reference(x)
     yc -= yc.mean()
-    prod = np.multiply(xc, xc)
-    sx = np.sqrt(np.sum(prod))
-    sy = np.sqrt(np.sum(np.multiply(yc, yc, out=prod)))
-    if sx == 0.0 or sy == 0.0:
+    prod = np.multiply(yc, yc)
+    sy = np.sqrt(np.sum(prod))
+    if ref.norm == 0.0 or sy == 0.0:
         raise DegenerateInputError("pearson undefined for a constant input")
-    return float(np.clip(np.sum(np.multiply(xc, yc, out=prod)) / (sx * sy), -1.0, 1.0))
+    return float(np.clip(np.sum(np.multiply(ref.centred, yc, out=prod)) / (ref.norm * sy),
+                         -1.0, 1.0))
 
 
 def hamming_norm(a, b) -> float:
@@ -91,17 +107,24 @@ def hamming_norm(a, b) -> float:
 
 
 def roc(scores: ScoreSet) -> RocCurve:
-    """Sweep gamma over all alpha-scaled scores plus +-inf sentinels."""
+    """Sweep gamma over all alpha-scaled scores plus +-inf sentinels.
+
+    Sort-and-sweep (Fawcett 2006): each class is sorted once, and its
+    count at every gamma is a binary search.  Sorting puts NaNs last; a
+    NaN is never >= or > gamma, so only the numbers before them count.
+    """
     if scores.authentic.size == 0 or scores.fake.size == 0:
         raise DimensionError("roc needs non-empty authentic and fake scores")
     s_a = scores.alpha * scores.authentic
     s_f = scores.alpha * scores.fake
     gammas = np.unique(np.concatenate([s_a, s_f, [np.inf, -np.inf]]))[::-1]
-    points = [
-        (float(g), float(np.mean(s_a >= g)), float(np.mean(s_f > g)))
-        for g in gammas
-    ]
-    return RocCurve(points)
+    a = np.sort(s_a)
+    a = a[: np.searchsorted(a, np.inf, side="right")]
+    f = np.sort(s_f)
+    f = f[: np.searchsorted(f, np.inf, side="right")]
+    pd = (a.size - np.searchsorted(a, gammas, side="left")) / s_a.size
+    pfa = (f.size - np.searchsorted(f, gammas, side="right")) / s_f.size
+    return RocCurve(list(zip(gammas.tolist(), pd.tolist(), pfa.tolist())))
 
 
 def auc(curve: RocCurve) -> float:
@@ -119,44 +142,66 @@ def pd_at_pfa(curve: RocCurve, target_pfa: float) -> float:
     return max(feasible) if feasible else 0.0
 
 
-def _reprint_job(job) -> tuple[float, float]:
-    code, xp, params, module_px, seed, defender_threshold = job
-    ink = ink_intensity(print_scan(render(xp, module_px), params, seed))
-    r = pearson(render(code, module_px).pixels, ink.pixels)
-    decided = modules_from_pixels(binarize(ink, defender_threshold), module_px)
-    return r, hamming_norm(code.bits, decided.bits)
+def _reprint_job(job) -> list[tuple[float, float, bool]]:
+    """Score one test code's re-print from each source: (pearson, hamming, constant).
+
+    The original is rendered and prepared for Pearson once, for all sources.
+    """
+    code, printed, params, module_px, defender_threshold = job
+    rendered = render(code, module_px)
+    ref = pearson_reference(rendered.pixels)
+    out = []
+    for xp, seed in printed:
+        img = rendered if xp is code else render(xp, module_px)
+        ink = ink_intensity(print_scan(img, params, seed))
+        try:
+            r, constant = pearson(ref, ink.pixels), False
+        except DegenerateInputError:
+            if ref.norm == 0.0:
+                raise
+            r, constant = 0.0, True
+        decided = modules_from_pixels(binarize(ink, defender_threshold), module_px)
+        out.append((r, hamming_norm(code.bits, decided.bits), constant))
+    return out
 
 
 def reprint_scores(
     originals: list[ModuleMatrix],
-    printed: list[ModuleMatrix],
+    sources: list[tuple[list[ModuleMatrix], int]],
     params: ChannelParams,
     module_px: int,
-    seed: int,
     defender_threshold: float,
-) -> dict[str, np.ndarray]:
-    """Score a simulated re-print of each printed code against its original.
+) -> tuple[list[dict[str, np.ndarray]], list[int]]:
+    """Score a simulated re-print of each source's codes against the originals.
 
-    Print i is print_scan(render(printed_i)) seeded with seed ^ i.  Pearson
-    compares the original bits against the grey ink intensity of the
-    print; Hamming compares the original modules against the print
-    binarized at the defender's own pixel threshold and majority-voted per
-    module.  The prints run on parallel_map's workers.  Returns one
-    float64 score array per measure.
+    Each source is (printed, seed): print i of it is
+    print_scan(render(printed_i)) seeded with seed ^ i.  Pearson compares
+    the original bits against the grey ink intensity of the print, and
+    scores a constant print, for which it is undefined, as 0.  Hamming
+    compares the original modules against the print binarized at the
+    defender's own pixel threshold and majority-voted per module.  One
+    parallel_map job per original scores its prints from every source.
+    Returns, per source, one float64 score array per measure, and, per
+    source, the number of constant prints.
     """
-    if len(printed) != len(originals):
-        raise MissingInputError(
-            f"{len(originals)} originals but {len(printed)} printed codes"
-        )
+    for printed, _ in sources:
+        if len(printed) != len(originals):
+            raise MissingInputError(
+                f"{len(originals)} originals but {len(printed)} printed codes"
+            )
     if not originals:
         raise MissingInputError("re-print scoring needs at least one code")
     jobs = [
-        (code, xp, params, module_px, seed ^ i, defender_threshold)
-        for i, (code, xp) in enumerate(zip(originals, printed))
+        (code, [(printed[i], seed ^ i) for printed, seed in sources],
+         params, module_px, defender_threshold)
+        for i, code in enumerate(originals)
     ]
-    r, h = zip(*parallel_map(_reprint_job, jobs))
-    return {
-        MEASURE_PEARSON: np.asarray(r, dtype=np.float64),
-        MEASURE_HAMMING: np.asarray(h, dtype=np.float64),
-    }
-
+    scores, constant = [], []
+    for prints in zip(*parallel_map(_reprint_job, jobs)):  # one source's prints
+        r, h, c = zip(*prints)
+        scores.append({
+            MEASURE_PEARSON: np.asarray(r, dtype=np.float64),
+            MEASURE_HAMMING: np.asarray(h, dtype=np.float64),
+        })
+        constant.append(sum(c))
+    return scores, constant

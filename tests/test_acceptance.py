@@ -178,10 +178,14 @@ def test_criterion_4_detection_difficulty(sa_run):
     auth_seed = stream_seed(ds.seed, STREAM_REPRINT_AUTH + p)
     fake_seed = stream_seed(ds.seed, STREAM_REPRINT_FAKE + p)
     params, mpx = ds.channel_params["SA"], ds.geometry.module_px
-    authentic = reprint_scores(originals, originals, params, mpx, auth_seed, defender_t)
+    labels = ("bn", "thr")
+    (authentic, *fakes), _ = reprint_scores(
+        originals,
+        [(originals, auth_seed)] + [(sa_run[f"{label}_estimates"], fake_seed) for label in labels],
+        params, mpx, defender_t,
+    )
     aucs = {}
-    for label, estimates in (("bn", sa_run["bn_estimates"]), ("thr", sa_run["thr_estimates"])):
-        fake = reprint_scores(originals, estimates, params, mpx, fake_seed, defender_t)
+    for label, fake in zip(labels, fakes):
         aucs[label] = {m: auc(roc(ScoreSet(authentic[m], fake[m], m))) for m in MEASURES}
     ok = all(aucs["bn"][m] < aucs["thr"][m] for m in MEASURES)
     detail = ", ".join(

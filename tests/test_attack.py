@@ -12,6 +12,7 @@ from pgclab.attack import (
     SPLIT_TRAIN,
     SPLIT_VAL,
     AttackModel,
+    PairedDataset,
     build_dataset,
     calibrate_grid,
     calibrate_pixel_threshold,
@@ -27,6 +28,7 @@ from pgclab.attack import (
 from pgclab.channel import ChannelParams, preset
 from pgclab.codegen import (
     BYTE0_255,
+    Geometry,
     ModuleMatrix,
     PixelImage,
     binarize,
@@ -328,6 +330,54 @@ def test_calibrate_grid_on_float32_grid_points():
 def test_calibrate_grid_rejects_empty():
     with pytest.raises(StateError):
         calibrate_grid(np.array([]), np.array([]))
+    with pytest.raises(StateError):
+        calibrate_grid(np.array([0.5]), np.array([1]), np.array([0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_calibration_cases(), st.data())
+def test_calibrate_grid_counts_equal_repeated_values(case, data):
+    """Counting a (value, target) pair k times is listing it k times."""
+    values, targets = case
+    counts = np.array(data.draw(st.lists(st.integers(0, 4), min_size=values.size,
+                                         max_size=values.size).filter(any)))
+    assert calibrate_grid(values, targets, counts) == \
+        calibrate_grid(np.repeat(values, counts), np.repeat(targets, counts))
+
+
+@st.composite
+def _val_scans(draw):
+    """A dataset of validation scans, and its pixel values and targets."""
+    rows, cols, n = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "one class", "one value", "float"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, (n + 1, rows, cols), dtype=np.uint8)
+    scans = rng.integers(0, 256, (n + 1, 2 * rows, 2 * cols), dtype=np.uint8)
+    if kind == "one class":
+        bits[:] = draw(st.integers(0, 1))
+    elif kind == "one value":
+        scans[:] = draw(st.integers(0, 255))
+    images = [PixelImage(scan, BYTE0_255) for scan in scans]
+    if kind == "float":
+        images = [PixelImage(scan * np.float32(0.999), BYTE0_255) for scan in scans]
+    ds = PairedDataset(
+        geometry=Geometry(rows, cols, 2, 2), seed=0, split_sizes=(1, n, 0),
+        originals=[ModuleMatrix(b) for b in bits], scans={"P": images},
+        channel_params={"P": ChannelParams()}, split=[SPLIT_TRAIN] + [SPLIT_VAL] * n,
+    )
+    values = np.concatenate([ink_intensity(img).pixels.ravel() for img in images[1:]])
+    targets = np.concatenate([ds.rendered_original(i).pixels.ravel() for i in range(1, n + 1)])
+    return ds, values, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(_val_scans())
+def test_calibrate_pixel_threshold_equals_the_grid_over_all_pixels(case):
+    """The 512-bin histogram of uint8 scans picks what calibrate_grid
+    picks from every pixel's float ink value."""
+    ds, values, targets = case
+    assert calibrate_pixel_threshold(ds, "P") == calibrate_grid(values, targets)[0]
 
 
 def test_calibrate_threshold_identity_recovery():

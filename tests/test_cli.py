@@ -13,22 +13,49 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgclab import attack, cli, nn
+from pgclab import attack, cli, detector, nn
 from pgclab.attack import (
     SPLIT_TEST,
     STREAM_REPRINT_AUTH,
+    STREAM_REPRINT_FAKE,
     AttackModel,
     calibrate_pixel_threshold,
     estimate_grey,
     load_dataset,
     stream_seed,
 )
-from pgclab.cli import _estimate_dir, _load_ds, _model_path, _write_csv, load_config, main
-from pgclab.channel import parallel_map, preset
-from pgclab.codegen import Geometry, binarize, ink_intensity, modules_from_pixels
-from pgclab.detector import hamming_norm, pearson, reprint_scores
+from pgclab.cli import (
+    _estimate_dir,
+    _load_ds,
+    _load_estimates,
+    _model_path,
+    _write_csv,
+    load_config,
+    main,
+    write_roc_svg,
+)
+from pgclab.channel import parallel_map, preset, print_scan
+from pgclab.codegen import (
+    BYTE0_255,
+    Geometry,
+    ModuleMatrix,
+    PixelImage,
+    binarize,
+    ink_intensity,
+    modules_from_pixels,
+    render,
+)
+from pgclab.detector import (
+    ScoreSet,
+    auc,
+    hamming_norm,
+    pd_at_pfa,
+    pearson,
+    reprint_scores,
+    roc,
+)
 from pgclab.errors import ConfigError, DomainError, MissingInputError, PgcError, StateError
-from pgclab.imgio import write_pbm
+from pgclab.imgio import write_pbm, write_pgm
 
 
 BASE = {
@@ -425,6 +452,124 @@ def test_attack_worker_error_exits_with_its_category(trained, tmp_path, monkeypa
     assert multiprocessing.active_children() == []
 
 
+def serial_reprint_scores(originals, printed, params, module_px, seed, threshold):
+    """One source's re-print scores as a serial per-image loop."""
+    r, h = [], []
+    for i, (code, xp) in enumerate(zip(originals, printed)):
+        ink = ink_intensity(print_scan(render(xp, module_px), params, seed ^ i))
+        r.append(pearson(render(code, module_px).pixels, ink.pixels))
+        decided = modules_from_pixels(binarize(ink, threshold), module_px)
+        h.append(hamming_norm(code.bits, decided.bits))
+    return {"pearson": np.asarray(r, dtype=np.float64), "hamming": np.asarray(h, dtype=np.float64)}
+
+
+def three_call_cmd_roc(cfg, printer, arch=None):
+    """cmd_roc scoring its three sources in three calls, kept as the
+    reference for the bytes it writes."""
+    arch = arch or cfg.arch
+    ds = _load_ds(cfg, printer)
+    p_idx = ds.printer_index(printer)
+    test_idx = ds.indices(SPLIT_TEST)
+    originals = [ds.originals[i] for i in test_idx]
+    defender_t = calibrate_pixel_threshold(ds, printer)
+    auth_seed = stream_seed(ds.seed, STREAM_REPRINT_AUTH + p_idx)
+    fake_seed = stream_seed(ds.seed, STREAM_REPRINT_FAKE + p_idx)
+    params = ds.channel_params[printer]
+    mpx = ds.geometry.module_px
+    reports = cfg.out_dir / "reports"
+    sources = {s: _load_estimates(cfg, printer, s, test_idx) for s in (arch, "thr")}
+    authentic = serial_reprint_scores(originals, originals, params, mpx, auth_seed, defender_t)
+
+    summary_rows = []
+    curves_by_measure = {m: [] for m in cfg.measures}
+    for source, estimates in sources.items():
+        fake = serial_reprint_scores(originals, estimates, params, mpx, fake_seed, defender_t)
+        diff_dir = reports / "diff" / f"{printer}_{source}"
+        diff_dir.mkdir(parents=True, exist_ok=True)
+        for original, xhat, i in zip(originals, estimates, test_idx):
+            diff = (original.bits != xhat.bits).astype(np.uint8) * 255
+            diff_px = np.repeat(np.repeat(diff, mpx, axis=0), mpx, axis=1)
+            write_pgm(PixelImage(diff_px, BYTE0_255), diff_dir / f"diff_{i:04d}.pgm")
+        for measure in cfg.measures:
+            ss = ScoreSet(authentic[measure], fake[measure], measure)
+            _write_csv(
+                reports / f"scores_{printer}_{source}_{measure}.csv",
+                ["score", "label"],
+                [(float(s), "authentic") for s in ss.authentic]
+                + [(float(s), "fake") for s in ss.fake],
+            )
+            curve = roc(ss)
+            _write_csv(reports / f"roc_{printer}_{source}_{measure}.csv",
+                       ["gamma", "pd", "pfa"], curve.points)
+            summary_rows.append(
+                (source, measure, auc(curve))
+                + tuple(pd_at_pfa(curve, t) for t in cfg.target_pfa)
+            )
+            curves_by_measure[measure].append((source, curve))
+    _write_csv(
+        reports / f"summary_{printer}_{arch}.csv",
+        ["fake_source", "measure", "auc"] + [f"pd_at_pfa_{t}" for t in cfg.target_pfa],
+        summary_rows,
+    )
+    if cfg.plots:
+        for measure, curves in curves_by_measure.items():
+            write_roc_svg(reports / f"roc_{printer}_{measure}.svg", curves,
+                          f"{printer} re-prints, {measure} detector")
+
+
+@pytest.fixture(scope="module")
+def attacked(trained, tmp_path_factory):
+    """The trained run after attack, and the three-call roc's outputs on it."""
+    p, out, _ = trained
+    base = tmp_path_factory.mktemp("attacked") / "run"
+    shutil.copytree(out, base)
+    assert run(["attack", "--config", str(p), "--out", str(base), "--printer", "SA"]) == 0
+    oracle = base.parent / "oracle"
+    shutil.copytree(base, oracle)
+    three_call_cmd_roc(load_config(p, out=str(oracle)), "SA")
+    return p, base, attack_outputs(oracle)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_roc_writes_the_three_call_forms_bytes(attacked, tmp_path, monkeypatch, n):
+    p, base, want = attacked
+    mine = tmp_path / "run"
+    shutil.copytree(base, mine)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    sizes = []
+
+    def counted(fn, jobs):
+        sizes.append(len(jobs))
+        return parallel_map(fn, jobs)
+
+    for module in (attack, cli, detector):
+        monkeypatch.setattr(module, "parallel_map", counted)
+    assert run(["roc", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 0
+    assert multiprocessing.active_children() == []
+    assert sizes == [5]
+    assert attack_outputs(mine) == want
+    assert len([f for f in want if f.parts[1] == "diff"]) == 2 * 5
+
+
+def test_roc_scores_a_constant_reprint_zero_and_says_so(attacked, tmp_path, capsys):
+    """Blank estimates through SA without noise re-print as constant images."""
+    p, base, _ = attacked
+    mine = tmp_path / "run"
+    shutil.copytree(base, mine)
+    manifest = mine / "dataset" / "manifest.json"
+    m = json.loads(manifest.read_text())
+    m["printers"]["SA"]["noise_sigma"] = 0.0
+    manifest.write_text(json.dumps(m))
+    for est in (mine / "estimates").glob("SA_*/est_*.pbm"):
+        write_pbm(ModuleMatrix(np.zeros((24, 24), np.uint8)), est)
+    assert run(["roc", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 0
+    shown = capsys.readouterr().out
+    assert "roc: SA constant re-prints, each scored Pearson 0: 0 authentic, 5 bn, 5 thr" in shown
+    for source in ("bn", "thr"):
+        rows = (mine / "reports" / f"scores_SA_{source}_pearson.csv").read_text().split("\n")
+        assert [r for r in rows if r.endswith(",fake")] == ["0.0,fake"] * 5
+
+
 def test_attack_rejects_an_uncalibrated_model(trained, tmp_path, capsys):
     p, out, _ = trained
     mine = tmp_path / "run"
@@ -557,9 +702,8 @@ def test_verbs_read_only_their_printers_scans(tmp_path):
     # SA is printer 1 of (LX, SA): its authentic re-prints use stream 101.
     ds = load_dataset(out / "dataset", "SA")
     test = [ds.originals[i] for i in ds.indices(SPLIT_TEST)]
-    auth = reprint_scores(test, test, ds.channel_params["SA"], 6,
-                          stream_seed(5, STREAM_REPRINT_AUTH + 1),
-                          calibrate_pixel_threshold(ds, "SA"))
+    (auth,), _ = reprint_scores(test, [(test, stream_seed(5, STREAM_REPRINT_AUTH + 1))],
+                                ds.channel_params["SA"], 6, calibrate_pixel_threshold(ds, "SA"))
     rows = (out / "reports" / "scores_SA_bn_pearson.csv").read_text().split("\n")[1:]
     assert [float(r.split(",")[0]) for r in rows if r.endswith(",authentic")] \
         == auth["pearson"].tolist()

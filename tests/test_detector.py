@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgclab import detector
 from pgclab.channel import ChannelParams, preset, print_scan
 from pgclab.codegen import (
     BYTE0_255,
@@ -25,6 +26,7 @@ from pgclab.detector import (
     hamming_norm,
     pd_at_pfa,
     pearson,
+    pearson_reference,
     reprint_scores,
     roc,
 )
@@ -111,9 +113,47 @@ def test_pearson_bit_identical_to_copying_form(dtype):
         before = (x.copy(), y.copy())
         got, want = pearson(x, y), pearson_copying(x, y)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        prepared = pearson(pearson_reference(x), y)
+        assert np.float64(prepared).tobytes() == np.float64(want).tobytes()
         np.testing.assert_array_equal(x, before[0])
         np.testing.assert_array_equal(y, before[1])
         assert x.dtype == y.dtype == dtype
+
+
+def _pearson_or_error(x, y):
+    try:
+        return np.float64(pearson(x, y)).tobytes()
+    except (DegenerateInputError, DimensionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(1, 700),
+    dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
+    constant=st.sampled_from([None, "x", "y"]),
+    shorter_y=st.booleans(),
+)
+def test_pearson_prepared_reference_is_bit_identical(seed, n, dtype, constant, shorter_y):
+    """A prepared reference gives the bits, or the error, of plain pearson,
+    and both give the bits of the copying form."""
+    rng = np.random.default_rng(seed)
+    if dtype is np.uint8:
+        x = rng.integers(0, 2, n, dtype=np.uint8)
+        y = rng.integers(0, 256, n, dtype=np.uint8)
+    else:
+        x, y = rng.random(n).astype(dtype), rng.random(n).astype(dtype)
+    if constant == "x":
+        x[:] = x[0]
+    elif constant == "y":
+        y[:] = y[0]
+    if shorter_y:
+        y = y[: n // 2]
+    got = _pearson_or_error(x, y)
+    assert _pearson_or_error(pearson_reference(x), y) == got
+    if isinstance(got, bytes):
+        assert got == np.float64(pearson_copying(x, y)).tobytes()
 
 
 def test_pearson_clipped_to_unit_interval():
@@ -171,6 +211,33 @@ def test_roc_matches_bruteforce_enumeration(measure):
         got = roc(ss).points
         want = brute_force_roc(list(a), list(f), ss.alpha)
         assert got == want
+
+
+def roc_one_pass_per_gamma(scores):
+    """roc as one full pass per gamma, kept as the reference for its points."""
+    s_a = scores.alpha * scores.authentic
+    s_f = scores.alpha * scores.fake
+    gammas = np.unique(np.concatenate([s_a, s_f, [np.inf, -np.inf]]))[::-1]
+    return [(float(g), float(np.mean(s_a >= g)), float(np.mean(s_f > g))) for g in gammas]
+
+
+def point_bits(points):
+    return [tuple(np.float64(v).tobytes() for v in p) for p in points]
+
+
+_ROC_SCORES = st.lists(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, math.inf, -math.inf, math.nan])
+    | st.floats(-1.0, 1.0),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROC_SCORES, _ROC_SCORES, st.sampled_from(MEASURES))
+def test_roc_sort_and_sweep_equals_one_pass_per_gamma(authentic, fake, measure):
+    """Bit for bit, with ties, duplicate scores, +-inf and NaN."""
+    ss = ScoreSet(np.array(authentic), np.array(fake), measure)
+    assert point_bits(roc(ss).points) == point_bits(roc_one_pass_per_gamma(ss))
 
 
 def test_roc_example_by_hand():
@@ -275,8 +342,7 @@ def small_codes(n, seed):
 def test_perfect_clone_same_seeds_scores_identically():
     codes = small_codes(5, 100)
     clones = [ModuleMatrix(c.bits.copy()) for c in codes]
-    auth = reprint_scores(codes, codes, preset("SA"), 3, 50, 0.5)
-    fake = reprint_scores(codes, clones, preset("SA"), 3, 50, 0.5)
+    (auth, fake), _ = reprint_scores(codes, [(codes, 50), (clones, 50)], preset("SA"), 3, 0.5)
     assert set(auth) == set(fake) == set(MEASURES)
     for measure in MEASURES:
         np.testing.assert_array_equal(auth[measure], fake[measure])
@@ -285,8 +351,7 @@ def test_perfect_clone_same_seeds_scores_identically():
 def test_complemented_estimate_scores_poorly():
     codes = small_codes(4, 200)
     flipped = [ModuleMatrix(1 - c.bits) for c in codes]
-    auth = reprint_scores(codes, codes, ChannelParams(), 3, 60, 0.5)
-    fake = reprint_scores(codes, flipped, ChannelParams(), 3, 61, 0.5)
+    (auth, fake), _ = reprint_scores(codes, [(codes, 60), (flipped, 61)], ChannelParams(), 3, 0.5)
     assert (fake[MEASURE_PEARSON] < 0).all()
     assert (auth[MEASURE_PEARSON] > 0.99).all()
     assert (fake[MEASURE_HAMMING] == 1.0).all()
@@ -295,9 +360,44 @@ def test_complemented_estimate_scores_poorly():
         assert auc(roc(ScoreSet(auth[measure], fake[measure], measure))) == 1.0
 
 
+def test_a_constant_reprint_scores_pearson_zero_and_is_counted():
+    """A blank estimate through a channel without noise or dot gain prints
+    a constant image, on which Pearson is undefined: it scores 0."""
+    codes = small_codes(3, 400)
+    blank = [ModuleMatrix(np.zeros_like(c.bits)) for c in codes]
+    (auth, fake), constant = reprint_scores(codes, [(codes, 7), (blank, 8)],
+                                            ChannelParams(offset=0.03), 3, 0.5)
+    assert constant == [0, 3]
+    assert (auth[MEASURE_PEARSON] > 0.99).all()
+    assert fake[MEASURE_PEARSON].tolist() == [0.0, 0.0, 0.0]
+    assert fake[MEASURE_HAMMING].tolist() == [float(np.mean(c.bits)) for c in codes]
+
+
+def test_reprint_scores_renders_and_centres_each_original_once(monkeypatch):
+    codes = small_codes(4, 500)
+    sources = [(codes, 1), ([ModuleMatrix(1 - c.bits) for c in codes], 2), (codes[::-1], 3)]
+    calls = {"render": 0, "pearson_reference": 0}
+
+    def counting(name):
+        fn = getattr(detector, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(detector, name, counting(name))
+    monkeypatch.setattr(detector, "parallel_map", lambda fn, jobs: [fn(job) for job in jobs])
+    reprint_scores(codes, sources, preset("SA"), 3, 0.5)
+    # Per code: the original once, serving its authentic re-print too,
+    # and each of the two other sources' codes once.
+    assert calls == {"render": 4 * 3, "pearson_reference": 4}
+
+
 def test_reprint_scores_validates_lengths():
     codes = small_codes(2, 300)
     with pytest.raises(MissingInputError):
-        reprint_scores(codes, codes[:1], ChannelParams(), 3, 1, 0.5)
+        reprint_scores(codes, [(codes[:1], 1)], ChannelParams(), 3, 0.5)
     with pytest.raises(MissingInputError):
-        reprint_scores([], [], ChannelParams(), 3, 1, 0.5)
+        reprint_scores([], [([], 1)], ChannelParams(), 3, 0.5)

@@ -188,6 +188,6 @@ def test_reprint_scores_match_the_per_image_loop(monkeypatch, n):
     codes = [generate_module_matrix(500 + i, 8, 8) for i in range(7)]
     estimates = [ModuleMatrix(np.roll(c.bits, 1, axis=1)) for c in codes]
     cpus(monkeypatch, n)
-    out = reprint_scores(codes, estimates, preset("CA"), 3, 81, 0.45)
+    (out,), _ = reprint_scores(codes, [(estimates, 81)], preset("CA"), 3, 0.45)
     assert [out[m].tobytes() for m in MEASURES] == reference_reprint_scores(
         codes, estimates, preset("CA"), 3, 81, 0.45)
