@@ -8,14 +8,23 @@ so rebuilding a dataset or retraining a model reproduces every byte.
 from __future__ import annotations
 
 import json
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import imgio, nn
-from .channel import PRINTER_IDS, ChannelParams, parallel_map, preset, print_scan
+from .channel import (
+    PRINTER_IDS,
+    ChannelParams,
+    parallel_map,
+    preset,
+    print_scan,
+    with_fields,
+)
 from .codegen import (
     BYTE0_255,
     UNIT_INTERVAL,
@@ -30,6 +39,7 @@ from .codegen import (
     split_blocks,
 )
 from .errors import (
+    DimensionError,
     FormatError,
     MissingInputError,
     ParameterError,
@@ -71,7 +81,8 @@ class PairedDataset:
     """Original codes paired with their simulated scans, tagged by split.
 
     channel_params names every printer of the dataset; scans may hold
-    only some of them (see load_dataset).
+    only some of them, and only some splits' scans of each (see
+    load_dataset).
     """
 
     geometry: Geometry
@@ -197,8 +208,9 @@ def build_dataset(
 def split_arrays(ds: PairedDataset, printer: str, tag: str):
     """Stacked (inputs, targets) block arrays for one printer and split.
 
-    Inputs are scan blocks as ink intensity, targets the matching rendered
-    original blocks; both float32 of shape (n_blocks, block_px ** 2).
+    Inputs are scan blocks as ink intensity, in float32; targets the
+    matching rendered original blocks, as their uint8 0/1 bits.  Both have
+    shape (n_blocks, block_px ** 2).
     """
     if printer not in ds.scans:
         raise UnknownIdError(f"printer {printer!r} not in dataset")
@@ -206,7 +218,7 @@ def split_arrays(ds: PairedDataset, printer: str, tag: str):
     bpx = ds.geometry.block_px
     per = ds.geometry.blocks_per_image
     x = np.empty((len(idx) * per, ds.geometry.block_dim), np.float32)
-    t = np.empty_like(x)
+    t = np.empty(x.shape, np.uint8)
     for k, i in enumerate(idx):
         rows = slice(k * per, (k + 1) * per)
         x[rows] = split_blocks(ink_intensity(ds.scans[printer][i]), bpx).blocks
@@ -313,7 +325,11 @@ def calibrate_grid(values: np.ndarray, targets: np.ndarray, counts=None):
     total = values.size if w is None else int(w.sum())
     if total == 0:
         raise StateError("nothing to calibrate on")
-    v = values.astype(np.float64, copy=False).ravel()
+    # Values that float64 holds exactly sort in their own dtype, in the
+    # order float64 gives them; searchsorted compares in float64.
+    v = values.ravel()
+    if not np.can_cast(v.dtype, np.float64):
+        v = v.astype(np.float64)
     tb = targets.ravel()
     grid = threshold_grid()
     split = [(np.compress(c, v), None if w is None else np.compress(c, w)) for c in (~tb, tb)]
@@ -443,11 +459,47 @@ def _manifest_paths(rels, what: str, root: Path, manifest_path: Path) -> list[st
     return paths
 
 
-def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
+class ScanList(Sequence):
+    """One printer's scans as load_dataset left them: a scan of a split it
+    did not read raises StateError."""
+
+    def __init__(self, images: list):
+        self._images = images  # None for each scan not read
+
+    def __len__(self) -> int:
+        return len(self._images)
+
+    def __getitem__(self, i):
+        image = self._images[operator.index(i)]
+        if image is None:
+            raise StateError(f"scan {i} was not read: its split was not loaded")
+        return image
+
+
+def _json_int(value, what: str, manifest_path: Path) -> int:
+    # JSON true/false load as bool, a subclass of int; they are not counts.
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise FormatError(
+            f"{manifest_path}: malformed manifest ({what} must be an integer >= 0, not {value!r})"
+        )
+    return value
+
+
+def _read_images(read, paths: list[str], manifest_path: Path) -> list:
+    try:
+        return [read(path) for path in paths]
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise MissingInputError(
+            f"{manifest_path} names {exc.filename}, which is not a file"
+        ) from None
+
+
+def load_dataset(in_dir, printer: str | None = None, splits=SPLITS) -> PairedDataset:
     """Read a dataset written by save_dataset.
 
     With printer given, only that printer's scans are read; printers and
-    printer_index still cover every printer in the manifest.
+    printer_index still cover every printer in the manifest.  Of the scans,
+    only those of the named splits are read; every original is.
     """
     root = Path(in_dir)
     manifest_path = root / MANIFEST_NAME
@@ -461,41 +513,58 @@ def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{manifest_path}: not valid JSON ({exc})") from None
     try:
-        if manifest["format_version"] != _MANIFEST_VERSION:
-            raise FormatError(
-                f"{manifest_path}: unsupported manifest version {manifest['format_version']}"
-            )
-        geometry = Geometry(**manifest["geometry"])
-        seed = int(manifest["seed"])
-        split_sizes = tuple(manifest["split_sizes"])
-        split = list(manifest["split"])
+        version = manifest["format_version"]
+        if type(version) is not int or version != _MANIFEST_VERSION:
+            raise FormatError(f"{manifest_path}: unsupported manifest version {version!r}")
+        geometry = Geometry(**{
+            k: _json_int(v, f"geometry.{k}", manifest_path)
+            for k, v in manifest["geometry"].items()
+        })
+        geometry.validate()
+        seed = _json_int(manifest["seed"], "seed", manifest_path)
+        split_sizes = tuple(
+            _json_int(n, "split_sizes", manifest_path) for n in manifest["split_sizes"]
+        )
+        split = manifest["split"]
         channel_params = {
-            pid: ChannelParams(**p) for pid, p in manifest["printers"].items()
+            pid: with_fields(ChannelParams(), p) for pid, p in manifest["printers"].items()
         }
         original_paths = manifest["originals"]
         scan_paths = manifest["scans"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, DimensionError,
+            ParameterError) as exc:
         raise FormatError(f"{manifest_path}: malformed manifest ({exc})") from None
+    if not isinstance(split, list) or len(split_sizes) != 3 or len(split) != sum(split_sizes) \
+            or [split.count(tag) for tag in SPLITS] != list(split_sizes):
+        raise FormatError(
+            f"{manifest_path}: split must tag each code {'/'.join(SPLITS)}, "
+            "as many of each as split_sizes gives"
+        )
     if not isinstance(scan_paths, dict):
         raise FormatError(f"{manifest_path}: scans must map printer ids to path lists")
+    if not set(scan_paths) <= set(channel_params):
+        raise FormatError(f"{manifest_path}: scans name a printer that printers do not")
     if printer is not None:
         if printer not in scan_paths:
             raise UnknownIdError(f"printer {printer!r} not in dataset")
         scan_paths = {printer: scan_paths[printer]}
-    originals = [
-        imgio.read_pbm(path)
-        for path in _manifest_paths(original_paths, "originals", root, manifest_path)
-    ]
-    scans = {
-        pid: [
-            imgio.read_pgm(path)
-            for path in _manifest_paths(rels, f"scans[{pid!r}]", root, manifest_path)
-        ]
+    original_paths = _manifest_paths(original_paths, "originals", root, manifest_path)
+    scan_paths = {
+        pid: _manifest_paths(rels, f"scans[{pid!r}]", root, manifest_path)
         for pid, rels in scan_paths.items()
+    }
+    if any(len(paths) != len(split) for paths in [original_paths, *scan_paths.values()]):
+        raise FormatError(f"{manifest_path}: an image list's length differs from split's")
+    read = [i for i, tag in enumerate(split) if tag in splits]
+    originals = _read_images(imgio.read_pbm, original_paths, manifest_path)
+    read_scans = {
+        pid: dict(zip(read, _read_images(imgio.read_pgm, [paths[i] for i in read],
+                                         manifest_path)))
+        for pid, paths in scan_paths.items()
     }
     if any(m.bits.shape != (geometry.rows, geometry.cols) for m in originals) or any(
         img.pixels.shape != (geometry.image_height, geometry.image_width)
-        for imgs in scans.values() for img in imgs
+        for imgs in read_scans.values() for img in imgs.values()
     ):
         raise FormatError(f"{manifest_path}: an image's size does not match {geometry}")
     return PairedDataset(
@@ -503,7 +572,10 @@ def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
         seed=seed,
         split_sizes=split_sizes,
         originals=originals,
-        scans=scans,
+        scans={
+            pid: ScanList([imgs.get(i) for i in range(len(split))])
+            for pid, imgs in read_scans.items()
+        },
         channel_params=channel_params,
         split=split,
     )

@@ -90,28 +90,34 @@ def preset(printer_id: str) -> ChannelParams:
         ) from None
 
 
-def preset_with_overrides(printer_id: str, overrides: dict | None = None) -> ChannelParams:
-    """Preset parameters with selected fields replaced; validates the result."""
-    params = preset(printer_id)
-    if overrides:
-        try:
-            params = replace(params, **overrides)
-        except TypeError as exc:
-            raise ParameterError(f"unknown channel parameter in overrides: {exc}") from None
-        for key, value in overrides.items():
-            # An int may stand for a float; a bool stands only for a bool.
-            kind = type(getattr(ChannelParams(), key))
-            if kind is bool:
-                ok = isinstance(value, bool)
-            else:
-                allowed = (int, float) if kind is float else int
-                ok = isinstance(value, allowed) and not isinstance(value, bool)
-            if not ok:
-                raise ParameterError(f"{key} must be {kind.__name__}, not {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ParameterError(f"{key} must be finite, not {value!r}")
+def with_fields(base: ChannelParams, fields: dict) -> ChannelParams:
+    """base with the given fields replaced; validates the result.
+
+    Each value must have its field's type, and a real must be finite.
+    """
+    try:
+        params = replace(base, **fields)
+    except TypeError as exc:
+        raise ParameterError(f"unknown channel parameter: {exc}") from None
+    for key, value in fields.items():
+        # An int may stand for a float; a bool stands only for a bool.
+        kind = type(getattr(base, key))
+        if kind is bool:
+            ok = isinstance(value, bool)
+        else:
+            allowed = (int, float) if kind is float else int
+            ok = isinstance(value, allowed) and not isinstance(value, bool)
+        if not ok:
+            raise ParameterError(f"{key} must be {kind.__name__}, not {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{key} must be finite, not {value!r}")
     params.validate()
     return params
+
+
+def preset_with_overrides(printer_id: str, overrides: dict | None = None) -> ChannelParams:
+    """Preset parameters with selected fields replaced; validates the result."""
+    return with_fields(preset(printer_id), overrides or {})
 
 
 def _dilate(ink: np.ndarray, radius: int) -> np.ndarray:

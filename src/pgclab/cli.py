@@ -22,7 +22,9 @@ from .attack import (
     ARCHS,
     DEFAULT_SPLIT,
     SPLIT_TEST,
+    SPLIT_TRAIN,
     SPLIT_VAL,
+    SPLITS,
     STREAM_REPRINT_AUTH,
     STREAM_REPRINT_FAKE,
     AttackModel,
@@ -268,8 +270,8 @@ def _estimate_dir(cfg: ExperimentConfig, printer: str, source: str) -> Path:
     return cfg.out_dir / "estimates" / f"{printer}_{source}"
 
 
-def _load_ds(cfg: ExperimentConfig, printer: str) -> PairedDataset:
-    return load_dataset(_dataset_dir(cfg), printer)
+def _load_ds(cfg: ExperimentConfig, printer: str, splits=SPLITS) -> PairedDataset:
+    return load_dataset(_dataset_dir(cfg), printer, splits)
 
 
 def cmd_gen(cfg: ExperimentConfig) -> None:
@@ -293,7 +295,7 @@ def cmd_gen(cfg: ExperimentConfig) -> None:
 def cmd_train(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
     """Train and calibrate one model; write the model file and loss table."""
     arch = arch or cfg.arch
-    ds = _load_ds(cfg, printer)
+    ds = _load_ds(cfg, printer, (SPLIT_TRAIN, SPLIT_VAL))
     val = split_arrays(ds, printer, SPLIT_VAL)
     am, history = train_attack(ds, printer, arch, cfg.train, val=val)
     am = calibrate_threshold(am, ds, val=val)
@@ -347,7 +349,7 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
     workers, which must not start BLAS thread pools of their own.
     """
     arch = arch or cfg.arch
-    ds = _load_ds(cfg, printer)
+    ds = _load_ds(cfg, printer, (SPLIT_VAL, SPLIT_TEST))
     model_path = _model_path(cfg, printer, arch)
     if not model_path.exists():
         raise MissingInputError(f"no model file at {model_path}; run the train command first")
@@ -408,7 +410,7 @@ def _load_estimates(cfg: ExperimentConfig, printer: str, source: str, test_idx):
 def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
     """Score re-prints of the estimates against authentic re-prints."""
     arch = arch or cfg.arch
-    ds = _load_ds(cfg, printer)
+    ds = _load_ds(cfg, printer, (SPLIT_VAL,))
     p_idx = ds.printer_index(printer)
     test_idx = ds.indices(SPLIT_TEST)
     originals = [ds.originals[i] for i in test_idx]

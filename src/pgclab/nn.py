@@ -163,20 +163,25 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows; 1/(1+e) for z >= 0 and e/(1+e) below are
     # the two stable forms, sharing the denominator 1 + e.  The numerator
     # exp(min(z, 0)) is exactly 1 for z >= 0 and has e's bits for z < 0,
-    # where min(z, 0) is -|z|, so no select on the sign is needed.
+    # where min(z, 0) is -|z|, so no select on the sign is needed.  The
+    # numerator is built in z itself: callers pass a fresh pre-activation
+    # that they do not read again.
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.minimum(z, 0)
-    np.exp(out, out=out)
+    np.minimum(z, 0, out=z)
+    np.exp(z, out=z)
     e += 1.0
-    out /= e
-    return out
+    z /= e
+    return z
 
 
-def _forward_acts(m: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    """All layer activations for a (n, in_dim) batch, input included."""
-    acts = [x]
+def _activations(m: MlpModel, x: np.ndarray):
+    """Each layer's activation for a (n, in_dim) batch, first to last.
+
+    A caller that drops each activation once it has the next one holds
+    at most two at a time.
+    """
     a = x
     for spec, w, b in zip(m.layers, m.weights, m.biases):
         a = a @ w.T
@@ -185,8 +190,19 @@ def _forward_acts(m: MlpModel, x: np.ndarray) -> list[np.ndarray]:
             np.maximum(a, 0, out=a)
         elif spec.activation == ACT_SIGMOID:
             a = _sigmoid(a)
-        acts.append(a)
-    return acts
+        yield a
+
+
+def _forward_acts(m: MlpModel, x: np.ndarray) -> list[np.ndarray]:
+    """All layer activations for a (n, in_dim) batch, input included."""
+    return [x, *_activations(m, x)]
+
+
+def _output(m: MlpModel, x: np.ndarray) -> np.ndarray:
+    """The last layer's activation, each earlier one dropped in turn."""
+    for a in _activations(m, x):
+        pass
+    return a
 
 
 def _as_batch(m: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -198,7 +214,7 @@ def _as_batch(m: MlpModel, x: np.ndarray) -> np.ndarray:
 
 def forward(m: MlpModel, x: np.ndarray) -> np.ndarray:
     """Run the network on a (n, in_dim) batch."""
-    return _forward_acts(m, _as_batch(m, x))[-1]
+    return _output(m, _as_batch(m, x))
 
 
 def weight_sq_sum(m: MlpModel) -> float:
@@ -210,7 +226,7 @@ def batch_loss(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
                cfg: TrainConfig | None = None) -> float:
     """Mean per-sample squared error plus (once) the regularizer term."""
     xb, tb = _check_batch(m, batch_x, batch_t)
-    return _objective(m, _forward_acts(m, xb)[-1], tb, cfg)
+    return _objective(m, _output(m, xb), tb, cfg)
 
 
 def _objective(m: MlpModel, pred: np.ndarray, tb: np.ndarray,
@@ -229,7 +245,11 @@ def _check_batch(m: MlpModel, batch_x, batch_t):
     xb = _as_batch(m, batch_x)
     if xb.shape[0] == 0:
         raise DimensionError("empty batch")
-    tb = np.asarray(batch_t).astype(xb.dtype, copy=False)
+    # Targets the model dtype holds exactly, such as uint8 bits, are left
+    # as they are: their float64 differences are the same either way.
+    tb = np.asarray(batch_t)
+    if not np.can_cast(tb.dtype, xb.dtype):
+        tb = tb.astype(xb.dtype)
     if tb.shape != (xb.shape[0], m.out_dim):
         raise DimensionError("target batch shape mismatch")
     return xb, tb
@@ -266,6 +286,7 @@ def loss_and_grads(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
                    cfg: TrainConfig | None = None):
     """batch_loss and its gradients from a single forward pass."""
     xb, tb = _check_batch(m, batch_x, batch_t)
+    tb = tb.astype(xb.dtype, copy=False)
     acts = _forward_acts(m, xb)
     value = _objective(m, acts[-1], tb, cfg)
     grad_w, grad_b = _grads_from_acts(m, acts, tb, cfg)

@@ -11,6 +11,7 @@ from pgclab.attack import (
     SPLIT_TEST,
     SPLIT_TRAIN,
     SPLIT_VAL,
+    SPLITS,
     AttackModel,
     PairedDataset,
     build_dataset,
@@ -40,6 +41,7 @@ from pgclab.errors import (
     FormatError,
     MissingInputError,
     ParameterError,
+    PgcError,
     StateError,
     UnknownIdError,
 )
@@ -133,7 +135,7 @@ def test_split_arrays_shapes_and_ranges():
     ds = identity_dataset()
     x, t = split_arrays(ds, "ID", SPLIT_TRAIN)
     assert x.shape == (5 * 256, 576) and t.shape == x.shape
-    assert x.dtype == np.float32 and t.dtype == np.float32
+    assert x.dtype == np.float32 and t.dtype == np.uint8
     assert x.min() >= 0.0 and x.max() <= 1.0
     assert set(np.unique(t)) <= {0.0, 1.0}
     # identity channel: scan ink equals rendered bits exactly
@@ -151,8 +153,7 @@ def test_split_arrays_match_the_concatenated_blocks():
     idx = ds.indices(SPLIT_TRAIN)
     want_x = np.concatenate([split_blocks(ink_intensity(ds.scans["SA"][i]), 24).blocks
                              for i in idx])
-    want_t = np.concatenate([split_blocks(ds.rendered_original(i), 24).blocks.astype(np.float32)
-                             for i in idx])
+    want_t = np.concatenate([split_blocks(ds.rendered_original(i), 24).blocks for i in idx])
     assert x.tobytes() == want_x.tobytes()
     assert t.tobytes() == want_t.tobytes()
 
@@ -325,6 +326,29 @@ def test_calibrate_grid_on_float32_grid_points():
     assert calibrate_grid(values, targets) == calibrate_grid_sweep(values, targets)
     assert calibrate_grid(values.reshape(3, 101), targets.reshape(3, 101)) == \
         calibrate_grid_sweep(values, targets)
+
+
+def test_calibrate_grid_on_float32_equals_on_its_float64_cast():
+    """Each class sorts in the values' own dtype; the grid comparison stays
+    in float64, so float32(0.01), just below 0.01, is still below it."""
+    assert np.float64(np.float32(0.01)) < 0.01
+    on_grid = (np.arange(101) / 100).astype(np.float32)
+    below = np.nextafter(on_grid, np.float32(-1))
+    above = np.nextafter(on_grid, np.float32(2))
+    rng = np.random.default_rng(47)
+    for values in (on_grid, below, above, np.concatenate([on_grid, below, above])):
+        for targets in (np.zeros(values.size), np.ones(values.size),
+                        rng.integers(0, 2, values.size)):
+            want = calibrate_grid(values.astype(np.float64), targets)
+            assert calibrate_grid(values, targets) == want
+            counts = rng.integers(1, 5, values.size)
+            assert calibrate_grid(values, targets, counts) == \
+                calibrate_grid(values.astype(np.float64), targets, counts)
+    for k in range(101):
+        for v in (on_grid[k], below[k]):
+            for target in (0, 1):
+                assert calibrate_grid(np.array([v]), np.array([target])) == \
+                    calibrate_grid(np.array([v], np.float64), np.array([target]))
 
 
 def test_calibrate_grid_rejects_empty():
@@ -560,6 +584,140 @@ def test_load_dataset_follows_links_inside_the_dataset(tmp_path):
     edit_manifest(tmp_path, lambda m: m["originals"].__setitem__(0, "link.pbm"))
     back = load_dataset(tmp_path)
     assert back.originals[0].bits.tobytes() == ds.originals[1].bits.tobytes()
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda m: m["printers"]["ID"].update(psf_sigma="2.2"), "psf_sigma must be float"),
+    (lambda m: m["printers"]["ID"].update(dot_gain_radius=1.5), "dot_gain_radius must be int"),
+    (lambda m: m["printers"]["ID"].update(noise_sigma=float("nan")), "noise_sigma must be finite"),
+    (lambda m: m["printers"]["ID"].update(quantize=1), "quantize must be bool"),
+    (lambda m: m["printers"]["ID"].update(gain=-1.0), "gain must be > 0"),
+    (lambda m: m["printers"]["ID"].update(nozzle=3), "unknown channel parameter"),
+    (lambda m: m.update(seed=3.7), "seed must be an integer"),
+    (lambda m: m.update(seed=True), "seed must be an integer"),
+    (lambda m: m.update(seed=-1), "seed must be an integer"),
+    (lambda m: m.update(split_sizes=[1.0, 1, 0]), "split_sizes must be an integer"),
+    (lambda m: m.update(split_sizes=[1, 1]), "split must tag each code"),
+    (lambda m: m.update(split=["train", "test"]), "split must tag each code"),
+    (lambda m: m.update(split="tv"), "split must tag each code"),
+    (lambda m: m["geometry"].update(rows="24"), "geometry.rows must be an integer"),
+    (lambda m: m["geometry"].update(block_px=7), "does not divide"),
+    (lambda m: m.update(format_version=True), "unsupported manifest version"),
+    (lambda m: m["scans"].update(SA=[]), "scans name a printer that printers do not"),
+    (lambda m: m["scans"]["ID"].pop(), "length differs from split"),
+    (lambda m: m["originals"].append("originals/code_0000.pbm"), "length differs from split"),
+], ids=["sigma-text", "radius-real", "noise-nan", "quantize-int", "gain-negative",
+        "unknown-param", "seed-real", "seed-bool", "seed-negative", "sizes-real", "sizes-two",
+        "split-tag", "split-text", "rows-text", "block-off-grid", "version-bool",
+        "scans-unknown-printer", "scans-short", "originals-long"])
+def test_load_dataset_rejects_values_of_the_wrong_type(tmp_path, edit, needle):
+    """A manifest value of the wrong type or out of range ends in FormatError;
+    none is coerced, and none ends in another exception."""
+    save_dataset(identity_dataset(2, (1, 1, 0)), tmp_path)
+    edit_manifest(tmp_path, edit)
+    with pytest.raises(FormatError, match=needle):
+        load_dataset(tmp_path)
+
+
+def test_load_dataset_reports_a_missing_image(tmp_path):
+    save_dataset(identity_dataset(2, (1, 1, 0)), tmp_path)
+    (tmp_path / "scans" / "ID" / "scan_0001.pgm").unlink()
+    with pytest.raises(MissingInputError, match="scan_0001.pgm"):
+        load_dataset(tmp_path)
+    edit_manifest(tmp_path, lambda m: m["originals"].__setitem__(0, "originals"))
+    with pytest.raises(MissingInputError, match="not a file"):
+        load_dataset(tmp_path, splits=(SPLIT_TRAIN,))
+
+
+def test_load_dataset_reads_only_the_named_splits(tmp_path, monkeypatch):
+    from pgclab import imgio
+
+    ds = identity_dataset(8, (5, 2, 1))
+    save_dataset(ds, tmp_path)
+    read = []
+    real_read_pgm = imgio.read_pgm
+
+    def counted(path):
+        read.append(path)
+        return real_read_pgm(path)
+
+    monkeypatch.setattr(imgio, "read_pgm", counted)
+    back = load_dataset(tmp_path, "ID", (SPLIT_VAL,))
+    assert len(read) == 2
+    assert len(back.scans["ID"]) == 8 and len(back.originals) == 8
+    for i in back.indices(SPLIT_VAL):
+        assert back.scans["ID"][i].pixels.tobytes() == ds.scans["ID"][i].pixels.tobytes()
+    for i in back.indices(SPLIT_TRAIN) + back.indices(SPLIT_TEST):
+        with pytest.raises(StateError, match=f"scan {i} was not read"):
+            back.scans["ID"][i]
+    with pytest.raises(StateError):
+        split_arrays(back, "ID", SPLIT_TRAIN)
+    assert calibrate_pixel_threshold(back, "ID") == calibrate_pixel_threshold(ds, "ID")
+    with pytest.raises(IndexError):
+        back.scans["ID"][8]
+
+
+FUZZ_GEOMETRY = Geometry(rows=24, cols=24, module_px=6, block_px=24)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    """A saved three-code dataset and its manifest, for mutating."""
+    root = tmp_path_factory.mktemp("fuzz_dataset")
+    params = {"ID": ChannelParams(), "SA": preset("SA")}
+    save_dataset(build_dataset(3, (1, 1, 1), FUZZ_GEOMETRY, params, seed=4), root)
+    return root, json.loads((root / "manifest.json").read_text())
+
+
+# Every field of the manifest, by its path.
+MANIFEST_FIELDS = (
+    [(key,) for key in ("format_version", "geometry", "seed", "split_sizes", "split",
+                        "printers", "originals", "scans")]
+    + [("geometry", key) for key in ("rows", "cols", "module_px", "block_px")]
+    + [("split_sizes", 0), ("split", 1), ("originals", 0), ("scans", "ID"), ("scans", "SA", 2),
+       ("printers", "ID"), ("printers", "SA")]
+    + [("printers", "SA", key) for key in ("dot_gain_radius", "dot_gain_prob", "psf_sigma",
+                                           "gain", "offset", "noise_sigma", "quantize")]
+)
+def _json_containers(inner):
+    keys = st.sampled_from(["ID", "SA", "rows", "psf_sigma", "quantize", "x"])
+    return st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=3)
+
+
+MANIFEST_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["train", "val", "test", "ID", "SA", "originals",
+                       "originals/code_0001.pbm", "scans/SA/scan_0000.pgm", "manifest.json"]),
+    _json_containers,
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(MANIFEST_FIELDS), value=MANIFEST_VALUES)
+@example(field=("printers", "SA", "psf_sigma"), value="2.2")
+@example(field=("seed",), value=3.7)
+@example(field=("split", 1), value=["val"])
+@example(field=("scans", "SA", 2), value="originals")
+def test_load_dataset_loads_or_raises_pgc_error(fuzz_dataset, field, value):
+    """One field of a valid manifest replaced by any JSON value: the dataset
+    loads and its splits can be used, or a typed error is raised."""
+    root, manifest = fuzz_dataset
+    manifest = json.loads(json.dumps(manifest))
+    *parents, last = field
+    holder = manifest
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    try:
+        ds = load_dataset(root)
+        for pid in ds.scans:
+            for tag in SPLITS:
+                split_arrays(ds, pid, tag)
+            calibrate_pixel_threshold(ds, pid)
+    except PgcError:
+        pass
 
 
 # ---------------------------------------------------------------- convergence

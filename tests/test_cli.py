@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from pgclab import attack, cli, detector, nn
 from pgclab.attack import (
     SPLIT_TEST,
+    SPLIT_TRAIN,
+    SPLIT_VAL,
     STREAM_REPRINT_AUTH,
     STREAM_REPRINT_FAKE,
     AttackModel,
@@ -707,3 +709,47 @@ def test_verbs_read_only_their_printers_scans(tmp_path):
     rows = (out / "reports" / "scores_SA_bn_pearson.csv").read_text().split("\n")[1:]
     assert [float(r.split(",")[0]) for r in rows if r.endswith(",authentic")] \
         == auth["pearson"].tolist()
+
+
+def test_verbs_read_only_the_splits_they_use(tmp_path):
+    """train reads the train and val scans, attack val and test, roc val:
+    with the other splits' scans gone, each writes the same bytes."""
+    p = write_cfg(tmp_path, lambda c: c["dataset"].update(n_images=7, split=[4, 1, 2]))
+    out = tmp_path / "run"
+    common = ["--config", str(p), "--printer", "SA"]
+    assert run(["gen", "--config", str(p)]) == 0
+    for verb in ("train", "attack", "roc"):
+        assert run([verb, *common]) == 0
+    files = [f for f in out.rglob("*") if f.is_file() and f.relative_to(out).parts[0] != "dataset"]
+    want = {f: f.read_bytes() for f in files}
+    ds = load_dataset(out / "dataset")
+    scans = {tag: [out / "dataset" / "scans" / "SA" / f"scan_{i:04d}.pgm"
+                   for i in ds.indices(tag)] for tag in (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)}
+    saved = {f: f.read_bytes() for paths in scans.values() for f in paths}
+
+    def keep_only(*tags):
+        for tag, paths in scans.items():
+            for f in paths:
+                if tag in tags:
+                    f.write_bytes(saved[f])
+                elif f.exists():
+                    f.unlink()
+
+    for verb, tags in (("train", (SPLIT_TRAIN, SPLIT_VAL)), ("attack", (SPLIT_VAL, SPLIT_TEST)),
+                       ("roc", (SPLIT_VAL,))):
+        keep_only(*tags)
+        assert run([verb, *common]) == 0
+        assert {f: f.read_bytes() for f in files} == want
+
+
+def test_roc_on_a_mistyped_manifest_ends_in_a_format_error(tmp_path, capsys):
+    p = write_cfg(tmp_path)
+    assert run(["gen", "--config", str(p)]) == 0
+    manifest = tmp_path / "run" / "dataset" / "manifest.json"
+    m = json.loads(manifest.read_text())
+    m["printers"]["SA"]["psf_sigma"] = "2.2"
+    manifest.write_text(json.dumps(m))
+    capsys.readouterr()
+    assert run(["roc", "--config", str(p), "--printer", "SA"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pgclab: error [format]") and "psf_sigma must be float" in err

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgclab import nn
-from pgclab.errors import DimensionError, FormatError, ParameterError, StateError
+from pgclab.errors import DimensionError, FormatError, ParameterError, PgcError, StateError
 from pgclab.nn import (
     ACT_IDENTITY,
     ACT_RELU,
@@ -363,6 +365,46 @@ def test_load_rejects_corrupt_files(tmp_path):
             load_model(q)
 
 
+@pytest.fixture(scope="module")
+def pgcm_bytes(tmp_path_factory):
+    """A valid two-layer model file with a threshold."""
+    m = small_model([4, 3, 2], [ACT_RELU, ACT_SIGMOID], seed=25)
+    p = tmp_path_factory.mktemp("pgcm") / "m.pgcm"
+    save_model(m, 0.5, p)
+    return p.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 130), st.integers(0, 255)), max_size=4),
+    word=st.none() | st.tuples(st.sampled_from([4, 8, 12, 16, 20, 24, 28, 32]),
+                               st.integers(0, 2**32 - 1)),
+    cut=st.integers(0, 140),
+    tail=st.binary(max_size=8),
+)
+@example(edits=[], word=(12, 2**31), cut=140, tail=b"")
+@example(edits=[], word=(12, 0), cut=140, tail=b"")
+@example(edits=[], word=(8, 0), cut=140, tail=b"")
+def test_load_model_loads_or_raises_pgc_error(pgcm_bytes, tmp_path_factory, edits, word, cut,
+                                             tail):
+    """Mutated PGCM bytes: bytes overwritten, a header word replaced, the
+    file cut short or extended.  The model loads or a typed error is raised."""
+    data = bytearray(pgcm_bytes)
+    for pos, value in edits:
+        if pos < len(data):
+            data[pos] = value
+    if word is not None:
+        pos, value = word
+        data[pos : pos + 4] = value.to_bytes(4, "little")
+    p = tmp_path_factory.getbasetemp() / "fuzzed.pgcm"
+    p.write_bytes(bytes(data[:cut]) + tail)
+    try:
+        m, _ = load_model(p)
+    except PgcError:
+        return
+    m.validate()
+
+
 # ---------------------------------------------------------------- misc
 
 def test_train_config_validation():
@@ -470,9 +512,10 @@ def test_sigmoid_bit_identical_to_masked_form(dtype):
     ])
     with np.errstate(over="ignore", invalid="ignore"):
         want = sigmoid_masked(z)
-        np.testing.assert_array_equal(_bits(nn._sigmoid(z)), _bits(want))
+        np.testing.assert_array_equal(_bits(nn._sigmoid(z.copy())), _bits(want))
         batch = z[len(special) : len(special) + 128 * 576].reshape(128, 576)
-        np.testing.assert_array_equal(_bits(nn._sigmoid(batch)), _bits(sigmoid_masked(batch)))
+        want = sigmoid_masked(batch)
+        np.testing.assert_array_equal(_bits(nn._sigmoid(batch)), _bits(want))
 
 
 @pytest.mark.parametrize("build", [build_bn, lambda seed: build_fc(2, seed)])
@@ -529,3 +572,58 @@ def test_adam_rejects_non_contiguous_arrays():
     grads = ([np.ones_like(w) for w in m.weights], [np.ones_like(b) for b in m.biases])
     with pytest.raises(StateError):
         optimizer_step(m, grads, st, TrainConfig())
+
+
+# ---------------------------------------------------------------- memory
+# Inference holds one activation at a time and the sigmoid reuses its
+# input; these pin the results to the forms that kept every activation.
+
+BUILDERS = [build_bn, lambda seed: build_fc(2, seed)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
+def test_forward_bit_identical_to_last_of_all_activations(build, dtype):
+    m = build(41).astype(dtype)
+    x = np.random.default_rng(42).random((300, CODE_DIM)).astype(dtype)
+    want = nn._forward_acts(m, x)[-1]
+    got = forward(m, x)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
+def test_uint8_targets_give_the_float32_targets_bits(build):
+    m = build(43)
+    rng = np.random.default_rng(44)
+    x = rng.random((200, CODE_DIM), dtype=np.float32)
+    bits = rng.integers(0, 2, (200, CODE_DIM), dtype=np.uint8)
+    cfg = TrainConfig(lam=1e-4, regularizer=REG_L2_WEIGHTS)
+    assert batch_loss(m, x, bits) == batch_loss(m, x, bits.astype(np.float32))
+    assert batch_loss(m, x, bits, cfg) == batch_loss(m, x, bits.astype(np.float32), cfg)
+    value, gw, gb = loss_and_grads(m, x, bits, cfg)
+    want_value, want_w, want_b = loss_and_grads(m, x, bits.astype(np.float32), cfg)
+    assert value == want_value
+    for got, want in zip(gw + gb, want_w + want_b, strict=True):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
+def test_batch_loss_peak_memory_is_one_output_and_its_float64_copy(build):
+    """The float32 prediction and its float64 differences, 12 bytes per
+    output element, are all that batch_loss holds at its peak."""
+    import tracemalloc
+
+    m = build(45)
+    n = 2048
+    rng = np.random.default_rng(46)
+    x = rng.random((n, CODE_DIM), dtype=np.float32)
+    t = rng.integers(0, 2, (n, CODE_DIM), dtype=np.uint8)
+    batch_loss(m, x, t)
+    tracemalloc.start()
+    try:
+        batch_loss(m, x, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n * m.out_dim + 2**20
