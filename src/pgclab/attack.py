@@ -208,22 +208,33 @@ def build_dataset(
 def split_arrays(ds: PairedDataset, printer: str, tag: str):
     """Stacked (inputs, targets) block arrays for one printer and split.
 
-    Inputs are scan blocks as ink intensity, in float32; targets the
-    matching rendered original blocks, as their uint8 0/1 bits.  Both have
-    shape (n_blocks, block_px ** 2).
+    Inputs are the scan blocks in the scans' own bytes: uint8 luminance,
+    float32 for unquantized scans.  ink_rows turns rows of them into the
+    network's input, so callers hold that float32 form only a batch or a
+    row block at a time.  Targets are the matching rendered original
+    blocks, as their uint8 0/1 bits.  Both have shape
+    (n_blocks, block_px ** 2).
     """
     if printer not in ds.scans:
         raise UnknownIdError(f"printer {printer!r} not in dataset")
     idx = ds.indices(tag)
+    scans = [ds.scans[printer][i] for i in idx]
     bpx = ds.geometry.block_px
     per = ds.geometry.blocks_per_image
-    x = np.empty((len(idx) * per, ds.geometry.block_dim), np.float32)
+    dtype = np.result_type(np.uint8, *(scan.pixels.dtype for scan in scans))
+    x = np.empty((len(idx) * per, ds.geometry.block_dim), dtype)
     t = np.empty(x.shape, np.uint8)
-    for k, i in enumerate(idx):
+    for k, (i, scan) in enumerate(zip(idx, scans)):
         rows = slice(k * per, (k + 1) * per)
-        x[rows] = split_blocks(ink_intensity(ds.scans[printer][i]), bpx).blocks
+        x[rows] = split_blocks(scan, bpx).blocks
         t[rows] = split_blocks(ds.rendered_original(i), bpx).blocks
     return x, t
+
+
+def ink_rows(x: np.ndarray) -> np.ndarray:
+    """The float32 ink intensity of rows of split_arrays' scan bytes: the
+    network's input."""
+    return ink_intensity(PixelImage(x, BYTE0_255)).pixels
 
 
 def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig,
@@ -241,6 +252,10 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
     val, when given, is the validation split's (inputs, targets) from
     split_arrays, so a caller that also calibrates builds it only once.
     The threshold is left unset; run calibrate_threshold afterwards.
+
+    The splits stay in their scan bytes: each training batch is turned
+    into ink intensity as it is gathered, and the validation loss does so
+    one row block at a time.
     """
     cfg.validate()
     if arch not in _BUILDERS:
@@ -264,14 +279,14 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
-            value, gw, gb = nn.loss_and_grads(model, x[sel], t[sel], cfg)
+            value, gw, gb = nn.loss_and_grads(model, ink_rows(x[sel]), t[sel], cfg)
             nn.optimizer_step(model, (gw, gb), state, cfg)
             total += value * len(sel)
         history.append(total / n)
         if best_params:
-            val = nn.batch_loss(model, xv, tv)
-            if best_val is None or val < best_val:
-                best_val = val
+            val_loss = nn.batch_loss(model, xv, tv, prep=ink_rows)
+            if best_val is None or val_loss < best_val:
+                best_val = val_loss
                 for dst, p in zip(best_params, params):
                     np.copyto(dst, p)
     if best_val is not None:
@@ -291,10 +306,11 @@ def _weight_below(x: np.ndarray, w, points: np.ndarray):
     """Of one class's values x, with weights w (None weighs each 1), the
     weight below each point, the weight of the numbers and the total weight.
 
-    Sorting puts NaNs last; the search at inf counts the numbers before them.
+    x is sorted in place.  Sorting puts NaNs last; the search at inf counts
+    the numbers before them.
     """
     if w is None:
-        x = np.sort(x)
+        x.sort()
     else:
         order = np.argsort(x)
         x, cum = x[order], np.concatenate(([0], np.cumsum(w[order])))
@@ -305,15 +321,16 @@ def _weight_below(x: np.ndarray, w, points: np.ndarray):
     return cum[below], cum[numbers], cum[-1]
 
 
-def calibrate_grid(values: np.ndarray, targets: np.ndarray, counts=None):
-    """Return the grid point t and error minimizing mean bit disagreement.
+def _grid_errors(values: np.ndarray, targets: np.ndarray, counts=None):
+    """The bit disagreements at each grid point, and the total weight.
 
-    Ties break toward the smallest t.  values are reals in [0, 1], targets
-    the binary truth; a value counts as 1 when >= t, compared in float64.
-    counts, when given, says how many times each (value, target) pair
-    occurs.  Sort-and-count (Fawcett 2006): each class is sorted once, and
-    the errors at t are the 0-targets at or above t plus the 1-targets
-    below it (a NaN is never >= t).  Equals sweeping every grid point exactly.
+    values are reals in [0, 1], targets the binary truth; a value counts as
+    1 when >= t, compared in float64.  counts, when given, says how many
+    times each (value, target) pair occurs.  Sort-and-count (Fawcett 2006):
+    each class is sorted once, and the errors at t are the 0-targets at or
+    above t plus the 1-targets below it (a NaN is never >= t).  Equals
+    sweeping every grid point exactly.  The counts are integers, so those
+    of separate pieces of the values add up to the counts of the whole.
     """
     values = np.asarray(values)
     targets = np.asarray(targets).astype(bool)
@@ -323,8 +340,6 @@ def calibrate_grid(values: np.ndarray, targets: np.ndarray, counts=None):
     if w is not None and w.size != values.size:
         raise ParameterError("counts and values sizes differ")
     total = values.size if w is None else int(w.sum())
-    if total == 0:
-        raise StateError("nothing to calibrate on")
     # Values that float64 holds exactly sort in their own dtype, in the
     # order float64 gives them; searchsorted compares in float64.
     v = values.ravel()
@@ -335,21 +350,46 @@ def calibrate_grid(values: np.ndarray, targets: np.ndarray, counts=None):
     split = [(np.compress(c, v), None if w is None else np.compress(c, w)) for c in (~tb, tb)]
     zeros_below, zeros_num, _ = _weight_below(*split[0], grid)
     ones_below, ones_num, ones_all = _weight_below(*split[1], grid)
-    errors = zeros_num - zeros_below + ones_below + (ones_all - ones_num)
+    return zeros_num - zeros_below + ones_below + (ones_all - ones_num), total
+
+
+def _grid_argmin(errors: np.ndarray, total: int):
+    """The grid point with the fewest errors, the smallest on ties, and its
+    error rate."""
+    if total == 0:
+        raise StateError("nothing to calibrate on")
     k = int(np.argmin(errors))
-    return float(grid[k]), int(errors[k]) / total
+    return float(threshold_grid()[k]), int(errors[k]) / total
+
+
+def calibrate_grid(values: np.ndarray, targets: np.ndarray, counts=None):
+    """Return the grid point t and error minimizing mean bit disagreement.
+
+    Ties break toward the smallest t.  values, targets and counts are as
+    for _grid_errors.
+    """
+    return _grid_argmin(*_grid_errors(values, targets, counts))
 
 
 def calibrate_threshold(am: AttackModel, ds: PairedDataset, val=None):
     """Pick the output threshold on the validation split; returns a new AttackModel.
 
     val, when given, is that split's (inputs, targets) from split_arrays.
+    The model runs over the split's nn.row_blocks and the errors at each
+    grid point are added up block by block, so the peak does not grow with
+    the split; the counts are exact, so the threshold is calibrate_grid's
+    on the whole output.
     """
     x, t = split_arrays(ds, am.printer, SPLIT_VAL) if val is None else val
     if x.shape[0] == 0:
         raise StateError("empty validation split")
-    outputs = nn.forward(am.model, x)
-    best_t, _ = calibrate_grid(outputs, t)
+    errors, total = 0, 0
+    for lo, hi in nn.row_blocks(x.shape[0]):
+        outputs = nn.forward(am.model, ink_rows(x[lo:hi]))
+        block_errors, block_total = _grid_errors(outputs, t[lo:hi])
+        errors += block_errors
+        total += block_total
+    best_t, _ = _grid_argmin(errors, total)
     return replace(am, threshold=best_t)
 
 

@@ -258,5 +258,8 @@ def ink_intensity(img: PixelImage) -> PixelImage:
     """
     if img.domain != BYTE0_255:
         raise DomainError("ink_intensity expects a byte0_255 luminance image")
-    ink = (1.0 - img.pixels.astype(np.float32) / np.float32(255.0)).astype(np.float32)
+    # In place in one fresh float32 copy: training converts every batch.
+    ink = img.pixels.astype(np.float32)
+    ink /= np.float32(255.0)
+    np.subtract(1.0, ink, out=ink)
     return PixelImage(ink, UNIT_INTERVAL)

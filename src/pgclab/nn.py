@@ -194,27 +194,54 @@ def _activations(m: MlpModel, x: np.ndarray):
 
 
 def _forward_acts(m: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    """All layer activations for a (n, in_dim) batch, input included."""
+    """All layer activations for a (n, in_dim) batch, its input in the
+    model dtype included."""
+    x = x.astype(m.weights[0].dtype, copy=False)
     return [x, *_activations(m, x)]
 
 
-def _output(m: MlpModel, x: np.ndarray) -> np.ndarray:
-    """The last layer's activation, each earlier one dropped in turn."""
-    for a in _activations(m, x):
-        pass
-    return a
+# Inference runs over blocks of this many rows, the last block taking the
+# shorter tail, so that no block has fewer rows unless the whole batch does.
+# Small blocks would change the bits: with OpenBLAS 0.3.31 a bn forward
+# pass over 33 rows or fewer (fc2: 2 or fewer) rounds differently from the
+# same rows inside a larger batch.  Blocks of this size give the rows of
+# the one-shot pass exactly; tests/test_nn.py compares the two forms.
+ROW_BLOCK = 256
 
 
-def _as_batch(m: MlpModel, x: np.ndarray) -> np.ndarray:
+def row_blocks(n: int):
+    """The (lo, hi) row bounds of an n-row batch's inference blocks."""
+    k = max(1, n // ROW_BLOCK)
+    for i in range(k):
+        yield i * ROW_BLOCK, n if i == k - 1 else (i + 1) * ROW_BLOCK
+
+
+def _output(m: MlpModel, x: np.ndarray, prep=None) -> np.ndarray:
+    """The last layer's activation, one row block at a time, each block's
+    earlier activations dropped in turn.
+
+    prep, when given, maps each row block of x to the network's input.
+    """
+    dtype = m.weights[0].dtype
+    out = np.empty((x.shape[0], m.out_dim), dtype)
+    for lo, hi in row_blocks(x.shape[0]):
+        xb = x[lo:hi] if prep is None else prep(x[lo:hi])
+        for a in _activations(m, xb.astype(dtype, copy=False)):
+            pass
+        out[lo:hi] = a
+    return out
+
+
+def _check_input(m: MlpModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != m.in_dim:
         raise DimensionError(f"input shape {x.shape} does not match in_dim {m.in_dim}")
-    return x.astype(m.weights[0].dtype, copy=False)
+    return x
 
 
 def forward(m: MlpModel, x: np.ndarray) -> np.ndarray:
     """Run the network on a (n, in_dim) batch."""
-    return _output(m, _as_batch(m, x))
+    return _output(m, _check_input(m, x))
 
 
 def weight_sq_sum(m: MlpModel) -> float:
@@ -223,36 +250,67 @@ def weight_sq_sum(m: MlpModel) -> float:
 
 
 def batch_loss(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
-               cfg: TrainConfig | None = None) -> float:
-    """Mean per-sample squared error plus (once) the regularizer term."""
-    xb, tb = _check_batch(m, batch_x, batch_t)
-    return _objective(m, _output(m, xb), tb, cfg)
+               cfg: TrainConfig | None = None, prep=None) -> float:
+    """Mean per-sample squared error plus (once) the regularizer term.
+
+    prep, when given, maps each row block of batch_x to the network's
+    input, so that batch_x may hold the inputs in another form, such as
+    scan bytes.  The network runs over row blocks, writing one output in
+    the model dtype, and the squared errors are added up in float64 over
+    pieces of it, so the peak is about that output: 4 bytes per output
+    element for a float32 model.
+    """
+    x, tb = _check_batch(m, batch_x, batch_t)
+    return _objective(m, _output(m, x, prep), tb, cfg)
+
+
+# _sq_err_sum adds up at most this many squared errors with one np.sum.
+_SUM_LEAF = 1 << 16
+
+
+def _sq_err_sum(pred: np.ndarray, t: np.ndarray, lo: int, n: int) -> np.float64:
+    """np.sum of the float64 (pred - t) ** 2 over flat elements [lo, lo + n).
+
+    Splits as numpy's pairwise summation splits its input, a node of n > 128
+    elements at n//2 - (n//2) % 8, down to leaves that np.sum adds up
+    itself, so the result has the bits of one np.sum over a float64 copy
+    of the whole without that copy.  A module-level function: a recursive
+    closure would be a reference cycle, which keeps the caller's arrays
+    alive until the cycle collector runs.
+    """
+    if n <= _SUM_LEAF:
+        d = pred[lo : lo + n].astype(np.float64)
+        d -= t[lo : lo + n]
+        d *= d
+        return np.sum(d)
+    half = n // 2
+    half -= half % 8
+    return _sq_err_sum(pred, t, lo, half) + _sq_err_sum(pred, t, lo + half, n - half)
 
 
 def _objective(m: MlpModel, pred: np.ndarray, tb: np.ndarray,
                cfg: TrainConfig | None) -> float:
     """batch_loss of a (n, out_dim) prediction, summed in float64."""
-    d = pred.astype(np.float64)
-    d -= tb
-    d *= d
-    value = float(np.sum(d)) / pred.shape[0]
+    value = float(_sq_err_sum(pred.reshape(-1), np.ravel(tb), 0, pred.size)) / pred.shape[0]
     if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS and cfg.lam > 0:
         value += cfg.lam * weight_sq_sum(m)
     return value
 
 
 def _check_batch(m: MlpModel, batch_x, batch_t):
-    xb = _as_batch(m, batch_x)
-    if xb.shape[0] == 0:
+    """The shape-checked batch, inputs as given; targets the model dtype
+    holds exactly, such as uint8 bits, are left as they are too: their
+    float64 differences are the same either way."""
+    x = _check_input(m, batch_x)
+    if x.shape[0] == 0:
         raise DimensionError("empty batch")
-    # Targets the model dtype holds exactly, such as uint8 bits, are left
-    # as they are: their float64 differences are the same either way.
+    dtype = m.weights[0].dtype
     tb = np.asarray(batch_t)
-    if not np.can_cast(tb.dtype, xb.dtype):
-        tb = tb.astype(xb.dtype)
-    if tb.shape != (xb.shape[0], m.out_dim):
+    if not np.can_cast(tb.dtype, dtype):
+        tb = tb.astype(dtype)
+    if tb.shape != (x.shape[0], m.out_dim):
         raise DimensionError("target batch shape mismatch")
-    return xb, tb
+    return x, tb
 
 
 def _grads_from_acts(m: MlpModel, acts: list[np.ndarray], tb: np.ndarray,
@@ -286,8 +344,8 @@ def loss_and_grads(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
                    cfg: TrainConfig | None = None):
     """batch_loss and its gradients from a single forward pass."""
     xb, tb = _check_batch(m, batch_x, batch_t)
-    tb = tb.astype(xb.dtype, copy=False)
     acts = _forward_acts(m, xb)
+    tb = tb.astype(acts[0].dtype, copy=False)
     value = _objective(m, acts[-1], tb, cfg)
     grad_w, grad_b = _grads_from_acts(m, acts, tb, cfg)
     return value, grad_w, grad_b
@@ -476,6 +534,7 @@ def gradient_check(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
     md = m.astype(np.float64)
     xb, tb = _check_batch(md, batch_x, batch_t)
     acts = _forward_acts(md, xb)
+    xb = acts[0]
     grad_w, grad_b = _grads_from_acts(md, acts, tb, cfg)
     base_masks = _relu_masks(md, acts)
 

@@ -19,6 +19,7 @@ from pgclab.attack import (
     calibrate_pixel_threshold,
     calibrate_threshold,
     estimate_grey,
+    ink_rows,
     load_dataset,
     save_dataset,
     split_arrays,
@@ -26,7 +27,7 @@ from pgclab.attack import (
     threshold_grid,
     train_attack,
 )
-from pgclab.channel import ChannelParams, preset
+from pgclab.channel import ChannelParams, preset, with_fields
 from pgclab.codegen import (
     BYTE0_255,
     Geometry,
@@ -135,27 +136,44 @@ def test_split_arrays_shapes_and_ranges():
     ds = identity_dataset()
     x, t = split_arrays(ds, "ID", SPLIT_TRAIN)
     assert x.shape == (5 * 256, 576) and t.shape == x.shape
-    assert x.dtype == np.float32 and t.dtype == np.uint8
-    assert x.min() >= 0.0 and x.max() <= 1.0
+    # The training split's inputs and targets take 1 byte per element.
+    assert x.dtype == np.uint8 and t.dtype == np.uint8
+    assert x.nbytes == x.size and t.nbytes == t.size
+    ink = ink_rows(x)
+    assert ink.dtype == np.float32
     assert set(np.unique(t)) <= {0.0, 1.0}
     # identity channel: scan ink equals rendered bits exactly
-    np.testing.assert_array_equal(x, t)
+    np.testing.assert_array_equal(ink, t)
     with pytest.raises(UnknownIdError):
         split_arrays(ds, "XX", SPLIT_TRAIN)
     with pytest.raises(ParameterError):
         split_arrays(ds, "ID", "holdout")
 
 
-def test_split_arrays_match_the_concatenated_blocks():
-    """The preallocated arrays hold the bytes the per-image concatenation gave."""
-    ds = build_dataset(4, (3, 1, 0), printer_params={"SA": preset("SA")}, seed=2)
+def float32_split(ds, printer, tag):
+    """The split as (float32 ink intensity, float32 bits) arrays, concatenated
+    image by image: the form split_arrays once returned."""
+    idx = ds.indices(tag)
+    x = [split_blocks(ink_intensity(ds.scans[printer][i]), ds.geometry.block_px).blocks
+         for i in idx]
+    t = [split_blocks(ds.rendered_original(i), ds.geometry.block_px).blocks for i in idx]
+    return np.concatenate(x), np.concatenate(t).astype(np.float32)
+
+
+@pytest.mark.parametrize("quantize", [True, False])
+def test_split_arrays_match_the_concatenated_blocks(quantize):
+    """The preallocated arrays hold the scans' own bytes, blocked, and their
+    ink_rows has the bits of the float32 ink split."""
+    params = with_fields(preset("SA"), {"quantize": quantize})
+    ds = build_dataset(4, (3, 1, 0), printer_params={"SA": params}, seed=2)
     x, t = split_arrays(ds, "SA", SPLIT_TRAIN)
+    assert x.dtype == (np.uint8 if quantize else np.float32)
     idx = ds.indices(SPLIT_TRAIN)
-    want_x = np.concatenate([split_blocks(ink_intensity(ds.scans["SA"][i]), 24).blocks
-                             for i in idx])
-    want_t = np.concatenate([split_blocks(ds.rendered_original(i), 24).blocks for i in idx])
-    assert x.tobytes() == want_x.tobytes()
-    assert t.tobytes() == want_t.tobytes()
+    want_bytes = np.concatenate([split_blocks(ds.scans["SA"][i], 24).blocks for i in idx])
+    want_x, want_t = float32_split(ds, "SA", SPLIT_TRAIN)
+    assert x.tobytes() == want_bytes.tobytes()
+    assert ink_rows(x).tobytes() == want_x.tobytes()
+    assert t.astype(np.float32).tobytes() == want_t.tobytes()
 
 
 def test_split_arrays_empty_tag():
@@ -195,40 +213,62 @@ def test_archs_tuple():
     assert ARCHS == ("fc2", "fc3", "fc4", "bn")
 
 
-def test_returned_model_is_best_validation_epoch():
-    """Replay the schedule independently: the returned weights must equal
-    the snapshot of the epoch with the lowest validation loss."""
-    ds = build_dataset(8, (5, 2, 1), printer_params={"SA": preset("SA")}, seed=6)
-    cfg = TrainConfig(epochs=5, batch_size=128, learning_rate=0.05, seed=2)
-    am, _ = train_attack(ds, "SA", "bn", cfg)
+def one_shot_loss(m, x, t):
+    """batch_loss as one pass over every row and one np.sum over a float64
+    copy of the whole output: the form the blocked loss must equal."""
+    d = nn._forward_acts(m, x)[-1].astype(np.float64)
+    d -= t
+    d *= d
+    return float(np.sum(d)) / x.shape[0]
 
-    x, t = split_arrays(ds, "SA", SPLIT_TRAIN)
-    xv, tv = split_arrays(ds, "SA", SPLIT_VAL)
+
+# At the first rate the network learns, so its outputs depend on its
+# inputs; at the second it saturates early, so an earlier epoch is kept.
+@pytest.mark.parametrize("learning_rate,earlier_kept", [(1e-3, False), (0.05, True)])
+def test_returned_model_is_best_validation_epoch(learning_rate, earlier_kept):
+    """Replay the schedule independently on the float32 ink split, with
+    one-shot validation losses: the history, val_loss, returned weights
+    (the snapshot of the epoch with the lowest validation loss) and
+    threshold must have the replay's bits."""
+    ds = build_dataset(9, (5, 3, 1), printer_params={"SA": preset("SA")}, seed=6)
+    cfg = TrainConfig(epochs=5, batch_size=128, learning_rate=learning_rate, seed=2)
+    am, history = train_attack(ds, "SA", "bn", cfg)
+    am = calibrate_threshold(am, ds)
+
+    x, t = float32_split(ds, "SA", SPLIT_TRAIN)
+    xv, tv = float32_split(ds, "SA", SPLIT_VAL)
+    assert xv.shape[0] % nn.ROW_BLOCK == 0 and xv.shape[0] > 2 * nn.ROW_BLOCK
     model = nn.build_bn(cfg.seed)
     state = nn.init_adam(model)
     rng = np.random.default_rng(cfg.seed + 1)
-    vals, snaps = [], []
+    want_history, vals, snaps = [], [], []
     for _ in range(cfg.epochs):
         perm = rng.permutation(x.shape[0])
+        total = 0.0
         for s in range(0, x.shape[0], cfg.batch_size):
             sel = perm[s : s + cfg.batch_size]
-            _, gw, gb = nn.loss_and_grads(model, x[sel], t[sel], cfg)
+            value, gw, gb = nn.loss_and_grads(model, x[sel], t[sel], cfg)
             nn.optimizer_step(model, (gw, gb), state, cfg)
-        vals.append(nn.batch_loss(model, xv, tv))
-        snaps.append(([w.copy() for w in model.weights],
-                      [b.copy() for b in model.biases]))
+            total += value * len(sel)
+        want_history.append(total / x.shape[0])
+        vals.append(one_shot_loss(model, xv, tv))
+        snaps.append([p.copy() for p in model.weights + model.biases])
     k = int(np.argmin(vals))
-    for a, b in zip(am.model.weights + am.model.biases, snaps[k][0] + snaps[k][1]):
+    assert (k < cfg.epochs - 1) == earlier_kept
+    assert history == want_history
+    assert am.val_loss == vals[k]
+    for a, b in zip(am.model.weights + am.model.biases, snaps[k], strict=True):
         np.testing.assert_array_equal(a, b)
+    assert am.threshold == calibrate_grid(nn._forward_acts(am.model, xv)[-1], tv)[0]
 
 
 def test_val_loss_is_the_kept_models_validation_loss():
     ds = build_dataset(8, (5, 2, 1), printer_params={"SA": preset("SA")}, seed=6)
-    cfg = TrainConfig(epochs=3, batch_size=128, learning_rate=0.05, seed=2)
+    cfg = TrainConfig(epochs=3, batch_size=128, learning_rate=1e-3, seed=2)
     val = split_arrays(ds, "SA", SPLIT_VAL)
     am, history = train_attack(ds, "SA", "bn", cfg)
     am2, history2 = train_attack(ds, "SA", "bn", cfg, val=val)
-    assert am.val_loss == nn.batch_loss(am.model, *val)
+    assert am.val_loss == nn.batch_loss(am.model, *val, prep=ink_rows)
     assert am2.val_loss == am.val_loss and history2 == history
     for a, b in zip(am.model.weights + am.model.biases, am2.model.weights + am2.model.biases):
         np.testing.assert_array_equal(a, b)
@@ -413,6 +453,57 @@ def test_calibrate_threshold_identity_recovery():
     assert am.threshold is None  # original untouched
     val = split_arrays(ds, "ID", SPLIT_VAL)
     assert calibrate_threshold(am, ds, val=val).threshold == am2.threshold
+
+
+def _levels_case(rng, n):
+    """Scan bytes of four luminance levels and targets that mostly follow
+    them: the errors are flat between the levels, so grid points tie."""
+    x = rng.choice(np.array([0, 51, 153, 255], np.uint8), (n, 576))
+    t = (x <= 153).astype(np.uint8)
+    t[rng.random(t.shape) < 0.05] ^= 1
+    return identity_model(), x, t
+
+
+def _random_case(rng, n):
+    x = rng.integers(0, 256, (n, 576), dtype=np.uint8)
+    t = rng.integers(0, 2, (n, 576), dtype=np.uint8)
+    return nn.build_bn(9), x, t
+
+
+@pytest.mark.parametrize("case", [_levels_case, _random_case])
+@pytest.mark.parametrize("blocks", [1, 2, 5])
+def test_calibrate_threshold_by_blocks_equals_the_grid_over_all_outputs(case, blocks):
+    """The error counts added up row block by row block pick the threshold
+    calibrate_grid picks from the one-shot output of the whole split."""
+    rng = np.random.default_rng(blocks)
+    model, x, t = case(rng, blocks * nn.ROW_BLOCK + 45)
+    am = calibrate_threshold(AttackModel(model, None, "P", "bn"), None, val=(x, t))
+    outputs = nn._forward_acts(model, ink_rows(x))[-1]
+    assert am.threshold == calibrate_grid(outputs, t)[0]
+    if case is _levels_case:
+        errors = [np.sum((outputs >= g) != t) for g in threshold_grid()]
+        assert errors.count(min(errors)) > 1  # the minimum is a tie
+
+
+def test_calibrate_threshold_peak_memory_does_not_grow_with_the_split():
+    """Calibration holds one row block's ink, activations, outputs and
+    sorted classes, however many rows the validation split has."""
+    import tracemalloc
+
+    am = AttackModel(nn.build_fc(2, 5), None, "P", "fc2")
+    rng = np.random.default_rng(8)
+    peaks = []
+    for n in (4 * nn.ROW_BLOCK, 16 * nn.ROW_BLOCK + 45):
+        x = rng.integers(0, 256, (n, 576), dtype=np.uint8)
+        t = rng.integers(0, 2, (n, 576), dtype=np.uint8)
+        calibrate_threshold(am, None, val=(x, t))
+        tracemalloc.start()
+        try:
+            calibrate_threshold(am, None, val=(x, t))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 24 * 2 * nn.ROW_BLOCK * 576 + 2**20
 
 
 def test_calibrate_pixel_threshold_identity():

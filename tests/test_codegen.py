@@ -239,6 +239,19 @@ def test_ink_intensity():
         ink_intensity(ink)
 
 
+def test_ink_intensity_bit_identical_to_the_one_expression_form():
+    """The in-place form gives the bits of 1 - v / 255 computed as one
+    float32 expression, on every byte and on unquantized values."""
+    levels = np.arange(256, dtype=np.uint8)[None]
+    floats = np.random.default_rng(7).random((4, 1000), dtype=np.float32) * np.float32(255)
+    for px in (levels, floats, np.array([[0.0, 255.0, 127.5]], np.float32)):
+        before = px.copy()
+        want = (1.0 - px.astype(np.float32) / np.float32(255.0)).astype(np.float32)
+        got = ink_intensity(PixelImage(px, BYTE0_255)).pixels
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(px, before)  # the scan is left as it was
+
+
 def test_module_matrix_validation():
     with pytest.raises(DomainError):
         ModuleMatrix(np.array([[0, 2]], np.uint8))

@@ -575,21 +575,111 @@ def test_adam_rejects_non_contiguous_arrays():
 
 
 # ---------------------------------------------------------------- memory
-# Inference holds one activation at a time and the sigmoid reuses its
-# input; these pin the results to the forms that kept every activation.
+# Inference runs over row blocks, holds one activation at a time, and sums
+# the loss over leaves of its output; the sigmoid reuses its input.  These
+# pin the results to the one-shot forms that kept every activation and a
+# float64 copy of the whole output.
 
 BUILDERS = [build_bn, lambda seed: build_fc(2, seed)]
+B = nn.ROW_BLOCK
+ROW_COUNTS = [1, 33, 34, B - 1, B, B + 1, 2 * B + 1, 2560, 2816]
+
+
+def one_shot_loss(m, x, t):
+    """batch_loss as one pass over every row and one np.sum over a float64
+    copy of the whole output."""
+    d = nn._forward_acts(m, x)[-1].astype(np.float64)
+    d -= t
+    d *= d
+    return float(np.sum(d)) / x.shape[0]
+
+
+def test_row_blocks_have_at_least_the_block_rows():
+    for n in [0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 5 * B + 7]:
+        blocks = list(nn.row_blocks(n))
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        sizes = [hi - lo for lo, hi in blocks]
+        if n < 2 * B:
+            assert sizes == [n]
+        else:
+            assert min(sizes) >= B and max(sizes) < 2 * B
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
 def test_forward_bit_identical_to_last_of_all_activations(build, dtype):
     m = build(41).astype(dtype)
-    x = np.random.default_rng(42).random((300, CODE_DIM)).astype(dtype)
-    want = nn._forward_acts(m, x)[-1]
-    got = forward(m, x)
-    assert got.dtype == dtype
-    np.testing.assert_array_equal(_bits(got), _bits(want))
+    rng = np.random.default_rng(42)
+    for n in ROW_COUNTS:
+        x = rng.random((n, CODE_DIM)).astype(dtype)
+        want = nn._forward_acts(m, x)[-1]
+        got = forward(m, x)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
+def test_batch_loss_bit_identical_to_one_shot_form(build, dtype):
+    m = build(47).astype(dtype)
+    rng = np.random.default_rng(48)
+    for n in ROW_COUNTS:
+        x = rng.random((n, CODE_DIM)).astype(dtype)
+        t = rng.integers(0, 2, (n, CODE_DIM), dtype=np.uint8)
+        assert batch_loss(m, x, t) == one_shot_loss(m, x, t)
+
+
+def test_prep_maps_each_row_block_to_the_input():
+    m = build_bn(49)
+    x = np.random.default_rng(50).integers(0, 256, (2 * B + 3, CODE_DIM), dtype=np.uint8)
+    t = (x > 127).astype(np.uint8)
+    seen = []
+
+    def prep(rows):
+        seen.append(rows.shape[0])
+        return rows.astype(np.float32) / np.float32(255)
+
+    scaled = x.astype(np.float32) / np.float32(255)
+    assert batch_loss(m, x, t, prep=prep) == one_shot_loss(m, scaled, t)
+    assert seen == [B, B + 3]
+
+
+_SPECIALS = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 300), st.integers(0, 3 * nn._SUM_LEAF + 4099)),
+    pred_dtype=st.sampled_from([np.float32, np.float64]),
+    target_dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
+    specials=st.lists(st.tuples(st.integers(0, 2**31), st.sampled_from(_SPECIALS)),
+                      max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3 * nn._SUM_LEAF + 1, pred_dtype=np.float32, target_dtype=np.uint8,
+         specials=[], seed=0)
+@example(n=nn._SUM_LEAF, pred_dtype=np.float64, target_dtype=np.float64,
+         specials=[(7, np.nan), (9, np.inf)], seed=1)
+def test_leafwise_square_error_sum_is_np_sum(n, pred_dtype, target_dtype, specials, seed):
+    """_sq_err_sum has the bits of np.sum over the whole float64 difference
+    array, at every length, with non-finite predictions included."""
+    rng = np.random.default_rng(seed)
+    pred = rng.random(n).astype(pred_dtype)
+    if target_dtype == np.uint8:
+        t = rng.integers(0, 2, n, dtype=np.uint8)
+    else:
+        t = rng.normal(0.5, 2.0, n).astype(target_dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, v in specials:
+            if n:
+                pred[i % n] = v
+        d = pred.astype(np.float64)
+        d -= t
+        d *= d
+        want = np.sum(d)
+        got = nn._sq_err_sum(pred, t, 0, n)
+    assert np.float64(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
@@ -609,9 +699,10 @@ def test_uint8_targets_give_the_float32_targets_bits(build):
 
 
 @pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
-def test_batch_loss_peak_memory_is_one_output_and_its_float64_copy(build):
-    """The float32 prediction and its float64 differences, 12 bytes per
-    output element, are all that batch_loss holds at its peak."""
+def test_batch_loss_peak_memory_is_one_float32_output(build):
+    """The float32 prediction, 4 bytes per output element, and one row
+    block's activations and one leaf's float64 differences are all that
+    batch_loss holds at its peak."""
     import tracemalloc
 
     m = build(45)
@@ -626,4 +717,4 @@ def test_batch_loss_peak_memory_is_one_output_and_its_float64_copy(build):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * n * m.out_dim + 2**20
+    assert peak <= 4 * n * m.out_dim + 2 * 2**20

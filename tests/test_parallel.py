@@ -82,8 +82,11 @@ class Unpicklable(Exception):
         super().__init__(f"{a} {b}")
 
 
-def raise_unpicklable(j):
-    raise Unpicklable(j, "x")
+def raise_unpicklable_at_zero(j):
+    # One failing job, so the error that reaches the parent is known.
+    if j == 0:
+        raise Unpicklable(j, "x")
+    return j
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -138,7 +141,7 @@ def test_error_stops_the_other_workers(monkeypatch, tmp_path):
 def test_unpicklable_worker_error_becomes_pgc_error(monkeypatch):
     cpus(monkeypatch, 2)
     with pytest.raises(PgcError, match="Unpicklable: 0 x"):
-        parallel_map(raise_unpicklable, range(4))
+        parallel_map(raise_unpicklable_at_zero, range(4))
     assert multiprocessing.active_children() == []
 
 
