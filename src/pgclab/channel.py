@@ -8,8 +8,8 @@ The pipeline runs in a fixed order on a clean binary render (1 = inked):
    floor(3 * sigma), renormalized, clamp-to-edge borders);
 3. affine ink response, v <- clamp01(gain * v + offset);
 4. additive i.i.d. Gaussian noise, clamped back to [0, 1];
-5. conversion to luminance 255 * (1 - v), optionally quantized to the
-   256 integer levels of an 8-bit scanner.
+5. conversion to luminance 255 * (1 - v), always rounded to the nearest
+   of the 256 integer levels of an 8-bit scanner.
 
 Everything is deterministic given (image, params, seed).
 """
@@ -40,7 +40,6 @@ class ChannelParams:
     gain: float = 1.0
     offset: float = 0.0
     noise_sigma: float = 0.0
-    quantize: bool = True
 
     def validate(self) -> None:
         if self.dot_gain_radius < 0:
@@ -65,16 +64,16 @@ class ChannelParams:
 _PRESETS = {
     "SA": ChannelParams(
         dot_gain_radius=1, dot_gain_prob=0.50, psf_sigma=2.2,
-        gain=1.0, offset=0.03, noise_sigma=0.12, quantize=True),
+        gain=1.0, offset=0.03, noise_sigma=0.12),
     "LX": ChannelParams(
         dot_gain_radius=1, dot_gain_prob=0.55, psf_sigma=2.3,
-        gain=1.0, offset=0.04, noise_sigma=0.12, quantize=True),
+        gain=1.0, offset=0.04, noise_sigma=0.12),
     "CA": ChannelParams(
         dot_gain_radius=1, dot_gain_prob=0.65, psf_sigma=2.4,
-        gain=1.0, offset=0.05, noise_sigma=0.14, quantize=True),
+        gain=1.0, offset=0.05, noise_sigma=0.14),
     "HP": ChannelParams(
         dot_gain_radius=1, dot_gain_prob=0.85, psf_sigma=2.6,
-        gain=1.0, offset=0.06, noise_sigma=0.15, quantize=True),
+        gain=1.0, offset=0.06, noise_sigma=0.15),
 }
 
 PRINTER_IDS = tuple(_PRESETS)
@@ -100,14 +99,10 @@ def with_fields(base: ChannelParams, fields: dict) -> ChannelParams:
     except TypeError as exc:
         raise ParameterError(f"unknown channel parameter: {exc}") from None
     for key, value in fields.items():
-        # An int may stand for a float; a bool stands only for a bool.
+        # An int may stand for a float; a bool stands for neither.
         kind = type(getattr(base, key))
-        if kind is bool:
-            ok = isinstance(value, bool)
-        else:
-            allowed = (int, float) if kind is float else int
-            ok = isinstance(value, allowed) and not isinstance(value, bool)
-        if not ok:
+        allowed = (int, float) if kind is float else int
+        if not isinstance(value, allowed) or isinstance(value, bool):
             raise ParameterError(f"{key} must be {kind.__name__}, not {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ParameterError(f"{key} must be finite, not {value!r}")
@@ -257,7 +252,7 @@ def print_scan(img: PixelImage, params: ChannelParams, seed: int) -> PixelImage:
 
     # v = clamp01(gain * v + offset), v = clamp01(v + noise_sigma * z) and
     # 255 * (1 - v), computed in place, strip by strip.
-    scan = np.empty((h, w), np.uint8 if params.quantize else np.float32)
+    scan = np.empty((h, w), np.uint8)
     for rows in _strips(h):
         s = v[rows]
         s *= params.gain
@@ -271,8 +266,7 @@ def print_scan(img: PixelImage, params: ChannelParams, seed: int) -> PixelImage:
             np.clip(s, 0.0, 1.0, out=s)
         np.subtract(1.0, s, out=s)
         s *= 255.0
-        if params.quantize:
-            np.rint(s, out=s)
+        np.rint(s, out=s)
         scan[rows] = s
     return PixelImage(scan, BYTE0_255)
 

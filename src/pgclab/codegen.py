@@ -90,8 +90,7 @@ class PixelImage:
     """2-D grayscale raster with an explicit value domain.
 
     Domains: ``binary01`` (uint8 bits, 1 = dark ink), ``unit_interval``
-    (float32 in [0, 1]) and ``byte0_255`` (luminance, 0 = black; uint8 when
-    quantized, float32 otherwise).
+    (float32 in [0, 1]) and ``byte0_255`` (uint8 luminance, 0 = black).
     """
 
     pixels: np.ndarray
@@ -111,11 +110,8 @@ class PixelImage:
             px = np.ascontiguousarray(px, dtype=np.float32)
             if px.size and (px.min() < 0.0 or px.max() > 1.0):
                 raise DomainError("unit_interval pixels must lie in [0, 1]")
-        else:  # byte0_255
-            if px.dtype != np.uint8:
-                px = np.ascontiguousarray(px, dtype=np.float32)
-                if px.size and (px.min() < 0.0 or px.max() > 255.0):
-                    raise DomainError("byte0_255 pixels must lie in [0, 255]")
+        elif px.dtype != np.uint8:  # byte0_255
+            raise DomainError(f"byte0_255 pixels must be uint8, not {px.dtype}")
         self.pixels = px
 
     @property

@@ -1,17 +1,15 @@
 """Reading and writing PGM (P5) and PBM (P4) files.
 
-Grayscale images use 8-bit binary PGM with maxval 255.  On write, binary01
-and unit_interval pixels are scaled by 255 and rounded to nearest;
-byte0_255 pixels are rounded if stored as floats.  On read, pixels come
-back as a byte0_255 image.  Module matrices use PBM P4 (1 = black = dark
-module).
+Grayscale images use 8-bit binary PGM with maxval 255: only byte0_255
+images, whose pixels are uint8 bytes, are written, and pixels come back as
+a byte0_255 image.  Module matrices use PBM P4 (1 = black = dark module).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .codegen import BINARY01, BYTE0_255, UNIT_INTERVAL, ModuleMatrix, PixelImage
+from .codegen import BYTE0_255, ModuleMatrix, PixelImage
 from .errors import DomainError, FormatError
 
 
@@ -37,19 +35,13 @@ def _read_tokens(data: bytes, count: int, pos: int):
 
 
 def write_pgm(img: PixelImage, path) -> None:
-    """Write an image as binary PGM (P5, maxval 255)."""
-    if img.domain == BYTE0_255:
-        px = img.pixels
-        if px.dtype != np.uint8:
-            px = np.clip(np.rint(px), 0, 255).astype(np.uint8)
-    elif img.domain in (BINARY01, UNIT_INTERVAL):
-        px = np.rint(img.pixels.astype(np.float64) * 255.0).astype(np.uint8)
-    else:
+    """Write a byte0_255 image as binary PGM (P5, maxval 255)."""
+    if img.domain != BYTE0_255:
         raise DomainError(f"cannot write domain {img.domain!r} as PGM")
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(px.tobytes())
+        f.write(img.pixels.tobytes())
 
 
 def read_pgm(path) -> PixelImage:

@@ -52,14 +52,11 @@ class MlpModel:
     """A stack of affine layers with elementwise activations.
 
     weights[k] has shape (out_dim, in_dim); biases[k] has shape (out_dim,).
-    bottleneck_index, when set, marks the layer whose output is the latent
-    code (the encoder is layers[: bottleneck_index + 1]).
     """
 
     layers: list[LayerSpec]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    bottleneck_index: int | None = None
 
     def validate(self) -> None:
         if not self.layers:
@@ -74,8 +71,6 @@ class MlpModel:
                 raise DimensionError(f"weight {k} shape {self.weights[k].shape}")
             if self.biases[k].shape != (spec.out_dim,):
                 raise DimensionError(f"bias {k} shape {self.biases[k].shape}")
-        if self.bottleneck_index is not None and not 0 <= self.bottleneck_index < len(self.layers):
-            raise DimensionError("bottleneck_index out of range")
 
     @property
     def in_dim(self) -> int:
@@ -90,7 +85,6 @@ class MlpModel:
             list(self.layers),
             [w.astype(dtype) for w in self.weights],
             [b.astype(dtype) for b in self.biases],
-            self.bottleneck_index,
         )
 
 
@@ -154,7 +148,7 @@ def build_bn(seed: int) -> MlpModel:
         for k in range(n)
     ]
     weights, biases = _init_params(specs, seed)
-    model = MlpModel(specs, weights, biases, bottleneck_index=2)
+    model = MlpModel(specs, weights, biases)
     model.validate()
     return model
 
@@ -506,76 +500,3 @@ def load_model(path):
     model.validate()
     return model, threshold
 
-
-def _relu_masks(m: MlpModel, acts: list[np.ndarray]):
-    return [
-        acts[k + 1] > 0
-        for k, spec in enumerate(m.layers)
-        if spec.activation == ACT_RELU
-    ]
-
-
-def _masks_equal(a, b) -> bool:
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
-def gradient_check(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
-                   cfg: TrainConfig | None = None, n_coords: int = 2000,
-                   step: float = 1e-3, seed: int = 0) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    Works on a float64 copy of the model.  Coordinates are sampled at
-    random over all weights and biases; a coordinate is skipped when the
-    +-step perturbation flips any relu mask, because the finite-difference
-    quotient straddles a kink there and estimates nothing.  Returns
-    max |analytic - fd| / max(||analytic||_inf, ||fd||_inf) over the
-    sampled coordinates.
-    """
-    md = m.astype(np.float64)
-    xb, tb = _check_batch(md, batch_x, batch_t)
-    acts = _forward_acts(md, xb)
-    xb = acts[0]
-    grad_w, grad_b = _grads_from_acts(md, acts, tb, cfg)
-    base_masks = _relu_masks(md, acts)
-
-    arrays = list(md.weights) + list(md.biases)
-    grads = list(grad_w) + list(grad_b)
-    sizes = np.array([a.size for a in arrays])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-
-    rng = np.random.default_rng(seed)
-    picked = rng.choice(total, size=min(n_coords, total), replace=False)
-
-    analytic, fd = [], []
-    for flat in picked:
-        ai = int(np.searchsorted(offsets, flat, side="right") - 1)
-        idx = np.unravel_index(int(flat - offsets[ai]), arrays[ai].shape)
-        arr = arrays[ai]
-        saved = arr[idx]
-
-        arr[idx] = saved + step
-        acts_hi = _forward_acts(md, xb)
-        hi_masks = _relu_masks(md, acts_hi)
-        arr[idx] = saved - step
-        acts_lo = _forward_acts(md, xb)
-        lo_masks = _relu_masks(md, acts_lo)
-        arr[idx] = saved
-        if not (_masks_equal(base_masks, hi_masks) and _masks_equal(base_masks, lo_masks)):
-            continue
-
-        # Regularizer depends on the weight value, so recompute it at +-step.
-        lo = _objective(md, acts_lo[-1], tb, cfg)
-        hi = _objective(md, acts_hi[-1], tb, cfg)
-        if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS and cfg.lam > 0 and ai < len(md.weights):
-            hi += cfg.lam * ((saved + step) ** 2 - saved ** 2)
-            lo += cfg.lam * ((saved - step) ** 2 - saved ** 2)
-        fd.append((hi - lo) / (2.0 * step))
-        analytic.append(grads[ai][idx])
-
-    if not analytic:
-        raise StateError("every sampled coordinate crossed a relu kink")
-    a = np.asarray(analytic)
-    f = np.asarray(fd)
-    scale = max(np.max(np.abs(a)), np.max(np.abs(f)), 1e-12)
-    return float(np.max(np.abs(a - f)) / scale)

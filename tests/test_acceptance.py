@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from gradcheck import gradient_check
 from pgclab.attack import (
     SPLIT_TEST,
     build_dataset,
@@ -45,7 +46,6 @@ from pgclab.nn import (
     build_bn,
     build_fc,
     forward,
-    gradient_check,
     load_model,
     save_model,
 )

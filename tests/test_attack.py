@@ -27,7 +27,7 @@ from pgclab.attack import (
     threshold_grid,
     train_attack,
 )
-from pgclab.channel import ChannelParams, preset, with_fields
+from pgclab.channel import ChannelParams, preset
 from pgclab.codegen import (
     BYTE0_255,
     Geometry,
@@ -160,14 +160,12 @@ def float32_split(ds, printer, tag):
     return np.concatenate(x), np.concatenate(t).astype(np.float32)
 
 
-@pytest.mark.parametrize("quantize", [True, False])
-def test_split_arrays_match_the_concatenated_blocks(quantize):
+def test_split_arrays_match_the_concatenated_blocks():
     """The preallocated arrays hold the scans' own bytes, blocked, and their
     ink_rows has the bits of the float32 ink split."""
-    params = with_fields(preset("SA"), {"quantize": quantize})
-    ds = build_dataset(4, (3, 1, 0), printer_params={"SA": params}, seed=2)
+    ds = build_dataset(4, (3, 1, 0), printer_params={"SA": preset("SA")}, seed=2)
     x, t = split_arrays(ds, "SA", SPLIT_TRAIN)
-    assert x.dtype == (np.uint8 if quantize else np.float32)
+    assert x.dtype == np.uint8
     idx = ds.indices(SPLIT_TRAIN)
     want_bytes = np.concatenate([split_blocks(ds.scans["SA"][i], 24).blocks for i in idx])
     want_x, want_t = float32_split(ds, "SA", SPLIT_TRAIN)
@@ -413,7 +411,7 @@ def test_calibrate_grid_counts_equal_repeated_values(case, data):
 def _val_scans(draw):
     """A dataset of validation scans, and its pixel values and targets."""
     rows, cols, n = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["random", "one class", "one value", "float"]))
+    kind = draw(st.sampled_from(["random", "one class", "one value"]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, (n + 1, rows, cols), dtype=np.uint8)
@@ -423,8 +421,6 @@ def _val_scans(draw):
     elif kind == "one value":
         scans[:] = draw(st.integers(0, 255))
     images = [PixelImage(scan, BYTE0_255) for scan in scans]
-    if kind == "float":
-        images = [PixelImage(scan * np.float32(0.999), BYTE0_255) for scan in scans]
     ds = PairedDataset(
         geometry=Geometry(rows, cols, 2, 2), seed=0, split_sizes=(1, n, 0),
         originals=[ModuleMatrix(b) for b in bits], scans={"P": images},
@@ -521,8 +517,6 @@ def test_estimate_identity_roundtrip():
     for i in ds.indices(SPLIT_TEST):
         grey = estimate_grey(am, ds.scans["ID"][i], ds.geometry)
         assert grey.pixels.shape == (384, 384)
-        same = estimate_grey(am, ink_intensity(ds.scans["ID"][i]), ds.geometry)
-        assert same.pixels.tobytes() == grey.pixels.tobytes()
         xhat = modules_from_pixels(binarize(grey, am.threshold), ds.geometry.module_px)
         np.testing.assert_array_equal(xhat.bits, ds.originals[i].bits)
 
@@ -571,6 +565,17 @@ def test_save_load_dataset_roundtrip(tmp_path):
     for i in range(3):
         np.testing.assert_array_equal(back.originals[i].bits, ds.originals[i].bits)
         np.testing.assert_array_equal(back.scans["SA"][i].pixels, ds.scans["SA"][i].pixels)
+
+
+def test_manifest_names_the_six_channel_parameters(tmp_path):
+    """Every scan is 8-bit, so a printer's manifest entry holds the six
+    channel parameters and no quantize flag."""
+    ds = build_dataset(2, (1, 1, 0), printer_params={"SA": preset("SA")}, seed=8)
+    save_dataset(ds, tmp_path)
+    printers = json.loads((tmp_path / "manifest.json").read_text())["printers"]
+    assert list(printers) == ["SA"]
+    assert sorted(printers["SA"]) == sorted(["dot_gain_radius", "dot_gain_prob", "psf_sigma",
+                                             "gain", "offset", "noise_sigma"])
 
 
 def test_load_dataset_one_printer_keeps_printer_index(tmp_path):
@@ -681,7 +686,8 @@ def test_load_dataset_follows_links_inside_the_dataset(tmp_path):
     (lambda m: m["printers"]["ID"].update(psf_sigma="2.2"), "psf_sigma must be float"),
     (lambda m: m["printers"]["ID"].update(dot_gain_radius=1.5), "dot_gain_radius must be int"),
     (lambda m: m["printers"]["ID"].update(noise_sigma=float("nan")), "noise_sigma must be finite"),
-    (lambda m: m["printers"]["ID"].update(quantize=1), "quantize must be bool"),
+    # A manifest written while scans could be float carries quantize: true.
+    (lambda m: m["printers"]["ID"].update(quantize=True), "unknown channel parameter.*quantize"),
     (lambda m: m["printers"]["ID"].update(gain=-1.0), "gain must be > 0"),
     (lambda m: m["printers"]["ID"].update(nozzle=3), "unknown channel parameter"),
     (lambda m: m.update(seed=3.7), "seed must be an integer"),
@@ -697,7 +703,7 @@ def test_load_dataset_follows_links_inside_the_dataset(tmp_path):
     (lambda m: m["scans"].update(SA=[]), "scans name a printer that printers do not"),
     (lambda m: m["scans"]["ID"].pop(), "length differs from split"),
     (lambda m: m["originals"].append("originals/code_0000.pbm"), "length differs from split"),
-], ids=["sigma-text", "radius-real", "noise-nan", "quantize-int", "gain-negative",
+], ids=["sigma-text", "radius-real", "noise-nan", "quantize-written", "gain-negative",
         "unknown-param", "seed-real", "seed-bool", "seed-negative", "sizes-real", "sizes-two",
         "split-tag", "split-text", "rows-text", "block-off-grid", "version-bool",
         "scans-unknown-printer", "scans-short", "originals-long"])
@@ -768,7 +774,7 @@ MANIFEST_FIELDS = (
     + [("split_sizes", 0), ("split", 1), ("originals", 0), ("scans", "ID"), ("scans", "SA", 2),
        ("printers", "ID"), ("printers", "SA")]
     + [("printers", "SA", key) for key in ("dot_gain_radius", "dot_gain_prob", "psf_sigma",
-                                           "gain", "offset", "noise_sigma", "quantize")]
+                                           "gain", "offset", "noise_sigma")]
 )
 def _json_containers(inner):
     keys = st.sampled_from(["ID", "SA", "rows", "psf_sigma", "quantize", "x"])

@@ -97,14 +97,6 @@ def test_blur_keeps_constant_page_constant():
     assert (out.pixels == 0).all()
 
 
-def test_quantize_off_returns_float():
-    img = render(generate_module_matrix(1, 4, 4), 3)
-    p = ChannelParams(psf_sigma=0.8, quantize=False)
-    out = print_scan(img, p, seed=0)
-    assert out.pixels.dtype == np.float32
-    assert out.pixels.min() >= 0.0 and out.pixels.max() <= 255.0
-
-
 def test_print_scan_rejects_non_binary_input():
     grey = PixelImage(np.full((4, 4), 0.5, np.float32), UNIT_INTERVAL)
     with pytest.raises(DomainError):
@@ -153,7 +145,7 @@ def test_preset_overrides():
     with pytest.raises(ParameterError):
         preset_with_overrides("SA", {"dot_gain_prob": 2.0})
     assert preset_with_overrides("SA", {"psf_sigma": 2}).psf_sigma == 2
-    for bad in ({"psf_sigma": "2"}, {"dot_gain_radius": 1.0}, {"quantize": 1},
+    for bad in ({"psf_sigma": "2"}, {"dot_gain_radius": 1.0}, {"dot_gain_radius": True},
                 {"noise_sigma": True}):
         with pytest.raises(ParameterError, match=next(iter(bad))):
             preset_with_overrides("SA", bad)
@@ -162,8 +154,9 @@ def test_preset_overrides():
 def test_gain_offset_affine_stage():
     """One black module, no spreading: gain/offset act on ink before inversion."""
     img = bits_image([[1]])
-    out = print_scan(img, ChannelParams(gain=0.5, offset=0.1, quantize=False), seed=0)
-    np.testing.assert_allclose(out.pixels, [[255 * (1 - 0.6)]], rtol=1e-6)
+    out = print_scan(img, ChannelParams(gain=0.5, offset=0.1), seed=0)
+    assert out.pixels.dtype == np.uint8
+    assert out.pixels.tolist() == [[np.rint(255 * (1 - 0.6))]] == [[102]]
 
 
 # ---------------------------------------------------------------- reference
@@ -212,9 +205,7 @@ def reference_print_scan(img, params, seed):
         v = np.clip(v + rng.normal(0.0, params.noise_sigma, size=v.shape), 0.0, 1.0)
 
     lum = 255.0 * (1.0 - v)
-    if params.quantize:
-        return PixelImage(np.rint(lum).astype(np.uint8), BYTE0_255)
-    return PixelImage(lum.astype(np.float32), BYTE0_255)
+    return PixelImage(np.rint(lum).astype(np.uint8), BYTE0_255)
 
 
 def assert_same_bytes(a, b):
@@ -228,7 +219,6 @@ SA = preset("SA")
 # blur), 2.6 the 15 taps of the largest table, 8/3 the 17 taps that put
 # one tap past the table, 5.4 33 taps.
 REFERENCE_CASES = [preset(pid) for pid in PRINTER_IDS] + [
-    dataclasses.replace(SA, quantize=False),
     dataclasses.replace(SA, dot_gain_prob=1.0),
     dataclasses.replace(SA, noise_sigma=0.0),
     dataclasses.replace(SA, psf_sigma=0.3),
@@ -280,14 +270,13 @@ def test_one_tap_kernel_is_one_without_warnings(sigma):
     gain=st.floats(0.05, 3.0),
     offset=st.floats(-1.0, 1.0),
     noise=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
-    quantize=st.booleans(),
     h=st.integers(1, 150),
     w=st.integers(1, 150),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_print_scan_matches_reference_property(radius, prob, sigma, gain, offset, noise,
-                                               quantize, h, w, seed):
+                                               h, w, seed):
     params = ChannelParams(dot_gain_radius=radius, dot_gain_prob=prob, psf_sigma=sigma,
-                           gain=gain, offset=offset, noise_sigma=noise, quantize=quantize)
+                           gain=gain, offset=offset, noise_sigma=noise)
     img = bits_image(np.random.default_rng(seed).random((h, w)) < 0.5)
     assert_same_bytes(print_scan(img, params, seed), reference_print_scan(img, params, seed))

@@ -369,12 +369,12 @@ def serial_cmd_attack(cfg, printer, arch=None):
     rows = []
     sums = np.zeros(4)
     for i in test_idx:
-        # One ink image feeds the model, the Thr baseline (as baseline_thr
-        # computes it) and the baseline's Pearson score.
+        # One ink image feeds the Thr baseline (as baseline_thr computes
+        # it) and the baseline's Pearson score; the model reads the scan.
         ink = ink_intensity(ds.scans[printer][i])
         original = ds.originals[i]
         ref = ds.rendered_original(i).pixels
-        grey = estimate_grey(am, ink, ds.geometry)
+        grey = estimate_grey(am, ds.scans[printer][i], ds.geometry)
         xhat = modules_from_pixels(binarize(grey, am.threshold), mpx)
         xhat_thr = modules_from_pixels(binarize(ink, thr_t), mpx)
         write_pbm(xhat, model_dir / f"est_{i:04d}.pbm")
@@ -665,8 +665,10 @@ def test_config_error_reported(tmp_path, capsys):
          r"printers\[0\]: psf_sigma must be float"),
         (lambda c: c.update(printers=[{"id": "SA", "overrides": {"dot_gain_radius": 1.5}}]),
          r"printers\[0\]: dot_gain_radius must be int"),
-        (lambda c: c.update(printers=[{"id": "SA", "overrides": {"quantize": 0}}]),
-         r"printers\[0\]: quantize must be bool"),
+        # Every scan is 8-bit: the quantize knob is gone, and naming it is
+        # an unknown channel parameter.
+        (lambda c: c.update(printers=[{"id": "SA", "overrides": {"quantize": False}}]),
+         r"printers\[0\]: unknown channel parameter.*quantize"),
         (lambda c: c["evaluation"].update(plots="false"), "evaluation.plots must be true or false"),
         (lambda c: c["evaluation"].update(measures="pearson"), "evaluation.measures must be a list"),
         (lambda c: c["evaluation"].update(measures=[["pearson"]]), r"unknown measure \['pearson'\]"),

@@ -241,15 +241,12 @@ def test_ink_intensity():
 
 def test_ink_intensity_bit_identical_to_the_one_expression_form():
     """The in-place form gives the bits of 1 - v / 255 computed as one
-    float32 expression, on every byte and on unquantized values."""
-    levels = np.arange(256, dtype=np.uint8)[None]
-    floats = np.random.default_rng(7).random((4, 1000), dtype=np.float32) * np.float32(255)
-    for px in (levels, floats, np.array([[0.0, 255.0, 127.5]], np.float32)):
-        before = px.copy()
-        want = (1.0 - px.astype(np.float32) / np.float32(255.0)).astype(np.float32)
-        got = ink_intensity(PixelImage(px, BYTE0_255)).pixels
-        assert got.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(px, before)  # the scan is left as it was
+    float32 expression, on every byte."""
+    px = np.arange(256, dtype=np.uint8)[None]
+    want = (1.0 - px.astype(np.float32) / np.float32(255.0)).astype(np.float32)
+    got = ink_intensity(PixelImage(px, BYTE0_255)).pixels
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(px, np.arange(256)[None])  # the scan is left as it was
 
 
 def test_module_matrix_validation():
@@ -266,3 +263,10 @@ def test_pixel_image_domain_checks():
         PixelImage(np.array([[300.0]]), BYTE0_255)
     with pytest.raises(DomainError):
         PixelImage(np.array([[2]], np.uint8), BINARY01)
+
+
+def test_pixel_image_refuses_float_scans():
+    """A luminance scan is 8-bit: a float one is refused, not cast."""
+    for dtype in (np.float32, np.float64):
+        with pytest.raises(DomainError, match="byte0_255 pixels must be uint8"):
+            PixelImage(np.full((2, 2), 100.0, dtype), BYTE0_255)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgclab.codegen import BINARY01, BYTE0_255, UNIT_INTERVAL, ModuleMatrix, PixelImage
-from pgclab.errors import FormatError, PgcError
+from pgclab.errors import DomainError, FormatError, PgcError
 from pgclab.imgio import read_pbm, read_pgm, write_pbm, write_pgm
 
 
@@ -18,17 +18,17 @@ def test_pgm_byte_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.pixels, img.pixels)
 
 
-def test_pgm_scales_binary_and_unit(tmp_path):
-    b = PixelImage(np.array([[0, 1]], np.uint8), BINARY01)
-    p = tmp_path / "b.pgm"
-    write_pgm(b, p)
-    np.testing.assert_array_equal(read_pgm(p).pixels, [[0, 255]])
-
-    u = PixelImage(np.array([[0.0, 0.5, 1.0]], np.float32), UNIT_INTERVAL)
-    q = tmp_path / "u.pgm"
-    write_pgm(u, q)
-    # 0.5 * 255 = 127.5 rounds to even
-    np.testing.assert_array_equal(read_pgm(q).pixels, [[0, 128, 255]])
+@pytest.mark.parametrize("img", [
+    PixelImage(np.array([[0, 1]], np.uint8), BINARY01),
+    PixelImage(np.array([[0.0, 0.5, 1.0]], np.float32), UNIT_INTERVAL),
+], ids=[BINARY01, UNIT_INTERVAL])
+def test_pgm_writes_only_byte0_255(tmp_path, img):
+    """PGM holds luminance bytes: bits and unit-interval values are refused,
+    not scaled, and no file is written."""
+    p = tmp_path / f"{img.domain}.pgm"
+    with pytest.raises(DomainError, match=f"cannot write domain '{img.domain}'"):
+        write_pgm(img, p)
+    assert not p.exists()
 
 
 def test_pgm_header_comments_and_whitespace(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gradcheck import gradient_check, reference_gradient_check
 from pgclab import nn
 from pgclab.errors import DimensionError, FormatError, ParameterError, PgcError, StateError
 from pgclab.nn import (
@@ -20,7 +21,6 @@ from pgclab.nn import (
     build_bn,
     build_fc,
     forward,
-    gradient_check,
     init_adam,
     load_model,
     loss_and_grads,
@@ -70,7 +70,6 @@ def test_build_fc_shapes():
     assert all(not b.any() for b in m.biases)
     bound = math.sqrt(6.0 / (576 + 576))
     assert all(np.abs(w).max() <= bound for w in m.weights)
-    assert m.bottleneck_index is None
     assert len(build_fc(4, seed=0).weights) == 5
 
 
@@ -83,7 +82,6 @@ def test_build_fc_rejects_other_depths():
 def test_build_bn_shapes():
     m = build_bn(seed=3)
     assert dims(m) == [576, 256, 128, 36, 128, 256, 576]
-    assert m.bottleneck_index == 2
     assert [s.activation for s in m.layers[:-1]] == [ACT_RELU] * 5
     assert m.layers[-1].activation == ACT_SIGMOID
     d = dims(m)
@@ -231,6 +229,19 @@ def test_gradient_check_small_models(dims, acts, cfg):
     t = rng.random((6, dims[-1]), dtype=np.float32)
     err = gradient_check(m, x, t, cfg, n_coords=n_params(m), step=1e-3, seed=0)
     assert err <= 1e-3
+    assert err == reference_gradient_check(m, x, t, cfg, n_coords=n_params(m), step=1e-3, seed=0)
+
+
+@pytest.mark.parametrize("model", [lambda: build_fc(2, seed=1), lambda: build_bn(seed=2)],
+                         ids=["fc2", "bn"])
+def test_gradient_check_matches_whole_network_reruns_on_criterion_1(model):
+    """Rerunning only the perturbed layer and those after it gives the
+    bits of whole-network reruns, on criterion 1's inputs."""
+    rng = np.random.default_rng(0)
+    x = rng.random((8, 576), dtype=np.float32)
+    t = rng.integers(0, 2, (8, 576)).astype(np.float32)
+    assert gradient_check(model(), x, t, n_coords=2000, step=1e-3, seed=0) \
+        == reference_gradient_check(model(), x, t, n_coords=2000, step=1e-3, seed=0)
 
 
 # ---------------------------------------------------------------- optimizer
@@ -334,15 +345,6 @@ def test_saved_file_size_formula(tmp_path):
     assert p.stat().st_size == 12 + 12 * len(m.layers) + 4 * n_params(m) + 1
     save_model(m, 0.5, p)
     assert p.stat().st_size == 12 + 12 * len(m.layers) + 4 * n_params(m) + 1 + 4
-
-
-def test_bottleneck_index_is_not_persisted(tmp_path):
-    m = build_bn(seed=0)
-    p = tmp_path / "bn.pgcm"
-    save_model(m, None, p)
-    m2, _ = load_model(p)
-    assert m2.bottleneck_index is None
-    assert dims(m2) == dims(m)
 
 
 def test_load_rejects_corrupt_files(tmp_path):
