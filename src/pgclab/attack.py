@@ -299,55 +299,30 @@ def threshold_grid() -> np.ndarray:
     return np.arange(101, dtype=np.float64) / 100.0
 
 
-def _weight_below(x: np.ndarray, w, points: np.ndarray):
-    """Of one class's values x, with weights w (None weighs each 1), the
-    weight below each point, the weight of the numbers and the total weight.
-
-    x is sorted in place.  Sorting puts NaNs last; the search at inf counts
-    the numbers before them.
-    """
-    if w is None:
-        x.sort()
-    else:
-        order = np.argsort(x)
-        x, cum = x[order], np.concatenate(([0], np.cumsum(w[order])))
-    below = np.searchsorted(x, points, side="left")
-    numbers = np.searchsorted(x, np.inf, side="right")
-    if w is None:
-        return below, numbers, x.size
-    return cum[below], cum[numbers], cum[-1]
-
-
-def _grid_errors(values: np.ndarray, targets: np.ndarray, counts=None):
-    """The bit disagreements at each grid point, and the total weight.
+def _grid_errors(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The bit disagreements at each grid point, as integers.
 
     values are reals in [0, 1], targets the binary truth; a value counts as
-    1 when >= t, compared in float64.  counts, when given, says how many
-    times each (value, target) pair occurs.  Sort-and-count (Fawcett 2006):
-    each class is sorted once, and the errors at t are the 0-targets at or
-    above t plus the 1-targets below it (a NaN is never >= t).  Equals
-    sweeping every grid point exactly.  The counts are integers, so those
-    of separate pieces of the values add up to the counts of the whole.
+    1 when >= t, compared in float64.  Sort-and-count (Fawcett 2006): each
+    class is sorted once, in the values' own float dtype, and searched at
+    every grid point.  The errors at t are the 0-targets at or above t plus
+    the 1-targets below it; sorting puts NaNs last, the search at inf counts
+    the numbers before them, and a NaN is never >= t.  Equals sweeping every
+    grid point exactly.  The counts are integers, so those of separate
+    pieces of the values add up to the counts of the whole.
     """
     values = np.asarray(values)
     targets = np.asarray(targets).astype(bool)
     if values.shape != targets.shape:
         raise ParameterError("values and targets shapes differ")
-    w = None if counts is None else np.asarray(counts, dtype=np.int64).ravel()
-    if w is not None and w.size != values.size:
-        raise ParameterError("counts and values sizes differ")
-    total = values.size if w is None else int(w.sum())
-    # Values that float64 holds exactly sort in their own dtype, in the
-    # order float64 gives them; searchsorted compares in float64.
-    v = values.ravel()
-    if not np.can_cast(v.dtype, np.float64):
-        v = v.astype(np.float64)
-    tb = targets.ravel()
+    v, tb = values.ravel(), targets.ravel()
+    zeros, ones = np.compress(~tb, v), np.compress(tb, v)
+    zeros.sort()
+    ones.sort()
     grid = threshold_grid()
-    split = [(np.compress(c, v), None if w is None else np.compress(c, w)) for c in (~tb, tb)]
-    zeros_below, zeros_num, _ = _weight_below(*split[0], grid)
-    ones_below, ones_num, ones_all = _weight_below(*split[1], grid)
-    return zeros_num - zeros_below + ones_below + (ones_all - ones_num), total
+    errors = np.searchsorted(zeros, np.inf, side="right") - np.searchsorted(zeros, grid)
+    errors += np.searchsorted(ones, grid) + ones.size - np.searchsorted(ones, np.inf, side="right")
+    return errors
 
 
 def _grid_argmin(errors: np.ndarray, total: int):
@@ -359,13 +334,14 @@ def _grid_argmin(errors: np.ndarray, total: int):
     return float(threshold_grid()[k]), int(errors[k]) / total
 
 
-def calibrate_grid(values: np.ndarray, targets: np.ndarray, counts=None):
+def calibrate_grid(values: np.ndarray, targets: np.ndarray):
     """Return the grid point t and error minimizing mean bit disagreement.
 
-    Ties break toward the smallest t.  values, targets and counts are as
-    for _grid_errors.
+    Ties break toward the smallest t.  values and targets are as for
+    _grid_errors; this is the one-shot form of calibrate_threshold's and
+    calibrate_pixel_threshold's criterion.
     """
-    return _grid_argmin(*_grid_errors(values, targets, counts))
+    return _grid_argmin(_grid_errors(values, targets), np.size(values))
 
 
 def calibrate_threshold(am: AttackModel, ds: PairedDataset, val=None):
@@ -380,13 +356,10 @@ def calibrate_threshold(am: AttackModel, ds: PairedDataset, val=None):
     x, t = split_arrays(ds, am.printer, SPLIT_VAL) if val is None else val
     if x.shape[0] == 0:
         raise StateError("empty validation split")
-    errors, total = 0, 0
+    errors = 0
     for lo, hi in nn.row_blocks(x.shape[0]):
-        outputs = nn.forward(am.model, ink_rows(x[lo:hi]))
-        block_errors, block_total = _grid_errors(outputs, t[lo:hi])
-        errors += block_errors
-        total += block_total
-    best_t, _ = _grid_argmin(errors, total)
+        errors += _grid_errors(nn.forward(am.model, ink_rows(x[lo:hi])), t[lo:hi])
+    best_t, _ = _grid_argmin(errors, t.size)
     return replace(am, threshold=best_t)
 
 
@@ -397,7 +370,10 @@ def calibrate_pixel_threshold(ds: PairedDataset, printer: str) -> float:
     instead of model outputs.  Also serves as the defender's calibration,
     which only ever sees authentic prints.  A scan holds only 256 ink
     levels, so its pixels are counted per (target bit, byte) instead of
-    sorted one by one.
+    sorted one by one, and the errors at each grid point are counted
+    straight from that 2x256 table: the 0-target pixels of the levels at or
+    above t plus the 1-target pixels of the levels below it, compared in
+    float64 as _grid_errors compares.
     """
     if printer not in ds.scans:
         raise UnknownIdError(f"printer {printer!r} not in dataset")
@@ -411,8 +387,9 @@ def calibrate_pixel_threshold(ds: PairedDataset, printer: str) -> float:
         key |= ds.scans[printer][i].pixels
         counts += np.bincount(key.ravel(), minlength=512)
     levels = ink_intensity(PixelImage(np.arange(256, dtype=np.uint8)[None], BYTE0_255))
-    best_t, _ = calibrate_grid(np.tile(levels.pixels.ravel(), 2),
-                               np.repeat([False, True], 256), counts)
+    ge = levels.pixels[0, :, None] >= threshold_grid()
+    zeros, ones = counts.reshape(2, 256)
+    best_t, _ = _grid_argmin(zeros @ ge + ones @ ~ge, int(counts.sum()))
     return best_t
 
 

@@ -43,6 +43,7 @@ from .channel import PRINTER_IDS, ChannelParams, parallel_map, preset_with_overr
 from .codegen import (
     BYTE0_255,
     Geometry,
+    ModuleMatrix,
     PixelImage,
     binarize,
     ink_intensity,
@@ -435,9 +436,8 @@ def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> Non
         diff_dir = reports / "diff" / f"{printer}_{source}"
         diff_dir.mkdir(parents=True, exist_ok=True)
         for original, xhat, i in zip(originals, estimates, test_idx):
-            diff = (original.bits != xhat.bits).astype(np.uint8) * 255
-            diff_px = np.repeat(np.repeat(diff, mpx, axis=0), mpx, axis=1)
-            write_pgm(PixelImage(diff_px, BYTE0_255), diff_dir / f"diff_{i:04d}.pgm")
+            diff = render(ModuleMatrix(original.bits != xhat.bits), mpx).pixels * 255
+            write_pgm(PixelImage(diff, BYTE0_255), diff_dir / f"diff_{i:04d}.pgm")
         for measure in cfg.measures:
             ss = ScoreSet(authentic[measure], fake[measure], measure)
             _write_csv(

@@ -203,21 +203,14 @@ def assemble_blocks(bs: BlockSet) -> PixelImage:
     return PixelImage(np.ascontiguousarray(px), bs.domain)
 
 
-def binarize(values, t: float):
-    """Threshold unit-interval values to bits: 1 iff value >= t (ties go to 1).
-
-    Accepts an array (returned as a uint8 array) or a PixelImage (returned
-    as a binary01 PixelImage).
-    """
+def binarize(img: PixelImage, t: float) -> PixelImage:
+    """Threshold a unit-interval image to a binary01 image: 1 iff value >= t
+    (ties go to 1)."""
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"threshold {t} outside [0, 1]")
-    if isinstance(values, PixelImage):
-        if values.domain == BYTE0_255:
-            raise DomainError("binarize expects unit_interval input; normalize first")
-        bits = binarize(values.pixels, t)
-        return PixelImage(bits, BINARY01)
-    arr = np.asarray(values)
-    return (arr >= t).astype(np.uint8)
+    if img.domain == BYTE0_255:
+        raise DomainError("binarize expects unit_interval input; normalize first")
+    return PixelImage(img.pixels >= t, BINARY01)
 
 
 def modules_from_pixels(img: PixelImage, module_px: int) -> ModuleMatrix:

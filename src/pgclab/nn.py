@@ -80,13 +80,6 @@ class MlpModel:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def astype(self, dtype) -> "MlpModel":
-        return MlpModel(
-            list(self.layers),
-            [w.astype(dtype) for w in self.weights],
-            [b.astype(dtype) for b in self.biases],
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -350,6 +343,9 @@ def loss_and_grads(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
 # cache across the update's 14 passes.
 ADAM_CHUNK = 65536
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -362,10 +358,6 @@ class AdamState:
     m_b: list[np.ndarray]
     v_b: list[np.ndarray]
     scratch: tuple[np.ndarray, np.ndarray]
-
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(model: MlpModel) -> AdamState:
@@ -381,8 +373,8 @@ def init_adam(model: MlpModel) -> AdamState:
     )
 
 
-def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig):
-    """One Adam update, in place; returns (model, state) for chaining.
+def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig) -> None:
+    """One Adam update, in place.
 
     Per element: mom = b1 mom + (1 - b1) g, vel = b2 vel + (1 - b2) g^2,
     p -= lr (mom / c1) / (sqrt(vel / c2) + eps), every product and
@@ -394,7 +386,7 @@ def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig):
     grad_w, grad_b = grads
     state.step += 1
     t = state.step
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     lr = cfg.learning_rate
@@ -424,7 +416,6 @@ def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig):
                 s2 *= lr
                 s2 /= s1
                 p -= s2
-    return m, state
 
 
 MODEL_MAGIC = b"PGCM"

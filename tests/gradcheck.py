@@ -23,6 +23,12 @@ from pgclab.nn import (
 )
 
 
+def model_astype(m: MlpModel, dtype) -> MlpModel:
+    """A copy of the model with its weights and biases in dtype."""
+    return MlpModel(list(m.layers), [w.astype(dtype) for w in m.weights],
+                    [b.astype(dtype) for b in m.biases])
+
+
 def _relu_masks(m: MlpModel, acts, k: int = 0):
     """The relu masks of layers k and later; acts[j + 1] is layer j's output."""
     return [acts[j + 1] > 0 for j in range(k, len(m.layers))
@@ -75,7 +81,7 @@ def gradient_check(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
     max |analytic - fd| / max(||analytic||_inf, ||fd||_inf) over the
     sampled coordinates.
     """
-    md = m.astype(np.float64)
+    md = model_astype(m, np.float64)
     xb, tb = _check_batch(md, batch_x, batch_t)
     acts = _forward_acts(md, xb)
     grad_w, grad_b = _grads_from_acts(md, acts, tb, cfg)
@@ -110,7 +116,7 @@ def reference_gradient_check(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarr
                              seed: int = 0) -> float:
     """gradient_check with two passes through the whole network, and every
     relu mask compared, for each sampled coordinate."""
-    md = m.astype(np.float64)
+    md = model_astype(m, np.float64)
     xb, tb = _check_batch(md, batch_x, batch_t)
     acts = _forward_acts(md, xb)
     xb = acts[0]

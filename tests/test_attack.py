@@ -379,9 +379,6 @@ def test_calibrate_grid_on_float32_equals_on_its_float64_cast():
                         rng.integers(0, 2, values.size)):
             want = calibrate_grid(values.astype(np.float64), targets)
             assert calibrate_grid(values, targets) == want
-            counts = rng.integers(1, 5, values.size)
-            assert calibrate_grid(values, targets, counts) == \
-                calibrate_grid(values.astype(np.float64), targets, counts)
     for k in range(101):
         for v in (on_grid[k], below[k]):
             for target in (0, 1):
@@ -392,19 +389,21 @@ def test_calibrate_grid_on_float32_equals_on_its_float64_cast():
 def test_calibrate_grid_rejects_empty():
     with pytest.raises(StateError):
         calibrate_grid(np.array([]), np.array([]))
-    with pytest.raises(StateError):
-        calibrate_grid(np.array([0.5]), np.array([1]), np.array([0]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_calibration_cases(), st.data())
-def test_calibrate_grid_counts_equal_repeated_values(case, data):
-    """Counting a (value, target) pair k times is listing it k times."""
-    values, targets = case
-    counts = np.array(data.draw(st.lists(st.integers(0, 4), min_size=values.size,
-                                         max_size=values.size).filter(any)))
-    assert calibrate_grid(values, targets, counts) == \
-        calibrate_grid(np.repeat(values, counts), np.repeat(targets, counts))
+def _val_dataset(bits, scans):
+    """A dataset whose first code is training and the rest validation, and
+    the validation pixels' ink values and targets."""
+    n, rows, cols = bits.shape[0] - 1, bits.shape[1], bits.shape[2]
+    images = [PixelImage(scan, BYTE0_255) for scan in scans]
+    ds = PairedDataset(
+        geometry=Geometry(rows, cols, 2, 2), seed=0, split_sizes=(1, n, 0),
+        originals=[ModuleMatrix(b) for b in bits], scans={"P": images},
+        channel_params={"P": ChannelParams()}, split=[SPLIT_TRAIN] + [SPLIT_VAL] * n,
+    )
+    values = np.concatenate([ink_intensity(img).pixels.ravel() for img in images[1:]])
+    targets = np.concatenate([ds.rendered_original(i).pixels.ravel() for i in range(1, n + 1)])
+    return ds, values, targets
 
 
 @st.composite
@@ -420,15 +419,20 @@ def _val_scans(draw):
         bits[:] = draw(st.integers(0, 1))
     elif kind == "one value":
         scans[:] = draw(st.integers(0, 255))
-    images = [PixelImage(scan, BYTE0_255) for scan in scans]
-    ds = PairedDataset(
-        geometry=Geometry(rows, cols, 2, 2), seed=0, split_sizes=(1, n, 0),
-        originals=[ModuleMatrix(b) for b in bits], scans={"P": images},
-        channel_params={"P": ChannelParams()}, split=[SPLIT_TRAIN] + [SPLIT_VAL] * n,
-    )
-    values = np.concatenate([ink_intensity(img).pixels.ravel() for img in images[1:]])
-    targets = np.concatenate([ds.rendered_original(i).pixels.ravel() for i in range(1, n + 1)])
-    return ds, values, targets
+    return _val_dataset(bits, scans)
+
+
+def _val_edge_case(bit=None, byte=None):
+    """Random bits and scans, with every original bit set to bit and every
+    scan pixel set to byte when given."""
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2, (3, 4, 5), dtype=np.uint8)
+    scans = rng.integers(0, 256, (3, 8, 10), dtype=np.uint8)
+    if bit is not None:
+        bits[:] = bit
+    if byte is not None:
+        scans[:] = byte
+    return _val_dataset(bits, scans)
 
 
 @settings(max_examples=150, deadline=None)
@@ -437,6 +441,16 @@ def test_calibrate_pixel_threshold_equals_the_grid_over_all_pixels(case):
     """The 512-bin histogram of uint8 scans picks what calibrate_grid
     picks from every pixel's float ink value."""
     ds, values, targets = case
+    assert calibrate_pixel_threshold(ds, "P") == calibrate_grid(values, targets)[0]
+
+
+@pytest.mark.parametrize("bit, byte", [(0, None), (None, 0), (None, 255), (1, 128)],
+                         ids=["no-dark-pixels", "all-byte-0", "all-byte-255",
+                              "all-dark-one-byte"])
+def test_calibrate_pixel_threshold_edge_cases_equal_the_grid(bit, byte):
+    """Count tables with a zero half or a single nonzero level pick what
+    calibrate_grid picks from every pixel."""
+    ds, values, targets = _val_edge_case(bit, byte)
     assert calibrate_pixel_threshold(ds, "P") == calibrate_grid(values, targets)[0]
 
 

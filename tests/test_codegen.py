@@ -158,13 +158,16 @@ def test_blockset_rejects_bad_shapes():
 
 
 def test_binarize_rules():
-    np.testing.assert_array_equal(binarize(np.array([0.2, 0.8]), 0.5), [0, 1])
-    np.testing.assert_array_equal(binarize(np.array([0.5]), 0.5), [1])  # tie -> 1
+    got = binarize(PixelImage(np.array([[0.2, 0.8, 0.5]]), UNIT_INTERVAL), 0.5)
+    assert got.domain == BINARY01
+    np.testing.assert_array_equal(got.pixels, [[0, 1, 1]])  # tie -> 1
 
 
 def test_binarize_validation():
     with pytest.raises(ParameterError):
-        binarize(np.array([0.5]), 1.5)
+        binarize(PixelImage(np.array([[0.5]]), UNIT_INTERVAL), 1.5)
+    with pytest.raises(ParameterError):
+        binarize(PixelImage(np.array([[0.5]]), UNIT_INTERVAL), -0.01)
     with pytest.raises(DomainError):
         binarize(PixelImage(np.zeros((2, 2), np.uint8), BYTE0_255), 0.5)
 
@@ -172,9 +175,9 @@ def test_binarize_validation():
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 1.0))
 def test_binarize_idempotent(seed, t):
-    v = np.random.default_rng(seed).random(64)
+    v = PixelImage(np.random.default_rng(seed).random((8, 8)), UNIT_INTERVAL)
     once = binarize(v, t)
-    np.testing.assert_array_equal(binarize(once, t), once)
+    np.testing.assert_array_equal(binarize(once, t).pixels, once.pixels)
 
 
 @settings(max_examples=40, deadline=None)

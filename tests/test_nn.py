@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradcheck import gradient_check, reference_gradient_check
+from gradcheck import gradient_check, model_astype, reference_gradient_check
 from pgclab import nn
 from pgclab.errors import DimensionError, FormatError, ParameterError, PgcError, StateError
 from pgclab.nn import (
@@ -257,7 +257,7 @@ def test_adam_noop_on_zero_gradients():
 
 
 def test_adam_first_step_matches_closed_form():
-    m = small_model([3, 2], [ACT_IDENTITY], seed=14).astype(np.float64)
+    m = model_astype(small_model([3, 2], [ACT_IDENTITY], seed=14), np.float64)
     before_w = [w.copy() for w in m.weights]
     before_b = [b.copy() for b in m.biases]
     rng = np.random.default_rng(15)
@@ -268,7 +268,7 @@ def test_adam_first_step_matches_closed_form():
     optimizer_step(m, (gw, gb), st, cfg)
     assert st.step == 1
     for p0, p1, g in zip(before_w + before_b, m.weights + m.biases, gw + gb):
-        expect = p0 - 0.01 * g / (np.abs(g) + st.eps)
+        expect = p0 - 0.01 * g / (np.abs(g) + nn.ADAM_EPS)
         np.testing.assert_allclose(p1, expect, rtol=1e-10, atol=1e-12)
 
 
@@ -280,7 +280,7 @@ def test_adam_requires_state():
 
 
 def test_single_small_step_reduces_loss():
-    m = small_model([16, 8, 4], [ACT_RELU, ACT_SIGMOID], seed=16).astype(np.float64)
+    m = model_astype(small_model([16, 8, 4], [ACT_RELU, ACT_SIGMOID], seed=16), np.float64)
     rng = np.random.default_rng(17)
     x = rng.random((8, 16))
     t = rng.integers(0, 2, (8, 4)).astype(np.float64)
@@ -532,7 +532,7 @@ def test_loss_and_grads_bit_identical_to_plain_form(build):
     for got, want in zip(gw + gb, want_w + want_b):
         np.testing.assert_array_equal(_bits(got), _bits(want))
     assert batch_loss(m, x, t) == want_value
-    md = m.astype(np.float64)
+    md = model_astype(m, np.float64)
     xd, td = x.astype(np.float64), t.astype(np.float64)
     _, gw, gb = loss_and_grads(md, xd, td)
     _, want_w, want_b = loss_and_grads_plain(md, xd, td)
@@ -611,7 +611,7 @@ def test_row_blocks_have_at_least_the_block_rows():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
 def test_forward_bit_identical_to_last_of_all_activations(build, dtype):
-    m = build(41).astype(dtype)
+    m = model_astype(build(41), dtype)
     rng = np.random.default_rng(42)
     for n in ROW_COUNTS:
         x = rng.random((n, CODE_DIM)).astype(dtype)
@@ -624,7 +624,7 @@ def test_forward_bit_identical_to_last_of_all_activations(build, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
 def test_batch_loss_bit_identical_to_one_shot_form(build, dtype):
-    m = build(47).astype(dtype)
+    m = model_astype(build(47), dtype)
     rng = np.random.default_rng(48)
     for n in ROW_COUNTS:
         x = rng.random((n, CODE_DIM)).astype(dtype)
