@@ -82,7 +82,7 @@ class PairedDataset:
 
     channel_params names every printer of the dataset; scans may hold
     only some of them, and only some splits' scans of each (see
-    load_dataset).
+    load_dataset), or none (see build_dataset's out_dir).
     """
 
     geometry: Geometry
@@ -135,9 +135,15 @@ class AttackModel:
     val_loss: float | None = None
 
 
-def _scan_job(job) -> PixelImage:
-    code, module_px, params, seed = job
-    return print_scan(render(code, module_px), params, seed)
+def _scan_job(job) -> PixelImage | None:
+    """Scan one code: write the scan to the job's path and return None, or
+    return it when the path is None."""
+    code, module_px, params, seed, path = job
+    scan = print_scan(render(code, module_px), params, seed)
+    if path is None:
+        return scan
+    imgio.write_pgm(scan, path)
+    return None
 
 
 def build_dataset(
@@ -146,6 +152,7 @@ def build_dataset(
     geometry: Geometry | None = None,
     printer_params: dict[str, ChannelParams] | None = None,
     seed: int = 0,
+    out_dir=None,
 ) -> PairedDataset:
     """Generate codes, render them, and scan each through every printer.
 
@@ -153,6 +160,12 @@ def build_dataset(
     (printer, image) stream.  Split assignment is by index order: the
     first split_sizes[0] images train, the next split_sizes[1] validate,
     the rest test.
+
+    With out_dir, the dataset is written there as save_dataset writes it,
+    and the dataset returned holds no scans: each worker writes the scans
+    it makes, so the scans never reach this process.  An earlier manifest
+    there is deleted before anything is written and the new one is
+    written after every scan, so a build that fails leaves none.
     """
     if geometry is None:
         geometry = Geometry()
@@ -181,28 +194,38 @@ def build_dataset(
         generate_module_matrix(stream_seed(seed, 0, i), geometry.rows, geometry.cols)
         for i in range(n_images)
     ]
-    pids = sorted(printer_params)
-    jobs = [
-        (originals[i], geometry.module_px, printer_params[pid], stream_seed(seed, 1 + p_idx, i))
-        for p_idx, pid in enumerate(pids)
-        for i in range(n_images)
-    ]
-    flat = parallel_map(_scan_job, jobs)
-    scans = {pid: flat[p * n_images : (p + 1) * n_images] for p, pid in enumerate(pids)}
     split = (
         [SPLIT_TRAIN] * split_sizes[0]
         + [SPLIT_VAL] * split_sizes[1]
         + [SPLIT_TEST] * split_sizes[2]
     )
-    return PairedDataset(
+    ds = PairedDataset(
         geometry=geometry,
         seed=seed,
         split_sizes=split_sizes,
         originals=originals,
-        scans=scans,
+        scans={},
         channel_params=dict(printer_params),
         split=split,
     )
+    pids = sorted(printer_params)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        _begin_dataset(ds, out, pids)
+    # Each path is a str, not a Path: at the paper's 1536 scans, Path
+    # objects raised every forked worker's peak by 0.6 MB.
+    jobs = [
+        (originals[i], geometry.module_px, printer_params[pid], stream_seed(seed, 1 + p_idx, i),
+         None if out is None else str(out / _scan_rel(pid, i)))
+        for p_idx, pid in enumerate(pids)
+        for i in range(n_images)
+    ]
+    flat = parallel_map(_scan_job, jobs)
+    if out is None:
+        ds.scans = {pid: flat[p * n_images : (p + 1) * n_images] for p, pid in enumerate(pids)}
+    else:
+        _write_manifest(ds, out, pids)
+    return ds
 
 
 def split_arrays(ds: PairedDataset, printer: str, tag: str):
@@ -409,23 +432,28 @@ MANIFEST_NAME = "manifest.json"
 _MANIFEST_VERSION = 1
 
 
-def save_dataset(ds: PairedDataset, out_dir) -> None:
-    """Write originals, scans and a manifest under out_dir (paths relative)."""
-    out = Path(out_dir)
+def _original_rel(i: int) -> str:
+    return f"originals/code_{i:04d}.pbm"
+
+
+def _scan_rel(pid: str, i: int) -> str:
+    return f"scans/{pid}/scan_{i:04d}.pgm"
+
+
+def _begin_dataset(ds: PairedDataset, out: Path, pids) -> None:
+    """Delete out's manifest, write the originals and make the scan
+    directories of pids."""
+    (out / MANIFEST_NAME).unlink(missing_ok=True)
     (out / "originals").mkdir(parents=True, exist_ok=True)
-    original_paths = []
     for i, m in enumerate(ds.originals):
-        rel = f"originals/code_{i:04d}.pbm"
-        imgio.write_pbm(m, out / rel)
-        original_paths.append(rel)
-    scan_paths: dict[str, list[str]] = {}
-    for pid in sorted(ds.scans):
+        imgio.write_pbm(m, out / _original_rel(i))
+    for pid in pids:
         (out / "scans" / pid).mkdir(parents=True, exist_ok=True)
-        scan_paths[pid] = []
-        for i, img in enumerate(ds.scans[pid]):
-            rel = f"scans/{pid}/scan_{i:04d}.pgm"
-            imgio.write_pgm(img, out / rel)
-            scan_paths[pid].append(rel)
+
+
+def _write_manifest(ds: PairedDataset, out: Path, pids) -> None:
+    """Write the manifest of ds, naming the scans of pids; written last, so
+    a dataset with a manifest is whole."""
     manifest = {
         "format_version": _MANIFEST_VERSION,
         "geometry": asdict(ds.geometry),
@@ -433,12 +461,27 @@ def save_dataset(ds: PairedDataset, out_dir) -> None:
         "split_sizes": list(ds.split_sizes),
         "split": list(ds.split),
         "printers": {pid: asdict(p) for pid, p in ds.channel_params.items()},
-        "originals": original_paths,
-        "scans": scan_paths,
+        "originals": [_original_rel(i) for i in range(ds.n_images)],
+        "scans": {pid: [_scan_rel(pid, i) for i in range(ds.n_images)] for pid in pids},
     }
     with open(out / MANIFEST_NAME, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_dataset(ds: PairedDataset, out_dir) -> None:
+    """Write originals, scans and a manifest under out_dir (paths relative).
+
+    build_dataset with an out_dir writes the same files without holding
+    the scans.
+    """
+    out = Path(out_dir)
+    pids = sorted(ds.scans)
+    _begin_dataset(ds, out, pids)
+    for pid in pids:
+        for i, img in enumerate(ds.scans[pid]):
+            imgio.write_pgm(img, out / _scan_rel(pid, i))
+    _write_manifest(ds, out, pids)
 
 
 def _manifest_paths(rels, what: str, root: Path, manifest_path: Path) -> list[str]:

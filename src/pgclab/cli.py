@@ -34,7 +34,6 @@ from .attack import (
     calibrate_threshold,
     estimate_grey,
     load_dataset,
-    save_dataset,
     split_arrays,
     stream_seed,
     train_attack,
@@ -234,6 +233,8 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
     if not out:
         raise ConfigError("out_dir missing (set it in the config or pass --out)")
     if seed is not None:
+        if seed < 0:
+            raise ConfigError("--seed must be >= 0")
         dataset_seed = int(seed)
         train = replace(train, seed=int(seed))
     return ExperimentConfig(
@@ -276,15 +277,19 @@ def _load_ds(cfg: ExperimentConfig, printer: str, splits=SPLITS) -> PairedDatase
 
 
 def cmd_gen(cfg: ExperimentConfig) -> None:
-    """Build the dataset and write it under out_dir/dataset."""
+    """Build the dataset and write it under out_dir/dataset.
+
+    Each worker writes the scans it makes, so this process never holds
+    them.
+    """
     ds = build_dataset(
         cfg.n_images,
         cfg.split_sizes,
         cfg.geometry,
         cfg.printers,
         cfg.dataset_seed,
+        out_dir=_dataset_dir(cfg),
     )
-    save_dataset(ds, _dataset_dir(cfg))
     counts = ds.block_counts()
     print(
         f"gen: {ds.n_images} codes, printers {', '.join(ds.printers)}, "

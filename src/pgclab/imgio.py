@@ -41,7 +41,8 @@ def write_pgm(img: PixelImage, path) -> None:
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(img.pixels.tobytes())
+        # The array's own buffer, not a bytes copy of it.
+        f.write(np.ascontiguousarray(img.pixels))
 
 
 def read_pgm(path) -> PixelImage:

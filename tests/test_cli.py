@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,9 +22,11 @@ from pgclab.attack import (
     STREAM_REPRINT_AUTH,
     STREAM_REPRINT_FAKE,
     AttackModel,
+    build_dataset,
     calibrate_pixel_threshold,
     estimate_grey,
     load_dataset,
+    save_dataset,
     stream_seed,
 )
 from pgclab.cli import (
@@ -32,6 +35,7 @@ from pgclab.cli import (
     _load_estimates,
     _model_path,
     _write_csv,
+    cmd_gen,
     load_config,
     main,
     write_roc_svg,
@@ -319,8 +323,17 @@ def test_full_pipeline_tiny(tmp_path, capsys):
     assert "roc: SA fakes from" in shown
 
 
+def tree(root):
+    return {f.relative_to(root): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
 def test_forked_and_one_cpu_pipelines_write_the_same_bytes(tmp_path, monkeypatch):
-    p = write_cfg(tmp_path, lambda c: c["dataset"].update(n_images=7, split=[4, 1, 2]))
+    # SA blurs with 13 taps and HP with 15.
+    def mutate(c):
+        c["dataset"].update(n_images=7, split=[4, 1, 2])
+        c["printers"] = ["SA", "HP"]
+
+    p = write_cfg(tmp_path, mutate)
     trees = []
     for n in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)))
@@ -329,8 +342,13 @@ def test_forked_and_one_cpu_pipelines_write_the_same_bytes(tmp_path, monkeypatch
             args = [verb, "--config", str(p), "--out", str(out)]
             assert run(args if verb == "gen" else [*args, "--printer", "SA"]) == 0
             assert multiprocessing.active_children() == []
-        trees.append({f.relative_to(out): f.read_bytes()
-                      for f in sorted(out.rglob("*")) if f.is_file()})
+        # gen's workers write the bytes of the dataset built in memory.
+        cfg = load_config(p, out=out)
+        saved = tmp_path / f"saved{n}"
+        save_dataset(build_dataset(cfg.n_images, cfg.split_sizes, cfg.geometry, cfg.printers,
+                                   cfg.dataset_seed), saved)
+        assert tree(out / "dataset") == tree(saved)
+        trees.append(tree(out))
     assert trees[0] == trees[1]
 
 
@@ -596,6 +614,61 @@ def test_gen_is_reproducible_across_out_dirs(tmp_path):
     ]
     for fa, fb in zip(a_files, b_files):
         assert fa.read_bytes() == fb.read_bytes(), fa.name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_failed_gen_leaves_no_manifest(tmp_path, monkeypatch, capsys, n):
+    """A gen that fails part-way deletes the earlier run's manifest, which
+    would name a mix of old and new scans, and writes none of its own."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    p = write_cfg(tmp_path)
+    assert run(["gen", "--config", str(p)]) == 0
+    dataset = tmp_path / "run" / "dataset"
+    # The suite runs as root, which chmod does not stop; a directory does.
+    blocker = dataset / "scans" / "SA" / "scan_0002.pgm"
+    blocker.unlink()
+    blocker.mkdir()
+    capsys.readouterr()
+    assert run(["gen", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pgclab: error [io]") and "Traceback" not in err
+    assert not (dataset / "manifest.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def gen_peak(tmp_path, n_images):
+    """tracemalloc's peak over cmd_gen of n_images 64x64-module codes, each
+    scanned by two printers into 384x384 bytes."""
+    def mutate(c):
+        c["geometry"].update(rows=64, cols=64)
+        c["dataset"].update(n_images=n_images, split=[n_images - 2, 1, 1])
+        c["printers"] = ["SA", "HP"]
+
+    cfg = load_config(write_cfg(tmp_path, mutate, f"cfg{n_images}.json"),
+                      out=tmp_path / f"run{n_images}")
+    tracemalloc.start()
+    try:
+        cmd_gen(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_peak_does_not_grow_with_the_dataset(tmp_path, monkeypatch):
+    """With one CPU every scan is made in this process, and each is written
+    before the next is made: 16 codes peak within one scan of 4 codes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    gen_peak(tmp_path, 2)  # fills the channel's per-sigma tables
+    small, large = gen_peak(tmp_path, 4), gen_peak(tmp_path, 16)
+    assert large - small < 384 * 384, (small, large)
+
+
+@pytest.mark.parametrize("verb", ["gen", "train"])
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys, verb):
+    args = [verb, "--config", str(write_cfg(tmp_path)), "--seed", "-1"]
+    assert run(args if verb == "gen" else [*args, "--printer", "SA"]) == 1
+    assert capsys.readouterr().err == "pgclab: error [config] --seed must be >= 0\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_seed_override_changes_dataset(tmp_path):
