@@ -78,11 +78,13 @@ def stream_seed(seed: int, stream: int, index: int = 0) -> int:
 
 @dataclass
 class PairedDataset:
-    """Original codes paired with their simulated scans, tagged by split.
+    """Original codes paired with their simulated scans.
 
-    channel_params names every printer of the dataset; scans may hold
-    only some of them, and only some splits' scans of each (see
-    load_dataset), or none (see build_dataset's out_dir).
+    The splits are by index order: the first split_sizes[0] codes train,
+    the next split_sizes[1] validate, the rest test.  channel_params names
+    every printer of the dataset; scans may hold only some of them, and
+    only some splits' scans of each (see load_dataset), or none (see
+    build_dataset's out_dir).
     """
 
     geometry: Geometry
@@ -91,11 +93,10 @@ class PairedDataset:
     originals: list[ModuleMatrix]
     scans: dict[str, list[PixelImage]]
     channel_params: dict[str, ChannelParams]
-    split: list[str]
 
     @property
     def n_images(self) -> int:
-        return len(self.originals)
+        return sum(self.split_sizes)
 
     @property
     def printers(self) -> tuple[str, ...]:
@@ -104,7 +105,9 @@ class PairedDataset:
     def indices(self, tag: str) -> list[int]:
         if tag not in SPLITS:
             raise ParameterError(f"unknown split tag {tag!r}")
-        return [i for i, t in enumerate(self.split) if t == tag]
+        k = SPLITS.index(tag)
+        start = sum(self.split_sizes[:k])
+        return list(range(start, start + self.split_sizes[k]))
 
     def rendered_original(self, i: int) -> PixelImage:
         return render(self.originals[i], self.geometry.module_px)
@@ -157,15 +160,14 @@ def build_dataset(
     """Generate codes, render them, and scan each through every printer.
 
     The scans run on parallel_map's workers, each seeded by its own
-    (printer, image) stream.  Split assignment is by index order: the
-    first split_sizes[0] images train, the next split_sizes[1] validate,
-    the rest test.
+    (printer, image) stream.  The splits are by index order (see
+    PairedDataset).
 
-    With out_dir, the dataset is written there as save_dataset writes it,
-    and the dataset returned holds no scans: each worker writes the scans
-    it makes, so the scans never reach this process.  An earlier manifest
-    there is deleted before anything is written and the new one is
-    written after every scan, so a build that fails leaves none.
+    With out_dir, the dataset is written there, each file where _manifest
+    puts it, and the dataset returned holds no scans: each worker writes
+    the scans it makes, so the scans never reach this process.  An earlier
+    manifest there is deleted before anything is written and the new one
+    is written after every scan, so a build that fails leaves none.
     """
     if geometry is None:
         geometry = Geometry()
@@ -194,11 +196,6 @@ def build_dataset(
         generate_module_matrix(stream_seed(seed, 0, i), geometry.rows, geometry.cols)
         for i in range(n_images)
     ]
-    split = (
-        [SPLIT_TRAIN] * split_sizes[0]
-        + [SPLIT_VAL] * split_sizes[1]
-        + [SPLIT_TEST] * split_sizes[2]
-    )
     ds = PairedDataset(
         geometry=geometry,
         seed=seed,
@@ -206,12 +203,16 @@ def build_dataset(
         originals=originals,
         scans={},
         channel_params=dict(printer_params),
-        split=split,
     )
-    pids = sorted(printer_params)
+    pids = ds.printers
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
-        _begin_dataset(ds, out, pids)
+        (out / MANIFEST_NAME).unlink(missing_ok=True)
+        (out / "originals").mkdir(parents=True, exist_ok=True)
+        for i, m in enumerate(originals):
+            imgio.write_pbm(m, out / _original_rel(i))
+        for pid in pids:
+            (out / "scans" / pid).mkdir(parents=True, exist_ok=True)
     # Each path is a str, not a Path: at the paper's 1536 scans, Path
     # objects raised every forked worker's peak by 0.6 MB.
     jobs = [
@@ -224,7 +225,10 @@ def build_dataset(
     if out is None:
         ds.scans = {pid: flat[p * n_images : (p + 1) * n_images] for p, pid in enumerate(pids)}
     else:
-        _write_manifest(ds, out, pids)
+        # Written last, so a dataset with a manifest is whole.
+        with open(out / MANIFEST_NAME, "w") as fh:
+            json.dump(_manifest(ds), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return ds
 
 
@@ -440,59 +444,32 @@ def _scan_rel(pid: str, i: int) -> str:
     return f"scans/{pid}/scan_{i:04d}.pgm"
 
 
-def _begin_dataset(ds: PairedDataset, out: Path, pids) -> None:
-    """Delete out's manifest, write the originals and make the scan
-    directories of pids."""
-    (out / MANIFEST_NAME).unlink(missing_ok=True)
-    (out / "originals").mkdir(parents=True, exist_ok=True)
-    for i, m in enumerate(ds.originals):
-        imgio.write_pbm(m, out / _original_rel(i))
-    for pid in pids:
-        (out / "scans" / pid).mkdir(parents=True, exist_ok=True)
-
-
-def _write_manifest(ds: PairedDataset, out: Path, pids) -> None:
-    """Write the manifest of ds, naming the scans of pids; written last, so
-    a dataset with a manifest is whole."""
-    manifest = {
+def _manifest(ds: PairedDataset) -> dict:
+    """The manifest build_dataset writes for ds: its geometry, seed, split
+    sizes and printers, each code's split tag, and the relative path of
+    every original and scan.  The one definition of the dataset on disk."""
+    n = ds.n_images
+    return {
         "format_version": _MANIFEST_VERSION,
         "geometry": asdict(ds.geometry),
         "seed": ds.seed,
         "split_sizes": list(ds.split_sizes),
-        "split": list(ds.split),
+        "split": [tag for tag, size in zip(SPLITS, ds.split_sizes) for _ in range(size)],
         "printers": {pid: asdict(p) for pid, p in ds.channel_params.items()},
-        "originals": [_original_rel(i) for i in range(ds.n_images)],
-        "scans": {pid: [_scan_rel(pid, i) for i in range(ds.n_images)] for pid in pids},
+        "originals": [_original_rel(i) for i in range(n)],
+        "scans": {pid: [_scan_rel(pid, i) for i in range(n)] for pid in ds.printers},
     }
-    with open(out / MANIFEST_NAME, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
-def save_dataset(ds: PairedDataset, out_dir) -> None:
-    """Write originals, scans and a manifest under out_dir (paths relative).
-
-    build_dataset with an out_dir writes the same files without holding
-    the scans.
-    """
-    out = Path(out_dir)
-    pids = sorted(ds.scans)
-    _begin_dataset(ds, out, pids)
-    for pid in pids:
-        for i, img in enumerate(ds.scans[pid]):
-            imgio.write_pgm(img, out / _scan_rel(pid, i))
-    _write_manifest(ds, out, pids)
-
-
-def _manifest_paths(rels, what: str, root: Path, manifest_path: Path) -> list[str]:
-    """A manifest's list of relative paths as real paths, each under root.
+def _manifest_paths(rels: list[str], root: Path, manifest_path: Path) -> list[str]:
+    """Relative paths as real paths, each under root.
 
     Each path is normalized, its directory resolved once for all of its
     files, and a file that is a symbolic link resolved on its own; the
-    returned path is the one checked, and the one read.
+    returned path is the one checked, and the one read.  A canonical file
+    or scans/<pid> directory may be a link out of root, and a printer id
+    may hold "..".
     """
-    if not isinstance(rels, list) or not all(isinstance(rel, str) for rel in rels):
-        raise FormatError(f"{manifest_path}: {what} must be a list of path strings")
     base = os.path.realpath(root)
     prefix = os.path.join(base, "")
     real_dirs: dict[str, str] = {}
@@ -500,12 +477,15 @@ def _manifest_paths(rels, what: str, root: Path, manifest_path: Path) -> list[st
     for rel in rels:
         head, name = os.path.split(os.path.normpath(os.path.join(base, rel)))
         if head not in real_dirs:
-            real_dirs[head] = os.path.realpath(head)
+            try:
+                real_dirs[head] = os.path.realpath(head)
+            except ValueError:  # a NUL byte, which no file name holds
+                raise FormatError(f"{manifest_path}: path {rel!r} is not a file path") from None
         path = os.path.join(real_dirs[head], name)
         if os.path.islink(path):
             path = os.path.realpath(path)
         if not path.startswith(prefix):
-            raise FormatError(f"{manifest_path}: {what} path {rel!r} lies outside {root}")
+            raise FormatError(f"{manifest_path}: path {rel!r} lies outside {root}")
         paths.append(path)
     return paths
 
@@ -546,11 +526,14 @@ def _read_images(read, paths: list[str], manifest_path: Path) -> list:
 
 
 def load_dataset(in_dir, printer: str | None = None, splits=SPLITS) -> PairedDataset:
-    """Read a dataset written by save_dataset.
+    """Read a dataset written by build_dataset.
 
-    With printer given, only that printer's scans are read; printers and
-    printer_index still cover every printer in the manifest.  Of the scans,
-    only those of the named splits are read; every original is.
+    The manifest must be exactly the one build_dataset writes for the
+    geometry, seed, split sizes and printers it names; FormatError names
+    the top-level keys that differ.  With printer given, only that
+    printer's scans are read; printers and printer_index still cover every
+    printer in the manifest.  Of the scans, only those of the named splits
+    are read; every original is.
     """
     root = Path(in_dir)
     manifest_path = root / MANIFEST_NAME
@@ -576,57 +559,49 @@ def load_dataset(in_dir, printer: str | None = None, splits=SPLITS) -> PairedDat
         split_sizes = tuple(
             _json_int(n, "split_sizes", manifest_path) for n in manifest["split_sizes"]
         )
-        split = manifest["split"]
         channel_params = {
             pid: with_fields(ChannelParams(), p) for pid, p in manifest["printers"].items()
         }
-        original_paths = manifest["originals"]
-        scan_paths = manifest["scans"]
     except (AttributeError, KeyError, TypeError, ValueError, DimensionError,
             ParameterError) as exc:
         raise FormatError(f"{manifest_path}: malformed manifest ({exc})") from None
-    if not isinstance(split, list) or len(split_sizes) != 3 or len(split) != sum(split_sizes) \
-            or [split.count(tag) for tag in SPLITS] != list(split_sizes):
+    if len(split_sizes) != 3:
+        raise FormatError(f"{manifest_path}: split_sizes must be three counts")
+    # Each code's split tag and paths take bytes of a manifest that lists
+    # them, so this bounds the manifest rebuilt below by the file's size.
+    if sum(split_sizes) * (len(channel_params) + 2) > manifest_path.stat().st_size:
         raise FormatError(
-            f"{manifest_path}: split must tag each code {'/'.join(SPLITS)}, "
-            "as many of each as split_sizes gives"
+            f"{manifest_path}: split_sizes count more codes than the file can list"
         )
-    if not isinstance(scan_paths, dict):
-        raise FormatError(f"{manifest_path}: scans must map printer ids to path lists")
-    if not set(scan_paths) <= set(channel_params):
-        raise FormatError(f"{manifest_path}: scans name a printer that printers do not")
-    if printer is not None:
-        if printer not in scan_paths:
-            raise UnknownIdError(f"printer {printer!r} not in dataset")
-        scan_paths = {printer: scan_paths[printer]}
-    original_paths = _manifest_paths(original_paths, "originals", root, manifest_path)
+    ds = PairedDataset(geometry, seed, split_sizes, [], {}, channel_params)
+    expected = _manifest(ds)
+    if manifest != expected:
+        differ = sorted(k for k in manifest.keys() | expected.keys()
+                        if k not in manifest or k not in expected or manifest[k] != expected[k])
+        raise FormatError(
+            f"{manifest_path}: not the manifest gen writes (differs in {', '.join(differ)})"
+        )
+    if printer is not None and printer not in channel_params:
+        raise UnknownIdError(f"printer {printer!r} not in dataset")
+    original_paths = _manifest_paths(expected["originals"], root, manifest_path)
     scan_paths = {
-        pid: _manifest_paths(rels, f"scans[{pid!r}]", root, manifest_path)
-        for pid, rels in scan_paths.items()
+        pid: _manifest_paths(expected["scans"][pid], root, manifest_path)
+        for pid in (ds.printers if printer is None else (printer,))
     }
-    if any(len(paths) != len(split) for paths in [original_paths, *scan_paths.values()]):
-        raise FormatError(f"{manifest_path}: an image list's length differs from split's")
-    read = [i for i, tag in enumerate(split) if tag in splits]
-    originals = _read_images(imgio.read_pbm, original_paths, manifest_path)
+    read = [i for tag in SPLITS if tag in splits for i in ds.indices(tag)]
+    ds.originals = _read_images(imgio.read_pbm, original_paths, manifest_path)
     read_scans = {
         pid: dict(zip(read, _read_images(imgio.read_pgm, [paths[i] for i in read],
                                          manifest_path)))
         for pid, paths in scan_paths.items()
     }
-    if any(m.bits.shape != (geometry.rows, geometry.cols) for m in originals) or any(
+    if any(m.bits.shape != (geometry.rows, geometry.cols) for m in ds.originals) or any(
         img.pixels.shape != (geometry.image_height, geometry.image_width)
         for imgs in read_scans.values() for img in imgs.values()
     ):
         raise FormatError(f"{manifest_path}: an image's size does not match {geometry}")
-    return PairedDataset(
-        geometry=geometry,
-        seed=seed,
-        split_sizes=split_sizes,
-        originals=originals,
-        scans={
-            pid: ScanList([imgs.get(i) for i in range(len(split))])
-            for pid, imgs in read_scans.items()
-        },
-        channel_params=channel_params,
-        split=split,
-    )
+    ds.scans = {
+        pid: ScanList([imgs.get(i) for i in range(ds.n_images)])
+        for pid, imgs in read_scans.items()
+    }
+    return ds

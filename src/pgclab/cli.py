@@ -55,7 +55,7 @@ from .detector import (
     auc,
     hamming_norm,
     pd_at_pfa,
-    pearson,
+    pearson_or_zero,
     pearson_reference,
     reprint_scores,
     roc,
@@ -166,6 +166,11 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
         geometry.validate()
     except PgcError as exc:
         raise ConfigError(str(exc)) from None
+    if geometry.block_dim != nn.CODE_DIM:
+        raise ConfigError(
+            f"geometry.block_px {geometry.block_px} makes {geometry.block_dim}-pixel blocks; "
+            f"the networks take {nn.CODE_DIM}"
+        )
 
     ds = sections["dataset"]
     if "n_images" not in ds:
@@ -335,9 +340,9 @@ def _attack_job(job) -> tuple[float, float, float, float]:
     write_pbm(xhat, model_path)
     write_pbm(xhat_thr, thr_path)
     return (
-        pearson(ref, grey.pixels),
+        pearson_or_zero(ref, grey.pixels)[0],
         hamming_norm(original.bits, xhat.bits),
-        pearson(ref, ink.pixels),
+        pearson_or_zero(ref, ink.pixels)[0],
         hamming_norm(original.bits, xhat_thr.bits),
     )
 

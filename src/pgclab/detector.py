@@ -95,6 +95,15 @@ def pearson(x, y) -> float:
                          -1.0, 1.0))
 
 
+def pearson_or_zero(x, y) -> tuple[float, bool]:
+    """pearson(x, y), and False; or 0.0, and True, where it is undefined
+    because x or y is constant.  The score both verbs give such a pair."""
+    try:
+        return pearson(x, y), False
+    except DegenerateInputError:
+        return 0.0, True
+
+
 def hamming_norm(a, b) -> float:
     """Fraction of positions where two equal-length bit vectors differ."""
     a = np.asarray(a).ravel()
@@ -143,7 +152,8 @@ def pd_at_pfa(curve: RocCurve, target_pfa: float) -> float:
 
 
 def _reprint_job(job) -> list[tuple[float, float, bool]]:
-    """Score one test code's re-print from each source: (pearson, hamming, constant).
+    """Score one test code's re-print from each source: (pearson, hamming,
+    whether pearson was undefined).
 
     The original is rendered and prepared for Pearson once, for all sources.
     """
@@ -154,12 +164,7 @@ def _reprint_job(job) -> list[tuple[float, float, bool]]:
     for xp, seed in printed:
         img = rendered if xp is code else render(xp, module_px)
         ink = ink_intensity(print_scan(img, params, seed))
-        try:
-            r, constant = pearson(ref, ink.pixels), False
-        except DegenerateInputError:
-            if ref.norm == 0.0:
-                raise
-            r, constant = 0.0, True
+        r, constant = pearson_or_zero(ref, ink.pixels)
         decided = modules_from_pixels(binarize(ink, defender_threshold), module_px)
         out.append((r, hamming_norm(code.bits, decided.bits), constant))
     return out
@@ -177,12 +182,12 @@ def reprint_scores(
     Each source is (printed, seed): print i of it is
     print_scan(render(printed_i)) seeded with seed ^ i.  Pearson compares
     the original bits against the grey ink intensity of the print, and
-    scores a constant print, for which it is undefined, as 0.  Hamming
+    scores 0 where a constant print or original leaves it undefined.  Hamming
     compares the original modules against the print binarized at the
     defender's own pixel threshold and majority-voted per module.  One
     parallel_map job per original scores its prints from every source.
     Returns, per source, one float64 score array per measure, and, per
-    source, the number of constant prints.
+    source, the number of prints scored so.
     """
     for printed, _ in sources:
         if len(printed) != len(originals):

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from pgclab.attack import (
     estimate_grey,
     ink_rows,
     load_dataset,
-    save_dataset,
     split_arrays,
     stream_seed,
     threshold_grid,
@@ -53,8 +53,8 @@ from pgclab.nn import ACT_IDENTITY, LayerSpec, MlpModel, TrainConfig
 IDENTITY = {"ID": ChannelParams()}
 
 
-def identity_dataset(n=8, split=(5, 2, 1), seed=3):
-    return build_dataset(n, split, printer_params=IDENTITY, seed=seed)
+def identity_dataset(n=8, split=(5, 2, 1), seed=3, out_dir=None):
+    return build_dataset(n, split, printer_params=IDENTITY, seed=seed, out_dir=out_dir)
 
 
 def identity_model(dim=576):
@@ -399,7 +399,7 @@ def _val_dataset(bits, scans):
     ds = PairedDataset(
         geometry=Geometry(rows, cols, 2, 2), seed=0, split_sizes=(1, n, 0),
         originals=[ModuleMatrix(b) for b in bits], scans={"P": images},
-        channel_params={"P": ChannelParams()}, split=[SPLIT_TRAIN] + [SPLIT_VAL] * n,
+        channel_params={"P": ChannelParams()},
     )
     values = np.concatenate([ink_intensity(img).pixels.ravel() for img in images[1:]])
     targets = np.concatenate([ds.rendered_original(i).pixels.ravel() for i in range(1, n + 1)])
@@ -566,13 +566,14 @@ def test_thr_estimates_degrade_with_noise():
 
 # ---------------------------------------------------------------- persistence
 
-def test_save_load_dataset_roundtrip(tmp_path):
+def test_build_load_dataset_roundtrip(tmp_path):
     ds = build_dataset(3, (1, 1, 1), printer_params={"SA": preset("SA")}, seed=8)
-    save_dataset(ds, tmp_path)
+    build_dataset(3, (1, 1, 1), printer_params={"SA": preset("SA")}, seed=8, out_dir=tmp_path)
     assert (tmp_path / "manifest.json").exists()
     back = load_dataset(tmp_path)
     assert back.seed == ds.seed
-    assert back.split == ds.split
+    assert back.split_sizes == ds.split_sizes
+    assert [back.indices(tag) for tag in SPLITS] == [[0], [1], [2]]
     assert back.geometry == ds.geometry
     assert back.printers == ds.printers
     assert back.channel_params["SA"] == ds.channel_params["SA"]
@@ -584,8 +585,7 @@ def test_save_load_dataset_roundtrip(tmp_path):
 def test_manifest_names_the_six_channel_parameters(tmp_path):
     """Every scan is 8-bit, so a printer's manifest entry holds the six
     channel parameters and no quantize flag."""
-    ds = build_dataset(2, (1, 1, 0), printer_params={"SA": preset("SA")}, seed=8)
-    save_dataset(ds, tmp_path)
+    build_dataset(2, (1, 1, 0), printer_params={"SA": preset("SA")}, seed=8, out_dir=tmp_path)
     printers = json.loads((tmp_path / "manifest.json").read_text())["printers"]
     assert list(printers) == ["SA"]
     assert sorted(printers["SA"]) == sorted(["dot_gain_radius", "dot_gain_prob", "psf_sigma",
@@ -595,7 +595,7 @@ def test_manifest_names_the_six_channel_parameters(tmp_path):
 def test_load_dataset_one_printer_keeps_printer_index(tmp_path):
     params = {pid: preset(pid) for pid in ("SA", "LX", "HP")}
     ds = build_dataset(2, (1, 1, 0), printer_params=params, seed=8)
-    save_dataset(ds, tmp_path)
+    build_dataset(2, (1, 1, 0), printer_params=params, seed=8, out_dir=tmp_path)
     back = load_dataset(tmp_path, "LX")
     assert set(back.scans) == {"LX"}
     assert back.printers == ds.printers == ("HP", "LX", "SA")
@@ -615,8 +615,7 @@ def test_load_dataset_missing_manifest(tmp_path):
 
 
 def test_load_dataset_rejects_bad_manifest(tmp_path):
-    ds = build_dataset(1, (1, 0, 0), printer_params=IDENTITY, seed=1)
-    save_dataset(ds, tmp_path)
+    build_dataset(1, (1, 0, 0), printer_params=IDENTITY, seed=1, out_dir=tmp_path)
     mf = tmp_path / "manifest.json"
     mf.write_text("{not json")
     with pytest.raises(FormatError):
@@ -634,17 +633,17 @@ def edit_manifest(root, edit):
 
 
 @pytest.mark.parametrize("edit, needle", [
-    (lambda m: m.update(originals=7), "originals must be a list"),
-    (lambda m: m.update(originals=[3]), "originals must be a list"),
-    (lambda m: m.update(scans=["scans/ID/scan_0000.pgm"]), "scans must map"),
-    (lambda m: m["scans"].update(ID=5), r"scans\['ID'\] must be a list"),
-    (lambda m: m["scans"].update(ID={"SA": 5}), r"scans\['ID'\] must be a list"),
+    (lambda m: m.update(originals=7), r"differs in originals\)"),
+    (lambda m: m.update(originals=[3]), r"differs in originals\)"),
+    (lambda m: m.update(scans=["scans/ID/scan_0000.pgm"]), r"differs in scans\)"),
+    (lambda m: m["scans"].update(ID=5), r"differs in scans\)"),
+    (lambda m: m["scans"].update(ID={"SA": 5}), r"differs in scans\)"),
     (lambda m: m.update(printers=[]), "malformed manifest"),
     (lambda m: m.update(seed="x"), "malformed manifest"),
 ], ids=["originals-int", "originals-element", "scans-list", "scans-entry-int",
         "scans-entry-dict", "printers-list", "seed-text"])
 def test_load_dataset_rejects_wrong_manifest_types(tmp_path, edit, needle):
-    save_dataset(identity_dataset(2, (1, 1, 0)), tmp_path)
+    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
     edit_manifest(tmp_path, edit)
     with pytest.raises(FormatError, match=needle):
         load_dataset(tmp_path)
@@ -654,9 +653,10 @@ def test_load_dataset_rejects_wrong_manifest_types(tmp_path, edit, needle):
 @pytest.mark.parametrize("path", ["../outside.pbm", "{abs}", "originals/../../outside.pbm",
                                   "file_link.pbm", "dir_link/outside.pbm", ""])
 def test_load_dataset_rejects_paths_outside_the_dataset(tmp_path, key, path):
+    """A readable image outside the dataset, named by any path but the one
+    gen writes: the manifest is not gen's."""
     root = tmp_path / "ds"
-    save_dataset(identity_dataset(2, (1, 1, 0)), root)
-    # A readable image outside the dataset: only the path check refuses it.
+    identity_dataset(2, (1, 1, 0), out_dir=root)
     src = root / ("originals/code_0000.pbm" if key == "originals" else "scans/ID/scan_0000.pgm")
     outside = tmp_path / "outside.pbm"
     outside.write_bytes(src.read_bytes())
@@ -671,13 +671,54 @@ def test_load_dataset_rejects_paths_outside_the_dataset(tmp_path, key, path):
             m["scans"]["ID"][0] = path
 
     edit_manifest(root, edit)
+    with pytest.raises(FormatError, match=rf"differs in {key}\)"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("rel", ["originals/code_0000.pbm", "scans/ID/scan_0000.pgm",
+                                 "scans/ID"])
+def test_load_dataset_rejects_a_canonical_link_out_of_the_dataset(tmp_path, rel):
+    """The manifest names only the paths gen writes, but the file or scans
+    directory there may be a link to a readable copy outside."""
+    root = tmp_path / "ds"
+    identity_dataset(2, (1, 1, 0), out_dir=root)
+    target = root / rel
+    outside = tmp_path / "outside"
+    if target.is_dir():
+        shutil.copytree(target, outside)
+        shutil.rmtree(target)
+    else:
+        outside.write_bytes(target.read_bytes())
+        target.unlink()
+    target.symlink_to(outside)
     with pytest.raises(FormatError, match="lies outside"):
         load_dataset(root)
 
 
+def test_load_dataset_rejects_a_printer_id_that_leaves_the_dataset(tmp_path):
+    root = tmp_path / "a" / "ds"
+    build_dataset(2, (1, 1, 0), printer_params={"../../ID": ChannelParams()}, seed=3,
+                  out_dir=root)
+    assert (tmp_path / "a" / "ID" / "scan_0000.pgm").is_file()
+    with pytest.raises(FormatError, match="lies outside"):
+        load_dataset(root)
+
+
+def test_load_dataset_rejects_a_printer_id_no_file_name_holds(tmp_path):
+    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
+
+    def edit(m):
+        m["printers"]["I\0D"] = m["printers"].pop("ID")
+        m["scans"] = {"I\0D": [f"scans/I\0D/scan_{i:04d}.pgm" for i in range(2)]}
+
+    edit_manifest(tmp_path, edit)
+    with pytest.raises(FormatError, match="is not a file path"):
+        load_dataset(tmp_path)
+
+
 @pytest.mark.parametrize("path", ["originals/code_0001.pbm", "scans/ID/scan_0001.pgm"])
 def test_load_dataset_rejects_images_off_the_geometry(tmp_path, path):
-    save_dataset(identity_dataset(2, (1, 1, 0)), tmp_path)
+    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
     if path.endswith(".pbm"):
         write_pbm(ModuleMatrix(np.zeros((16, 16), np.uint8)), tmp_path / path)
     else:
@@ -688,10 +729,10 @@ def test_load_dataset_rejects_images_off_the_geometry(tmp_path, path):
 
 
 def test_load_dataset_follows_links_inside_the_dataset(tmp_path):
-    ds = identity_dataset(2, (1, 1, 0))
-    save_dataset(ds, tmp_path)
-    (tmp_path / "link.pbm").symlink_to(tmp_path / "originals" / "code_0001.pbm")
-    edit_manifest(tmp_path, lambda m: m["originals"].__setitem__(0, "link.pbm"))
+    ds = identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
+    code = tmp_path / "originals" / "code_0000.pbm"
+    code.unlink()
+    code.symlink_to(tmp_path / "originals" / "code_0001.pbm")
     back = load_dataset(tmp_path)
     assert back.originals[0].bits.tobytes() == ds.originals[1].bits.tobytes()
 
@@ -708,34 +749,40 @@ def test_load_dataset_follows_links_inside_the_dataset(tmp_path):
     (lambda m: m.update(seed=True), "seed must be an integer"),
     (lambda m: m.update(seed=-1), "seed must be an integer"),
     (lambda m: m.update(split_sizes=[1.0, 1, 0]), "split_sizes must be an integer"),
-    (lambda m: m.update(split_sizes=[1, 1]), "split must tag each code"),
-    (lambda m: m.update(split=["train", "test"]), "split must tag each code"),
-    (lambda m: m.update(split="tv"), "split must tag each code"),
+    (lambda m: m.update(split_sizes=[1, 1]), "split_sizes must be three counts"),
+    (lambda m: m.update(split_sizes=[10 ** 12, 0, 0]), "more codes than the file can list"),
+    (lambda m: m.update(split=["train", "test"]), r"differs in split\)"),
+    (lambda m: m.update(split="tv"), r"differs in split\)"),
     (lambda m: m["geometry"].update(rows="24"), "geometry.rows must be an integer"),
     (lambda m: m["geometry"].update(block_px=7), "does not divide"),
     (lambda m: m.update(format_version=True), "unsupported manifest version"),
-    (lambda m: m["scans"].update(SA=[]), "scans name a printer that printers do not"),
-    (lambda m: m["scans"]["ID"].pop(), "length differs from split"),
-    (lambda m: m["originals"].append("originals/code_0000.pbm"), "length differs from split"),
+    (lambda m: m["scans"].update(SA=[]), r"differs in scans\)"),
+    (lambda m: m["scans"]["ID"].pop(), r"differs in scans\)"),
+    (lambda m: m["originals"].append("originals/code_0000.pbm"), r"differs in originals\)"),
+    (lambda m: m.update(comment="x"), r"differs in comment\)"),
+    (lambda m: m.update(splits=m.pop("split")), r"differs in split, splits\)"),
 ], ids=["sigma-text", "radius-real", "noise-nan", "quantize-written", "gain-negative",
         "unknown-param", "seed-real", "seed-bool", "seed-negative", "sizes-real", "sizes-two",
-        "split-tag", "split-text", "rows-text", "block-off-grid", "version-bool",
-        "scans-unknown-printer", "scans-short", "originals-long"])
+        "sizes-huge", "split-tag", "split-text", "rows-text", "block-off-grid", "version-bool",
+        "scans-unknown-printer", "scans-short", "originals-long", "extra-key", "renamed-key"])
 def test_load_dataset_rejects_values_of_the_wrong_type(tmp_path, edit, needle):
-    """A manifest value of the wrong type or out of range ends in FormatError;
-    none is coerced, and none ends in another exception."""
-    save_dataset(identity_dataset(2, (1, 1, 0)), tmp_path)
+    """A manifest value of the wrong type or out of range, or any manifest
+    but the one gen writes, ends in FormatError; no value is coerced, and
+    none ends in another exception."""
+    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
     edit_manifest(tmp_path, edit)
     with pytest.raises(FormatError, match=needle):
         load_dataset(tmp_path)
 
 
 def test_load_dataset_reports_a_missing_image(tmp_path):
-    save_dataset(identity_dataset(2, (1, 1, 0)), tmp_path)
+    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
     (tmp_path / "scans" / "ID" / "scan_0001.pgm").unlink()
     with pytest.raises(MissingInputError, match="scan_0001.pgm"):
         load_dataset(tmp_path)
-    edit_manifest(tmp_path, lambda m: m["originals"].__setitem__(0, "originals"))
+    code = tmp_path / "originals" / "code_0000.pbm"
+    code.unlink()
+    code.mkdir()
     with pytest.raises(MissingInputError, match="not a file"):
         load_dataset(tmp_path, splits=(SPLIT_TRAIN,))
 
@@ -744,7 +791,7 @@ def test_load_dataset_reads_only_the_named_splits(tmp_path, monkeypatch):
     from pgclab import imgio
 
     ds = identity_dataset(8, (5, 2, 1))
-    save_dataset(ds, tmp_path)
+    identity_dataset(8, (5, 2, 1), out_dir=tmp_path)
     read = []
     real_read_pgm = imgio.read_pgm
 
@@ -773,10 +820,10 @@ FUZZ_GEOMETRY = Geometry(rows=24, cols=24, module_px=6, block_px=24)
 
 @pytest.fixture(scope="module")
 def fuzz_dataset(tmp_path_factory):
-    """A saved three-code dataset and its manifest, for mutating."""
+    """A written three-code dataset and its manifest, for mutating."""
     root = tmp_path_factory.mktemp("fuzz_dataset")
     params = {"ID": ChannelParams(), "SA": preset("SA")}
-    save_dataset(build_dataset(3, (1, 1, 1), FUZZ_GEOMETRY, params, seed=4), root)
+    build_dataset(3, (1, 1, 1), FUZZ_GEOMETRY, params, seed=4, out_dir=root)
     return root, json.loads((root / "manifest.json").read_text())
 
 

@@ -22,11 +22,9 @@ from pgclab.attack import (
     STREAM_REPRINT_AUTH,
     STREAM_REPRINT_FAKE,
     AttackModel,
-    build_dataset,
     calibrate_pixel_threshold,
     estimate_grey,
     load_dataset,
-    save_dataset,
     stream_seed,
 )
 from pgclab.cli import (
@@ -168,6 +166,7 @@ def test_load_config_missing_file(tmp_path):
         (lambda c: c["evaluation"].update(measures=["cosine"]), "evaluation.measures"),
         (lambda c: c["evaluation"].update(target_pfa=[1.5]), "evaluation.target_pfa"),
         (lambda c: c["geometry"].update(block_px=25), "block"),
+        (lambda c: c["geometry"].update(block_px=12), "block_px 12 makes 144-pixel blocks"),
         (lambda c: c.pop("out_dir"), "out_dir"),
         (lambda c: c.update(out_dir=5), "out_dir"),
         (lambda c: c.update(out_dir=["a"]), "out_dir"),
@@ -342,12 +341,6 @@ def test_forked_and_one_cpu_pipelines_write_the_same_bytes(tmp_path, monkeypatch
             args = [verb, "--config", str(p), "--out", str(out)]
             assert run(args if verb == "gen" else [*args, "--printer", "SA"]) == 0
             assert multiprocessing.active_children() == []
-        # gen's workers write the bytes of the dataset built in memory.
-        cfg = load_config(p, out=out)
-        saved = tmp_path / f"saved{n}"
-        save_dataset(build_dataset(cfg.n_images, cfg.split_sizes, cfg.geometry, cfg.printers,
-                                   cfg.dataset_seed), saved)
-        assert tree(out / "dataset") == tree(saved)
         trees.append(tree(out))
     assert trees[0] == trees[1]
 
@@ -588,6 +581,22 @@ def test_roc_scores_a_constant_reprint_zero_and_says_so(attacked, tmp_path, caps
     for source in ("bn", "thr"):
         rows = (mine / "reports" / f"scores_SA_{source}_pearson.csv").read_text().split("\n")
         assert [r for r in rows if r.endswith(",fake")] == ["0.0,fake"] * 5
+
+
+def test_a_constant_original_scores_pearson_zero_in_every_verb(tmp_path, capsys):
+    """A one-module code renders as a constant image, on which Pearson is
+    undefined: attack and roc score it 0, as they score a constant print."""
+    p = write_cfg(tmp_path, lambda c: c["geometry"].update(rows=1, cols=1, module_px=24))
+    for verb in ("gen", "train", "attack", "roc"):
+        args = [verb, "--config", str(p)]
+        assert run(args if verb == "gen" else [*args, "--printer", "SA"]) == 0
+    assert "each scored Pearson 0: 1 authentic, 1 bn, 1 thr" in capsys.readouterr().out
+    reports = tmp_path / "run" / "reports"
+    row = (reports / "SA_bn_metrics.csv").read_text().split("\n")[1].split(",")
+    assert row[0] == "5" and row[1] == row[3] == "0.0"
+    for source in ("bn", "thr"):
+        scores = (reports / f"scores_SA_{source}_pearson.csv").read_text().split("\n")[1:3]
+        assert scores == ["0.0,authentic", "0.0,fake"]
 
 
 def test_attack_rejects_an_uncalibrated_model(trained, tmp_path, capsys):

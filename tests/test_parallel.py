@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from pgclab.attack import build_dataset, save_dataset, stream_seed
+from pgclab.attack import build_dataset, load_dataset, stream_seed
 from pgclab.channel import parallel_map, preset, print_scan
 from pgclab.codegen import (
     ModuleMatrix,
@@ -177,23 +177,21 @@ def reference_reprint_scores(originals, printed, params, module_px, seed, thresh
     return [np.asarray(r).tobytes(), np.asarray(h).tobytes()]
 
 
-def tree(root):
-    return {f.relative_to(root): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_build_dataset_matches_the_per_image_loop(monkeypatch, tmp_path, n):
     printers = {pid: preset(pid) for pid in ("SA", "HP", "LX")}
     cpus(monkeypatch, n)
+    def scan_bytes(d):
+        return {pid: [s.pixels.tobytes() for s in scans] for pid, scans in d.scans.items()}
+
     ds = build_dataset(5, (3, 1, 1), printer_params=printers, seed=9)
-    got = {pid: [s.pixels.tobytes() for s in scans] for pid, scans in ds.scans.items()}
-    assert got == reference_scans(ds, printers, 9)
-    # Written by the workers, the dataset has save_dataset's bytes.
-    save_dataset(ds, tmp_path / "saved")
-    written = build_dataset(5, (3, 1, 1), printer_params=printers, seed=9,
-                            out_dir=tmp_path / "written")
+    assert scan_bytes(ds) == reference_scans(ds, printers, 9)
+    # Written by the workers, and read back, the scans are the same.
+    written = build_dataset(5, (3, 1, 1), printer_params=printers, seed=9, out_dir=tmp_path)
     assert written.scans == {}
-    assert tree(tmp_path / "written") == tree(tmp_path / "saved")
+    back = load_dataset(tmp_path)
+    assert scan_bytes(back) == reference_scans(ds, printers, 9)
+    assert [m.bits.tobytes() for m in back.originals] == [m.bits.tobytes() for m in ds.originals]
     assert multiprocessing.active_children() == []
 
 
