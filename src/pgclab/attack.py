@@ -189,7 +189,10 @@ def build_dataset(
         printer_params = {pid: preset(pid) for pid in PRINTER_IDS}
     if not printer_params:
         raise ParameterError("printer_params must name at least one printer")
-    for params in printer_params.values():
+    for pid, params in printer_params.items():
+        # A printer id names its scans' directory: one plain path component.
+        if pid in ("", ".", "..") or any(c in pid for c in "/\\\0"):
+            raise ParameterError(f"printer id {pid!r} is not a plain file name")
         params.validate()
 
     originals = [
@@ -235,34 +238,37 @@ def build_dataset(
 def split_arrays(ds: PairedDataset, printer: str, tag: str):
     """Stacked (inputs, targets) block arrays for one printer and split.
 
-    Inputs are the scan blocks in the scans' own uint8 luminance bytes.
-    ink_rows turns rows of them into the network's input, so callers hold
-    that float32 form only a batch or a row block at a time.  Targets are
-    the matching rendered original blocks, as their uint8 0/1 bits.  Both
-    have shape (n_blocks, block_px ** 2).
+    Inputs are the scan blocks in the scans' own uint8 luminance bytes,
+    shape (n_blocks, block_px ** 2).  Targets are the matching rendered
+    original blocks, each packed along its row with np.packbits, shape
+    (n_blocks, ceil(block_px ** 2 / 8)).  network_rows turns rows of both
+    into the network's input and 0/1 targets, so callers hold those forms
+    only a batch or a row block at a time.
     """
     if printer not in ds.scans:
         raise UnknownIdError(f"printer {printer!r} not in dataset")
     idx = ds.indices(tag)
     bpx = ds.geometry.block_px
     per = ds.geometry.blocks_per_image
-    x = np.empty((len(idx) * per, ds.geometry.block_dim), np.uint8)
-    t = np.empty(x.shape, np.uint8)
+    dim = ds.geometry.block_dim
+    x = np.empty((len(idx) * per, dim), np.uint8)
+    t = np.empty((len(idx) * per, (dim + 7) // 8), np.uint8)
     for k, i in enumerate(idx):
         rows = slice(k * per, (k + 1) * per)
         x[rows] = split_blocks(ds.scans[printer][i], bpx).blocks
-        t[rows] = split_blocks(ds.rendered_original(i), bpx).blocks
+        t[rows] = np.packbits(split_blocks(ds.rendered_original(i), bpx).blocks, axis=1)
     return x, t
 
 
-def ink_rows(x: np.ndarray) -> np.ndarray:
-    """The float32 ink intensity of rows of split_arrays' scan bytes: the
-    network's input."""
-    return ink_intensity(PixelImage(x, BYTE0_255)).pixels
+def network_rows(x: np.ndarray, t: np.ndarray):
+    """Rows of split_arrays' (inputs, targets) as the network's input, the
+    float32 ink intensity of the scan bytes, and its uint8 0/1 targets."""
+    ink = ink_intensity(PixelImage(x, BYTE0_255)).pixels
+    return ink, np.unpackbits(t, axis=1, count=x.shape[1])
 
 
 def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig,
-                 val=None):
+                 val=None, train=None):
     """Train one regenerator; returns (AttackModel, per-epoch mean loss).
 
     Runs all configured epochs but keeps the parameters from the epoch
@@ -273,18 +279,20 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
     into a frozen all-saturated state; restoring the best snapshot makes
     the outcome independent of where in the schedule that happens.
 
-    val, when given, is the validation split's (inputs, targets) from
-    split_arrays, so a caller that also calibrates builds it only once.
-    The threshold is left unset; run calibrate_threshold afterwards.
+    train and val, when given, are the training and validation splits'
+    (inputs, targets) from split_arrays, so that a caller can drop the
+    scans once it has cut them, and one that also calibrates cuts the
+    validation split once.  The threshold is left unset; run
+    calibrate_threshold afterwards.
 
-    The splits stay in their scan bytes: each training batch is turned
-    into ink intensity as it is gathered, and the validation loss does so
-    one row block at a time.
+    The splits stay in split_arrays' forms: network_rows turns each
+    training batch into the network's input and targets as it is
+    gathered, and the validation loss does so one row block at a time.
     """
     cfg.validate()
     if arch not in _BUILDERS:
         raise ParameterError(f"unknown arch {arch!r} (known: {', '.join(ARCHS)})")
-    x, t = split_arrays(ds, printer, SPLIT_TRAIN)
+    x, t = split_arrays(ds, printer, SPLIT_TRAIN) if train is None else train
     n = x.shape[0]
     if n == 0:
         raise StateError("empty train split")
@@ -303,12 +311,13 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
-            value, gw, gb = nn.loss_and_grads(model, ink_rows(x[sel]), t[sel], cfg)
+            value, gw, gb = nn.loss_and_grads(model, *network_rows(x[sel], t[sel]), cfg)
             nn.optimizer_step(model, (gw, gb), state, cfg)
+            del gw, gb  # freed before the next step makes its own
             total += value * len(sel)
         history.append(total / n)
         if best_params:
-            val_loss = nn.batch_loss(model, xv, tv, prep=ink_rows)
+            val_loss = nn.batch_loss(model, xv, tv, prep=network_rows)
             if best_val is None or val_loss < best_val:
                 best_val = val_loss
                 for dst, p in zip(best_params, params):
@@ -361,32 +370,23 @@ def _grid_argmin(errors: np.ndarray, total: int):
     return float(threshold_grid()[k]), int(errors[k]) / total
 
 
-def calibrate_grid(values: np.ndarray, targets: np.ndarray):
-    """Return the grid point t and error minimizing mean bit disagreement.
-
-    Ties break toward the smallest t.  values and targets are as for
-    _grid_errors; this is the one-shot form of calibrate_threshold's and
-    calibrate_pixel_threshold's criterion.
-    """
-    return _grid_argmin(_grid_errors(values, targets), np.size(values))
-
-
 def calibrate_threshold(am: AttackModel, ds: PairedDataset, val=None):
     """Pick the output threshold on the validation split; returns a new AttackModel.
 
     val, when given, is that split's (inputs, targets) from split_arrays.
     The model runs over the split's nn.row_blocks and the errors at each
     grid point are added up block by block, so the peak does not grow with
-    the split; the counts are exact, so the threshold is calibrate_grid's
-    on the whole output.
+    the split; the counts are exact, so the threshold is the grid point
+    with the fewest errors on the whole output, the smallest on ties.
     """
     x, t = split_arrays(ds, am.printer, SPLIT_VAL) if val is None else val
     if x.shape[0] == 0:
         raise StateError("empty validation split")
     errors = 0
     for lo, hi in nn.row_blocks(x.shape[0]):
-        errors += _grid_errors(nn.forward(am.model, ink_rows(x[lo:hi])), t[lo:hi])
-    best_t, _ = _grid_argmin(errors, t.size)
+        xb, tb = network_rows(x[lo:hi], t[lo:hi])
+        errors += _grid_errors(nn.forward(am.model, xb), tb)
+    best_t, _ = _grid_argmin(errors, x.size)
     return replace(am, threshold=best_t)
 
 

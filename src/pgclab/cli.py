@@ -307,8 +307,10 @@ def cmd_train(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> N
     """Train and calibrate one model; write the model file and loss table."""
     arch = arch or cfg.arch
     ds = _load_ds(cfg, printer, (SPLIT_TRAIN, SPLIT_VAL))
+    train = split_arrays(ds, printer, SPLIT_TRAIN)
     val = split_arrays(ds, printer, SPLIT_VAL)
-    am, history = train_attack(ds, printer, arch, cfg.train, val=val)
+    ds.scans = {}  # both splits are cut into blocks: the epochs need no scan
+    am, history = train_attack(ds, printer, arch, cfg.train, val=val, train=train)
     am = calibrate_threshold(am, ds, val=val)
     model_path = _model_path(cfg, printer, arch)
     model_path.parent.mkdir(parents=True, exist_ok=True)

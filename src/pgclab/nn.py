@@ -203,19 +203,19 @@ def row_blocks(n: int):
         yield i * ROW_BLOCK, n if i == k - 1 else (i + 1) * ROW_BLOCK
 
 
-def _output(m: MlpModel, x: np.ndarray, prep=None) -> np.ndarray:
-    """The last layer's activation, one row block at a time, each block's
-    earlier activations dropped in turn.
+def _last_activation(m: MlpModel, x: np.ndarray) -> np.ndarray:
+    """The last layer's activation of a batch, each earlier activation
+    dropped once the next is made."""
+    for a in _activations(m, x.astype(m.weights[0].dtype, copy=False)):
+        pass
+    return a
 
-    prep, when given, maps each row block of x to the network's input.
-    """
-    dtype = m.weights[0].dtype
-    out = np.empty((x.shape[0], m.out_dim), dtype)
+
+def _output(m: MlpModel, x: np.ndarray) -> np.ndarray:
+    """The last layer's activation, one row block at a time."""
+    out = np.empty((x.shape[0], m.out_dim), m.weights[0].dtype)
     for lo, hi in row_blocks(x.shape[0]):
-        xb = x[lo:hi] if prep is None else prep(x[lo:hi])
-        for a in _activations(m, xb.astype(dtype, copy=False)):
-            pass
-        out[lo:hi] = a
+        out[lo:hi] = _last_activation(m, x[lo:hi])
     return out
 
 
@@ -240,48 +240,96 @@ def batch_loss(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
                cfg: TrainConfig | None = None, prep=None) -> float:
     """Mean per-sample squared error plus (once) the regularizer term.
 
-    prep, when given, maps each row block of batch_x to the network's
-    input, so that batch_x may hold the inputs in another form, such as
-    scan bytes.  The network runs over row blocks, writing one output in
-    the model dtype, and the squared errors are added up in float64 over
-    pieces of it, so the peak is about that output: 4 bytes per output
-    element for a float32 model.
+    prep, when given, maps each row block of batch_x and of batch_t to the
+    network's input and its targets, so that the batch may hold them in
+    other forms, such as scan bytes and packed bits.
+
+    The value has the bits of _objective over the whole batch's output, but
+    no such output is made: the squared errors are added up over
+    _sq_err_sum's pairwise tree, whose leaves are filled in order from row
+    blocks computed as the leaves reach them.  A block is dropped before
+    the next one is made, so one block's output and one leaf's float64
+    differences are held at a time, never an output of the whole batch.
     """
-    x, tb = _check_batch(m, batch_x, batch_t)
-    return _objective(m, _output(m, x, prep), tb, cfg)
+    x, t = np.asarray(batch_x), np.asarray(batch_t)
+    if len(x) == 0:
+        raise DimensionError("empty batch")
+    if t.shape[:1] != x.shape[:1]:
+        raise DimensionError("target batch shape mismatch")
+
+    def blocks():
+        for lo, hi in row_blocks(len(x)):
+            xb, tb = x[lo:hi], t[lo:hi]
+            if prep is not None:
+                xb, tb = prep(xb, tb)
+            xb, tb = _check_batch(m, xb, tb)
+            yield _last_activation(m, xb).reshape(-1), tb.reshape(-1)
+
+    return _mean_loss(m, blocks(), len(x), cfg)
 
 
 # _sq_err_sum adds up at most this many squared errors with one np.sum.
 _SUM_LEAF = 1 << 16
 
 
-def _sq_err_sum(pred: np.ndarray, t: np.ndarray, lo: int, n: int) -> np.float64:
-    """np.sum of the float64 (pred - t) ** 2 over flat elements [lo, lo + n).
+def _sq_err_sum(pieces, n: int) -> np.float64:
+    """np.sum of the float64 (pred - t) ** 2 over n flat elements, which
+    pieces yields in order as (flat pred, flat t) pairs.
 
     Splits as numpy's pairwise summation splits its input, a node of n > 128
     elements at n//2 - (n//2) % 8, down to leaves that np.sum adds up
     itself, so the result has the bits of one np.sum over a float64 copy
-    of the whole without that copy.  A module-level function: a recursive
-    closure would be a reference cycle, which keeps the caller's arrays
-    alive until the cycle collector runs.
+    of the whole without that copy.  The leaves are filled left to right,
+    each piece drawn once the last one is used up.
     """
-    if n <= _SUM_LEAF:
-        d = pred[lo : lo + n].astype(np.float64)
-        d -= t[lo : lo + n]
+    pred = t = np.empty(0)
+    pos = 0  # of the next element of pred
+
+    def leaf(size: int) -> np.ndarray:
+        nonlocal pred, t, pos
+        d = np.empty(size, np.float64)
+        done = 0
+        while done < size:
+            if pos == pred.size:
+                pred = t = None  # dropped before the next piece is made
+                pred, t = next(pieces)
+                pos = 0
+            k = min(size - done, pred.size - pos)
+            d[done : done + k] = pred[pos : pos + k]
+            d[done : done + k] -= t[pos : pos + k]
+            done += k
+            pos += k
         d *= d
-        return np.sum(d)
+        return d
+
+    return _tree_sum(leaf, n)
+
+
+def _tree_sum(leaf, n: int) -> np.float64:
+    """The pairwise sum of n elements, leaf(size) giving the next leaf's
+    values.  A module-level function: a recursive closure would be a
+    reference cycle, which keeps the caller's arrays alive until the cycle
+    collector runs."""
+    if n <= _SUM_LEAF:
+        return np.sum(leaf(n))
     half = n // 2
     half -= half % 8
-    return _sq_err_sum(pred, t, lo, half) + _sq_err_sum(pred, t, lo + half, n - half)
+    return _tree_sum(leaf, half) + _tree_sum(leaf, n - half)
+
+
+def _mean_loss(m: MlpModel, pieces, n: int, cfg: TrainConfig | None) -> float:
+    """The mean over n samples of the squared errors of pieces' (flat pred,
+    flat t) pairs, plus the regularizer term."""
+    value = float(_sq_err_sum(pieces, n * m.out_dim)) / n
+    if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS and cfg.lam > 0:
+        value += cfg.lam * weight_sq_sum(m)
+    return value
 
 
 def _objective(m: MlpModel, pred: np.ndarray, tb: np.ndarray,
                cfg: TrainConfig | None) -> float:
     """batch_loss of a (n, out_dim) prediction, summed in float64."""
-    value = float(_sq_err_sum(pred.reshape(-1), np.ravel(tb), 0, pred.size)) / pred.shape[0]
-    if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS and cfg.lam > 0:
-        value += cfg.lam * weight_sq_sum(m)
-    return value
+    return _mean_loss(m, iter([(pred.reshape(-1), np.ravel(tb))]), pred.shape[0], cfg)
 
 
 def _check_batch(m: MlpModel, batch_x, batch_t):

@@ -15,13 +15,14 @@ from pgclab.attack import (
     SPLITS,
     AttackModel,
     PairedDataset,
+    _grid_argmin,
+    _grid_errors,
     build_dataset,
-    calibrate_grid,
     calibrate_pixel_threshold,
     calibrate_threshold,
     estimate_grey,
-    ink_rows,
     load_dataset,
+    network_rows,
     split_arrays,
     stream_seed,
     threshold_grid,
@@ -135,15 +136,15 @@ def test_default_printers_are_all_presets():
 def test_split_arrays_shapes_and_ranges():
     ds = identity_dataset()
     x, t = split_arrays(ds, "ID", SPLIT_TRAIN)
-    assert x.shape == (5 * 256, 576) and t.shape == x.shape
-    # The training split's inputs and targets take 1 byte per element.
+    # The inputs take 1 byte per pixel, the packed targets 1 bit.
+    assert x.shape == (5 * 256, 576) and t.shape == (5 * 256, 72)
     assert x.dtype == np.uint8 and t.dtype == np.uint8
-    assert x.nbytes == x.size and t.nbytes == t.size
-    ink = ink_rows(x)
-    assert ink.dtype == np.float32
-    assert set(np.unique(t)) <= {0.0, 1.0}
+    ink, bits = network_rows(x, t)
+    assert ink.dtype == np.float32 and bits.dtype == np.uint8
+    assert bits.shape == x.shape
+    assert set(np.unique(bits)) <= {0, 1}
     # identity channel: scan ink equals rendered bits exactly
-    np.testing.assert_array_equal(ink, t)
+    np.testing.assert_array_equal(ink, bits)
     with pytest.raises(UnknownIdError):
         split_arrays(ds, "XX", SPLIT_TRAIN)
     with pytest.raises(ParameterError):
@@ -162,7 +163,7 @@ def float32_split(ds, printer, tag):
 
 def test_split_arrays_match_the_concatenated_blocks():
     """The preallocated arrays hold the scans' own bytes, blocked, and their
-    ink_rows has the bits of the float32 ink split."""
+    network_rows gives the bits of the float32 ink split."""
     ds = build_dataset(4, (3, 1, 0), printer_params={"SA": preset("SA")}, seed=2)
     x, t = split_arrays(ds, "SA", SPLIT_TRAIN)
     assert x.dtype == np.uint8
@@ -170,14 +171,32 @@ def test_split_arrays_match_the_concatenated_blocks():
     want_bytes = np.concatenate([split_blocks(ds.scans["SA"][i], 24).blocks for i in idx])
     want_x, want_t = float32_split(ds, "SA", SPLIT_TRAIN)
     assert x.tobytes() == want_bytes.tobytes()
-    assert ink_rows(x).tobytes() == want_x.tobytes()
-    assert t.astype(np.float32).tobytes() == want_t.tobytes()
+    assert network_rows(x, t)[0].tobytes() == want_x.tobytes()
+    bits = np.unpackbits(t, axis=1, count=ds.geometry.block_dim)
+    assert bits.astype(np.float32).tobytes() == want_t.tobytes()
+
+
+@pytest.mark.parametrize("geometry", [Geometry(), Geometry(6, 6, 5, 5), Geometry(3, 6, 2, 3)],
+                         ids=["576", "25", "9"])
+def test_split_arrays_packed_targets_unpack_to_the_rendered_blocks(geometry):
+    """Each row of targets is its block's bits packed with np.packbits; a
+    block_dim that is not a multiple of 8 pads the last byte with zeros."""
+    ds = build_dataset(3, (2, 1, 0), geometry, printer_params=IDENTITY, seed=4)
+    dim = geometry.block_dim
+    for tag in (SPLIT_TRAIN, SPLIT_VAL):
+        x, t = split_arrays(ds, "ID", tag)
+        assert t.shape == (x.shape[0], -(-dim // 8)) and t.dtype == np.uint8
+        want = np.concatenate([split_blocks(ds.rendered_original(i), geometry.block_px).blocks
+                               for i in ds.indices(tag)])
+        np.testing.assert_array_equal(np.unpackbits(t, axis=1, count=dim), want)
+        assert not np.unpackbits(t, axis=1)[:, dim:].any()
+        np.testing.assert_array_equal(network_rows(x, t)[1], want)
 
 
 def test_split_arrays_empty_tag():
     ds = build_dataset(2, (2, 0, 0), printer_params=IDENTITY, seed=1)
     x, t = split_arrays(ds, "ID", SPLIT_VAL)
-    assert x.shape == (0, 576) and t.shape == (0, 576)
+    assert x.shape == (0, 576) and t.shape == (0, 72)
 
 
 # ---------------------------------------------------------------- training
@@ -205,6 +224,34 @@ def test_train_rejects_bad_inputs():
         train_attack(ds2, "ID", "resnet", TrainConfig(epochs=1))
     with pytest.raises(UnknownIdError):
         train_attack(ds2, "XX", "bn", TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("arch", ["bn", "fc2"])
+def test_train_attack_peak_memory_is_what_it_must_hold(arch):
+    """The traced peak of train_attack is at most the block arrays, the
+    packed targets, five copies of the parameters (the model, the best
+    epoch's snapshot, Adam's two moments and one step's gradients) and the
+    activations of every layer over two row blocks, plus 1 MB of slack.
+    A whole split's float output, 0/1 targets at a byte per bit, or a
+    second step's gradients beside the first's would not fit."""
+    import tracemalloc
+
+    ds = build_dataset(10, (2, 8, 0), printer_params={"SA": preset("SA")}, seed=5)
+    cfg = TrainConfig(epochs=1, batch_size=128, learning_rate=1e-3, seed=1)
+    train_attack(ds, "SA", arch, cfg)
+    tracemalloc.start()
+    try:
+        am, _ = train_attack(ds, "SA", arch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = am.model
+    rows = sum(ds.block_counts()[tag] for tag in (SPLIT_TRAIN, SPLIT_VAL))
+    dim = ds.geometry.block_dim
+    params = sum(p.nbytes for p in m.weights + m.biases)
+    widths = m.in_dim + sum(spec.out_dim for spec in m.layers)
+    acts = 2 * nn.ROW_BLOCK * widths * 4
+    assert peak <= rows * dim + rows * -(-dim // 8) + 5 * params + acts + 2**20
 
 
 def test_archs_tuple():
@@ -264,11 +311,15 @@ def test_val_loss_is_the_kept_models_validation_loss():
     ds = build_dataset(8, (5, 2, 1), printer_params={"SA": preset("SA")}, seed=6)
     cfg = TrainConfig(epochs=3, batch_size=128, learning_rate=1e-3, seed=2)
     val = split_arrays(ds, "SA", SPLIT_VAL)
+    train = split_arrays(ds, "SA", SPLIT_TRAIN)
     am, history = train_attack(ds, "SA", "bn", cfg)
-    am2, history2 = train_attack(ds, "SA", "bn", cfg, val=val)
-    assert am.val_loss == nn.batch_loss(am.model, *val, prep=ink_rows)
+    assert am.val_loss == nn.batch_loss(am.model, *val, prep=network_rows)
+    # The splits passed in, with the dataset's scans gone, give the same run.
+    ds.scans = {}
+    am2, history2 = train_attack(ds, "SA", "bn", cfg, val=val, train=train)
     assert am2.val_loss == am.val_loss and history2 == history
-    for a, b in zip(am.model.weights + am.model.biases, am2.model.weights + am2.model.biases):
+    for a, b in zip(am.model.weights + am.model.biases,
+                    am2.model.weights + am2.model.biases, strict=True):
         np.testing.assert_array_equal(a, b)
     no_val = build_dataset(3, (3, 0, 0), printer_params=IDENTITY, seed=1)
     assert train_attack(no_val, "ID", "bn", TrainConfig(epochs=1))[0].val_loss is None
@@ -305,6 +356,13 @@ def test_calibrate_grid_matches_exhaustive_sweep():
         attaining = [g for g in threshold_grid()
                      if float(np.mean((values >= g) != targets)) == best[0]]
         assert t == min(attaining)
+
+
+def calibrate_grid(values, targets):
+    """The grid point t and error rate minimizing mean bit disagreement over
+    all values at once, ties toward the smallest t: the one-shot form of
+    calibrate_threshold's and calibrate_pixel_threshold's criterion."""
+    return _grid_argmin(_grid_errors(values, targets), np.size(values))
 
 
 def calibrate_grid_sweep(values, targets):
@@ -462,6 +520,7 @@ def test_calibrate_threshold_identity_recovery():
     assert am2.threshold == pytest.approx(0.01)
     assert am.threshold is None  # original untouched
     val = split_arrays(ds, "ID", SPLIT_VAL)
+    ds.scans = {}
     assert calibrate_threshold(am, ds, val=val).threshold == am2.threshold
 
 
@@ -487,8 +546,9 @@ def test_calibrate_threshold_by_blocks_equals_the_grid_over_all_outputs(case, bl
     calibrate_grid picks from the one-shot output of the whole split."""
     rng = np.random.default_rng(blocks)
     model, x, t = case(rng, blocks * nn.ROW_BLOCK + 45)
-    am = calibrate_threshold(AttackModel(model, None, "P", "bn"), None, val=(x, t))
-    outputs = nn._forward_acts(model, ink_rows(x))[-1]
+    val = (x, np.packbits(t, axis=1))
+    am = calibrate_threshold(AttackModel(model, None, "P", "bn"), None, val=val)
+    outputs = nn._forward_acts(model, network_rows(*val)[0])[-1]
     assert am.threshold == calibrate_grid(outputs, t)[0]
     if case is _levels_case:
         errors = [np.sum((outputs >= g) != t) for g in threshold_grid()]
@@ -505,7 +565,7 @@ def test_calibrate_threshold_peak_memory_does_not_grow_with_the_split():
     peaks = []
     for n in (4 * nn.ROW_BLOCK, 16 * nn.ROW_BLOCK + 45):
         x = rng.integers(0, 256, (n, 576), dtype=np.uint8)
-        t = rng.integers(0, 2, (n, 576), dtype=np.uint8)
+        t = rng.integers(0, 256, (n, 72), dtype=np.uint8)
         calibrate_threshold(am, None, val=(x, t))
         tracemalloc.start()
         try:
@@ -697,11 +757,28 @@ def test_load_dataset_rejects_a_canonical_link_out_of_the_dataset(tmp_path, rel)
 
 def test_load_dataset_rejects_a_printer_id_that_leaves_the_dataset(tmp_path):
     root = tmp_path / "a" / "ds"
-    build_dataset(2, (1, 1, 0), printer_params={"../../ID": ChannelParams()}, seed=3,
-                  out_dir=root)
-    assert (tmp_path / "a" / "ID" / "scan_0000.pgm").is_file()
+    identity_dataset(2, (1, 1, 0), out_dir=root)
+    (tmp_path / "a" / "ID").mkdir()
+    shutil.copy(root / "scans" / "ID" / "scan_0000.pgm", tmp_path / "a" / "ID")
+
+    def edit(m):
+        m["printers"]["../../ID"] = m["printers"].pop("ID")
+        m["scans"] = {"../../ID": [f"scans/../../ID/scan_{i:04d}.pgm" for i in range(2)]}
+
+    edit_manifest(root, edit)
     with pytest.raises(FormatError, match="lies outside"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize("pid", ["", ".", "..", "../../ID", "a/b", "a\\b", "I\0D", "/ID"])
+def test_build_dataset_refuses_a_printer_id_that_is_not_a_file_name(tmp_path, pid):
+    """A printer id names a directory under scans/: anything but one plain
+    path component is refused before a file is written."""
+    root = tmp_path / "a" / "ds"
+    params = {"SA": ChannelParams(), pid: ChannelParams()}
+    with pytest.raises(ParameterError, match="printer id"):
+        build_dataset(2, (1, 1, 0), printer_params=params, seed=3, out_dir=root)
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_load_dataset_rejects_a_printer_id_no_file_name_holds(tmp_path):

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -824,6 +825,34 @@ def test_verbs_read_only_the_splits_they_use(tmp_path):
         keep_only(*tags)
         assert run([verb, *common]) == 0
         assert {f: f.read_bytes() for f in files} == want
+
+
+def test_train_drops_the_scans_before_the_first_step(tmp_path, monkeypatch):
+    """cmd_train cuts both splits into blocks and lets go of the scans:
+    every scan load_dataset returned is freed by the first Adam step."""
+    cfg = load_config(write_cfg(tmp_path))
+    cmd_gen(cfg)
+    refs = []
+    real_load, real_step = cli.load_dataset, nn.optimizer_step
+
+    def load(*args):
+        ds = real_load(*args)
+        for scans in ds.scans.values():
+            for i in ds.indices(SPLIT_TRAIN) + ds.indices(SPLIT_VAL):
+                refs.extend((weakref.ref(scans[i]), weakref.ref(scans[i].pixels)))
+        return ds
+
+    alive_at_steps = []
+
+    def step(*args, **kwargs):
+        alive_at_steps.append(sum(r() is not None for r in refs))
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_dataset", load)
+    monkeypatch.setattr(nn, "optimizer_step", step)
+    cli.cmd_train(cfg, "SA")
+    assert len(refs) == 2 * 5
+    assert alive_at_steps and alive_at_steps[0] == 0
 
 
 def test_roc_on_a_mistyped_manifest_ends_in_a_format_error(tmp_path, capsys):

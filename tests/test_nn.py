@@ -632,19 +632,59 @@ def test_batch_loss_bit_identical_to_one_shot_form(build, dtype):
         assert batch_loss(m, x, t) == one_shot_loss(m, x, t)
 
 
-def test_prep_maps_each_row_block_to_the_input():
+def scale_and_unpack(x, t):
+    """A prep of byte inputs and packed 0/1 targets, as attack.network_rows."""
+    return x.astype(np.float32) / np.float32(255), np.unpackbits(t, axis=1, count=CODE_DIM)
+
+
+def test_prep_maps_each_row_block_to_the_input_and_targets():
     m = build_bn(49)
     x = np.random.default_rng(50).integers(0, 256, (2 * B + 3, CODE_DIM), dtype=np.uint8)
-    t = (x > 127).astype(np.uint8)
+    bits = (x > 127).astype(np.uint8)
     seen = []
 
-    def prep(rows):
-        seen.append(rows.shape[0])
-        return rows.astype(np.float32) / np.float32(255)
+    def prep(rows, packed):
+        seen.append((rows.shape[0], packed.shape[0]))
+        return scale_and_unpack(rows, packed)
 
     scaled = x.astype(np.float32) / np.float32(255)
-    assert batch_loss(m, x, t, prep=prep) == one_shot_loss(m, scaled, t)
-    assert seen == [B, B + 3]
+    assert batch_loss(m, x, np.packbits(bits, axis=1), prep=prep) == \
+        one_shot_loss(m, scaled, bits)
+    assert seen == [(B, B), (B + 3, B + 3)]
+    with pytest.raises(DimensionError):
+        batch_loss(m, x, np.packbits(bits, axis=1)[1:], prep=prep)
+    with pytest.raises(DimensionError):
+        batch_loss(m, x, np.packbits(bits, axis=1), prep=lambda a, b: (a, b))
+
+
+STREAM_ROWS = [1, 33, 34, B - 1, B, B + 1, 2 * B - 1, 2560, 12800]
+
+
+@pytest.mark.parametrize("with_prep", [False, True], ids=["no-prep", "prep"])
+@pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
+def test_streamed_batch_loss_is_the_one_shot_objective(build, with_prep):
+    """batch_loss, which never makes the whole batch's output, has the bits
+    of _objective over the one-shot output, at row counts either side of
+    ROW_BLOCK and of _SUM_LEAF's leaves, with the l2_weights regularizer
+    and without it."""
+    assert B * CODE_DIM > nn._SUM_LEAF  # so some leaves straddle two row blocks
+    m = build(51)
+    cfgs = [None, TrainConfig(lam=1e-4, regularizer=REG_L2_WEIGHTS)]
+    rng = np.random.default_rng(52)
+    for n in STREAM_ROWS:
+        bits = rng.integers(0, 2, (n, CODE_DIM), dtype=np.uint8)
+        if with_prep:
+            x = rng.integers(0, 256, (n, CODE_DIM), dtype=np.uint8)
+            packed = np.packbits(bits, axis=1)
+            got = [batch_loss(m, x, packed, cfg, prep=scale_and_unpack) for cfg in cfgs]
+            out = nn._output(m, scale_and_unpack(x, packed)[0])
+        else:
+            x = rng.random((n, CODE_DIM), dtype=np.float32)
+            got = [batch_loss(m, x, bits, cfg) for cfg in cfgs]
+            out = nn._output(m, x)
+        want = [nn._objective(m, out, bits, cfg) for cfg in cfgs]
+        assert got == want, n
+        assert want[1] > want[0]
 
 
 _SPECIALS = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300]
@@ -657,15 +697,20 @@ _SPECIALS = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300]
     target_dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
     specials=st.lists(st.tuples(st.integers(0, 2**31), st.sampled_from(_SPECIALS)),
                       max_size=4),
+    cuts=st.lists(st.integers(0, 2**31), max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=3 * nn._SUM_LEAF + 1, pred_dtype=np.float32, target_dtype=np.uint8,
-         specials=[], seed=0)
+         specials=[], cuts=[], seed=0)
 @example(n=nn._SUM_LEAF, pred_dtype=np.float64, target_dtype=np.float64,
-         specials=[(7, np.nan), (9, np.inf)], seed=1)
-def test_leafwise_square_error_sum_is_np_sum(n, pred_dtype, target_dtype, specials, seed):
+         specials=[(7, np.nan), (9, np.inf)], cuts=[], seed=1)
+@example(n=3 * nn._SUM_LEAF + 9, pred_dtype=np.float32, target_dtype=np.uint8,
+         specials=[], cuts=[1, 5, 5, nn._SUM_LEAF - 3, 2 * nn._SUM_LEAF], seed=2)
+def test_leafwise_square_error_sum_is_np_sum(n, pred_dtype, target_dtype, specials, cuts,
+                                             seed):
     """_sq_err_sum has the bits of np.sum over the whole float64 difference
-    array, at every length, with non-finite predictions included."""
+    array, at every length, with non-finite predictions included, however
+    the elements are cut into the pieces it is given."""
     rng = np.random.default_rng(seed)
     pred = rng.random(n).astype(pred_dtype)
     if target_dtype == np.uint8:
@@ -680,7 +725,9 @@ def test_leafwise_square_error_sum_is_np_sum(n, pred_dtype, target_dtype, specia
         d -= t
         d *= d
         want = np.sum(d)
-        got = nn._sq_err_sum(pred, t, 0, n)
+        bounds = [0, *sorted(c % (n + 1) for c in cuts), n]
+        pieces = iter([(pred[lo:hi], t[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+        got = nn._sq_err_sum(pieces, n)
     assert np.float64(got).tobytes() == want.tobytes()
 
 
@@ -701,22 +748,23 @@ def test_uint8_targets_give_the_float32_targets_bits(build):
 
 
 @pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
-def test_batch_loss_peak_memory_is_one_float32_output(build):
-    """The float32 prediction, 4 bytes per output element, and one row
-    block's activations and one leaf's float64 differences are all that
-    batch_loss holds at its peak."""
+def test_batch_loss_peak_memory_does_not_grow_with_the_batch(build):
+    """One row block's float32 output beside the next block's activations,
+    and one leaf's float64 differences, are all that batch_loss holds at
+    its peak, however many rows the batch has."""
     import tracemalloc
 
     m = build(45)
-    n = 2048
     rng = np.random.default_rng(46)
-    x = rng.random((n, CODE_DIM), dtype=np.float32)
-    t = rng.integers(0, 2, (n, CODE_DIM), dtype=np.uint8)
-    batch_loss(m, x, t)
-    tracemalloc.start()
-    try:
+    widths = m.in_dim + sum(spec.out_dim for spec in m.layers)
+    for n in (2048, 8192):
+        x = rng.random((n, CODE_DIM), dtype=np.float32)
+        t = rng.integers(0, 2, (n, CODE_DIM), dtype=np.uint8)
         batch_loss(m, x, t)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * n * m.out_dim + 2 * 2**20
+        tracemalloc.start()
+        try:
+            batch_loss(m, x, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * B * (2 * m.out_dim + widths) + 8 * nn._SUM_LEAF + 2**20, n
