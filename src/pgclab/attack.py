@@ -11,7 +11,7 @@ import json
 import operator
 import os
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -123,19 +123,10 @@ class PairedDataset:
         return {tag: len(self.indices(tag)) * per for tag in SPLITS}
 
 
-@dataclass
-class AttackModel:
-    """A trained regenerator for one printer, plus its output threshold.
-
-    val_loss is the validation loss of the kept weights, when training
-    had a validation split to pick them by.
-    """
-
-    model: nn.MlpModel
-    threshold: float | None
-    printer: str
-    arch: str
-    val_loss: float | None = None
+def _check_printer_id(pid: str) -> None:
+    # A printer id names its scans' directory: one plain path component.
+    if pid in ("", ".", "..") or any(c in pid for c in "/\\\0"):
+        raise ParameterError(f"printer id {pid!r} is not a plain file name")
 
 
 def _scan_job(job) -> PixelImage | None:
@@ -190,9 +181,7 @@ def build_dataset(
     if not printer_params:
         raise ParameterError("printer_params must name at least one printer")
     for pid, params in printer_params.items():
-        # A printer id names its scans' directory: one plain path component.
-        if pid in ("", ".", "..") or any(c in pid for c in "/\\\0"):
-            raise ParameterError(f"printer id {pid!r} is not a plain file name")
+        _check_printer_id(pid)
         params.validate()
 
     originals = [
@@ -267,23 +256,18 @@ def network_rows(x: np.ndarray, t: np.ndarray):
     return ink, np.unpackbits(t, axis=1, count=x.shape[1])
 
 
-def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig,
-                 val=None, train=None):
-    """Train one regenerator; returns (AttackModel, per-epoch mean loss).
+def train_attack(train, val, arch: str, cfg: nn.TrainConfig):
+    """Train one regenerator; returns (model, per-epoch mean loss, the kept
+    model's validation loss).
 
-    Runs all configured epochs but keeps the parameters from the epoch
-    with the lowest validation loss (earliest such epoch on ties; the
-    final epoch when the validation split is empty).  Squared-error
-    against hard 0/1 targets pushes logits toward saturation as the fit
-    becomes exact, and in float32 a late Adam step can tip the network
-    into a frozen all-saturated state; restoring the best snapshot makes
-    the outcome independent of where in the schedule that happens.
-
-    train and val, when given, are the training and validation splits'
-    (inputs, targets) from split_arrays, so that a caller can drop the
-    scans once it has cut them, and one that also calibrates cuts the
-    validation split once.  The threshold is left unset; run
-    calibrate_threshold afterwards.
+    train and val are the training and validation splits' (inputs, targets)
+    from split_arrays; an empty one raises StateError before a model is
+    built.  Runs all configured epochs but keeps the parameters from the
+    epoch with the lowest validation loss (earliest such epoch on ties).
+    Squared-error against hard 0/1 targets pushes logits toward saturation
+    as the fit becomes exact, and in float32 a late Adam step can tip the
+    network into a frozen all-saturated state; restoring the best snapshot
+    makes the outcome independent of where in the schedule that happens.
 
     The splits stay in split_arrays' forms: network_rows turns each
     training batch into the network's input and targets as it is
@@ -292,11 +276,13 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
     cfg.validate()
     if arch not in _BUILDERS:
         raise ParameterError(f"unknown arch {arch!r} (known: {', '.join(ARCHS)})")
-    x, t = split_arrays(ds, printer, SPLIT_TRAIN) if train is None else train
+    x, t = train
+    xv, tv = val
     n = x.shape[0]
     if n == 0:
         raise StateError("empty train split")
-    xv, tv = split_arrays(ds, printer, SPLIT_VAL) if val is None else val
+    if xv.shape[0] == 0:
+        raise StateError("empty validation split")
 
     model = _BUILDERS[arch](cfg.seed)
     state = nn.init_adam(model)
@@ -305,7 +291,7 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
     best_val = None
     # The best epoch's parameters, copied into buffers allocated once.
     params = model.weights + model.biases
-    best_params = [np.empty_like(p) for p in params] if xv.shape[0] else []
+    best_params = [np.empty_like(p) for p in params]
     for _ in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         total = 0.0
@@ -316,18 +302,14 @@ def train_attack(ds: PairedDataset, printer: str, arch: str, cfg: nn.TrainConfig
             del gw, gb  # freed before the next step makes its own
             total += value * len(sel)
         history.append(total / n)
-        if best_params:
-            val_loss = nn.batch_loss(model, xv, tv, prep=network_rows)
-            if best_val is None or val_loss < best_val:
-                best_val = val_loss
-                for dst, p in zip(best_params, params):
-                    np.copyto(dst, p)
-    if best_val is not None:
-        for p, src in zip(params, best_params):
-            np.copyto(p, src)
-    am = AttackModel(model=model, threshold=None, printer=printer, arch=arch,
-                     val_loss=best_val)
-    return am, history
+        val_loss = nn.batch_loss(model, xv, tv, prep=network_rows)
+        if best_val is None or val_loss < best_val:
+            best_val = val_loss
+            for dst, p in zip(best_params, params):
+                np.copyto(dst, p)
+    for p, src in zip(params, best_params):
+        np.copyto(p, src)
+    return model, history, best_val
 
 
 def threshold_grid() -> np.ndarray:
@@ -370,24 +352,24 @@ def _grid_argmin(errors: np.ndarray, total: int):
     return float(threshold_grid()[k]), int(errors[k]) / total
 
 
-def calibrate_threshold(am: AttackModel, ds: PairedDataset, val=None):
-    """Pick the output threshold on the validation split; returns a new AttackModel.
+def calibrate_threshold(model: nn.MlpModel, val) -> float:
+    """The model's output threshold, picked on the validation split.
 
-    val, when given, is that split's (inputs, targets) from split_arrays.
-    The model runs over the split's nn.row_blocks and the errors at each
-    grid point are added up block by block, so the peak does not grow with
-    the split; the counts are exact, so the threshold is the grid point
-    with the fewest errors on the whole output, the smallest on ties.
+    val is that split's (inputs, targets) from split_arrays.  The model
+    runs over the split's nn.row_blocks and the errors at each grid point
+    are added up block by block, so the peak does not grow with the split;
+    the counts are exact, so the threshold is the grid point with the
+    fewest errors on the whole output, the smallest on ties.
     """
-    x, t = split_arrays(ds, am.printer, SPLIT_VAL) if val is None else val
+    x, t = val
     if x.shape[0] == 0:
         raise StateError("empty validation split")
     errors = 0
     for lo, hi in nn.row_blocks(x.shape[0]):
         xb, tb = network_rows(x[lo:hi], t[lo:hi])
-        errors += _grid_errors(nn.forward(am.model, xb), tb)
+        errors += _grid_errors(nn.forward(model, xb), tb)
     best_t, _ = _grid_argmin(errors, x.size)
-    return replace(am, threshold=best_t)
+    return best_t
 
 
 def calibrate_pixel_threshold(ds: PairedDataset, printer: str) -> float:
@@ -420,14 +402,14 @@ def calibrate_pixel_threshold(ds: PairedDataset, printer: str) -> float:
     return best_t
 
 
-def estimate_grey(am: AttackModel, scan: PixelImage, geometry: Geometry) -> PixelImage:
+def estimate_grey(model: nn.MlpModel, scan: PixelImage, block_px: int) -> PixelImage:
     """The model's real-valued reconstruction of a byte0_255 luminance
     scan, as one image."""
     # ink is held until the return: freeing it before the forward pass
     # measured about 10% slower cmd_attack runs for the same work.
     ink = ink_intensity(scan)
-    bs = split_blocks(ink, geometry.block_px)
-    out = nn.forward(am.model, bs.blocks)
+    bs = split_blocks(ink, block_px)
+    out = nn.forward(model, bs.blocks)
     grey = BlockSet(bs.block_px, bs.grid_rows, bs.grid_cols, out, UNIT_INTERVAL)
     return assemble_blocks(grey)
 
@@ -464,23 +446,20 @@ def _manifest(ds: PairedDataset) -> dict:
 def _manifest_paths(rels: list[str], root: Path, manifest_path: Path) -> list[str]:
     """Relative paths as real paths, each under root.
 
-    Each path is normalized, its directory resolved once for all of its
-    files, and a file that is a symbolic link resolved on its own; the
-    returned path is the one checked, and the one read.  A canonical file
-    or scans/<pid> directory may be a link out of root, and a printer id
-    may hold "..".
+    Each path's directory is resolved once for all of its files, and a
+    file that is a symbolic link resolved on its own; the returned path is
+    the one checked, and the one read.  The paths are those _manifest
+    builds from plain printer ids, but a canonical file or scans/<pid>
+    directory may be a link out of root.
     """
     base = os.path.realpath(root)
     prefix = os.path.join(base, "")
     real_dirs: dict[str, str] = {}
     paths = []
     for rel in rels:
-        head, name = os.path.split(os.path.normpath(os.path.join(base, rel)))
+        head, name = os.path.split(os.path.join(base, rel))
         if head not in real_dirs:
-            try:
-                real_dirs[head] = os.path.realpath(head)
-            except ValueError:  # a NUL byte, which no file name holds
-                raise FormatError(f"{manifest_path}: path {rel!r} is not a file path") from None
+            real_dirs[head] = os.path.realpath(head)
         path = os.path.join(real_dirs[head], name)
         if os.path.islink(path):
             path = os.path.realpath(path)
@@ -562,6 +541,8 @@ def load_dataset(in_dir, printer: str | None = None, splits=SPLITS) -> PairedDat
         channel_params = {
             pid: with_fields(ChannelParams(), p) for pid, p in manifest["printers"].items()
         }
+        for pid in channel_params:
+            _check_printer_id(pid)
     except (AttributeError, KeyError, TypeError, ValueError, DimensionError,
             ParameterError) as exc:
         raise FormatError(f"{manifest_path}: malformed manifest ({exc})") from None

@@ -27,7 +27,6 @@ from .attack import (
     SPLITS,
     STREAM_REPRINT_AUTH,
     STREAM_REPRINT_FAKE,
-    AttackModel,
     PairedDataset,
     build_dataset,
     calibrate_pixel_threshold,
@@ -44,21 +43,18 @@ from .codegen import (
     Geometry,
     ModuleMatrix,
     PixelImage,
-    binarize,
     ink_intensity,
-    modules_from_pixels,
     render,
 )
 from .detector import (
     MEASURES,
     ScoreSet,
     auc,
-    hamming_norm,
     pd_at_pfa,
-    pearson_or_zero,
     pearson_reference,
     reprint_scores,
     roc,
+    score_print,
 )
 from .errors import ConfigError, MissingInputError, PgcError, StateError
 from .imgio import read_pbm, write_pbm, write_pgm
@@ -309,22 +305,21 @@ def cmd_train(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> N
     ds = _load_ds(cfg, printer, (SPLIT_TRAIN, SPLIT_VAL))
     train = split_arrays(ds, printer, SPLIT_TRAIN)
     val = split_arrays(ds, printer, SPLIT_VAL)
-    ds.scans = {}  # both splits are cut into blocks: the epochs need no scan
-    am, history = train_attack(ds, printer, arch, cfg.train, val=val, train=train)
-    am = calibrate_threshold(am, ds, val=val)
+    del ds  # both splits are cut into blocks: the epochs need no scan
+    model, history, kept = train_attack(train, val, arch, cfg.train)
+    threshold = calibrate_threshold(model, val)
     model_path = _model_path(cfg, printer, arch)
     model_path.parent.mkdir(parents=True, exist_ok=True)
-    nn.save_model(am.model, am.threshold, model_path)
+    nn.save_model(model, threshold, model_path)
     _write_csv(
         model_path.with_name(f"{printer}_{arch}_loss.csv"),
         ["epoch", "loss"],
         [(e + 1, v) for e, v in enumerate(history)],
     )
-    kept = history[-1] if am.val_loss is None else am.val_loss
     print(
         f"train: {arch} on {printer}, {cfg.train.epochs} epochs, "
         f"final loss {history[-1]:.6f}, kept-model val loss {kept:.6f}, "
-        f"threshold {am.threshold:.2f} -> {model_path}"
+        f"threshold {threshold:.2f} -> {model_path}"
     )
 
 
@@ -335,18 +330,12 @@ def _attack_job(job) -> tuple[float, float, float, float]:
     grey estimate comes from the parent.
     """
     scan, original, grey, model_t, thr_t, module_px, model_path, thr_path = job
-    ink = ink_intensity(scan)
     ref = pearson_reference(render(original, module_px).pixels)
-    xhat = modules_from_pixels(binarize(grey, model_t), module_px)
-    xhat_thr = modules_from_pixels(binarize(ink, thr_t), module_px)
+    r, _, h, xhat = score_print(original, ref, grey, model_t, module_px)
+    r_thr, _, h_thr, xhat_thr = score_print(original, ref, ink_intensity(scan), thr_t, module_px)
     write_pbm(xhat, model_path)
     write_pbm(xhat_thr, thr_path)
-    return (
-        pearson_or_zero(ref, grey.pixels)[0],
-        hamming_norm(original.bits, xhat.bits),
-        pearson_or_zero(ref, ink.pixels)[0],
-        hamming_norm(original.bits, xhat_thr.bits),
-    )
+    return r, h, r_thr, h_thr
 
 
 # cmd_attack runs the forward passes of this many test codes, then scores
@@ -369,7 +358,6 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
     model, threshold = nn.load_model(model_path)
     if threshold is None:
         raise StateError(f"{model_path} has no calibrated threshold; re-run train")
-    am = AttackModel(model=model, threshold=threshold, printer=printer, arch=arch)
 
     thr_t = calibrate_pixel_threshold(ds, printer)
     mpx = ds.geometry.module_px
@@ -385,8 +373,8 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
         # A temporary list, so that one window's greys are freed before
         # the next window's forward passes.
         scores += parallel_map(_attack_job, [
-            (scans[i], ds.originals[i], estimate_grey(am, scans[i], ds.geometry),
-             am.threshold, thr_t, mpx,
+            (scans[i], ds.originals[i], estimate_grey(model, scans[i], ds.geometry.block_px),
+             threshold, thr_t, mpx,
              model_dir / f"est_{i:04d}.pbm", thr_dir / f"est_{i:04d}.pbm")
             for i in test_idx[start : start + _ATTACK_WINDOW]
         ])

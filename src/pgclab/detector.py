@@ -17,6 +17,7 @@ import numpy as np
 from .channel import ChannelParams, parallel_map, print_scan
 from .codegen import (
     ModuleMatrix,
+    PixelImage,
     binarize,
     ink_intensity,
     modules_from_pixels,
@@ -104,6 +105,16 @@ def pearson_or_zero(x, y) -> tuple[float, bool]:
         return 0.0, True
 
 
+def score_print(code: ModuleMatrix, ref: PearsonReference, image: PixelImage, t: float,
+                module_px: int) -> tuple[float, bool, float, ModuleMatrix]:
+    """Score an ink or grey image of code: pearson_or_zero against ref, the
+    code rendered and prepared, and hamming_norm against the modules decided
+    by binarizing at t and majority-voting per module, with those modules."""
+    r, undefined = pearson_or_zero(ref, image.pixels)
+    decided = modules_from_pixels(binarize(image, t), module_px)
+    return r, undefined, hamming_norm(code.bits, decided.bits), decided
+
+
 def hamming_norm(a, b) -> float:
     """Fraction of positions where two equal-length bit vectors differ."""
     a = np.asarray(a).ravel()
@@ -164,9 +175,8 @@ def _reprint_job(job) -> list[tuple[float, float, bool]]:
     for xp, seed in printed:
         img = rendered if xp is code else render(xp, module_px)
         ink = ink_intensity(print_scan(img, params, seed))
-        r, constant = pearson_or_zero(ref, ink.pixels)
-        decided = modules_from_pixels(binarize(ink, defender_threshold), module_px)
-        out.append((r, hamming_norm(code.bits, decided.bits), constant))
+        r, constant, h, _ = score_print(code, ref, ink, defender_threshold, module_px)
+        out.append((r, h, constant))
     return out
 
 

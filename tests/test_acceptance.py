@@ -10,10 +10,13 @@ import pytest
 from gradcheck import gradient_check
 from pgclab.attack import (
     SPLIT_TEST,
+    SPLIT_TRAIN,
+    SPLIT_VAL,
     build_dataset,
     calibrate_pixel_threshold,
     calibrate_threshold,
     estimate_grey,
+    split_arrays,
     stream_seed,
     train_attack,
     STREAM_REPRINT_AUTH,
@@ -76,8 +79,9 @@ def sa_run():
     ds = build_dataset(70, (40, 10, 20), printer_params={"SA": preset("SA")}, seed=7)
     cfg = TrainConfig(epochs=150, batch_size=128, learning_rate=1e-3, seed=11)
     t0 = time.monotonic()
-    am, history = train_attack(ds, "SA", "bn", cfg)
-    am = calibrate_threshold(am, ds)
+    val = split_arrays(ds, "SA", SPLIT_VAL)
+    model, history, _ = train_attack(split_arrays(ds, "SA", SPLIT_TRAIN), val, "bn", cfg)
+    threshold = calibrate_threshold(model, val)
     thr_estimates = _thr_estimates(ds, "SA")
     test_idx = ds.indices(SPLIT_TEST)
 
@@ -85,8 +89,8 @@ def sa_run():
     for pos, i in enumerate(test_idx):
         scan = ds.scans["SA"][i]
         ref = ds.rendered_original(i).pixels
-        grey = estimate_grey(am, scan, ds.geometry)
-        xhat = modules_from_pixels(binarize(grey, am.threshold), ds.geometry.module_px)
+        grey = estimate_grey(model, scan, ds.geometry.block_px)
+        xhat = modules_from_pixels(binarize(grey, threshold), ds.geometry.module_px)
         bn_estimates.append(xhat)
         rows.append((
             pearson(ref, grey.pixels),
@@ -138,12 +142,13 @@ def test_criterion_2_identity_channel_exactness():
     ]
 
     cfg = TrainConfig(epochs=50, batch_size=128, learning_rate=1e-3, seed=4)
-    am, _ = train_attack(ds, "ID", "bn", cfg)
-    am = calibrate_threshold(am, ds)
+    val = split_arrays(ds, "ID", SPLIT_VAL)
+    model, _, _ = train_attack(split_arrays(ds, "ID", SPLIT_TRAIN), val, "bn", cfg)
+    threshold = calibrate_threshold(model, val)
     bn_errs = []
     for i in test_idx:
-        grey = estimate_grey(am, ds.scans["ID"][i], ds.geometry)
-        xhat = modules_from_pixels(binarize(grey, am.threshold), ds.geometry.module_px)
+        grey = estimate_grey(model, ds.scans["ID"][i], ds.geometry.block_px)
+        xhat = modules_from_pixels(binarize(grey, threshold), ds.geometry.module_px)
         bn_errs.append(hamming_norm(ds.originals[i].bits, xhat.bits))
     _report(
         2,

@@ -13,7 +13,6 @@ from pgclab.attack import (
     SPLIT_TRAIN,
     SPLIT_VAL,
     SPLITS,
-    AttackModel,
     PairedDataset,
     _grid_argmin,
     _grid_errors,
@@ -67,6 +66,11 @@ def identity_model(dim=576):
     )
     m.validate()
     return m
+
+
+def train_val(ds, printer):
+    """The training and validation splits' arrays, as cmd_train cuts them."""
+    return split_arrays(ds, printer, SPLIT_TRAIN), split_arrays(ds, printer, SPLIT_VAL)
 
 
 def thr_estimates(ds, printer):
@@ -204,26 +208,24 @@ def test_split_arrays_empty_tag():
 def test_train_history_and_determinism():
     ds = identity_dataset()
     cfg = TrainConfig(epochs=3, batch_size=128, learning_rate=1e-3, seed=5)
-    am1, h1 = train_attack(ds, "ID", "bn", cfg)
-    am2, h2 = train_attack(ds, "ID", "bn", cfg)
+    m1, h1, _ = train_attack(*train_val(ds, "ID"), "bn", cfg)
+    m2, h2, _ = train_attack(*train_val(ds, "ID"), "bn", cfg)
     assert len(h1) == 3
     assert h1 == h2
     assert h1[-1] < h1[0]
-    assert am1.threshold is None
-    assert am1.printer == "ID" and am1.arch == "bn"
-    for a, b in zip(am1.model.weights, am2.model.weights):
+    for a, b in zip(m1.weights, m2.weights):
         np.testing.assert_array_equal(a, b)
 
 
 def test_train_rejects_bad_inputs():
     ds = build_dataset(2, (0, 1, 1), printer_params=IDENTITY, seed=2)
     with pytest.raises(StateError):
-        train_attack(ds, "ID", "bn", TrainConfig(epochs=1))
+        train_attack(*train_val(ds, "ID"), "bn", TrainConfig(epochs=1))
     ds2 = identity_dataset()
     with pytest.raises(ParameterError):
-        train_attack(ds2, "ID", "resnet", TrainConfig(epochs=1))
+        train_attack(*train_val(ds2, "ID"), "resnet", TrainConfig(epochs=1))
     with pytest.raises(UnknownIdError):
-        train_attack(ds2, "XX", "bn", TrainConfig(epochs=1))
+        train_attack(*train_val(ds2, "XX"), "bn", TrainConfig(epochs=1))
 
 
 @pytest.mark.parametrize("arch", ["bn", "fc2"])
@@ -238,14 +240,13 @@ def test_train_attack_peak_memory_is_what_it_must_hold(arch):
 
     ds = build_dataset(10, (2, 8, 0), printer_params={"SA": preset("SA")}, seed=5)
     cfg = TrainConfig(epochs=1, batch_size=128, learning_rate=1e-3, seed=1)
-    train_attack(ds, "SA", arch, cfg)
+    train_attack(*train_val(ds, "SA"), arch, cfg)
     tracemalloc.start()
     try:
-        am, _ = train_attack(ds, "SA", arch, cfg)
+        m, _, _ = train_attack(*train_val(ds, "SA"), arch, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    m = am.model
     rows = sum(ds.block_counts()[tag] for tag in (SPLIT_TRAIN, SPLIT_VAL))
     dim = ds.geometry.block_dim
     params = sum(p.nbytes for p in m.weights + m.biases)
@@ -277,8 +278,9 @@ def test_returned_model_is_best_validation_epoch(learning_rate, earlier_kept):
     threshold must have the replay's bits."""
     ds = build_dataset(9, (5, 3, 1), printer_params={"SA": preset("SA")}, seed=6)
     cfg = TrainConfig(epochs=5, batch_size=128, learning_rate=learning_rate, seed=2)
-    am, history = train_attack(ds, "SA", "bn", cfg)
-    am = calibrate_threshold(am, ds)
+    train, val = train_val(ds, "SA")
+    kept, history, val_loss = train_attack(train, val, "bn", cfg)
+    threshold = calibrate_threshold(kept, val)
 
     x, t = float32_split(ds, "SA", SPLIT_TRAIN)
     xv, tv = float32_split(ds, "SA", SPLIT_VAL)
@@ -301,28 +303,21 @@ def test_returned_model_is_best_validation_epoch(learning_rate, earlier_kept):
     k = int(np.argmin(vals))
     assert (k < cfg.epochs - 1) == earlier_kept
     assert history == want_history
-    assert am.val_loss == vals[k]
-    for a, b in zip(am.model.weights + am.model.biases, snaps[k], strict=True):
+    assert val_loss == vals[k]
+    for a, b in zip(kept.weights + kept.biases, snaps[k], strict=True):
         np.testing.assert_array_equal(a, b)
-    assert am.threshold == calibrate_grid(nn._forward_acts(am.model, xv)[-1], tv)[0]
+    assert threshold == calibrate_grid(nn._forward_acts(kept, xv)[-1], tv)[0]
 
 
 def test_val_loss_is_the_kept_models_validation_loss():
     ds = build_dataset(8, (5, 2, 1), printer_params={"SA": preset("SA")}, seed=6)
     cfg = TrainConfig(epochs=3, batch_size=128, learning_rate=1e-3, seed=2)
-    val = split_arrays(ds, "SA", SPLIT_VAL)
-    train = split_arrays(ds, "SA", SPLIT_TRAIN)
-    am, history = train_attack(ds, "SA", "bn", cfg)
-    assert am.val_loss == nn.batch_loss(am.model, *val, prep=network_rows)
-    # The splits passed in, with the dataset's scans gone, give the same run.
-    ds.scans = {}
-    am2, history2 = train_attack(ds, "SA", "bn", cfg, val=val, train=train)
-    assert am2.val_loss == am.val_loss and history2 == history
-    for a, b in zip(am.model.weights + am.model.biases,
-                    am2.model.weights + am2.model.biases, strict=True):
-        np.testing.assert_array_equal(a, b)
+    train, val = train_val(ds, "SA")
+    model, _, val_loss = train_attack(train, val, "bn", cfg)
+    assert val_loss == nn.batch_loss(model, *val, prep=network_rows)
     no_val = build_dataset(3, (3, 0, 0), printer_params=IDENTITY, seed=1)
-    assert train_attack(no_val, "ID", "bn", TrainConfig(epochs=1))[0].val_loss is None
+    with pytest.raises(StateError, match="empty validation split"):
+        train_attack(*train_val(no_val, "ID"), "bn", TrainConfig(epochs=1))
 
 
 # ---------------------------------------------------------------- calibration
@@ -515,13 +510,8 @@ def test_calibrate_pixel_threshold_edge_cases_equal_the_grid(bit, byte):
 def test_calibrate_threshold_identity_recovery():
     """Exact outputs: every grid point in (0, 1] is error-free; pick 0.01."""
     ds = identity_dataset()
-    am = AttackModel(identity_model(), None, "ID", "fc2")
-    am2 = calibrate_threshold(am, ds)
-    assert am2.threshold == pytest.approx(0.01)
-    assert am.threshold is None  # original untouched
     val = split_arrays(ds, "ID", SPLIT_VAL)
-    ds.scans = {}
-    assert calibrate_threshold(am, ds, val=val).threshold == am2.threshold
+    assert calibrate_threshold(identity_model(), val) == pytest.approx(0.01)
 
 
 def _levels_case(rng, n):
@@ -547,9 +537,9 @@ def test_calibrate_threshold_by_blocks_equals_the_grid_over_all_outputs(case, bl
     rng = np.random.default_rng(blocks)
     model, x, t = case(rng, blocks * nn.ROW_BLOCK + 45)
     val = (x, np.packbits(t, axis=1))
-    am = calibrate_threshold(AttackModel(model, None, "P", "bn"), None, val=val)
+    threshold = calibrate_threshold(model, val)
     outputs = nn._forward_acts(model, network_rows(*val)[0])[-1]
-    assert am.threshold == calibrate_grid(outputs, t)[0]
+    assert threshold == calibrate_grid(outputs, t)[0]
     if case is _levels_case:
         errors = [np.sum((outputs >= g) != t) for g in threshold_grid()]
         assert errors.count(min(errors)) > 1  # the minimum is a tie
@@ -560,16 +550,16 @@ def test_calibrate_threshold_peak_memory_does_not_grow_with_the_split():
     sorted classes, however many rows the validation split has."""
     import tracemalloc
 
-    am = AttackModel(nn.build_fc(2, 5), None, "P", "fc2")
+    model = nn.build_fc(2, 5)
     rng = np.random.default_rng(8)
     peaks = []
     for n in (4 * nn.ROW_BLOCK, 16 * nn.ROW_BLOCK + 45):
         x = rng.integers(0, 256, (n, 576), dtype=np.uint8)
         t = rng.integers(0, 256, (n, 72), dtype=np.uint8)
-        calibrate_threshold(am, None, val=(x, t))
+        calibrate_threshold(model, (x, t))
         tracemalloc.start()
         try:
-            calibrate_threshold(am, None, val=(x, t))
+            calibrate_threshold(model, (x, t))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -587,11 +577,12 @@ def test_calibrate_pixel_threshold_identity():
 
 def test_estimate_identity_roundtrip():
     ds = identity_dataset()
-    am = calibrate_threshold(AttackModel(identity_model(), None, "ID", "fc2"), ds)
+    model = identity_model()
+    threshold = calibrate_threshold(model, split_arrays(ds, "ID", SPLIT_VAL))
     for i in ds.indices(SPLIT_TEST):
-        grey = estimate_grey(am, ds.scans["ID"][i], ds.geometry)
+        grey = estimate_grey(model, ds.scans["ID"][i], ds.geometry.block_px)
         assert grey.pixels.shape == (384, 384)
-        xhat = modules_from_pixels(binarize(grey, am.threshold), ds.geometry.module_px)
+        xhat = modules_from_pixels(binarize(grey, threshold), ds.geometry.module_px)
         np.testing.assert_array_equal(xhat.bits, ds.originals[i].bits)
 
 
@@ -766,7 +757,7 @@ def test_load_dataset_rejects_a_printer_id_that_leaves_the_dataset(tmp_path):
         m["scans"] = {"../../ID": [f"scans/../../ID/scan_{i:04d}.pgm" for i in range(2)]}
 
     edit_manifest(root, edit)
-    with pytest.raises(FormatError, match="lies outside"):
+    with pytest.raises(FormatError, match="not a plain file name"):
         load_dataset(root)
 
 
@@ -789,7 +780,7 @@ def test_load_dataset_rejects_a_printer_id_no_file_name_holds(tmp_path):
         m["scans"] = {"I\0D": [f"scans/I\0D/scan_{i:04d}.pgm" for i in range(2)]}
 
     edit_manifest(tmp_path, edit)
-    with pytest.raises(FormatError, match="is not a file path"):
+    with pytest.raises(FormatError, match="not a plain file name"):
         load_dataset(tmp_path)
 
 
@@ -962,7 +953,7 @@ def test_epoch_losses_mostly_non_increasing():
     loss should be monotone; tolerate rare float-level upticks."""
     ds = build_dataset(12, (8, 2, 2), printer_params={"SA": preset("SA")}, seed=7)
     cfg = TrainConfig(epochs=12, batch_size=128, learning_rate=2.5e-4, seed=1)
-    _, history = train_attack(ds, "SA", "bn", cfg)
+    _, history, _ = train_attack(*train_val(ds, "SA"), "bn", cfg)
     diffs = np.diff(history)
     bad = diffs[diffs > 0]
     assert bad.size <= 1

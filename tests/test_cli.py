@@ -22,7 +22,6 @@ from pgclab.attack import (
     SPLIT_VAL,
     STREAM_REPRINT_AUTH,
     STREAM_REPRINT_FAKE,
-    AttackModel,
     calibrate_pixel_threshold,
     estimate_grey,
     load_dataset,
@@ -368,7 +367,6 @@ def serial_cmd_attack(cfg, printer, arch=None):
     model, threshold = nn.load_model(model_path)
     if threshold is None:
         raise StateError(f"{model_path} has no calibrated threshold; re-run train")
-    am = AttackModel(model=model, threshold=threshold, printer=printer, arch=arch)
 
     thr_t = calibrate_pixel_threshold(ds, printer)
     mpx = ds.geometry.module_px
@@ -386,8 +384,8 @@ def serial_cmd_attack(cfg, printer, arch=None):
         ink = ink_intensity(ds.scans[printer][i])
         original = ds.originals[i]
         ref = ds.rendered_original(i).pixels
-        grey = estimate_grey(am, ds.scans[printer][i], ds.geometry)
-        xhat = modules_from_pixels(binarize(grey, am.threshold), mpx)
+        grey = estimate_grey(model, ds.scans[printer][i], ds.geometry.block_px)
+        xhat = modules_from_pixels(binarize(grey, threshold), mpx)
         xhat_thr = modules_from_pixels(binarize(ink, thr_t), mpx)
         write_pbm(xhat, model_dir / f"est_{i:04d}.pbm")
         write_pbm(xhat_thr, thr_dir / f"est_{i:04d}.pbm")
@@ -853,6 +851,25 @@ def test_train_drops_the_scans_before_the_first_step(tmp_path, monkeypatch):
     cli.cmd_train(cfg, "SA")
     assert len(refs) == 2 * 5
     assert alive_at_steps and alive_at_steps[0] == 0
+
+
+def test_train_refuses_an_empty_validation_split_before_the_first_step(
+        tmp_path, monkeypatch, capsys):
+    p = write_cfg(tmp_path, lambda c: c["dataset"].update(split=[5, 0, 1]))
+    assert run(["gen", "--config", str(p)]) == 0
+    steps = []
+    real_step = nn.optimizer_step
+
+    def step(*args, **kwargs):
+        steps.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "optimizer_step", step)
+    capsys.readouterr()
+    assert run(["train", "--config", str(p), "--printer", "SA"]) == 1
+    assert "pgclab: error [state] empty validation split" in capsys.readouterr().err
+    assert steps == []
+    assert not (tmp_path / "run" / "models").exists()
 
 
 def test_roc_on_a_mistyped_manifest_ends_in_a_format_error(tmp_path, capsys):
