@@ -82,16 +82,16 @@ class PairedDataset:
 
     The splits are by index order: the first split_sizes[0] codes train,
     the next split_sizes[1] validate, the rest test.  channel_params names
-    every printer of the dataset; scans may hold only some of them, and
-    only some splits' scans of each (see load_dataset), or none (see
-    build_dataset's out_dir).
+    every printer of the dataset; scans may hold only some of them (see
+    load_dataset), or none (see build_dataset's out_dir).  Each is a list
+    of images, or load_dataset's ScanList, which reads a scan when used.
     """
 
     geometry: Geometry
     seed: int
     split_sizes: tuple[int, int, int]
     originals: list[ModuleMatrix]
-    scans: dict[str, list[PixelImage]]
+    scans: dict[str, Sequence[PixelImage]]
     channel_params: dict[str, ChannelParams]
 
     @property
@@ -469,23 +469,6 @@ def _manifest_paths(rels: list[str], root: Path, manifest_path: Path) -> list[st
     return paths
 
 
-class ScanList(Sequence):
-    """One printer's scans as load_dataset left them: a scan of a split it
-    did not read raises StateError."""
-
-    def __init__(self, images: list):
-        self._images = images  # None for each scan not read
-
-    def __len__(self) -> int:
-        return len(self._images)
-
-    def __getitem__(self, i):
-        image = self._images[operator.index(i)]
-        if image is None:
-            raise StateError(f"scan {i} was not read: its split was not loaded")
-        return image
-
-
 def _json_int(value, what: str, manifest_path: Path) -> int:
     # JSON true/false load as bool, a subclass of int; they are not counts.
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -495,24 +478,45 @@ def _json_int(value, what: str, manifest_path: Path) -> int:
     return value
 
 
-def _read_images(read, paths: list[str], manifest_path: Path) -> list:
+def _read_image(read, path: str, manifest_path: Path):
     try:
-        return [read(path) for path in paths]
+        return read(path)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise MissingInputError(
             f"{manifest_path} names {exc.filename}, which is not a file"
         ) from None
 
 
-def load_dataset(in_dir, printer: str | None = None, splits=SPLITS) -> PairedDataset:
+class ScanList(Sequence):
+    """One printer's scans as load_dataset found them: each index reads its
+    scan's file again, and checks the scan's size against the geometry."""
+
+    def __init__(self, paths: list[str], geometry: Geometry, manifest_path: Path):
+        self._paths = paths
+        self._geometry = geometry
+        self._manifest_path = manifest_path
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def __getitem__(self, i) -> PixelImage:
+        path, g = self._paths[operator.index(i)], self._geometry
+        scan = _read_image(imgio.read_pgm, path, self._manifest_path)
+        if scan.pixels.shape != (g.image_height, g.image_width):
+            raise FormatError(f"{self._manifest_path} names {path}, whose size does not match {g}")
+        return scan
+
+
+def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
     """Read a dataset written by build_dataset.
 
     The manifest must be exactly the one build_dataset writes for the
     geometry, seed, split sizes and printers it names; FormatError names
-    the top-level keys that differ.  With printer given, only that
-    printer's scans are read; printers and printer_index still cover every
-    printer in the manifest.  Of the scans, only those of the named splits
-    are read; every original is.
+    the top-level keys that differ.  Every original is read, and no scan:
+    each printer's scans are a ScanList, but every scan must be a file
+    already, so a missing one ends in MissingInputError here.  With
+    printer given, only that printer's scans are loaded; printers and
+    printer_index still cover every printer in the manifest.
     """
     root = Path(in_dir)
     manifest_path = root / MANIFEST_NAME
@@ -569,20 +573,11 @@ def load_dataset(in_dir, printer: str | None = None, splits=SPLITS) -> PairedDat
         pid: _manifest_paths(expected["scans"][pid], root, manifest_path)
         for pid in (ds.printers if printer is None else (printer,))
     }
-    read = [i for tag in SPLITS if tag in splits for i in ds.indices(tag)]
-    ds.originals = _read_images(imgio.read_pbm, original_paths, manifest_path)
-    read_scans = {
-        pid: dict(zip(read, _read_images(imgio.read_pgm, [paths[i] for i in read],
-                                         manifest_path)))
-        for pid, paths in scan_paths.items()
-    }
-    if any(m.bits.shape != (geometry.rows, geometry.cols) for m in ds.originals) or any(
-        img.pixels.shape != (geometry.image_height, geometry.image_width)
-        for imgs in read_scans.values() for img in imgs.values()
-    ):
-        raise FormatError(f"{manifest_path}: an image's size does not match {geometry}")
-    ds.scans = {
-        pid: ScanList([imgs.get(i) for i in range(ds.n_images)])
-        for pid, imgs in read_scans.items()
-    }
+    ds.originals = [_read_image(imgio.read_pbm, path, manifest_path) for path in original_paths]
+    if any(m.bits.shape != (geometry.rows, geometry.cols) for m in ds.originals):
+        raise FormatError(f"{manifest_path}: an original's size does not match {geometry}")
+    missing = [path for paths in scan_paths.values() for path in paths if not os.path.isfile(path)]
+    if missing:
+        raise MissingInputError(f"{manifest_path} names {missing[0]}, which is not a file")
+    ds.scans = {pid: ScanList(paths, geometry, manifest_path) for pid, paths in scan_paths.items()}
     return ds

@@ -24,7 +24,6 @@ from .attack import (
     SPLIT_TEST,
     SPLIT_TRAIN,
     SPLIT_VAL,
-    SPLITS,
     STREAM_REPRINT_AUTH,
     STREAM_REPRINT_FAKE,
     PairedDataset,
@@ -273,8 +272,8 @@ def _estimate_dir(cfg: ExperimentConfig, printer: str, source: str) -> Path:
     return cfg.out_dir / "estimates" / f"{printer}_{source}"
 
 
-def _load_ds(cfg: ExperimentConfig, printer: str, splits=SPLITS) -> PairedDataset:
-    return load_dataset(_dataset_dir(cfg), printer, splits)
+def _load_ds(cfg: ExperimentConfig, printer: str) -> PairedDataset:
+    return load_dataset(_dataset_dir(cfg), printer)
 
 
 def cmd_gen(cfg: ExperimentConfig) -> None:
@@ -302,10 +301,10 @@ def cmd_gen(cfg: ExperimentConfig) -> None:
 def cmd_train(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
     """Train and calibrate one model; write the model file and loss table."""
     arch = arch or cfg.arch
-    ds = _load_ds(cfg, printer, (SPLIT_TRAIN, SPLIT_VAL))
+    ds = _load_ds(cfg, printer)
     train = split_arrays(ds, printer, SPLIT_TRAIN)
     val = split_arrays(ds, printer, SPLIT_VAL)
-    del ds  # both splits are cut into blocks: the epochs need no scan
+    del ds  # the epochs need only the cut splits
     model, history, kept = train_attack(train, val, arch, cfg.train)
     threshold = calibrate_threshold(model, val)
     model_path = _model_path(cfg, printer, arch)
@@ -327,12 +326,12 @@ def _attack_job(job) -> tuple[float, float, float, float]:
     """Score one test code's two estimates and write them as PBMs.
 
     Runs on parallel_map's workers, so it does no BLAS work: the model's
-    grey estimate comes from the parent.
+    grey estimate comes from the parent, and the Thr baseline reads the scan.
     """
-    scan, original, grey, model_t, thr_t, module_px, model_path, thr_path = job
-    ref = pearson_reference(render(original, module_px).pixels)
-    r, _, h, xhat = score_print(original, ref, grey, model_t, module_px)
-    r_thr, _, h_thr, xhat_thr = score_print(original, ref, ink_intensity(scan), thr_t, module_px)
+    scans, i, original, grey, model_t, thr_t, mpx, model_path, thr_path = job
+    ref = pearson_reference(render(original, mpx).pixels)
+    r, _, h, xhat = score_print(original, ref, grey, model_t, mpx)
+    r_thr, _, h_thr, xhat_thr = score_print(original, ref, ink_intensity(scans[i]), thr_t, mpx)
     write_pbm(xhat, model_path)
     write_pbm(xhat_thr, thr_path)
     return r, h, r_thr, h_thr
@@ -346,12 +345,12 @@ _ATTACK_WINDOW = 24
 def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
     """Estimate test codes with the trained model and the Thr baseline.
 
-    The model's forward passes run here, one test code at a time; the
-    thresholding, votes, scores and PBM writes run on parallel_map's
-    workers, which must not start BLAS thread pools of their own.
+    The model's forward passes run here, one test code and its scan at a
+    time; the thresholding, votes, scores and PBM writes run on
+    parallel_map's workers, which must not start BLAS thread pools.
     """
     arch = arch or cfg.arch
-    ds = _load_ds(cfg, printer, (SPLIT_VAL, SPLIT_TEST))
+    ds = _load_ds(cfg, printer)
     model_path = _model_path(cfg, printer, arch)
     if not model_path.exists():
         raise MissingInputError(f"no model file at {model_path}; run the train command first")
@@ -373,7 +372,7 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
         # A temporary list, so that one window's greys are freed before
         # the next window's forward passes.
         scores += parallel_map(_attack_job, [
-            (scans[i], ds.originals[i], estimate_grey(model, scans[i], ds.geometry.block_px),
+            (scans, i, ds.originals[i], estimate_grey(model, scans[i], ds.geometry.block_px),
              threshold, thr_t, mpx,
              model_dir / f"est_{i:04d}.pbm", thr_dir / f"est_{i:04d}.pbm")
             for i in test_idx[start : start + _ATTACK_WINDOW]
@@ -411,7 +410,7 @@ def _load_estimates(cfg: ExperimentConfig, printer: str, source: str, test_idx):
 def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
     """Score re-prints of the estimates against authentic re-prints."""
     arch = arch or cfg.arch
-    ds = _load_ds(cfg, printer, (SPLIT_VAL,))
+    ds = _load_ds(cfg, printer)
     p_idx = ds.printer_index(printer)
     test_idx = ds.indices(SPLIT_TEST)
     originals = [ds.originals[i] for i in test_idx]

@@ -255,6 +255,34 @@ def test_train_attack_peak_memory_is_what_it_must_hold(arch):
     assert peak <= rows * dim + rows * -(-dim // 8) + 5 * params + acts + 2**20
 
 
+def calibration_peak(tmp_path, n_val):
+    """tracemalloc's peak over load_dataset and calibrate_pixel_threshold
+    of a dataset of one training and n_val validation codes, each a
+    384x384-byte scan."""
+    import tracemalloc
+
+    root = tmp_path / f"val{n_val}"
+    build_dataset(1 + n_val, (1, n_val, 0), Geometry(rows=64, cols=64, module_px=6, block_px=24),
+                  IDENTITY, seed=2, out_dir=root)
+    tracemalloc.start()
+    try:
+        calibrate_pixel_threshold(load_dataset(root), "ID")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_calibrate_pixel_threshold_holds_one_scan_at_a_time(tmp_path):
+    """The peak is one code's calibration: its uint16 (target bit, byte)
+    key, two scans' bytes, and np.bincount's intp copy of the key, eight
+    more, plus 128 kB of slack.  8 validation codes peak below that as 2
+    do; the 8 scans held at once would not fit beside one code's key."""
+    scan_bytes = 384 * 384
+    calibration_peak(tmp_path, 1)  # fills the first-use caches
+    for n_val in (2, 8):
+        assert calibration_peak(tmp_path, n_val) < (2 + 8) * scan_bytes + 2**17
+
+
 def test_archs_tuple():
     assert ARCHS == ("fc2", "fc3", "fc4", "bn")
 
@@ -786,14 +814,19 @@ def test_load_dataset_rejects_a_printer_id_no_file_name_holds(tmp_path):
 
 @pytest.mark.parametrize("path", ["originals/code_0001.pbm", "scans/ID/scan_0001.pgm"])
 def test_load_dataset_rejects_images_off_the_geometry(tmp_path, path):
+    """An original is refused by load_dataset, a scan when it is first read."""
     identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
     if path.endswith(".pbm"):
         write_pbm(ModuleMatrix(np.zeros((16, 16), np.uint8)), tmp_path / path)
+        with pytest.raises(FormatError, match="size does not match"):
+            load_dataset(tmp_path)
     else:
         # 96 px divides into 24 px blocks, so only the size check refuses it.
         write_pgm(PixelImage(np.full((96, 96), 200, np.uint8), BYTE0_255), tmp_path / path)
-    with pytest.raises(FormatError, match="size does not match"):
-        load_dataset(tmp_path)
+        scans = load_dataset(tmp_path).scans["ID"]
+        scans[0]
+        with pytest.raises(FormatError, match="scan_0001.pgm, whose size does not match"):
+            scans[1]
 
 
 def test_load_dataset_follows_links_inside_the_dataset(tmp_path):
@@ -852,10 +885,10 @@ def test_load_dataset_reports_a_missing_image(tmp_path):
     code.unlink()
     code.mkdir()
     with pytest.raises(MissingInputError, match="not a file"):
-        load_dataset(tmp_path, splits=(SPLIT_TRAIN,))
+        load_dataset(tmp_path)
 
 
-def test_load_dataset_reads_only_the_named_splits(tmp_path, monkeypatch):
+def test_load_dataset_reads_no_scan_and_each_access_reads_one(tmp_path, monkeypatch):
     from pgclab import imgio
 
     ds = identity_dataset(8, (5, 2, 1))
@@ -868,19 +901,30 @@ def test_load_dataset_reads_only_the_named_splits(tmp_path, monkeypatch):
         return real_read_pgm(path)
 
     monkeypatch.setattr(imgio, "read_pgm", counted)
-    back = load_dataset(tmp_path, "ID", (SPLIT_VAL,))
-    assert len(read) == 2
+    back = load_dataset(tmp_path, "ID")
+    assert read == []
     assert len(back.scans["ID"]) == 8 and len(back.originals) == 8
-    for i in back.indices(SPLIT_VAL):
+    for i in (3, 0, 7, 3):
+        del read[:]
         assert back.scans["ID"][i].pixels.tobytes() == ds.scans["ID"][i].pixels.tobytes()
-    for i in back.indices(SPLIT_TRAIN) + back.indices(SPLIT_TEST):
-        with pytest.raises(StateError, match=f"scan {i} was not read"):
-            back.scans["ID"][i]
-    with pytest.raises(StateError):
-        split_arrays(back, "ID", SPLIT_TRAIN)
+        assert len(read) == 1 and read[0].endswith(f"scan_{i:04d}.pgm")
+    del read[:]
     assert calibrate_pixel_threshold(back, "ID") == calibrate_pixel_threshold(ds, "ID")
+    assert len(read) == 2
     with pytest.raises(IndexError):
         back.scans["ID"][8]
+
+
+def test_a_truncated_scan_is_refused_when_it_is_read(tmp_path):
+    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
+    scan = tmp_path / "scans" / "ID" / "scan_0001.pgm"
+    scan.write_bytes(scan.read_bytes()[:-1])
+    back = load_dataset(tmp_path)
+    with pytest.raises(FormatError, match="truncated PGM raster"):
+        calibrate_pixel_threshold(back, "ID")
+    scan.unlink()
+    with pytest.raises(MissingInputError, match="scan_0001.pgm, which is not a file"):
+        back.scans["ID"][1]
 
 
 FUZZ_GEOMETRY = Geometry(rows=24, cols=24, module_px=6, block_px=24)

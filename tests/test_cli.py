@@ -6,7 +6,6 @@ import os
 import re
 import shutil
 import tracemalloc
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -464,6 +463,34 @@ def test_attack_worker_error_exits_with_its_category(trained, tmp_path, monkeypa
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("damage, needle", [
+    (lambda f: f.write_bytes(f.read_bytes()[:-1]), "truncated PGM raster"),
+    (lambda f: write_pgm(PixelImage(np.full((48, 48), 9, np.uint8), BYTE0_255), f),
+     "whose size does not match"),
+], ids=["truncated", "off-geometry"])
+def test_attack_on_a_malformed_test_scan_ends_in_a_format_error(trained, tmp_path, capsys,
+                                                                damage, needle):
+    p, out, _ = trained
+    mine = tmp_path / "run"
+    shutil.copytree(out, mine)
+    damage(mine / "dataset" / "scans" / "SA" / "scan_0007.pgm")
+    assert run(["attack", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pgclab: error [format]") and needle in err
+    assert multiprocessing.active_children() == []
+
+
+def test_attack_on_a_deleted_test_scan_fails_before_it_writes(trained, tmp_path, capsys):
+    p, out, _ = trained
+    mine = tmp_path / "run"
+    shutil.copytree(out, mine)
+    (mine / "dataset" / "scans" / "SA" / "scan_0009.pgm").unlink()
+    assert run(["attack", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pgclab: error [missing-input]") and "scan_0009.pgm" in err
+    assert not (mine / "estimates").exists()
+
+
 def serial_reprint_scores(originals, printed, params, module_px, seed, threshold):
     """One source's re-print scores as a serial per-image loop."""
     r, h = [], []
@@ -796,7 +823,8 @@ def test_verbs_read_only_their_printers_scans(tmp_path):
 
 def test_verbs_read_only_the_splits_they_use(tmp_path):
     """train reads the train and val scans, attack val and test, roc val:
-    with the other splits' scans gone, each writes the same bytes."""
+    with the other splits' scans no longer PGM files, each writes the same
+    bytes."""
     p = write_cfg(tmp_path, lambda c: c["dataset"].update(n_images=7, split=[4, 1, 2]))
     out = tmp_path / "run"
     common = ["--config", str(p), "--printer", "SA"]
@@ -813,10 +841,7 @@ def test_verbs_read_only_the_splits_they_use(tmp_path):
     def keep_only(*tags):
         for tag, paths in scans.items():
             for f in paths:
-                if tag in tags:
-                    f.write_bytes(saved[f])
-                elif f.exists():
-                    f.unlink()
+                f.write_bytes(saved[f] if tag in tags else b"not a scan")
 
     for verb, tags in (("train", (SPLIT_TRAIN, SPLIT_VAL)), ("attack", (SPLIT_VAL, SPLIT_TEST)),
                        ("roc", (SPLIT_VAL,))):
@@ -825,32 +850,37 @@ def test_verbs_read_only_the_splits_they_use(tmp_path):
         assert {f: f.read_bytes() for f in files} == want
 
 
-def test_train_drops_the_scans_before_the_first_step(tmp_path, monkeypatch):
-    """cmd_train cuts both splits into blocks and lets go of the scans:
-    every scan load_dataset returned is freed by the first Adam step."""
-    cfg = load_config(write_cfg(tmp_path))
-    cmd_gen(cfg)
-    refs = []
-    real_load, real_step = cli.load_dataset, nn.optimizer_step
+@pytest.mark.parametrize("verb, tags", [
+    ("train", (SPLIT_TRAIN, SPLIT_VAL)),
+    ("attack", (SPLIT_VAL, SPLIT_TEST, SPLIT_TEST)),
+    ("roc", (SPLIT_VAL,)),
+])
+def test_each_verb_reads_each_scan_it_uses_when_it_uses_it(tmp_path, monkeypatch, verb, tags):
+    """load_dataset reads no scan; train reads each train and val scan
+    once, roc each val scan, and attack each val scan once and each test
+    scan twice, once for the model's forward pass and once for the Thr
+    baseline on the worker."""
+    p = write_cfg(tmp_path, lambda c: c["dataset"].update(n_images=7, split=[3, 2, 2]))
+    for v in ("gen", "train", "attack"):
+        assert run([v, "--config", str(p)] + ([] if v == "gen" else ["--printer", "SA"])) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    read = []
+    real_read_pgm, real_load = attack.imgio.read_pgm, cli.load_dataset
+
+    def counted(path):
+        read.append(Path(path).name)
+        return real_read_pgm(path)
 
     def load(*args):
         ds = real_load(*args)
-        for scans in ds.scans.values():
-            for i in ds.indices(SPLIT_TRAIN) + ds.indices(SPLIT_VAL):
-                refs.extend((weakref.ref(scans[i]), weakref.ref(scans[i].pixels)))
+        assert read == []
         return ds
 
-    alive_at_steps = []
-
-    def step(*args, **kwargs):
-        alive_at_steps.append(sum(r() is not None for r in refs))
-        return real_step(*args, **kwargs)
-
+    monkeypatch.setattr(attack.imgio, "read_pgm", counted)
     monkeypatch.setattr(cli, "load_dataset", load)
-    monkeypatch.setattr(nn, "optimizer_step", step)
-    cli.cmd_train(cfg, "SA")
-    assert len(refs) == 2 * 5
-    assert alive_at_steps and alive_at_steps[0] == 0
+    assert run([verb, "--config", str(p), "--printer", "SA"]) == 0
+    ds = load_dataset(tmp_path / "run" / "dataset")
+    assert sorted(read) == sorted(f"scan_{i:04d}.pgm" for tag in tags for i in ds.indices(tag))
 
 
 def test_train_refuses_an_empty_validation_split_before_the_first_step(
