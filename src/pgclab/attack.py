@@ -28,7 +28,6 @@ from .channel import (
 from .codegen import (
     BYTE0_255,
     UNIT_INTERVAL,
-    BlockSet,
     Geometry,
     ModuleMatrix,
     PixelImage,
@@ -162,7 +161,6 @@ def build_dataset(
     """
     if geometry is None:
         geometry = Geometry()
-    geometry.validate()
     if n_images < 1:
         raise ParameterError("n_images must be >= 1")
     if seed < 0:
@@ -180,9 +178,8 @@ def build_dataset(
         printer_params = {pid: preset(pid) for pid in PRINTER_IDS}
     if not printer_params:
         raise ParameterError("printer_params must name at least one printer")
-    for pid, params in printer_params.items():
+    for pid in printer_params:
         _check_printer_id(pid)
-        params.validate()
 
     originals = [
         generate_module_matrix(stream_seed(seed, 0, i), geometry.rows, geometry.cols)
@@ -244,8 +241,8 @@ def split_arrays(ds: PairedDataset, printer: str, tag: str):
     t = np.empty((len(idx) * per, (dim + 7) // 8), np.uint8)
     for k, i in enumerate(idx):
         rows = slice(k * per, (k + 1) * per)
-        x[rows] = split_blocks(ds.scans[printer][i], bpx).blocks
-        t[rows] = np.packbits(split_blocks(ds.rendered_original(i), bpx).blocks, axis=1)
+        x[rows] = split_blocks(ds.scans[printer][i], bpx)
+        t[rows] = np.packbits(split_blocks(ds.rendered_original(i), bpx), axis=1)
     return x, t
 
 
@@ -273,7 +270,6 @@ def train_attack(train, val, arch: str, cfg: nn.TrainConfig):
     training batch into the network's input and targets as it is
     gathered, and the validation loss does so one row block at a time.
     """
-    cfg.validate()
     if arch not in _BUILDERS:
         raise ParameterError(f"unknown arch {arch!r} (known: {', '.join(ARCHS)})")
     x, t = train
@@ -408,10 +404,8 @@ def estimate_grey(model: nn.MlpModel, scan: PixelImage, block_px: int) -> PixelI
     # ink is held until the return: freeing it before the forward pass
     # measured about 10% slower cmd_attack runs for the same work.
     ink = ink_intensity(scan)
-    bs = split_blocks(ink, block_px)
-    out = nn.forward(model, bs.blocks)
-    grey = BlockSet(bs.block_px, bs.grid_rows, bs.grid_cols, out, UNIT_INTERVAL)
-    return assemble_blocks(grey)
+    out = nn.forward(model, split_blocks(ink, block_px))
+    return assemble_blocks(out, ink.pixels.shape, block_px, UNIT_INTERVAL)
 
 
 MANIFEST_NAME = "manifest.json"
@@ -537,7 +531,6 @@ def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
             k: _json_int(v, f"geometry.{k}", manifest_path)
             for k, v in manifest["geometry"].items()
         })
-        geometry.validate()
         seed = _json_int(manifest["seed"], "seed", manifest_path)
         split_sizes = tuple(
             _json_int(n, "split_sizes", manifest_path) for n in manifest["split_sizes"]

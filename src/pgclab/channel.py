@@ -21,7 +21,7 @@ import os
 import pickle
 import signal
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +41,15 @@ class ChannelParams:
     offset: float = 0.0
     noise_sigma: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        for f in fields(self):
+            # An int may stand for a float; a bool stands for neither.
+            value, kind = getattr(self, f.name), type(f.default)
+            allowed = (int, float) if kind is float else int
+            if not isinstance(value, allowed) or isinstance(value, bool):
+                raise ParameterError(f"{f.name} must be {kind.__name__}, not {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, not {value!r}")
         if self.dot_gain_radius < 0:
             raise ParameterError("dot_gain_radius must be >= 0")
         if not 0.0 <= self.dot_gain_prob <= 1.0:
@@ -90,29 +98,12 @@ def preset(printer_id: str) -> ChannelParams:
 
 
 def with_fields(base: ChannelParams, fields: dict) -> ChannelParams:
-    """base with the given fields replaced; validates the result.
-
-    Each value must have its field's type, and a real must be finite.
-    """
+    """base with the given fields replaced, checked as every ChannelParams
+    is when it is made."""
     try:
-        params = replace(base, **fields)
+        return replace(base, **fields)
     except TypeError as exc:
         raise ParameterError(f"unknown channel parameter: {exc}") from None
-    for key, value in fields.items():
-        # An int may stand for a float; a bool stands for neither.
-        kind = type(getattr(base, key))
-        allowed = (int, float) if kind is float else int
-        if not isinstance(value, allowed) or isinstance(value, bool):
-            raise ParameterError(f"{key} must be {kind.__name__}, not {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParameterError(f"{key} must be finite, not {value!r}")
-    params.validate()
-    return params
-
-
-def preset_with_overrides(printer_id: str, overrides: dict | None = None) -> ChannelParams:
-    """Preset parameters with selected fields replaced; validates the result."""
-    return with_fields(preset(printer_id), overrides or {})
 
 
 def _dilate(ink: np.ndarray, radius: int) -> np.ndarray:
@@ -226,7 +217,6 @@ def print_scan(img: PixelImage, params: ChannelParams, seed: int) -> PixelImage:
     """
     if img.domain != BINARY01:
         raise DomainError("print_scan expects a binary01 input image")
-    params.validate()
     rng = np.random.default_rng(seed)
     h, w = img.pixels.shape
     # Random draws fill row-major strips in order, so they are the values

@@ -26,7 +26,6 @@ from .attack import (
     SPLIT_VAL,
     STREAM_REPRINT_AUTH,
     STREAM_REPRINT_FAKE,
-    PairedDataset,
     build_dataset,
     calibrate_pixel_threshold,
     calibrate_threshold,
@@ -36,7 +35,7 @@ from .attack import (
     stream_seed,
     train_attack,
 )
-from .channel import PRINTER_IDS, ChannelParams, parallel_map, preset_with_overrides
+from .channel import PRINTER_IDS, ChannelParams, parallel_map, preset, with_fields
 from .codegen import (
     BYTE0_255,
     Geometry,
@@ -47,7 +46,6 @@ from .codegen import (
 )
 from .detector import (
     MEASURES,
-    ScoreSet,
     auc,
     pd_at_pfa,
     pearson_reference,
@@ -55,7 +53,7 @@ from .detector import (
     roc,
     score_print,
 )
-from .errors import ConfigError, MissingInputError, PgcError, StateError
+from .errors import ConfigError, DimensionError, MissingInputError, PgcError
 from .imgio import read_pbm, write_pbm, write_pgm
 
 
@@ -156,9 +154,8 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
         _reject_unknown(values, table, section)
         sections[section] = {k: table[k](v, f"{section}.{k}") for k, v in values.items()}
 
-    geometry = Geometry(**sections["geometry"])
     try:
-        geometry.validate()
+        geometry = Geometry(**sections["geometry"])
     except PgcError as exc:
         raise ConfigError(str(exc)) from None
     if geometry.block_dim != nn.CODE_DIM:
@@ -204,7 +201,7 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
         if not isinstance(overrides, dict):
             raise ConfigError(f"printers[{i}].overrides must be an object, not {overrides!r}")
         try:
-            printers[pid] = preset_with_overrides(pid, overrides)
+            printers[pid] = with_fields(preset(pid), overrides)
         except PgcError as exc:
             raise ConfigError(f"printers[{i}]: {exc}") from None
 
@@ -212,9 +209,8 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
     arch = training.pop("arch", "bn")
     if arch not in ARCHS:
         raise ConfigError(f"training.arch must be one of {', '.join(ARCHS)}")
-    train = nn.TrainConfig(**training)
     try:
-        train.validate()
+        train = nn.TrainConfig(**training)
     except PgcError as exc:
         raise ConfigError(f"training: {exc}") from None
 
@@ -272,10 +268,6 @@ def _estimate_dir(cfg: ExperimentConfig, printer: str, source: str) -> Path:
     return cfg.out_dir / "estimates" / f"{printer}_{source}"
 
 
-def _load_ds(cfg: ExperimentConfig, printer: str) -> PairedDataset:
-    return load_dataset(_dataset_dir(cfg), printer)
-
-
 def cmd_gen(cfg: ExperimentConfig) -> None:
     """Build the dataset and write it under out_dir/dataset.
 
@@ -301,7 +293,7 @@ def cmd_gen(cfg: ExperimentConfig) -> None:
 def cmd_train(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
     """Train and calibrate one model; write the model file and loss table."""
     arch = arch or cfg.arch
-    ds = _load_ds(cfg, printer)
+    ds = load_dataset(_dataset_dir(cfg), printer)
     train = split_arrays(ds, printer, SPLIT_TRAIN)
     val = split_arrays(ds, printer, SPLIT_VAL)
     del ds  # the epochs need only the cut splits
@@ -350,13 +342,17 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
     parallel_map's workers, which must not start BLAS thread pools.
     """
     arch = arch or cfg.arch
-    ds = _load_ds(cfg, printer)
+    ds = load_dataset(_dataset_dir(cfg), printer)
     model_path = _model_path(cfg, printer, arch)
     if not model_path.exists():
         raise MissingInputError(f"no model file at {model_path}; run the train command first")
     model, threshold = nn.load_model(model_path)
-    if threshold is None:
-        raise StateError(f"{model_path} has no calibrated threshold; re-run train")
+    block_dim = ds.geometry.block_dim
+    if model.in_dim != block_dim or model.out_dim != block_dim:
+        raise DimensionError(
+            f"{model_path} maps {model.in_dim} to {model.out_dim} values; "
+            f"the geometry's blocks have {block_dim} pixels"
+        )
 
     thr_t = calibrate_pixel_threshold(ds, printer)
     mpx = ds.geometry.module_px
@@ -410,7 +406,7 @@ def _load_estimates(cfg: ExperimentConfig, printer: str, source: str, test_idx):
 def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
     """Score re-prints of the estimates against authentic re-prints."""
     arch = arch or cfg.arch
-    ds = _load_ds(cfg, printer)
+    ds = load_dataset(_dataset_dir(cfg), printer)
     p_idx = ds.printer_index(printer)
     test_idx = ds.indices(SPLIT_TEST)
     originals = [ds.originals[i] for i in test_idx]
@@ -438,18 +434,17 @@ def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> Non
             diff = render(ModuleMatrix(original.bits != xhat.bits), mpx).pixels * 255
             write_pgm(PixelImage(diff, BYTE0_255), diff_dir / f"diff_{i:04d}.pgm")
         for measure in cfg.measures:
-            ss = ScoreSet(authentic[measure], fake[measure], measure)
             _write_csv(
                 reports / f"scores_{printer}_{source}_{measure}.csv",
                 ["score", "label"],
-                [(float(s), "authentic") for s in ss.authentic]
-                + [(float(s), "fake") for s in ss.fake],
+                [(float(s), "authentic") for s in authentic[measure]]
+                + [(float(s), "fake") for s in fake[measure]],
             )
-            curve = roc(ss)
+            curve = roc(authentic[measure], fake[measure], measure)
             _write_csv(
                 reports / f"roc_{printer}_{source}_{measure}.csv",
                 ["gamma", "pd", "pfa"],
-                curve.points,
+                curve,
             )
             area = auc(curve)
             summary_rows.append(
@@ -479,7 +474,8 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
 def write_roc_svg(path: Path, curves, title: str) -> None:
-    """Plot detection rate against false-acceptance rate, one line per source."""
+    """Plot detection rate against false-acceptance rate, one line per
+    (label, roc points) pair of curves."""
     w, h = 640, 480
     ml, mr, mt, mb = 60, 20, 40, 50
 
@@ -527,7 +523,7 @@ def write_roc_svg(path: Path, curves, title: str) -> None:
     )
     for k, (label, curve) in enumerate(curves):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
-        pts = sorted((pfa, pd) for _, pd, pfa in curve.points)
+        pts = sorted((pfa, pd) for _, pd, pfa in curve)
         coords = " ".join(f"{px(x)},{py(y)}" for x, y in pts)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'

@@ -30,7 +30,7 @@ class Geometry:
     module_px: int = 6
     block_px: int = 24
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("rows", "cols", "module_px", "block_px"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"geometry.{name} must be >= 1")
@@ -123,35 +123,6 @@ class PixelImage:
         return self.pixels.shape[1]
 
 
-@dataclass
-class BlockSet:
-    """Non-overlapping square blocks of one image, each flattened row-major.
-
-    Blocks are ordered row-major by their position in the block grid, so
-    ``blocks[gr * grid_cols + gc]`` is the block at grid row ``gr``, column
-    ``gc`` of the source image.
-    """
-
-    block_px: int
-    grid_rows: int
-    grid_cols: int
-    blocks: np.ndarray  # shape (grid_rows * grid_cols, block_px ** 2)
-    domain: str
-
-    def __post_init__(self):
-        blocks = np.asarray(self.blocks)
-        if blocks.ndim != 2 or blocks.shape[1] != self.block_px * self.block_px:
-            raise DimensionError(
-                f"blocks must have shape (n, {self.block_px * self.block_px}), "
-                f"got {blocks.shape}"
-            )
-        if blocks.shape[0] != self.grid_rows * self.grid_cols:
-            raise DimensionError(
-                f"expected {self.grid_rows * self.grid_cols} blocks, got {blocks.shape[0]}"
-            )
-        self.blocks = blocks
-
-
 def generate_module_matrix(seed: int, rows: int = 64, cols: int = 64) -> ModuleMatrix:
     """Draw a rows x cols matrix of i.i.d. uniform bits from a seeded PRNG."""
     if rows < 1 or cols < 1:
@@ -169,11 +140,13 @@ def render(m: ModuleMatrix, module_px: int) -> PixelImage:
     return PixelImage(px, BINARY01)
 
 
-def split_blocks(img: PixelImage, block_px: int) -> BlockSet:
-    """Cut an image into non-overlapping block_px x block_px blocks.
+def split_blocks(img: PixelImage, block_px: int) -> np.ndarray:
+    """Cut an image into non-overlapping block_px x block_px blocks, as an
+    (n_blocks, block_px ** 2) array.
 
-    Blocks are ordered row-major over the block grid and each block is
-    flattened row-major.
+    Blocks are ordered row-major over the block grid, so block
+    gr * grid_cols + gc is the one at grid row gr, column gc, and each
+    block is flattened row-major.
     """
     if block_px < 1:
         raise ParameterError("block_px must be >= 1")
@@ -188,19 +161,24 @@ def split_blocks(img: PixelImage, block_px: int) -> BlockSet:
         .transpose(0, 2, 1, 3)
         .reshape(gr * gc, block_px * block_px)
     )
-    return BlockSet(block_px, gr, gc, np.ascontiguousarray(blocks), img.domain)
+    return np.ascontiguousarray(blocks)
 
 
-def assemble_blocks(bs: BlockSet) -> PixelImage:
-    """Reassemble blocks into the image they were split from (exact inverse)."""
-    gr, gc, bpx = bs.grid_rows, bs.grid_cols, bs.block_px
-    px = (
-        np.asarray(bs.blocks)
-        .reshape(gr, gc, bpx, bpx)
-        .transpose(0, 2, 1, 3)
-        .reshape(gr * bpx, gc * bpx)
-    )
-    return PixelImage(np.ascontiguousarray(px), bs.domain)
+def assemble_blocks(blocks: np.ndarray, shape: tuple[int, int], block_px: int,
+                    domain: str) -> PixelImage:
+    """The image of that (height, width) shape and domain which
+    split_blocks(image, block_px) cut into blocks: its exact inverse.
+    Raises DimensionError when the blocks do not tile that image."""
+    h, w = shape
+    gr, gc = h // block_px, w // block_px
+    blocks = np.asarray(blocks)
+    if (gr * block_px, gc * block_px) != (h, w) or blocks.shape != (gr * gc, block_px ** 2):
+        raise DimensionError(
+            f"blocks of shape {blocks.shape} do not tile a {h}x{w} image "
+            f"in {block_px}x{block_px} blocks"
+        )
+    px = blocks.reshape(gr, gc, block_px, block_px).transpose(0, 2, 1, 3).reshape(h, w)
+    return PixelImage(np.ascontiguousarray(px), domain)
 
 
 def binarize(img: PixelImage, t: float) -> PixelImage:

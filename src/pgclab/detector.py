@@ -10,7 +10,7 @@ ties and is kept deliberately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,30 +31,6 @@ MEASURES = (MEASURE_PEARSON, MEASURE_HAMMING)
 
 # Sign that turns each measure into a "bigger is more authentic" score.
 MEASURE_ALPHA = {MEASURE_PEARSON: 1, MEASURE_HAMMING: -1}
-
-
-@dataclass
-class ScoreSet:
-    """Similarity scores for authentic prints (H0) and fakes (H1)."""
-
-    authentic: np.ndarray
-    fake: np.ndarray
-    measure: str
-    alpha: int = field(init=False)
-
-    def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ParameterError(f"unknown measure {self.measure!r}")
-        self.alpha = MEASURE_ALPHA[self.measure]
-        self.authentic = np.asarray(self.authentic, dtype=np.float64)
-        self.fake = np.asarray(self.fake, dtype=np.float64)
-
-
-@dataclass
-class RocCurve:
-    """Operating points (gamma, pd, pfa), ordered by decreasing gamma."""
-
-    points: list[tuple[float, float, float]]
 
 
 @dataclass(frozen=True)
@@ -126,17 +102,21 @@ def hamming_norm(a, b) -> float:
     return float(np.mean(a != b))
 
 
-def roc(scores: ScoreSet) -> RocCurve:
-    """Sweep gamma over all alpha-scaled scores plus +-inf sentinels.
+def roc(authentic, fake, measure: str) -> list[tuple[float, float, float]]:
+    """Operating points (gamma, pd, pfa) of the authentic (H0) and fake (H1)
+    scores of a measure, by decreasing gamma.
 
+    Sweeps gamma over all alpha-scaled scores plus +-inf sentinels.
     Sort-and-sweep (Fawcett 2006): each class is sorted once, and its
     count at every gamma is a binary search.  Sorting puts NaNs last; a
     NaN is never >= or > gamma, so only the numbers before them count.
     """
-    if scores.authentic.size == 0 or scores.fake.size == 0:
+    if measure not in MEASURES:
+        raise ParameterError(f"unknown measure {measure!r}")
+    s_a = MEASURE_ALPHA[measure] * np.asarray(authentic, dtype=np.float64)
+    s_f = MEASURE_ALPHA[measure] * np.asarray(fake, dtype=np.float64)
+    if s_a.size == 0 or s_f.size == 0:
         raise DimensionError("roc needs non-empty authentic and fake scores")
-    s_a = scores.alpha * scores.authentic
-    s_f = scores.alpha * scores.fake
     gammas = np.unique(np.concatenate([s_a, s_f, [np.inf, -np.inf]]))[::-1]
     a = np.sort(s_a)
     a = a[: np.searchsorted(a, np.inf, side="right")]
@@ -144,21 +124,22 @@ def roc(scores: ScoreSet) -> RocCurve:
     f = f[: np.searchsorted(f, np.inf, side="right")]
     pd = (a.size - np.searchsorted(a, gammas, side="left")) / s_a.size
     pfa = (f.size - np.searchsorted(f, gammas, side="right")) / s_f.size
-    return RocCurve(list(zip(gammas.tolist(), pd.tolist(), pfa.tolist())))
+    return list(zip(gammas.tolist(), pd.tolist(), pfa.tolist()))
 
 
-def auc(curve: RocCurve) -> float:
-    """Trapezoidal area under pd as a function of pfa."""
-    pts = sorted((pfa, pd) for _, pd, pfa in curve.points)
+def auc(points) -> float:
+    """Trapezoidal area under pd as a function of pfa, over roc's points."""
+    pts = sorted((pfa, pd) for _, pd, pfa in points)
     area = 0.0
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
 
 
-def pd_at_pfa(curve: RocCurve, target_pfa: float) -> float:
-    """Best detection rate at false-acceptance rate <= target (0 if none)."""
-    feasible = [pd for _, pd, pfa in curve.points if pfa <= target_pfa]
+def pd_at_pfa(points, target_pfa: float) -> float:
+    """Best detection rate among roc's points at false-acceptance rate <=
+    target (0 if none)."""
+    feasible = [pd for _, pd, pfa in points if pfa <= target_pfa]
     return max(feasible) if feasible else 0.0
 
 

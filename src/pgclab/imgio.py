@@ -46,7 +46,8 @@ def write_pgm(img: PixelImage, path) -> None:
 
 
 def read_pgm(path) -> PixelImage:
-    """Read a binary PGM (P5) file into a byte0_255 image."""
+    """Read a binary PGM (P5) file into a byte0_255 image, whose pixels are
+    a read-only view of the file's bytes: the one copy of the raster."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
@@ -60,11 +61,10 @@ def read_pgm(path) -> PixelImage:
         raise FormatError(f"bad PGM size {width}x{height} in {path}")
     if maxval != 255:
         raise FormatError(f"unsupported PGM maxval {maxval} (want 255)")
-    raster = data[pos : pos + width * height]
-    if len(raster) != width * height:
+    if len(data) - pos < width * height:
         raise FormatError(f"truncated PGM raster in {path}")
-    px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return PixelImage(px.copy(), BYTE0_255)
+    px = np.frombuffer(data, np.uint8, width * height, offset=pos).reshape(height, width)
+    return PixelImage(px, BYTE0_255)
 
 
 def write_pbm(m: ModuleMatrix, path) -> None:
@@ -90,9 +90,8 @@ def read_pbm(path) -> ModuleMatrix:
     if width < 1 or height < 1:
         raise FormatError(f"bad PBM size {width}x{height} in {path}")
     row_bytes = (width + 7) // 8
-    raster = data[pos : pos + row_bytes * height]
-    if len(raster) != row_bytes * height:
+    if len(data) - pos < row_bytes * height:
         raise FormatError(f"truncated PBM raster in {path}")
-    packed = np.frombuffer(raster, dtype=np.uint8).reshape(height, row_bytes)
-    bits = np.unpackbits(packed, axis=1)[:, :width]
+    packed = np.frombuffer(data, np.uint8, row_bytes * height, offset=pos)
+    bits = np.unpackbits(packed.reshape(height, row_bytes), axis=1)[:, :width]
     return ModuleMatrix(bits)

@@ -40,7 +40,7 @@ class LayerSpec:
     out_dim: int
     activation: str
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
             raise DimensionError("layer dims must be >= 1")
         if self.activation not in ACTIVATIONS:
@@ -58,19 +58,21 @@ class MlpModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.layers:
             raise DimensionError("model has no layers")
         if len(self.weights) != len(self.layers) or len(self.biases) != len(self.layers):
             raise DimensionError("parameter lists do not match layer count")
         for k, spec in enumerate(self.layers):
-            spec.validate()
             if k + 1 < len(self.layers) and spec.out_dim != self.layers[k + 1].in_dim:
                 raise DimensionError(f"layers {k} and {k + 1} do not chain")
             if self.weights[k].shape != (spec.out_dim, spec.in_dim):
                 raise DimensionError(f"weight {k} shape {self.weights[k].shape}")
             if self.biases[k].shape != (spec.out_dim,):
                 raise DimensionError(f"bias {k} shape {self.biases[k].shape}")
+
+    # The lists can change after the model is made; save_model checks again.
+    validate = __post_init__
 
     @property
     def in_dim(self) -> int:
@@ -90,7 +92,7 @@ class TrainConfig:
     regularizer: str = REG_NONE
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -126,10 +128,7 @@ def build_fc(hidden_layers: int, seed: int) -> MlpModel:
         LayerSpec(dims[k], dims[k + 1], ACT_RELU if k < hidden_layers else ACT_SIGMOID)
         for k in range(hidden_layers + 1)
     ]
-    weights, biases = _init_params(specs, seed)
-    model = MlpModel(specs, weights, biases)
-    model.validate()
-    return model
+    return MlpModel(specs, *_init_params(specs, seed))
 
 
 def build_bn(seed: int) -> MlpModel:
@@ -140,10 +139,7 @@ def build_bn(seed: int) -> MlpModel:
         LayerSpec(dims[k], dims[k + 1], ACT_RELU if k < n - 1 else ACT_SIGMOID)
         for k in range(n)
     ]
-    weights, biases = _init_params(specs, seed)
-    model = MlpModel(specs, weights, biases)
-    model.validate()
-    return model
+    return MlpModel(specs, *_init_params(specs, seed))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -470,13 +466,13 @@ MODEL_MAGIC = b"PGCM"
 MODEL_VERSION = 1
 
 
-def save_model(m: MlpModel, threshold: float | None, path) -> None:
-    """Write the model (and optional threshold) in the PGCM binary format.
+def save_model(m: MlpModel, threshold: float, path) -> None:
+    """Write the model and its calibrated threshold in the PGCM binary format.
 
     Layout: magic, u32 version, u32 layer count, per layer u32 in_dim /
     u32 out_dim / u32 activation code, then every weight matrix row-major,
-    then every bias vector, all little-endian float32, then a flag byte
-    and, when the flag is 1, a float32 threshold.
+    then every bias vector, all little-endian float32, then the flag byte 1
+    and the float32 threshold.
     """
     m.validate()
     parts = [MODEL_MAGIC, struct.pack("<II", MODEL_VERSION, len(m.layers))]
@@ -486,16 +482,13 @@ def save_model(m: MlpModel, threshold: float | None, path) -> None:
         parts.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
     for b in m.biases:
         parts.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
-    if threshold is None:
-        parts.append(b"\x00")
-    else:
-        parts.append(b"\x01" + struct.pack("<f", float(threshold)))
+    parts.append(b"\x01" + struct.pack("<f", float(threshold)))
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
 def load_model(path):
-    """Read a PGCM file; returns (model, threshold or None)."""
+    """Read a PGCM file; returns (model, threshold)."""
     with open(path, "rb") as fh:
         data = fh.read()
     pos = 0
@@ -527,15 +520,10 @@ def load_model(path):
         weights.append(np.frombuffer(raw, dtype="<f4").reshape(spec.out_dim, spec.in_dim).copy())
     biases = [np.frombuffer(take(4 * spec.out_dim), dtype="<f4").copy() for spec in specs]
     flag = take(1)[0]
-    if flag == 0:
-        threshold = None
-    elif flag == 1:
-        threshold = float(struct.unpack("<f", take(4))[0])
-    else:
-        raise FormatError(f"{path}: bad threshold flag {flag}")
+    if flag != 1:
+        raise FormatError(f"{path}: threshold flag {flag}, not 1 (re-run train)")
+    threshold = float(struct.unpack("<f", take(4))[0])
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
-    model = MlpModel(specs, weights, biases)
-    model.validate()
-    return model, threshold
+    return MlpModel(specs, weights, biases), threshold
 

@@ -36,8 +36,8 @@ from pgclab.codegen import (
     split_blocks,
 )
 from pgclab.detector import (
+    MEASURE_ALPHA,
     MEASURES,
-    ScoreSet,
     auc,
     hamming_norm,
     pearson,
@@ -191,7 +191,7 @@ def test_criterion_4_detection_difficulty(sa_run):
     )
     aucs = {}
     for label, fake in zip(labels, fakes):
-        aucs[label] = {m: auc(roc(ScoreSet(authentic[m], fake[m], m))) for m in MEASURES}
+        aucs[label] = {m: auc(roc(authentic[m], fake[m], m)) for m in MEASURES}
     ok = all(aucs["bn"][m] < aucs["thr"][m] for m in MEASURES)
     detail = ", ".join(
         f"{m} AUC bn {aucs['bn'][m]:.3f} < thr {aucs['thr'][m]:.3f}" for m in MEASURES
@@ -218,17 +218,16 @@ def test_criterion_5_roc_correctness():
             na, nf = rng.integers(1, 21, 2)
             a = rng.integers(0, 10, na) / 9.0
             f = rng.integers(0, 10, nf) / 9.0
-            ss = ScoreSet(a, f, measure)
-            pts = roc(ss).points
-            enum_ok &= pts == brute(list(a), list(f), ss.alpha)
+            pts = roc(a, f, measure)
+            enum_ok &= pts == brute(list(a), list(f), MEASURE_ALPHA[measure])
             pds = [pd for _, pd, _ in pts]
             pfas = [pfa for _, _, pfa in pts]
             mono_ok &= pds == sorted(pds) and pfas == sorted(pfas)
 
     same = rng.normal(0, 1, 200)
     other = rng.normal(0, 1, 200)
-    auc_same = auc(roc(ScoreSet(same, other, "pearson")))
-    sep = auc(roc(ScoreSet(np.array([0.9, 0.8]), np.array([0.2, 0.1]), "pearson")))
+    auc_same = auc(roc(same, other, "pearson"))
+    sep = auc(roc(np.array([0.9, 0.8]), np.array([0.2, 0.1]), "pearson"))
     ok = enum_ok and mono_ok and abs(auc_same - 0.5) <= 0.05 and sep == 1.0
     _report(
         5,
@@ -243,7 +242,7 @@ def test_criterion_6_round_trips():
     split_ok = True
     for _ in range(3):
         img = PixelImage(rng.random((384, 384), dtype=np.float32), UNIT_INTERVAL)
-        back = assemble_blocks(split_blocks(img, 24))
+        back = assemble_blocks(split_blocks(img, 24), img.pixels.shape, 24, img.domain)
         split_ok &= bool(np.array_equal(back.pixels, img.pixels))
 
     render_ok = True

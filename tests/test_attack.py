@@ -59,13 +59,11 @@ def identity_dataset(n=8, split=(5, 2, 1), seed=3, out_dir=None):
 
 def identity_model(dim=576):
     """One affine layer fixed at the identity map."""
-    m = MlpModel(
+    return MlpModel(
         [LayerSpec(dim, dim, ACT_IDENTITY)],
         [np.eye(dim, dtype=np.float32)],
         [np.zeros(dim, np.float32)],
     )
-    m.validate()
-    return m
 
 
 def train_val(ds, printer):
@@ -159,9 +157,8 @@ def float32_split(ds, printer, tag):
     """The split as (float32 ink intensity, float32 bits) arrays, concatenated
     image by image: the form split_arrays once returned."""
     idx = ds.indices(tag)
-    x = [split_blocks(ink_intensity(ds.scans[printer][i]), ds.geometry.block_px).blocks
-         for i in idx]
-    t = [split_blocks(ds.rendered_original(i), ds.geometry.block_px).blocks for i in idx]
+    x = [split_blocks(ink_intensity(ds.scans[printer][i]), ds.geometry.block_px) for i in idx]
+    t = [split_blocks(ds.rendered_original(i), ds.geometry.block_px) for i in idx]
     return np.concatenate(x), np.concatenate(t).astype(np.float32)
 
 
@@ -172,7 +169,7 @@ def test_split_arrays_match_the_concatenated_blocks():
     x, t = split_arrays(ds, "SA", SPLIT_TRAIN)
     assert x.dtype == np.uint8
     idx = ds.indices(SPLIT_TRAIN)
-    want_bytes = np.concatenate([split_blocks(ds.scans["SA"][i], 24).blocks for i in idx])
+    want_bytes = np.concatenate([split_blocks(ds.scans["SA"][i], 24) for i in idx])
     want_x, want_t = float32_split(ds, "SA", SPLIT_TRAIN)
     assert x.tobytes() == want_bytes.tobytes()
     assert network_rows(x, t)[0].tobytes() == want_x.tobytes()
@@ -190,7 +187,7 @@ def test_split_arrays_packed_targets_unpack_to_the_rendered_blocks(geometry):
     for tag in (SPLIT_TRAIN, SPLIT_VAL):
         x, t = split_arrays(ds, "ID", tag)
         assert t.shape == (x.shape[0], -(-dim // 8)) and t.dtype == np.uint8
-        want = np.concatenate([split_blocks(ds.rendered_original(i), geometry.block_px).blocks
+        want = np.concatenate([split_blocks(ds.rendered_original(i), geometry.block_px)
                                for i in ds.indices(tag)])
         np.testing.assert_array_equal(np.unpackbits(t, axis=1, count=dim), want)
         assert not np.unpackbits(t, axis=1)[:, dim:].any()
@@ -625,10 +622,10 @@ def test_thr_estimates_identity_is_exact():
 def test_thr_estimates_degrade_with_noise():
     # iid pixel noise alone is absorbed by the 36-pixel majority vote, so
     # the heavy-noise channel is a realistic printer with the noise raised
-    from pgclab.channel import preset_with_overrides
+    from pgclab.channel import with_fields
     noisy = build_dataset(
         8, (5, 2, 1),
-        printer_params={"NZ": preset_with_overrides("SA", {"noise_sigma": 0.5})},
+        printer_params={"NZ": with_fields(preset("SA"), {"noise_sigma": 0.5})},
         seed=3,
     )
     est_noisy = thr_estimates(noisy, "NZ")

@@ -13,8 +13,8 @@ from pgclab.channel import (
     _dilate,
     _gaussian_kernel,
     preset,
-    preset_with_overrides,
     print_scan,
+    with_fields,
 )
 from pgclab.codegen import BINARY01, BYTE0_255, UNIT_INTERVAL, PixelImage, render
 from pgclab.codegen import generate_module_matrix
@@ -113,13 +113,18 @@ def test_param_validation():
         dict(noise_sigma=-1.0),
     ):
         with pytest.raises(ParameterError):
-            ChannelParams(**bad).validate()
+            ChannelParams(**bad)
+    # Types and finiteness are checked before the ranges, which a string
+    # would reach as a TypeError.
+    for bad in (dict(psf_sigma="2"), dict(gain=float("nan")), dict(dot_gain_radius=1.0)):
+        with pytest.raises(ParameterError, match=next(iter(bad))):
+            ChannelParams(**bad)
 
 
 def test_preset_ids_and_lookup():
     assert PRINTER_IDS == ("SA", "LX", "CA", "HP")
     for pid in PRINTER_IDS:
-        preset(pid).validate()
+        assert isinstance(preset(pid), ChannelParams)
     with pytest.raises(UnknownIdError):
         preset("ZZ")
 
@@ -137,18 +142,19 @@ def test_inkjet_noise_at_least_laser():
 
 
 def test_preset_overrides():
-    pr = preset_with_overrides("SA", {"noise_sigma": 0.3})
+    pr = with_fields(preset("SA"), {"noise_sigma": 0.3})
     assert pr.noise_sigma == 0.3
     assert pr.psf_sigma == preset("SA").psf_sigma
     with pytest.raises(ParameterError):
-        preset_with_overrides("SA", {"nozzle": 3})
+        with_fields(preset("SA"), {"nozzle": 3})
     with pytest.raises(ParameterError):
-        preset_with_overrides("SA", {"dot_gain_prob": 2.0})
-    assert preset_with_overrides("SA", {"psf_sigma": 2}).psf_sigma == 2
+        with_fields(preset("SA"), {"dot_gain_prob": 2.0})
+    sigma = with_fields(preset("SA"), {"psf_sigma": 2}).psf_sigma
+    assert sigma == 2 and type(sigma) is int  # checked, not converted
     for bad in ({"psf_sigma": "2"}, {"dot_gain_radius": 1.0}, {"dot_gain_radius": True},
                 {"noise_sigma": True}):
         with pytest.raises(ParameterError, match=next(iter(bad))):
-            preset_with_overrides("SA", bad)
+            with_fields(preset("SA"), bad)
 
 
 def test_gain_offset_affine_stage():
@@ -182,7 +188,6 @@ def reference_blur(values, sigma):
 
 
 def reference_print_scan(img, params, seed):
-    params.validate()
     rng = np.random.default_rng(seed)
 
     ink = img.pixels.astype(bool)

@@ -27,8 +27,8 @@ from pgclab.attack import (
     stream_seed,
 )
 from pgclab.cli import (
+    _dataset_dir,
     _estimate_dir,
-    _load_ds,
     _load_estimates,
     _model_path,
     _write_csv,
@@ -49,7 +49,6 @@ from pgclab.codegen import (
     render,
 )
 from pgclab.detector import (
-    ScoreSet,
     auc,
     hamming_norm,
     pd_at_pfa,
@@ -57,7 +56,7 @@ from pgclab.detector import (
     reprint_scores,
     roc,
 )
-from pgclab.errors import ConfigError, DomainError, MissingInputError, PgcError, StateError
+from pgclab.errors import ConfigError, DomainError, MissingInputError, PgcError
 from pgclab.imgio import write_pbm, write_pgm
 
 
@@ -359,13 +358,11 @@ def serial_cmd_attack(cfg, printer, arch=None):
     """cmd_attack as one serial loop over the test codes, kept as the
     reference for the bytes it writes."""
     arch = arch or cfg.arch
-    ds = _load_ds(cfg, printer)
+    ds = load_dataset(_dataset_dir(cfg), printer)
     model_path = _model_path(cfg, printer, arch)
     if not model_path.exists():
         raise MissingInputError(f"no model file at {model_path}; run the train command first")
     model, threshold = nn.load_model(model_path)
-    if threshold is None:
-        raise StateError(f"{model_path} has no calibrated threshold; re-run train")
 
     thr_t = calibrate_pixel_threshold(ds, printer)
     mpx = ds.geometry.module_px
@@ -506,7 +503,7 @@ def three_call_cmd_roc(cfg, printer, arch=None):
     """cmd_roc scoring its three sources in three calls, kept as the
     reference for the bytes it writes."""
     arch = arch or cfg.arch
-    ds = _load_ds(cfg, printer)
+    ds = load_dataset(_dataset_dir(cfg), printer)
     p_idx = ds.printer_index(printer)
     test_idx = ds.indices(SPLIT_TEST)
     originals = [ds.originals[i] for i in test_idx]
@@ -530,16 +527,15 @@ def three_call_cmd_roc(cfg, printer, arch=None):
             diff_px = np.repeat(np.repeat(diff, mpx, axis=0), mpx, axis=1)
             write_pgm(PixelImage(diff_px, BYTE0_255), diff_dir / f"diff_{i:04d}.pgm")
         for measure in cfg.measures:
-            ss = ScoreSet(authentic[measure], fake[measure], measure)
             _write_csv(
                 reports / f"scores_{printer}_{source}_{measure}.csv",
                 ["score", "label"],
-                [(float(s), "authentic") for s in ss.authentic]
-                + [(float(s), "fake") for s in ss.fake],
+                [(float(s), "authentic") for s in authentic[measure]]
+                + [(float(s), "fake") for s in fake[measure]],
             )
-            curve = roc(ss)
+            curve = roc(authentic[measure], fake[measure], measure)
             _write_csv(reports / f"roc_{printer}_{source}_{measure}.csv",
-                       ["gamma", "pd", "pfa"], curve.points)
+                       ["gamma", "pd", "pfa"], curve)
             summary_rows.append(
                 (source, measure, auc(curve))
                 + tuple(pd_at_pfa(curve, t) for t in cfg.target_pfa)
@@ -630,12 +626,27 @@ def test_attack_rejects_an_uncalibrated_model(trained, tmp_path, capsys):
     mine = tmp_path / "run"
     shutil.copytree(out, mine)
     model_path = mine / "models" / "SA_bn.pgcm"
-    model, _ = nn.load_model(model_path)
-    nn.save_model(model, None, model_path)
+    # Flag byte 0 in place of the flag 1 and the float32 threshold.
+    model_path.write_bytes(model_path.read_bytes()[:-5] + b"\x00")
     assert run(["attack", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("pgclab: error [state]")
+    assert err.startswith("pgclab: error [format]")
     assert "re-run train" in err
+
+
+@pytest.mark.parametrize("in_dim, out_dim", [(576, 100), (100, 576)])
+def test_attack_rejects_a_model_of_the_wrong_size_before_it_writes(trained, tmp_path, capsys,
+                                                                  in_dim, out_dim):
+    p, out, _ = trained
+    mine = tmp_path / "run"
+    shutil.copytree(out, mine)
+    model = nn.MlpModel([nn.LayerSpec(in_dim, out_dim, nn.ACT_SIGMOID)],
+                        [np.zeros((out_dim, in_dim), np.float32)], [np.zeros(out_dim, np.float32)])
+    nn.save_model(model, 0.5, mine / "models" / "SA_bn.pgcm")
+    assert run(["attack", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pgclab: error [dimension]") and f"{in_dim} to {out_dim}" in err
+    assert not (mine / "estimates").exists()
 
 
 def test_gen_is_reproducible_across_out_dirs(tmp_path):

@@ -7,7 +7,6 @@ from pgclab.codegen import (
     BINARY01,
     BYTE0_255,
     UNIT_INTERVAL,
-    BlockSet,
     Geometry,
     ModuleMatrix,
     PixelImage,
@@ -24,7 +23,6 @@ from pgclab.errors import DimensionError, DomainError, ParameterError
 
 def test_default_geometry():
     g = Geometry()
-    g.validate()
     assert (g.image_height, g.image_width) == (384, 384)
     assert g.blocks_per_image == 256
     assert g.block_dim == 576
@@ -32,9 +30,9 @@ def test_default_geometry():
 
 def test_geometry_rejects_non_dividing_block():
     with pytest.raises(DimensionError):
-        Geometry(rows=64, cols=64, module_px=6, block_px=25).validate()
+        Geometry(rows=64, cols=64, module_px=6, block_px=25)
     with pytest.raises(ParameterError):
-        Geometry(rows=0).validate()
+        Geometry(rows=0)
 
 
 def test_generate_is_deterministic():
@@ -99,19 +97,18 @@ def test_render_blank_and_single_module():
 
 def test_split_counts_and_order():
     img = render(generate_module_matrix(2, 64, 64), 6)
-    bs = split_blocks(img, 24)
-    assert bs.blocks.shape == (256, 576)
+    assert split_blocks(img, 24).shape == (256, 576)
 
     ramp = np.arange(576).reshape(24, 24) / 1000
     single = split_blocks(PixelImage(ramp, UNIT_INTERVAL), 24)
-    assert single.blocks.shape == (1, 576)
-    np.testing.assert_allclose(single.blocks[0].reshape(24, 24), ramp, atol=1e-7)
+    assert single.shape == (1, 576)
+    np.testing.assert_allclose(single[0].reshape(24, 24), ramp, atol=1e-7)
 
     tall = PixelImage(np.vstack([np.zeros((24, 24)), np.ones((24, 24))]), UNIT_INTERVAL)
     bs2 = split_blocks(tall, 24)
-    assert bs2.blocks.shape == (2, 576)
-    assert not bs2.blocks[0].any()  # block 0 is the top half
-    assert bs2.blocks[1].all()
+    assert bs2.shape == (2, 576)
+    assert not bs2[0].any()  # block 0 is the top half
+    assert bs2[1].all()
 
 
 def test_split_rejects_non_divisible():
@@ -130,7 +127,7 @@ def test_split_rejects_non_divisible():
 def test_split_assemble_roundtrip(seed, gr, gc, bpx):
     rng = np.random.default_rng(seed)
     img = PixelImage(rng.random((gr * bpx, gc * bpx), dtype=np.float32), UNIT_INTERVAL)
-    back = assemble_blocks(split_blocks(img, bpx))
+    back = assemble_blocks(split_blocks(img, bpx), img.pixels.shape, bpx, img.domain)
     np.testing.assert_array_equal(back.pixels, img.pixels)
     assert back.domain == img.domain
 
@@ -145,16 +142,17 @@ def test_split_assemble_roundtrip(seed, gr, gc, bpx):
 def test_assemble_split_roundtrip(seed, gr, gc, bpx):
     rng = np.random.default_rng(seed)
     blocks = rng.random((gr * gc, bpx * bpx), dtype=np.float32)
-    bs = BlockSet(bpx, gr, gc, blocks, UNIT_INTERVAL)
-    again = split_blocks(assemble_blocks(bs), bpx)
-    np.testing.assert_array_equal(again.blocks, blocks)
+    img = assemble_blocks(blocks, (gr * bpx, gc * bpx), bpx, UNIT_INTERVAL)
+    np.testing.assert_array_equal(split_blocks(img, bpx), blocks)
 
 
-def test_blockset_rejects_bad_shapes():
+def test_assemble_rejects_blocks_that_do_not_tile_the_image():
     with pytest.raises(DimensionError):
-        BlockSet(24, 1, 1, np.zeros((1, 575)), UNIT_INTERVAL)
+        assemble_blocks(np.zeros((1, 575)), (24, 24), 24, UNIT_INTERVAL)
     with pytest.raises(DimensionError):
-        BlockSet(24, 2, 2, np.zeros((3, 576)), UNIT_INTERVAL)
+        assemble_blocks(np.zeros((3, 576)), (48, 48), 24, UNIT_INTERVAL)
+    with pytest.raises(DimensionError):
+        assemble_blocks(np.zeros((1, 576)), (25, 24), 24, UNIT_INTERVAL)
 
 
 def test_binarize_rules():

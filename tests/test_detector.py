@@ -17,11 +17,10 @@ from pgclab.codegen import (
     render,
 )
 from pgclab.detector import (
+    MEASURE_ALPHA,
     MEASURE_HAMMING,
     MEASURE_PEARSON,
     MEASURES,
-    RocCurve,
-    ScoreSet,
     auc,
     hamming_norm,
     pd_at_pfa,
@@ -30,7 +29,7 @@ from pgclab.detector import (
     reprint_scores,
     roc,
 )
-from pgclab.errors import DegenerateInputError, DimensionError, MissingInputError
+from pgclab.errors import DegenerateInputError, DimensionError, MissingInputError, ParameterError
 
 
 # ---------------------------------------------------------------- pearson
@@ -207,16 +206,15 @@ def test_roc_matches_bruteforce_enumeration(measure):
         # draw from a coarse grid so ties are common
         a = rng.integers(0, 8, na) / 7.0
         f = rng.integers(0, 8, nf) / 7.0
-        ss = ScoreSet(a, f, measure)
-        got = roc(ss).points
-        want = brute_force_roc(list(a), list(f), ss.alpha)
+        got = roc(a, f, measure)
+        want = brute_force_roc(list(a), list(f), MEASURE_ALPHA[measure])
         assert got == want
 
 
-def roc_one_pass_per_gamma(scores):
+def roc_one_pass_per_gamma(authentic, fake, measure):
     """roc as one full pass per gamma, kept as the reference for its points."""
-    s_a = scores.alpha * scores.authentic
-    s_f = scores.alpha * scores.fake
+    s_a = MEASURE_ALPHA[measure] * np.asarray(authentic, dtype=np.float64)
+    s_f = MEASURE_ALPHA[measure] * np.asarray(fake, dtype=np.float64)
     gammas = np.unique(np.concatenate([s_a, s_f, [np.inf, -np.inf]]))[::-1]
     return [(float(g), float(np.mean(s_a >= g)), float(np.mean(s_f > g))) for g in gammas]
 
@@ -236,13 +234,12 @@ _ROC_SCORES = st.lists(
 @given(_ROC_SCORES, _ROC_SCORES, st.sampled_from(MEASURES))
 def test_roc_sort_and_sweep_equals_one_pass_per_gamma(authentic, fake, measure):
     """Bit for bit, with ties, duplicate scores, +-inf and NaN."""
-    ss = ScoreSet(np.array(authentic), np.array(fake), measure)
-    assert point_bits(roc(ss).points) == point_bits(roc_one_pass_per_gamma(ss))
+    a, f = np.array(authentic), np.array(fake)
+    assert point_bits(roc(a, f, measure)) == point_bits(roc_one_pass_per_gamma(a, f, measure))
 
 
 def test_roc_example_by_hand():
-    ss = ScoreSet(np.array([0.9, 0.8]), np.array([0.85, 0.1]), MEASURE_PEARSON)
-    pts = {(pd, pfa) for _, pd, pfa in roc(ss).points}
+    pts = {(pd, pfa) for _, pd, pfa in roc([0.9, 0.8], [0.85, 0.1], MEASURE_PEARSON)}
     # gammas swept: inf, .9, .85, .8, .1, -inf; detection counts ties (>=),
     # false alarm does not (>), so gamma=.85 repeats (0.5, 0.0)
     assert pts == {(0.0, 0.0), (0.5, 0.0), (1.0, 0.5), (1.0, 1.0)}
@@ -250,8 +247,7 @@ def test_roc_example_by_hand():
 
 def test_roc_monotone_and_anchored():
     rng = np.random.default_rng(4)
-    ss = ScoreSet(rng.normal(0, 1, 40), rng.normal(0.5, 1, 40), MEASURE_PEARSON)
-    pts = roc(ss).points
+    pts = roc(rng.normal(0, 1, 40), rng.normal(0.5, 1, 40), MEASURE_PEARSON)
     gammas = [g for g, _, _ in pts]
     assert gammas == sorted(gammas, reverse=True)
     pds = [pd for _, pd, _ in pts]
@@ -266,44 +262,44 @@ def test_roc_separable_hits_corner():
         (MEASURE_PEARSON, [0.9, 0.95], [0.1, 0.2]),
         (MEASURE_HAMMING, [0.01, 0.02], [0.4, 0.5]),
     ):
-        pts = roc(ScoreSet(np.array(a), np.array(f), measure)).points
+        pts = roc(np.array(a), np.array(f), measure)
         assert any(pd == 1.0 and pfa == 0.0 for _, pd, pfa in pts)
 
 
 def test_roc_identical_distributions_near_diagonal():
     rng = np.random.default_rng(5)
     s = rng.normal(0, 1, 100)
-    pts = roc(ScoreSet(s, s.copy(), MEASURE_PEARSON)).points
+    pts = roc(s, s.copy(), MEASURE_PEARSON)
     for _, pd, pfa in pts:
         assert abs(pd - pfa) <= 1.0 / len(s) + 1e-12
 
 
 def test_roc_rejects_empty():
     with pytest.raises(DimensionError):
-        roc(ScoreSet(np.array([]), np.array([0.5]), MEASURE_PEARSON))
+        roc(np.array([]), np.array([0.5]), MEASURE_PEARSON)
 
 
-def test_scoreset_rejects_unknown_measure():
-    with pytest.raises(Exception):
-        ScoreSet(np.array([0.5]), np.array([0.5]), "cosine")
+def test_roc_rejects_unknown_measure():
+    with pytest.raises(ParameterError):
+        roc(np.array([0.5]), np.array([0.5]), "cosine")
 
 
 # ---------------------------------------------------------------- auc / pd@pfa
 
 def test_auc_separable_is_one():
-    c = roc(ScoreSet(np.array([0.9, 0.8]), np.array([0.2, 0.1]), MEASURE_PEARSON))
+    c = roc(np.array([0.9, 0.8]), np.array([0.2, 0.1]), MEASURE_PEARSON)
     assert auc(c) == 1.0
 
 
 def test_auc_diagonal_is_half():
-    assert auc(RocCurve([(math.inf, 0.0, 0.0), (-math.inf, 1.0, 1.0)])) == pytest.approx(0.5)
+    assert auc([(math.inf, 0.0, 0.0), (-math.inf, 1.0, 1.0)]) == pytest.approx(0.5)
 
 
 def test_auc_identical_distributions_near_half():
     rng = np.random.default_rng(6)
     a = rng.normal(0, 1, 200)
     f = rng.normal(0, 1, 200)
-    val = auc(roc(ScoreSet(a, f, MEASURE_PEARSON)))
+    val = auc(roc(a, f, MEASURE_PEARSON))
     assert abs(val - 0.5) <= 0.05
 
 
@@ -312,24 +308,24 @@ def test_auc_bounded():
     for _ in range(20):
         a = rng.normal(0, 1, 15)
         f = rng.normal(0.3, 1, 15)
-        v = auc(roc(ScoreSet(a, f, MEASURE_PEARSON)))
+        v = auc(roc(a, f, MEASURE_PEARSON))
         assert 0.0 <= v <= 1.0
 
 
 def test_pd_at_pfa_rules():
-    stair = RocCurve([
+    stair = [
         (math.inf, 0.0, 0.0),
         (0.9, 0.2, 0.0),
         (0.5, 0.6, 0.6),
         (-math.inf, 1.0, 1.0),
-    ])
+    ]
     assert pd_at_pfa(stair, 0.0) == 0.2
     assert pd_at_pfa(stair, 0.6) == 0.6
     assert pd_at_pfa(stair, 0.99) == 0.6
     assert pd_at_pfa(stair, 1.0) == 1.0
-    below = RocCurve([(math.inf, 0.5, 0.3), (-math.inf, 1.0, 1.0)])
+    below = [(math.inf, 0.5, 0.3), (-math.inf, 1.0, 1.0)]
     assert pd_at_pfa(below, 0.1) == 0.0
-    sep = roc(ScoreSet(np.array([0.9, 0.8]), np.array([0.2, 0.1]), MEASURE_PEARSON))
+    sep = roc(np.array([0.9, 0.8]), np.array([0.2, 0.1]), MEASURE_PEARSON)
     assert pd_at_pfa(sep, 0.0) == 1.0
 
 
@@ -357,7 +353,7 @@ def test_complemented_estimate_scores_poorly():
     assert (fake[MEASURE_HAMMING] == 1.0).all()
     assert (auth[MEASURE_HAMMING] == 0.0).all()
     for measure in MEASURES:
-        assert auc(roc(ScoreSet(auth[measure], fake[measure], measure))) == 1.0
+        assert auc(roc(auth[measure], fake[measure], measure)) == 1.0
 
 
 def test_a_constant_reprint_scores_pearson_zero_and_is_counted():

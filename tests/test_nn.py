@@ -37,9 +37,7 @@ def small_model(dims, acts, seed=0, dtype=np.float32):
         layers.append(LayerSpec(dims[i], dims[i + 1], act))
         ws.append(rng.normal(0, 0.5, (dims[i + 1], dims[i])).astype(dtype))
         bs.append(rng.normal(0, 0.1, dims[i + 1]).astype(dtype))
-    m = MlpModel(layers, ws, bs)
-    m.validate()
-    return m
+    return MlpModel(layers, ws, bs)
 
 
 def dims(m):
@@ -53,10 +51,8 @@ def n_params(m):
 def bias_model(pred):
     """A one-layer identity model whose output is pred for every input."""
     pred = np.asarray(pred, np.float32)
-    m = MlpModel([LayerSpec(1, pred.size, ACT_IDENTITY)],
-                 [np.zeros((pred.size, 1), np.float32)], [pred])
-    m.validate()
-    return m
+    return MlpModel([LayerSpec(1, pred.size, ACT_IDENTITY)],
+                    [np.zeros((pred.size, 1), np.float32)], [pred])
 
 
 # ---------------------------------------------------------------- builders
@@ -330,19 +326,19 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(forward(m, x), forward(m2, x))
 
 
-def test_save_load_none_threshold(tmp_path):
+def test_load_rejects_a_model_without_threshold(tmp_path):
+    """Flag byte 0 once marked a model without a threshold; no verb writes one."""
     m = small_model([4, 3], [ACT_IDENTITY], seed=22)
     p = tmp_path / "m.pgcm"
-    save_model(m, None, p)
-    _, thr = load_model(p)
-    assert thr is None
+    save_model(m, 0.5, p)
+    p.write_bytes(p.read_bytes()[:-5] + b"\x00")
+    with pytest.raises(FormatError, match="threshold flag 0"):
+        load_model(p)
 
 
 def test_saved_file_size_formula(tmp_path):
     m = small_model([8, 5, 8], [ACT_RELU, ACT_SIGMOID], seed=23)
     p = tmp_path / "m.pgcm"
-    save_model(m, None, p)
-    assert p.stat().st_size == 12 + 12 * len(m.layers) + 4 * n_params(m) + 1
     save_model(m, 0.5, p)
     assert p.stat().st_size == 12 + 12 * len(m.layers) + 4 * n_params(m) + 1 + 4
 
@@ -419,14 +415,14 @@ def test_train_config_validation():
         dict(seed=-1),
     ):
         with pytest.raises(ParameterError):
-            TrainConfig(**bad).validate()
+            TrainConfig(**bad)
 
 
 def test_layer_spec_validation():
     with pytest.raises(DimensionError):
-        LayerSpec(0, 3, ACT_RELU).validate()
+        LayerSpec(0, 3, ACT_RELU)
     with pytest.raises(ParameterError):
-        LayerSpec(3, 3, "tanh").validate()
+        LayerSpec(3, 3, "tanh")
 
 
 # ---------------------------------------------------------------- bit identity
