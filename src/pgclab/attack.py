@@ -17,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import imgio, nn
-from .channel import (
-    PRINTER_IDS,
-    ChannelParams,
-    parallel_map,
-    preset,
-    print_scan,
-    with_fields,
-)
+from .channel import ChannelParams, parallel_map, print_scan, with_fields
 from .codegen import (
     BYTE0_255,
     UNIT_INTERVAL,
@@ -50,8 +43,6 @@ SPLIT_TRAIN = "train"
 SPLIT_VAL = "val"
 SPLIT_TEST = "test"
 SPLITS = (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)
-
-DEFAULT_SPLIT = (100, 50, 234)
 
 # Each architecture's model builder, called with the training seed.
 _BUILDERS = {
@@ -81,9 +72,10 @@ class PairedDataset:
 
     The splits are by index order: the first split_sizes[0] codes train,
     the next split_sizes[1] validate, the rest test.  channel_params names
-    every printer of the dataset; scans may hold only some of them (see
-    load_dataset), or none (see build_dataset's out_dir).  Each is a list
-    of images, or load_dataset's ScanList, which reads a scan when used.
+    every printer of the dataset; scans holds load_dataset's ScanList, which
+    reads a scan when used, for one of them, or none (see build_dataset).
+    The split sizes, seed and printer ids are checked when the dataset is
+    made; the originals and scans are filled in after.
     """
 
     geometry: Geometry
@@ -92,6 +84,23 @@ class PairedDataset:
     originals: list[ModuleMatrix]
     scans: dict[str, Sequence[PixelImage]]
     channel_params: dict[str, ChannelParams]
+
+    def __post_init__(self):
+        sizes = self.split_sizes
+        if not (isinstance(sizes, tuple) and len(sizes) == 3):
+            raise ParameterError(f"split_sizes must be three counts, not {sizes!r}")
+        for name, value in [("split_sizes", s) for s in sizes] + [("seed", self.seed)]:
+            # A bool is an int to Python, but not a count.
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ParameterError(f"{name} must be an integer >= 0, not {value!r}")
+        if sum(sizes) < 1:
+            raise ParameterError("split_sizes must count at least one code")
+        if not self.channel_params:
+            raise ParameterError("a dataset must name at least one printer")
+        for pid in self.channel_params:
+            # A printer id names its scans' directory: one plain path component.
+            if pid in ("", ".", "..") or any(c in pid for c in "/\\\0"):
+                raise ParameterError(f"printer id {pid!r} is not a plain file name")
 
     @property
     def n_images(self) -> int:
@@ -122,102 +131,56 @@ class PairedDataset:
         return {tag: len(self.indices(tag)) * per for tag in SPLITS}
 
 
-def _check_printer_id(pid: str) -> None:
-    # A printer id names its scans' directory: one plain path component.
-    if pid in ("", ".", "..") or any(c in pid for c in "/\\\0"):
-        raise ParameterError(f"printer id {pid!r} is not a plain file name")
-
-
-def _scan_job(job) -> PixelImage | None:
-    """Scan one code: write the scan to the job's path and return None, or
-    return it when the path is None."""
+def _scan_job(job) -> None:
+    """Scan one code and write the scan to the job's path."""
     code, module_px, params, seed, path = job
-    scan = print_scan(render(code, module_px), params, seed)
-    if path is None:
-        return scan
-    imgio.write_pgm(scan, path)
-    return None
+    imgio.write_pgm(print_scan(render(code, module_px), params, seed), path)
 
 
 def build_dataset(
-    n_images: int,
-    split_sizes: tuple[int, int, int] | None = None,
-    geometry: Geometry | None = None,
-    printer_params: dict[str, ChannelParams] | None = None,
-    seed: int = 0,
-    out_dir=None,
+    split_sizes: tuple[int, int, int],
+    geometry: Geometry,
+    printer_params: dict[str, ChannelParams],
+    seed: int,
+    out_dir,
 ) -> PairedDataset:
-    """Generate codes, render them, and scan each through every printer.
+    """Generate codes, render them, scan each through every printer, and
+    write the dataset under out_dir, each file where _manifest puts it.
 
     The scans run on parallel_map's workers, each seeded by its own
-    (printer, image) stream.  The splits are by index order (see
-    PairedDataset).
-
-    With out_dir, the dataset is written there, each file where _manifest
-    puts it, and the dataset returned holds no scans: each worker writes
-    the scans it makes, so the scans never reach this process.  An earlier
-    manifest there is deleted before anything is written and the new one
-    is written after every scan, so a build that fails leaves none.
+    (printer, image) stream, and each worker writes the scans it makes, so
+    the scans never reach this process: the dataset returned holds the
+    originals and no scan.  The splits are by index order (see
+    PairedDataset), which checks the arguments before anything is touched.
+    An earlier manifest in out_dir is deleted before anything is written
+    and the new one is written after every scan, so a build that fails
+    leaves none.
     """
-    if geometry is None:
-        geometry = Geometry()
-    if n_images < 1:
-        raise ParameterError("n_images must be >= 1")
-    if seed < 0:
-        raise ParameterError("seed must be >= 0")
-    if split_sizes is None:
-        split_sizes = DEFAULT_SPLIT
-    split_sizes = tuple(int(s) for s in split_sizes)
-    if len(split_sizes) != 3 or any(s < 0 for s in split_sizes):
-        raise ParameterError("split_sizes must be three non-negative counts")
-    if sum(split_sizes) != n_images:
-        raise ParameterError(
-            f"split_sizes {split_sizes} sum to {sum(split_sizes)}, not n_images {n_images}"
-        )
-    if printer_params is None:
-        printer_params = {pid: preset(pid) for pid in PRINTER_IDS}
-    if not printer_params:
-        raise ParameterError("printer_params must name at least one printer")
-    for pid in printer_params:
-        _check_printer_id(pid)
-
-    originals = [
+    ds = PairedDataset(geometry, seed, split_sizes, [], {}, dict(printer_params))
+    out = Path(out_dir)
+    (out / MANIFEST_NAME).unlink(missing_ok=True)
+    (out / "originals").mkdir(parents=True, exist_ok=True)
+    ds.originals = [
         generate_module_matrix(stream_seed(seed, 0, i), geometry.rows, geometry.cols)
-        for i in range(n_images)
+        for i in range(ds.n_images)
     ]
-    ds = PairedDataset(
-        geometry=geometry,
-        seed=seed,
-        split_sizes=split_sizes,
-        originals=originals,
-        scans={},
-        channel_params=dict(printer_params),
-    )
-    pids = ds.printers
-    out = None if out_dir is None else Path(out_dir)
-    if out is not None:
-        (out / MANIFEST_NAME).unlink(missing_ok=True)
-        (out / "originals").mkdir(parents=True, exist_ok=True)
-        for i, m in enumerate(originals):
-            imgio.write_pbm(m, out / _original_rel(i))
-        for pid in pids:
-            (out / "scans" / pid).mkdir(parents=True, exist_ok=True)
+    for i, m in enumerate(ds.originals):
+        imgio.write_pbm(m, out / _original_rel(i))
+    for pid in ds.printers:
+        (out / "scans" / pid).mkdir(parents=True, exist_ok=True)
     # Each path is a str, not a Path: at the paper's 1536 scans, Path
     # objects raised every forked worker's peak by 0.6 MB.
     jobs = [
-        (originals[i], geometry.module_px, printer_params[pid], stream_seed(seed, 1 + p_idx, i),
-         None if out is None else str(out / _scan_rel(pid, i)))
-        for p_idx, pid in enumerate(pids)
-        for i in range(n_images)
+        (ds.originals[i], geometry.module_px, printer_params[pid], stream_seed(seed, 1 + p_idx, i),
+         str(out / _scan_rel(pid, i)))
+        for p_idx, pid in enumerate(ds.printers)
+        for i in range(ds.n_images)
     ]
-    flat = parallel_map(_scan_job, jobs)
-    if out is None:
-        ds.scans = {pid: flat[p * n_images : (p + 1) * n_images] for p, pid in enumerate(pids)}
-    else:
-        # Written last, so a dataset with a manifest is whole.
-        with open(out / MANIFEST_NAME, "w") as fh:
-            json.dump(_manifest(ds), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    parallel_map(_scan_job, jobs)
+    # Written last, so a dataset with a manifest is whole.
+    with open(out / MANIFEST_NAME, "w") as fh:
+        json.dump(_manifest(ds), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return ds
 
 
@@ -463,15 +426,6 @@ def _manifest_paths(rels: list[str], root: Path, manifest_path: Path) -> list[st
     return paths
 
 
-def _json_int(value, what: str, manifest_path: Path) -> int:
-    # JSON true/false load as bool, a subclass of int; they are not counts.
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise FormatError(
-            f"{manifest_path}: malformed manifest ({what} must be an integer >= 0, not {value!r})"
-        )
-    return value
-
-
 def _read_image(read, path: str, manifest_path: Path):
     try:
         return read(path)
@@ -501,16 +455,15 @@ class ScanList(Sequence):
         return scan
 
 
-def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
-    """Read a dataset written by build_dataset.
+def load_dataset(in_dir, printer: str) -> PairedDataset:
+    """Read a dataset written by build_dataset, with one printer's scans.
 
     The manifest must be exactly the one build_dataset writes for the
     geometry, seed, split sizes and printers it names; FormatError names
     the top-level keys that differ.  Every original is read, and no scan:
-    each printer's scans are a ScanList, but every scan must be a file
-    already, so a missing one ends in MissingInputError here.  With
-    printer given, only that printer's scans are loaded; printers and
-    printer_index still cover every printer in the manifest.
+    the printer's scans are a ScanList, but every one must be a file
+    already, so a missing one ends in MissingInputError here.  printers
+    and printer_index still cover every printer in the manifest.
     """
     root = Path(in_dir)
     manifest_path = root / MANIFEST_NAME
@@ -527,31 +480,23 @@ def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
         version = manifest["format_version"]
         if type(version) is not int or version != _MANIFEST_VERSION:
             raise FormatError(f"{manifest_path}: unsupported manifest version {version!r}")
-        geometry = Geometry(**{
-            k: _json_int(v, f"geometry.{k}", manifest_path)
-            for k, v in manifest["geometry"].items()
-        })
-        seed = _json_int(manifest["seed"], "seed", manifest_path)
-        split_sizes = tuple(
-            _json_int(n, "split_sizes", manifest_path) for n in manifest["split_sizes"]
+        ds = PairedDataset(
+            Geometry(**manifest["geometry"]),
+            manifest["seed"],
+            tuple(manifest["split_sizes"]),
+            [],
+            {},
+            {pid: with_fields(ChannelParams(), p) for pid, p in manifest["printers"].items()},
         )
-        channel_params = {
-            pid: with_fields(ChannelParams(), p) for pid, p in manifest["printers"].items()
-        }
-        for pid in channel_params:
-            _check_printer_id(pid)
     except (AttributeError, KeyError, TypeError, ValueError, DimensionError,
             ParameterError) as exc:
         raise FormatError(f"{manifest_path}: malformed manifest ({exc})") from None
-    if len(split_sizes) != 3:
-        raise FormatError(f"{manifest_path}: split_sizes must be three counts")
     # Each code's split tag and paths take bytes of a manifest that lists
     # them, so this bounds the manifest rebuilt below by the file's size.
-    if sum(split_sizes) * (len(channel_params) + 2) > manifest_path.stat().st_size:
+    if ds.n_images * (len(ds.channel_params) + 2) > manifest_path.stat().st_size:
         raise FormatError(
             f"{manifest_path}: split_sizes count more codes than the file can list"
         )
-    ds = PairedDataset(geometry, seed, split_sizes, [], {}, channel_params)
     expected = _manifest(ds)
     if manifest != expected:
         differ = sorted(k for k in manifest.keys() | expected.keys()
@@ -559,18 +504,16 @@ def load_dataset(in_dir, printer: str | None = None) -> PairedDataset:
         raise FormatError(
             f"{manifest_path}: not the manifest gen writes (differs in {', '.join(differ)})"
         )
-    if printer is not None and printer not in channel_params:
+    if printer not in ds.channel_params:
         raise UnknownIdError(f"printer {printer!r} not in dataset")
+    geometry = ds.geometry
     original_paths = _manifest_paths(expected["originals"], root, manifest_path)
-    scan_paths = {
-        pid: _manifest_paths(expected["scans"][pid], root, manifest_path)
-        for pid in (ds.printers if printer is None else (printer,))
-    }
+    scan_paths = _manifest_paths(expected["scans"][printer], root, manifest_path)
     ds.originals = [_read_image(imgio.read_pbm, path, manifest_path) for path in original_paths]
     if any(m.bits.shape != (geometry.rows, geometry.cols) for m in ds.originals):
         raise FormatError(f"{manifest_path}: an original's size does not match {geometry}")
-    missing = [path for paths in scan_paths.values() for path in paths if not os.path.isfile(path)]
+    missing = [path for path in scan_paths if not os.path.isfile(path)]
     if missing:
         raise MissingInputError(f"{manifest_path} names {missing[0]}, which is not a file")
-    ds.scans = {pid: ScanList(paths, geometry, manifest_path) for pid, paths in scan_paths.items()}
+    ds.scans = {printer: ScanList(scan_paths, geometry, manifest_path)}
     return ds

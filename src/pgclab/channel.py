@@ -261,11 +261,15 @@ def print_scan(img: PixelImage, params: ChannelParams, seed: int) -> PixelImage:
     return PixelImage(scan, BYTE0_255)
 
 
-def _worker(fn, jobs, conn) -> None:
+def _worker(fn, jobs, conn, parent_ends) -> None:
     """Send back (True, fn(jobs[j])) for each index j received until None;
     stop after the first error."""
     # Ctrl-C reaches the whole process group; the parent handles it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # The fork copied the parent's end of this pipe and of every earlier
+    # worker's; with them closed, the parent's death ends this pipe.
+    for end in parent_ends:
+        end.close()
     with conn:
         while True:
             try:
@@ -338,13 +342,13 @@ def parallel_map(fn, jobs) -> list:
     try:
         for w in range(n):
             parent_end, child_end = ctx.Pipe()
-            proc = ctx.Process(target=_worker, args=(fn, jobs, child_end), daemon=True)
+            conns.append(parent_end)
+            proc = ctx.Process(target=_worker, args=(fn, jobs, child_end, conns), daemon=True)
             proc.start()
             # Closed before the next fork, so the worker holds the only
             # copy of its end and its exit ends the pipe.
             child_end.close()
             procs.append(proc)
-            conns.append(parent_end)
         for _ in range(2):
             for w in range(n):
                 hand_out(w)

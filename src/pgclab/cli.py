@@ -20,7 +20,6 @@ import numpy as np
 from . import nn
 from .attack import (
     ARCHS,
-    DEFAULT_SPLIT,
     SPLIT_TEST,
     SPLIT_TRAIN,
     SPLIT_VAL,
@@ -53,15 +52,17 @@ from .detector import (
     roc,
     score_print,
 )
-from .errors import ConfigError, DimensionError, MissingInputError, PgcError
+from .errors import ConfigError, DimensionError, MissingInputError, PgcError, StateError
 from .imgio import read_pbm, write_pbm, write_pgm
+
+# The paper's train/val/test split, for a config that gives none.
+DEFAULT_SPLIT = (100, 50, 234)
 
 
 @dataclass
 class ExperimentConfig:
     out_dir: Path
     geometry: Geometry
-    n_images: int
     split_sizes: tuple[int, int, int]
     dataset_seed: int
     printers: dict[str, ChannelParams]
@@ -171,15 +172,16 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
     if n_images < 1:
         raise ConfigError("dataset.n_images must be >= 1")
     split = ds.get("split")
-    if split is not None:
-        if any(s < 0 for s in split):
-            raise ConfigError("dataset.split counts must be >= 0")
-        if sum(split) != n_images:
-            raise ConfigError(
-                f"dataset.split must sum to dataset.n_images ({sum(split)} != {n_images})"
-            )
-    elif n_images != sum(DEFAULT_SPLIT):
-        raise ConfigError(f"dataset.split is required when n_images != {sum(DEFAULT_SPLIT)}")
+    if split is None:
+        if n_images != sum(DEFAULT_SPLIT):
+            raise ConfigError(f"dataset.split is required when n_images != {sum(DEFAULT_SPLIT)}")
+        split = DEFAULT_SPLIT
+    if any(s < 0 for s in split):
+        raise ConfigError("dataset.split counts must be >= 0")
+    if sum(split) != n_images:
+        raise ConfigError(
+            f"dataset.split must sum to dataset.n_images ({sum(split)} != {n_images})"
+        )
     dataset_seed = ds.get("seed", 0)
     if dataset_seed < 0:
         raise ConfigError("dataset.seed must be >= 0")
@@ -236,7 +238,6 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
     return ExperimentConfig(
         out_dir=Path(out),
         geometry=geometry,
-        n_images=n_images,
         split_sizes=split,
         dataset_seed=dataset_seed,
         printers=printers,
@@ -275,12 +276,7 @@ def cmd_gen(cfg: ExperimentConfig) -> None:
     them.
     """
     ds = build_dataset(
-        cfg.n_images,
-        cfg.split_sizes,
-        cfg.geometry,
-        cfg.printers,
-        cfg.dataset_seed,
-        out_dir=_dataset_dir(cfg),
+        cfg.split_sizes, cfg.geometry, cfg.printers, cfg.dataset_seed, _dataset_dir(cfg)
     )
     counts = ds.block_counts()
     print(
@@ -343,6 +339,9 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
     """
     arch = arch or cfg.arch
     ds = load_dataset(_dataset_dir(cfg), printer)
+    test_idx = ds.indices(SPLIT_TEST)
+    if not test_idx:
+        raise StateError("empty test split")
     model_path = _model_path(cfg, printer, arch)
     if not model_path.exists():
         raise MissingInputError(f"no model file at {model_path}; run the train command first")
@@ -356,7 +355,6 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
 
     thr_t = calibrate_pixel_threshold(ds, printer)
     mpx = ds.geometry.module_px
-    test_idx = ds.indices(SPLIT_TEST)
     model_dir = _estimate_dir(cfg, printer, arch)
     thr_dir = _estimate_dir(cfg, printer, "thr")
     model_dir.mkdir(parents=True, exist_ok=True)
@@ -407,8 +405,10 @@ def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> Non
     """Score re-prints of the estimates against authentic re-prints."""
     arch = arch or cfg.arch
     ds = load_dataset(_dataset_dir(cfg), printer)
-    p_idx = ds.printer_index(printer)
     test_idx = ds.indices(SPLIT_TEST)
+    if not test_idx:
+        raise StateError("empty test split")
+    p_idx = ds.printer_index(printer)
     originals = [ds.originals[i] for i in test_idx]
     defender_t = calibrate_pixel_threshold(ds, printer)
     auth_seed = stream_seed(ds.seed, STREAM_REPRINT_AUTH + p_idx)

@@ -32,7 +32,11 @@ class Geometry:
 
     def __post_init__(self):
         for name in ("rows", "cols", "module_px", "block_px"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            # A bool is an int to Python, but not a size.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParameterError(f"geometry.{name} must be an integer, not {value!r}")
+            if value < 1:
                 raise ParameterError(f"geometry.{name} must be >= 1")
         if (self.rows * self.module_px) % self.block_px:
             raise DimensionError(

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from gradcheck import gradient_check
+from written_dataset import written_dataset
 from pgclab.attack import (
     SPLIT_TEST,
     SPLIT_TRAIN,
     SPLIT_VAL,
-    build_dataset,
     calibrate_pixel_threshold,
     calibrate_threshold,
     estimate_grey,
@@ -22,8 +22,8 @@ from pgclab.attack import (
     STREAM_REPRINT_AUTH,
     STREAM_REPRINT_FAKE,
 )
-from pgclab.channel import ChannelParams, preset
-from pgclab.cli import main
+from pgclab.channel import PRINTER_IDS, ChannelParams, preset
+from pgclab.cli import DEFAULT_SPLIT, main
 from pgclab.codegen import (
     UNIT_INTERVAL,
     PixelImage,
@@ -74,9 +74,9 @@ def _report(n: int, desc: str, ok: bool, detail: str = "") -> None:
 # ------------------------------------------------------------ shared run
 
 @pytest.fixture(scope="session")
-def sa_run():
+def sa_run(tmp_path_factory):
     """Desk-scale SA experiment: 40/10/20 codes, BN for 150 epochs."""
-    ds = build_dataset(70, (40, 10, 20), printer_params={"SA": preset("SA")}, seed=7)
+    ds = written_dataset(tmp_path_factory.mktemp("sa_run"), (40, 10, 20), {"SA": preset("SA")}, 7)
     cfg = TrainConfig(epochs=150, batch_size=128, learning_rate=1e-3, seed=11)
     t0 = time.monotonic()
     val = split_arrays(ds, "SA", SPLIT_VAL)
@@ -132,8 +132,8 @@ def test_criterion_1_gradient_correctness():
     )
 
 
-def test_criterion_2_identity_channel_exactness():
-    ds = build_dataset(14, (10, 2, 2), printer_params={"ID": ChannelParams()}, seed=3)
+def test_criterion_2_identity_channel_exactness(tmp_path):
+    ds = written_dataset(tmp_path, (10, 2, 2), {"ID": ChannelParams()}, 3)
     thr_estimates = _thr_estimates(ds, "ID")
     test_idx = ds.indices(SPLIT_TEST)
     thr_errs = [
@@ -310,8 +310,8 @@ def test_criterion_7_pipeline_determinism(tmp_path):
     )
 
 
-def test_criterion_8_dataset_counts_at_full_scale():
-    ds = build_dataset(384, seed=0)
+def test_criterion_8_dataset_counts_at_full_scale(tmp_path):
+    ds = written_dataset(tmp_path, DEFAULT_SPLIT, {pid: preset(pid) for pid in PRINTER_IDS}, 0)
     counts = ds.block_counts()
     ok = counts == {"train": 25600, "val": 12800, "test": 59904}
     _report(

@@ -27,7 +27,7 @@ from pgclab.attack import (
     threshold_grid,
     train_attack,
 )
-from pgclab.channel import ChannelParams, preset
+from pgclab.channel import ChannelParams, preset, print_scan
 from pgclab.codegen import (
     BYTE0_255,
     Geometry,
@@ -36,6 +36,7 @@ from pgclab.codegen import (
     binarize,
     ink_intensity,
     modules_from_pixels,
+    render,
     split_blocks,
 )
 from pgclab.errors import (
@@ -48,13 +49,20 @@ from pgclab.errors import (
 )
 from pgclab.imgio import write_pbm, write_pgm
 from pgclab.nn import ACT_IDENTITY, LayerSpec, MlpModel, TrainConfig
+from written_dataset import written_dataset
 
 
 IDENTITY = {"ID": ChannelParams()}
 
 
-def identity_dataset(n=8, split=(5, 2, 1), seed=3, out_dir=None):
-    return build_dataset(n, split, printer_params=IDENTITY, seed=seed, out_dir=out_dir)
+def identity_dataset(tmp_path, split=(5, 2, 1), seed=3):
+    return written_dataset(tmp_path, split, IDENTITY, seed)
+
+
+def write_identity(root, split=(1, 1, 0), seed=3):
+    """Write an identity-channel dataset at root and return build_dataset's
+    dataset: its originals and no scan."""
+    return build_dataset(split, Geometry(), IDENTITY, seed, root)
 
 
 def identity_model(dim=576):
@@ -83,8 +91,8 @@ def thr_estimates(ds, printer):
 
 # ---------------------------------------------------------------- dataset
 
-def test_block_counts_small():
-    ds = build_dataset(4, (2, 1, 1), printer_params=IDENTITY, seed=0)
+def test_block_counts_small(tmp_path):
+    ds = written_dataset(tmp_path, (2, 1, 1), IDENTITY, 0)
     assert ds.block_counts() == {SPLIT_TRAIN: 512, SPLIT_VAL: 256, SPLIT_TEST: 256}
     assert ds.n_images == 4
     assert ds.printers == ("ID",)
@@ -93,21 +101,22 @@ def test_block_counts_small():
     assert ds.indices(SPLIT_TEST) == [3]
 
 
-def test_build_dataset_is_deterministic():
-    a = build_dataset(3, (1, 1, 1), printer_params=IDENTITY, seed=9)
-    b = build_dataset(3, (1, 1, 1), printer_params=IDENTITY, seed=9)
+def test_build_dataset_is_deterministic(tmp_path):
+    a = written_dataset(tmp_path, (1, 1, 1), IDENTITY, 9)
+    b = written_dataset(tmp_path, (1, 1, 1), IDENTITY, 9)
     for i in range(3):
         np.testing.assert_array_equal(a.originals[i].bits, b.originals[i].bits)
         np.testing.assert_array_equal(a.scans["ID"][i].pixels, b.scans["ID"][i].pixels)
-    c = build_dataset(3, (1, 1, 1), printer_params=IDENTITY, seed=10)
+    c = written_dataset(tmp_path, (1, 1, 1), IDENTITY, 10)
     assert not np.array_equal(a.originals[0].bits, c.originals[0].bits)
 
 
-def test_scan_seeds_differ_per_printer_and_image():
+def test_scan_seeds_differ_per_printer_and_image(tmp_path):
     params = {"A": preset("SA"), "B": preset("SA")}
-    ds = build_dataset(2, (1, 1, 0), printer_params=params, seed=4)
-    assert not np.array_equal(ds.scans["A"][0].pixels, ds.scans["B"][0].pixels)
-    assert not np.array_equal(ds.scans["A"][0].pixels, ds.scans["A"][1].pixels)
+    build_dataset((1, 1, 0), Geometry(), params, 4, tmp_path)
+    a, b = (load_dataset(tmp_path, pid).scans[pid] for pid in ("A", "B"))
+    assert not np.array_equal(a[0].pixels, b[0].pixels)
+    assert not np.array_equal(a[0].pixels, a[1].pixels)
 
 
 def test_stream_seed_scheme():
@@ -117,26 +126,51 @@ def test_stream_seed_scheme():
     assert stream_seed(7, 2, 5) == (7 + 2 * 1_000_003) ^ 5
 
 
-def test_build_dataset_validation():
-    with pytest.raises(ParameterError):
-        build_dataset(4, (2, 1, 2), printer_params=IDENTITY, seed=0)
-    with pytest.raises(ParameterError):
-        build_dataset(4, (2, 1, -1, 2), printer_params=IDENTITY, seed=0)
-    with pytest.raises(ParameterError):
-        build_dataset(0, (0, 0, 0), printer_params=IDENTITY, seed=0)
-    with pytest.raises(ParameterError):
-        build_dataset(4, (2, 1, 1), printer_params=IDENTITY, seed=-1)
-    with pytest.raises(ParameterError):
-        build_dataset(4, (2, 1, 1), printer_params={}, seed=0)
+# Each a field of a PairedDataset that breaks one of its rules, and the
+# message that names the rule.
+BAD_DATASET_FIELDS = [
+    (dict(split_sizes=(2, 1, -1)), "split_sizes must be an integer >= 0"),
+    (dict(split_sizes=(2, 1.0, 1)), "split_sizes must be an integer >= 0"),
+    (dict(split_sizes=(2, True, 1)), "split_sizes must be an integer >= 0"),
+    (dict(split_sizes=(2, 1, -1, 2)), "split_sizes must be three counts"),
+    (dict(split_sizes=[2, 1, 1]), "split_sizes must be three counts"),
+    (dict(split_sizes=(0, 0, 0)), "at least one code"),
+    (dict(seed=-1), "seed must be an integer >= 0"),
+    (dict(seed=True), "seed must be an integer >= 0"),
+    (dict(seed=1.0), "seed must be an integer >= 0"),
+    (dict(channel_params={}), "at least one printer"),
+    (dict(channel_params={"a/b": ChannelParams()}), "not a plain file name"),
+]
+BAD_DATASET_IDS = ["size-negative", "size-real", "size-bool", "sizes-four", "sizes-list",
+                   "no-code", "seed-negative", "seed-bool", "seed-real", "no-printer",
+                   "printer-path"]
 
 
-def test_default_printers_are_all_presets():
-    ds = build_dataset(1, (1, 0, 0), seed=0)
-    assert ds.printers == ("CA", "HP", "LX", "SA")
+@pytest.mark.parametrize("field, needle", BAD_DATASET_FIELDS, ids=BAD_DATASET_IDS)
+def test_paired_dataset_checks_its_fields(field, needle):
+    good = dict(geometry=Geometry(), seed=0, split_sizes=(2, 1, 1), originals=[], scans={},
+                channel_params=IDENTITY)
+    PairedDataset(**good)
+    with pytest.raises(ParameterError, match=needle):
+        PairedDataset(**{**good, **field})
 
 
-def test_split_arrays_shapes_and_ranges():
-    ds = identity_dataset()
+@pytest.mark.parametrize("field, needle", BAD_DATASET_FIELDS, ids=BAD_DATASET_IDS)
+def test_a_refused_build_leaves_the_dataset_there(tmp_path, field, needle):
+    """build_dataset checks its arguments before it deletes the manifest
+    or writes a file."""
+    write_identity(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    args = dict(split_sizes=(2, 1, 1), geometry=Geometry(), printer_params=IDENTITY, seed=0)
+    field = {"printer_params" if k == "channel_params" else k: v for k, v in field.items()}
+    with pytest.raises(ParameterError, match=needle):
+        build_dataset(**{**args, **field}, out_dir=tmp_path)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    load_dataset(tmp_path, "ID")
+
+
+def test_split_arrays_shapes_and_ranges(tmp_path):
+    ds = identity_dataset(tmp_path)
     x, t = split_arrays(ds, "ID", SPLIT_TRAIN)
     # The inputs take 1 byte per pixel, the packed targets 1 bit.
     assert x.shape == (5 * 256, 576) and t.shape == (5 * 256, 72)
@@ -162,10 +196,10 @@ def float32_split(ds, printer, tag):
     return np.concatenate(x), np.concatenate(t).astype(np.float32)
 
 
-def test_split_arrays_match_the_concatenated_blocks():
+def test_split_arrays_match_the_concatenated_blocks(tmp_path):
     """The preallocated arrays hold the scans' own bytes, blocked, and their
     network_rows gives the bits of the float32 ink split."""
-    ds = build_dataset(4, (3, 1, 0), printer_params={"SA": preset("SA")}, seed=2)
+    ds = written_dataset(tmp_path, (3, 1, 0), {"SA": preset("SA")}, 2)
     x, t = split_arrays(ds, "SA", SPLIT_TRAIN)
     assert x.dtype == np.uint8
     idx = ds.indices(SPLIT_TRAIN)
@@ -179,10 +213,10 @@ def test_split_arrays_match_the_concatenated_blocks():
 
 @pytest.mark.parametrize("geometry", [Geometry(), Geometry(6, 6, 5, 5), Geometry(3, 6, 2, 3)],
                          ids=["576", "25", "9"])
-def test_split_arrays_packed_targets_unpack_to_the_rendered_blocks(geometry):
+def test_split_arrays_packed_targets_unpack_to_the_rendered_blocks(tmp_path, geometry):
     """Each row of targets is its block's bits packed with np.packbits; a
     block_dim that is not a multiple of 8 pads the last byte with zeros."""
-    ds = build_dataset(3, (2, 1, 0), geometry, printer_params=IDENTITY, seed=4)
+    ds = written_dataset(tmp_path, (2, 1, 0), IDENTITY, 4, geometry)
     dim = geometry.block_dim
     for tag in (SPLIT_TRAIN, SPLIT_VAL):
         x, t = split_arrays(ds, "ID", tag)
@@ -194,16 +228,16 @@ def test_split_arrays_packed_targets_unpack_to_the_rendered_blocks(geometry):
         np.testing.assert_array_equal(network_rows(x, t)[1], want)
 
 
-def test_split_arrays_empty_tag():
-    ds = build_dataset(2, (2, 0, 0), printer_params=IDENTITY, seed=1)
+def test_split_arrays_empty_tag(tmp_path):
+    ds = written_dataset(tmp_path, (2, 0, 0), IDENTITY, 1)
     x, t = split_arrays(ds, "ID", SPLIT_VAL)
     assert x.shape == (0, 576) and t.shape == (0, 72)
 
 
 # ---------------------------------------------------------------- training
 
-def test_train_history_and_determinism():
-    ds = identity_dataset()
+def test_train_history_and_determinism(tmp_path):
+    ds = identity_dataset(tmp_path)
     cfg = TrainConfig(epochs=3, batch_size=128, learning_rate=1e-3, seed=5)
     m1, h1, _ = train_attack(*train_val(ds, "ID"), "bn", cfg)
     m2, h2, _ = train_attack(*train_val(ds, "ID"), "bn", cfg)
@@ -214,11 +248,11 @@ def test_train_history_and_determinism():
         np.testing.assert_array_equal(a, b)
 
 
-def test_train_rejects_bad_inputs():
-    ds = build_dataset(2, (0, 1, 1), printer_params=IDENTITY, seed=2)
+def test_train_rejects_bad_inputs(tmp_path):
+    ds = written_dataset(tmp_path, (0, 1, 1), IDENTITY, 2)
     with pytest.raises(StateError):
         train_attack(*train_val(ds, "ID"), "bn", TrainConfig(epochs=1))
-    ds2 = identity_dataset()
+    ds2 = identity_dataset(tmp_path)
     with pytest.raises(ParameterError):
         train_attack(*train_val(ds2, "ID"), "resnet", TrainConfig(epochs=1))
     with pytest.raises(UnknownIdError):
@@ -226,7 +260,7 @@ def test_train_rejects_bad_inputs():
 
 
 @pytest.mark.parametrize("arch", ["bn", "fc2"])
-def test_train_attack_peak_memory_is_what_it_must_hold(arch):
+def test_train_attack_peak_memory_is_what_it_must_hold(tmp_path, arch):
     """The traced peak of train_attack is at most the block arrays, the
     packed targets, five copies of the parameters (the model, the best
     epoch's snapshot, Adam's two moments and one step's gradients) and the
@@ -235,7 +269,7 @@ def test_train_attack_peak_memory_is_what_it_must_hold(arch):
     second step's gradients beside the first's would not fit."""
     import tracemalloc
 
-    ds = build_dataset(10, (2, 8, 0), printer_params={"SA": preset("SA")}, seed=5)
+    ds = written_dataset(tmp_path, (2, 8, 0), {"SA": preset("SA")}, 5)
     cfg = TrainConfig(epochs=1, batch_size=128, learning_rate=1e-3, seed=1)
     train_attack(*train_val(ds, "SA"), arch, cfg)
     tracemalloc.start()
@@ -259,11 +293,11 @@ def calibration_peak(tmp_path, n_val):
     import tracemalloc
 
     root = tmp_path / f"val{n_val}"
-    build_dataset(1 + n_val, (1, n_val, 0), Geometry(rows=64, cols=64, module_px=6, block_px=24),
-                  IDENTITY, seed=2, out_dir=root)
+    build_dataset((1, n_val, 0), Geometry(rows=64, cols=64, module_px=6, block_px=24),
+                  IDENTITY, 2, root)
     tracemalloc.start()
     try:
-        calibrate_pixel_threshold(load_dataset(root), "ID")
+        calibrate_pixel_threshold(load_dataset(root, "ID"), "ID")
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -296,12 +330,12 @@ def one_shot_loss(m, x, t):
 # At the first rate the network learns, so its outputs depend on its
 # inputs; at the second it saturates early, so an earlier epoch is kept.
 @pytest.mark.parametrize("learning_rate,earlier_kept", [(1e-3, False), (0.05, True)])
-def test_returned_model_is_best_validation_epoch(learning_rate, earlier_kept):
+def test_returned_model_is_best_validation_epoch(tmp_path, learning_rate, earlier_kept):
     """Replay the schedule independently on the float32 ink split, with
     one-shot validation losses: the history, val_loss, returned weights
     (the snapshot of the epoch with the lowest validation loss) and
     threshold must have the replay's bits."""
-    ds = build_dataset(9, (5, 3, 1), printer_params={"SA": preset("SA")}, seed=6)
+    ds = written_dataset(tmp_path, (5, 3, 1), {"SA": preset("SA")}, 6)
     cfg = TrainConfig(epochs=5, batch_size=128, learning_rate=learning_rate, seed=2)
     train, val = train_val(ds, "SA")
     kept, history, val_loss = train_attack(train, val, "bn", cfg)
@@ -334,13 +368,13 @@ def test_returned_model_is_best_validation_epoch(learning_rate, earlier_kept):
     assert threshold == calibrate_grid(nn._forward_acts(kept, xv)[-1], tv)[0]
 
 
-def test_val_loss_is_the_kept_models_validation_loss():
-    ds = build_dataset(8, (5, 2, 1), printer_params={"SA": preset("SA")}, seed=6)
+def test_val_loss_is_the_kept_models_validation_loss(tmp_path):
+    ds = written_dataset(tmp_path, (5, 2, 1), {"SA": preset("SA")}, 6)
     cfg = TrainConfig(epochs=3, batch_size=128, learning_rate=1e-3, seed=2)
     train, val = train_val(ds, "SA")
     model, _, val_loss = train_attack(train, val, "bn", cfg)
     assert val_loss == nn.batch_loss(model, *val, prep=network_rows)
-    no_val = build_dataset(3, (3, 0, 0), printer_params=IDENTITY, seed=1)
+    no_val = written_dataset(tmp_path, (3, 0, 0), IDENTITY, 1)
     with pytest.raises(StateError, match="empty validation split"):
         train_attack(*train_val(no_val, "ID"), "bn", TrainConfig(epochs=1))
 
@@ -532,9 +566,9 @@ def test_calibrate_pixel_threshold_edge_cases_equal_the_grid(bit, byte):
     assert calibrate_pixel_threshold(ds, "P") == calibrate_grid(values, targets)[0]
 
 
-def test_calibrate_threshold_identity_recovery():
+def test_calibrate_threshold_identity_recovery(tmp_path):
     """Exact outputs: every grid point in (0, 1] is error-free; pick 0.01."""
-    ds = identity_dataset()
+    ds = identity_dataset(tmp_path)
     val = split_arrays(ds, "ID", SPLIT_VAL)
     assert calibrate_threshold(identity_model(), val) == pytest.approx(0.01)
 
@@ -591,8 +625,8 @@ def test_calibrate_threshold_peak_memory_does_not_grow_with_the_split():
     assert max(peaks) <= 24 * 2 * nn.ROW_BLOCK * 576 + 2**20
 
 
-def test_calibrate_pixel_threshold_identity():
-    ds = identity_dataset()
+def test_calibrate_pixel_threshold_identity(tmp_path):
+    ds = identity_dataset(tmp_path)
     t = calibrate_pixel_threshold(ds, "ID")
     assert t == pytest.approx(0.01)
     assert t in threshold_grid()
@@ -600,8 +634,8 @@ def test_calibrate_pixel_threshold_identity():
 
 # ---------------------------------------------------------------- estimation
 
-def test_estimate_identity_roundtrip():
-    ds = identity_dataset()
+def test_estimate_identity_roundtrip(tmp_path):
+    ds = identity_dataset(tmp_path)
     model = identity_model()
     threshold = calibrate_threshold(model, split_arrays(ds, "ID", SPLIT_VAL))
     for i in ds.indices(SPLIT_TEST):
@@ -611,25 +645,23 @@ def test_estimate_identity_roundtrip():
         np.testing.assert_array_equal(xhat.bits, ds.originals[i].bits)
 
 
-def test_thr_estimates_identity_is_exact():
-    ds = identity_dataset()
+def test_thr_estimates_identity_is_exact(tmp_path):
+    ds = identity_dataset(tmp_path)
     estimates = thr_estimates(ds, "ID")
     assert len(estimates) == len(ds.indices(SPLIT_TEST))
     for est, i in zip(estimates, ds.indices(SPLIT_TEST)):
         np.testing.assert_array_equal(est.bits, ds.originals[i].bits)
 
 
-def test_thr_estimates_degrade_with_noise():
+def test_thr_estimates_degrade_with_noise(tmp_path):
     # iid pixel noise alone is absorbed by the 36-pixel majority vote, so
     # the heavy-noise channel is a realistic printer with the noise raised
     from pgclab.channel import with_fields
-    noisy = build_dataset(
-        8, (5, 2, 1),
-        printer_params={"NZ": with_fields(preset("SA"), {"noise_sigma": 0.5})},
-        seed=3,
+    noisy = written_dataset(
+        tmp_path, (5, 2, 1), {"NZ": with_fields(preset("SA"), {"noise_sigma": 0.5})}, 3
     )
     est_noisy = thr_estimates(noisy, "NZ")
-    clean = identity_dataset()
+    clean = identity_dataset(tmp_path)
     est_clean = thr_estimates(clean, "ID")
     def mean_err(ests, ds):
         return float(np.mean([
@@ -642,11 +674,18 @@ def test_thr_estimates_degrade_with_noise():
 
 # ---------------------------------------------------------------- persistence
 
+def reference_scan(ds, printer, i):
+    """The scan build_dataset makes of code i, made here in one piece."""
+    seed = stream_seed(ds.seed, 1 + ds.printer_index(printer), i)
+    return print_scan(render(ds.originals[i], ds.geometry.module_px),
+                      ds.channel_params[printer], seed)
+
+
 def test_build_load_dataset_roundtrip(tmp_path):
-    ds = build_dataset(3, (1, 1, 1), printer_params={"SA": preset("SA")}, seed=8)
-    build_dataset(3, (1, 1, 1), printer_params={"SA": preset("SA")}, seed=8, out_dir=tmp_path)
+    ds = build_dataset((1, 1, 1), Geometry(), {"SA": preset("SA")}, 8, tmp_path)
+    assert ds.scans == {}
     assert (tmp_path / "manifest.json").exists()
-    back = load_dataset(tmp_path)
+    back = load_dataset(tmp_path, "SA")
     assert back.seed == ds.seed
     assert back.split_sizes == ds.split_sizes
     assert [back.indices(tag) for tag in SPLITS] == [[0], [1], [2]]
@@ -655,13 +694,14 @@ def test_build_load_dataset_roundtrip(tmp_path):
     assert back.channel_params["SA"] == ds.channel_params["SA"]
     for i in range(3):
         np.testing.assert_array_equal(back.originals[i].bits, ds.originals[i].bits)
-        np.testing.assert_array_equal(back.scans["SA"][i].pixels, ds.scans["SA"][i].pixels)
+        np.testing.assert_array_equal(back.scans["SA"][i].pixels,
+                                      reference_scan(ds, "SA", i).pixels)
 
 
 def test_manifest_names_the_six_channel_parameters(tmp_path):
     """Every scan is 8-bit, so a printer's manifest entry holds the six
     channel parameters and no quantize flag."""
-    build_dataset(2, (1, 1, 0), printer_params={"SA": preset("SA")}, seed=8, out_dir=tmp_path)
+    build_dataset((1, 1, 0), Geometry(), {"SA": preset("SA")}, 8, tmp_path)
     printers = json.loads((tmp_path / "manifest.json").read_text())["printers"]
     assert list(printers) == ["SA"]
     assert sorted(printers["SA"]) == sorted(["dot_gain_radius", "dot_gain_prob", "psf_sigma",
@@ -670,15 +710,15 @@ def test_manifest_names_the_six_channel_parameters(tmp_path):
 
 def test_load_dataset_one_printer_keeps_printer_index(tmp_path):
     params = {pid: preset(pid) for pid in ("SA", "LX", "HP")}
-    ds = build_dataset(2, (1, 1, 0), printer_params=params, seed=8)
-    build_dataset(2, (1, 1, 0), printer_params=params, seed=8, out_dir=tmp_path)
+    ds = build_dataset((1, 1, 0), Geometry(), params, 8, tmp_path)
     back = load_dataset(tmp_path, "LX")
     assert set(back.scans) == {"LX"}
     assert back.printers == ds.printers == ("HP", "LX", "SA")
     assert back.printer_index("LX") == ds.printer_index("LX") == 1
     assert back.channel_params == ds.channel_params
     for i in range(2):
-        np.testing.assert_array_equal(back.scans["LX"][i].pixels, ds.scans["LX"][i].pixels)
+        np.testing.assert_array_equal(back.scans["LX"][i].pixels,
+                                      reference_scan(ds, "LX", i).pixels)
     with pytest.raises(UnknownIdError):
         split_arrays(back, "SA", SPLIT_TRAIN)
     with pytest.raises(UnknownIdError):
@@ -687,18 +727,18 @@ def test_load_dataset_one_printer_keeps_printer_index(tmp_path):
 
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(MissingInputError, match="gen"):
-        load_dataset(tmp_path / "nowhere")
+        load_dataset(tmp_path / "nowhere", "ID")
 
 
 def test_load_dataset_rejects_bad_manifest(tmp_path):
-    build_dataset(1, (1, 0, 0), printer_params=IDENTITY, seed=1, out_dir=tmp_path)
+    write_identity(tmp_path, (1, 0, 0), 1)
     mf = tmp_path / "manifest.json"
     mf.write_text("{not json")
     with pytest.raises(FormatError):
-        load_dataset(tmp_path)
+        load_dataset(tmp_path, "ID")
     mf.write_text('{"version": 99}')
     with pytest.raises(FormatError):
-        load_dataset(tmp_path)
+        load_dataset(tmp_path, "ID")
 
 
 def edit_manifest(root, edit):
@@ -719,10 +759,10 @@ def edit_manifest(root, edit):
 ], ids=["originals-int", "originals-element", "scans-list", "scans-entry-int",
         "scans-entry-dict", "printers-list", "seed-text"])
 def test_load_dataset_rejects_wrong_manifest_types(tmp_path, edit, needle):
-    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
+    write_identity(tmp_path)
     edit_manifest(tmp_path, edit)
     with pytest.raises(FormatError, match=needle):
-        load_dataset(tmp_path)
+        load_dataset(tmp_path, "ID")
 
 
 @pytest.mark.parametrize("key", ["originals", "scans"])
@@ -732,7 +772,7 @@ def test_load_dataset_rejects_paths_outside_the_dataset(tmp_path, key, path):
     """A readable image outside the dataset, named by any path but the one
     gen writes: the manifest is not gen's."""
     root = tmp_path / "ds"
-    identity_dataset(2, (1, 1, 0), out_dir=root)
+    write_identity(root)
     src = root / ("originals/code_0000.pbm" if key == "originals" else "scans/ID/scan_0000.pgm")
     outside = tmp_path / "outside.pbm"
     outside.write_bytes(src.read_bytes())
@@ -748,7 +788,7 @@ def test_load_dataset_rejects_paths_outside_the_dataset(tmp_path, key, path):
 
     edit_manifest(root, edit)
     with pytest.raises(FormatError, match=rf"differs in {key}\)"):
-        load_dataset(root)
+        load_dataset(root, "ID")
 
 
 @pytest.mark.parametrize("rel", ["originals/code_0000.pbm", "scans/ID/scan_0000.pgm",
@@ -757,7 +797,7 @@ def test_load_dataset_rejects_a_canonical_link_out_of_the_dataset(tmp_path, rel)
     """The manifest names only the paths gen writes, but the file or scans
     directory there may be a link to a readable copy outside."""
     root = tmp_path / "ds"
-    identity_dataset(2, (1, 1, 0), out_dir=root)
+    write_identity(root)
     target = root / rel
     outside = tmp_path / "outside"
     if target.is_dir():
@@ -768,12 +808,12 @@ def test_load_dataset_rejects_a_canonical_link_out_of_the_dataset(tmp_path, rel)
         target.unlink()
     target.symlink_to(outside)
     with pytest.raises(FormatError, match="lies outside"):
-        load_dataset(root)
+        load_dataset(root, "ID")
 
 
 def test_load_dataset_rejects_a_printer_id_that_leaves_the_dataset(tmp_path):
     root = tmp_path / "a" / "ds"
-    identity_dataset(2, (1, 1, 0), out_dir=root)
+    write_identity(root)
     (tmp_path / "a" / "ID").mkdir()
     shutil.copy(root / "scans" / "ID" / "scan_0000.pgm", tmp_path / "a" / "ID")
 
@@ -783,7 +823,7 @@ def test_load_dataset_rejects_a_printer_id_that_leaves_the_dataset(tmp_path):
 
     edit_manifest(root, edit)
     with pytest.raises(FormatError, match="not a plain file name"):
-        load_dataset(root)
+        load_dataset(root, "ID")
 
 
 @pytest.mark.parametrize("pid", ["", ".", "..", "../../ID", "a/b", "a\\b", "I\0D", "/ID"])
@@ -793,12 +833,12 @@ def test_build_dataset_refuses_a_printer_id_that_is_not_a_file_name(tmp_path, pi
     root = tmp_path / "a" / "ds"
     params = {"SA": ChannelParams(), pid: ChannelParams()}
     with pytest.raises(ParameterError, match="printer id"):
-        build_dataset(2, (1, 1, 0), printer_params=params, seed=3, out_dir=root)
+        build_dataset((1, 1, 0), Geometry(), params, 3, root)
     assert list(tmp_path.rglob("*")) == []
 
 
 def test_load_dataset_rejects_a_printer_id_no_file_name_holds(tmp_path):
-    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
+    write_identity(tmp_path)
 
     def edit(m):
         m["printers"]["I\0D"] = m["printers"].pop("ID")
@@ -806,32 +846,32 @@ def test_load_dataset_rejects_a_printer_id_no_file_name_holds(tmp_path):
 
     edit_manifest(tmp_path, edit)
     with pytest.raises(FormatError, match="not a plain file name"):
-        load_dataset(tmp_path)
+        load_dataset(tmp_path, "ID")
 
 
 @pytest.mark.parametrize("path", ["originals/code_0001.pbm", "scans/ID/scan_0001.pgm"])
 def test_load_dataset_rejects_images_off_the_geometry(tmp_path, path):
     """An original is refused by load_dataset, a scan when it is first read."""
-    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
+    write_identity(tmp_path)
     if path.endswith(".pbm"):
         write_pbm(ModuleMatrix(np.zeros((16, 16), np.uint8)), tmp_path / path)
         with pytest.raises(FormatError, match="size does not match"):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, "ID")
     else:
         # 96 px divides into 24 px blocks, so only the size check refuses it.
         write_pgm(PixelImage(np.full((96, 96), 200, np.uint8), BYTE0_255), tmp_path / path)
-        scans = load_dataset(tmp_path).scans["ID"]
+        scans = load_dataset(tmp_path, "ID").scans["ID"]
         scans[0]
         with pytest.raises(FormatError, match="scan_0001.pgm, whose size does not match"):
             scans[1]
 
 
 def test_load_dataset_follows_links_inside_the_dataset(tmp_path):
-    ds = identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
+    ds = write_identity(tmp_path)
     code = tmp_path / "originals" / "code_0000.pbm"
     code.unlink()
     code.symlink_to(tmp_path / "originals" / "code_0001.pbm")
-    back = load_dataset(tmp_path)
+    back = load_dataset(tmp_path, "ID")
     assert back.originals[0].bits.tobytes() == ds.originals[1].bits.tobytes()
 
 
@@ -867,29 +907,31 @@ def test_load_dataset_rejects_values_of_the_wrong_type(tmp_path, edit, needle):
     """A manifest value of the wrong type or out of range, or any manifest
     but the one gen writes, ends in FormatError; no value is coerced, and
     none ends in another exception."""
-    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
+    write_identity(tmp_path)
     edit_manifest(tmp_path, edit)
     with pytest.raises(FormatError, match=needle):
-        load_dataset(tmp_path)
+        load_dataset(tmp_path, "ID")
 
 
 def test_load_dataset_reports_a_missing_image(tmp_path):
-    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
+    write_identity(tmp_path)
     (tmp_path / "scans" / "ID" / "scan_0001.pgm").unlink()
     with pytest.raises(MissingInputError, match="scan_0001.pgm"):
-        load_dataset(tmp_path)
+        load_dataset(tmp_path, "ID")
     code = tmp_path / "originals" / "code_0000.pbm"
     code.unlink()
     code.mkdir()
     with pytest.raises(MissingInputError, match="not a file"):
-        load_dataset(tmp_path)
+        load_dataset(tmp_path, "ID")
 
 
 def test_load_dataset_reads_no_scan_and_each_access_reads_one(tmp_path, monkeypatch):
     from pgclab import imgio
 
-    ds = identity_dataset(8, (5, 2, 1))
-    identity_dataset(8, (5, 2, 1), out_dir=tmp_path)
+    write_identity(tmp_path, (5, 2, 1))
+    scan_paths = [tmp_path / "scans" / "ID" / f"scan_{i:04d}.pgm" for i in range(8)]
+    want = [imgio.read_pgm(path).pixels.tobytes() for path in scan_paths]
+    want_t = calibrate_pixel_threshold(load_dataset(tmp_path, "ID"), "ID")
     read = []
     real_read_pgm = imgio.read_pgm
 
@@ -903,20 +945,20 @@ def test_load_dataset_reads_no_scan_and_each_access_reads_one(tmp_path, monkeypa
     assert len(back.scans["ID"]) == 8 and len(back.originals) == 8
     for i in (3, 0, 7, 3):
         del read[:]
-        assert back.scans["ID"][i].pixels.tobytes() == ds.scans["ID"][i].pixels.tobytes()
+        assert back.scans["ID"][i].pixels.tobytes() == want[i]
         assert len(read) == 1 and read[0].endswith(f"scan_{i:04d}.pgm")
     del read[:]
-    assert calibrate_pixel_threshold(back, "ID") == calibrate_pixel_threshold(ds, "ID")
+    assert calibrate_pixel_threshold(back, "ID") == want_t
     assert len(read) == 2
     with pytest.raises(IndexError):
         back.scans["ID"][8]
 
 
 def test_a_truncated_scan_is_refused_when_it_is_read(tmp_path):
-    identity_dataset(2, (1, 1, 0), out_dir=tmp_path)
+    write_identity(tmp_path)
     scan = tmp_path / "scans" / "ID" / "scan_0001.pgm"
     scan.write_bytes(scan.read_bytes()[:-1])
-    back = load_dataset(tmp_path)
+    back = load_dataset(tmp_path, "ID")
     with pytest.raises(FormatError, match="truncated PGM raster"):
         calibrate_pixel_threshold(back, "ID")
     scan.unlink()
@@ -932,7 +974,7 @@ def fuzz_dataset(tmp_path_factory):
     """A written three-code dataset and its manifest, for mutating."""
     root = tmp_path_factory.mktemp("fuzz_dataset")
     params = {"ID": ChannelParams(), "SA": preset("SA")}
-    build_dataset(3, (1, 1, 1), FUZZ_GEOMETRY, params, seed=4, out_dir=root)
+    build_dataset((1, 1, 1), FUZZ_GEOMETRY, params, 4, root)
     return root, json.loads((root / "manifest.json").read_text())
 
 
@@ -977,22 +1019,22 @@ def test_load_dataset_loads_or_raises_pgc_error(fuzz_dataset, field, value):
         holder = holder[key]
     holder[last] = value
     (root / "manifest.json").write_text(json.dumps(manifest))
-    try:
-        ds = load_dataset(root)
-        for pid in ds.scans:
+    for pid in ("ID", "SA"):
+        try:
+            ds = load_dataset(root, pid)
             for tag in SPLITS:
                 split_arrays(ds, pid, tag)
             calibrate_pixel_threshold(ds, pid)
-    except PgcError:
-        pass
+        except PgcError:
+            pass
 
 
 # ---------------------------------------------------------------- convergence
 
-def test_epoch_losses_mostly_non_increasing():
+def test_epoch_losses_mostly_non_increasing(tmp_path):
     """At a quarter of the default learning rate the epoch-end full-train
     loss should be monotone; tolerate rare float-level upticks."""
-    ds = build_dataset(12, (8, 2, 2), printer_params={"SA": preset("SA")}, seed=7)
+    ds = written_dataset(tmp_path, (8, 2, 2), {"SA": preset("SA")}, 7)
     cfg = TrainConfig(epochs=12, batch_size=128, learning_rate=2.5e-4, seed=1)
     _, history, _ = train_attack(*train_val(ds, "SA"), "bn", cfg)
     diffs = np.diff(history)

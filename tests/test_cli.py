@@ -27,6 +27,7 @@ from pgclab.attack import (
     stream_seed,
 )
 from pgclab.cli import (
+    DEFAULT_SPLIT,
     _dataset_dir,
     _estimate_dir,
     _load_estimates,
@@ -96,8 +97,7 @@ def test_load_config_minimal_defaults(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"out_dir": str(tmp_path / "o"), "dataset": {"n_images": 384}}))
     cfg = load_config(p)
-    assert cfg.n_images == 384
-    assert cfg.split_sizes is None  # library default split kicks in
+    assert cfg.split_sizes == DEFAULT_SPLIT
     assert sorted(cfg.printers) == ["CA", "HP", "LX", "SA"]
     assert cfg.arch == "bn"
     assert cfg.measures == ["pearson", "hamming"]
@@ -250,7 +250,7 @@ def test_shipped_configs_load(tmp_path, source, n_images, split, seed, printers,
     cfg = load_config(path)
     assert cfg.out_dir.parent == Path("runs")
     assert cfg.geometry == Geometry(64, 64, 6, 24)
-    assert (cfg.n_images, cfg.split_sizes, cfg.dataset_seed) == (n_images, split, seed)
+    assert (sum(cfg.split_sizes), cfg.split_sizes, cfg.dataset_seed) == (n_images, split, seed)
     assert list(cfg.printers) == printers
     assert cfg.arch == "bn"
     assert cfg.train == nn.TrainConfig(epochs=epochs, batch_size=128, learning_rate=0.001,
@@ -844,7 +844,7 @@ def test_verbs_read_only_the_splits_they_use(tmp_path):
         assert run([verb, *common]) == 0
     files = [f for f in out.rglob("*") if f.is_file() and f.relative_to(out).parts[0] != "dataset"]
     want = {f: f.read_bytes() for f in files}
-    ds = load_dataset(out / "dataset")
+    ds = load_dataset(out / "dataset", "SA")
     scans = {tag: [out / "dataset" / "scans" / "SA" / f"scan_{i:04d}.pgm"
                    for i in ds.indices(tag)] for tag in (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)}
     saved = {f: f.read_bytes() for paths in scans.values() for f in paths}
@@ -890,7 +890,7 @@ def test_each_verb_reads_each_scan_it_uses_when_it_uses_it(tmp_path, monkeypatch
     monkeypatch.setattr(attack.imgio, "read_pgm", counted)
     monkeypatch.setattr(cli, "load_dataset", load)
     assert run([verb, "--config", str(p), "--printer", "SA"]) == 0
-    ds = load_dataset(tmp_path / "run" / "dataset")
+    ds = load_dataset(tmp_path / "run" / "dataset", "SA")
     assert sorted(read) == sorted(f"scan_{i:04d}.pgm" for tag in tags for i in ds.indices(tag))
 
 
@@ -911,6 +911,18 @@ def test_train_refuses_an_empty_validation_split_before_the_first_step(
     assert "pgclab: error [state] empty validation split" in capsys.readouterr().err
     assert steps == []
     assert not (tmp_path / "run" / "models").exists()
+
+
+@pytest.mark.parametrize("verb", ["attack", "roc"])
+def test_an_empty_test_split_is_refused_before_anything_is_written(tmp_path, capsys, verb):
+    p = write_cfg(tmp_path, lambda c: c["dataset"].update(split=[5, 1, 0]))
+    for v in ("gen", "train"):
+        assert run([v, "--config", str(p)] + ([] if v == "gen" else ["--printer", "SA"])) == 0
+    capsys.readouterr()
+    assert run([verb, "--config", str(p), "--printer", "SA"]) == 1
+    assert "pgclab: error [state] empty test split" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "estimates").exists()
+    assert not (tmp_path / "run" / "reports").exists()
 
 
 def test_roc_on_a_mistyped_manifest_ends_in_a_format_error(tmp_path, capsys):

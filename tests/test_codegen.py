@@ -35,6 +35,13 @@ def test_geometry_rejects_non_dividing_block():
         Geometry(rows=0)
 
 
+@pytest.mark.parametrize("field, value", [("rows", 64.0), ("cols", "64"), ("module_px", True),
+                                          ("block_px", np.int64(24)), ("rows", None)])
+def test_geometry_rejects_fields_that_are_not_ints(field, value):
+    with pytest.raises(ParameterError, match=f"geometry.{field} must be an integer"):
+        Geometry(**{field: value})
+
+
 def test_generate_is_deterministic():
     a = generate_module_matrix(7, 64, 64)
     b = generate_module_matrix(7, 64, 64)

@@ -3,14 +3,19 @@
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pgclab
 from pgclab.attack import build_dataset, load_dataset, stream_seed
 from pgclab.channel import parallel_map, preset, print_scan
 from pgclab.codegen import (
+    Geometry,
     ModuleMatrix,
     binarize,
     generate_module_matrix,
@@ -153,6 +158,61 @@ def test_killed_worker_raises_pgc_error(monkeypatch, fn):
     assert multiprocessing.active_children() == []
 
 
+# Run as a script: a parallel_map on two workers, each of which leaves a
+# file named by its pid in the directory argv[1] names.
+KILLED_PARENT = """
+import os, sys, time
+from pgclab.channel import parallel_map
+
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def job(j):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(0.2)
+
+parallel_map(job, range(100))
+"""
+
+
+def exited(pid):
+    """The process has exited: it is gone, or a zombie nobody reaps."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_workers_exit_when_the_parent_is_killed(tmp_path):
+    """A parent killed mid-map runs no cleanup; its workers still see the
+    pipe end and exit instead of waiting on it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pgclab.__file__).parents[1])}
+    parent = subprocess.Popen([sys.executable, "-c", KILLED_PARENT, str(tmp_path)], env=env,
+                              stderr=subprocess.DEVNULL)
+    try:
+        for _ in range(200):
+            if len(list(tmp_path.iterdir())) == 2:
+                break
+            time.sleep(0.05)
+        time.sleep(0.5)
+    finally:
+        parent.kill()
+        parent.wait()
+    workers = [int(p.name) for p in tmp_path.iterdir()]
+    assert len(workers) == 2
+    try:
+        for _ in range(100):
+            if all(exited(pid) for pid in workers):
+                break
+            time.sleep(0.05)
+        assert [pid for pid in workers if not exited(pid)] == []
+    finally:
+        for pid in workers:
+            if not exited(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 # The per-image loops that build_dataset and reprint_scores ran before
 # they fanned out, kept as references for the bytes.
 
@@ -181,17 +241,15 @@ def reference_reprint_scores(originals, printed, params, module_px, seed, thresh
 def test_build_dataset_matches_the_per_image_loop(monkeypatch, tmp_path, n):
     printers = {pid: preset(pid) for pid in ("SA", "HP", "LX")}
     cpus(monkeypatch, n)
-    def scan_bytes(d):
-        return {pid: [s.pixels.tobytes() for s in scans] for pid, scans in d.scans.items()}
-
-    ds = build_dataset(5, (3, 1, 1), printer_params=printers, seed=9)
-    assert scan_bytes(ds) == reference_scans(ds, printers, 9)
-    # Written by the workers, and read back, the scans are the same.
-    written = build_dataset(5, (3, 1, 1), printer_params=printers, seed=9, out_dir=tmp_path)
-    assert written.scans == {}
-    back = load_dataset(tmp_path)
-    assert scan_bytes(back) == reference_scans(ds, printers, 9)
-    assert [m.bits.tobytes() for m in back.originals] == [m.bits.tobytes() for m in ds.originals]
+    # Written by the workers, and read back, the scans are the loop's.
+    ds = build_dataset((3, 1, 1), Geometry(), printers, 9, tmp_path)
+    assert ds.scans == {}
+    want = reference_scans(ds, printers, 9)
+    for pid in printers:
+        back = load_dataset(tmp_path, pid)
+        assert [s.pixels.tobytes() for s in back.scans[pid]] == want[pid]
+        assert [m.bits.tobytes() for m in back.originals] == \
+            [m.bits.tobytes() for m in ds.originals]
     assert multiprocessing.active_children() == []
 
 
