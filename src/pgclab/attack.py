@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import imgio, nn
-from .channel import ChannelParams, parallel_map, print_scan, with_fields
+from .channel import ChannelParams, _strips, parallel_map, print_scan, with_fields
 from .codegen import (
     BYTE0_255,
     UNIT_INTERVAL,
@@ -200,11 +200,17 @@ def split_arrays(ds: PairedDataset, printer: str, tag: str):
     bpx = ds.geometry.block_px
     per = ds.geometry.blocks_per_image
     dim = ds.geometry.block_dim
-    x = np.empty((len(idx) * per, dim), np.uint8)
-    t = np.empty((len(idx) * per, (dim + 7) // 8), np.uint8)
+    x = np.empty((0, dim), np.uint8)
+    t = np.empty((0, (dim + 7) // 8), np.uint8)
     for k, i in enumerate(idx):
+        scan = ds.scans[printer][i]
+        if k == 0:
+            # Sized once a scan has matched the geometry: a manifest's
+            # geometry alone could ask for any size.
+            x = np.empty((len(idx) * per, dim), np.uint8)
+            t = np.empty((len(idx) * per, (dim + 7) // 8), np.uint8)
         rows = slice(k * per, (k + 1) * per)
-        x[rows] = split_blocks(ds.scans[printer][i], bpx)
+        x[rows] = split_blocks(scan, bpx)
         t[rows] = np.packbits(split_blocks(ds.rendered_original(i), bpx), axis=1)
     return x, t
 
@@ -350,10 +356,16 @@ def calibrate_pixel_threshold(ds: PairedDataset, printer: str) -> float:
         raise StateError("empty validation split")
     counts = np.zeros(512, np.int64)
     for i in idx:
-        key = ds.rendered_original(i).pixels.astype(np.uint16)
-        key <<= 8
-        key |= ds.scans[printer][i].pixels
-        counts += np.bincount(key.ravel(), minlength=512)
+        # The scan is read, and checked against the geometry, before the
+        # original is rendered at that geometry.
+        scan = ds.scans[printer][i].pixels
+        bits = ds.rendered_original(i).pixels
+        # Per strip: np.bincount copies its input to intp, 8 bytes a pixel.
+        for rows in _strips(len(scan)):
+            key = bits[rows].astype(np.uint16)
+            key <<= 8
+            key |= scan[rows]
+            counts += np.bincount(key.ravel(), minlength=512)
     levels = ink_intensity(PixelImage(np.arange(256, dtype=np.uint8)[None], BYTE0_255))
     ge = levels.pixels[0, :, None] >= threshold_grid()
     zeros, ones = counts.reshape(2, 256)

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codegen import BINARY01, BYTE0_255, PixelImage
-from .errors import DomainError, ParameterError, PgcError, UnknownIdError
+from .errors import DimensionError, DomainError, ParameterError, PgcError, UnknownIdError
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
 # At most this many taps are summed by table lookup: a window code of
 # that many bits indexes a table of 2 ** 16 float64 sums (512 KiB).
 _TABLE_TAPS = 16
-# print_scan works through an image in strips of this many rows.  A
+# print_scans works through images in strips of this many rows.  A
 # strip's float64 rows and scratch stay in the L2 cache, and its
 # temporaries are small enough for malloc to reuse instead of mapping
 # and faulting in fresh pages for every image.
@@ -179,19 +179,37 @@ def _blur(values: np.ndarray, sigma: float) -> np.ndarray:
         return values.astype(np.float64)
     h, w = values.shape
     n = min(len(kernel), _TABLE_TAPS)
+    # Window codes by doubling over the clamp-to-edge padded strip: each
+    # step joins the s-bit codes at columns j and j + s into the 2s-bit
+    # code at j.  The n-bit code joins two codes of the largest power of
+    # two up to n, which overlap and agree where they do: for 13 bits, the
+    # 8 bits at j and the 8 at j + 5 shifted left by 5.
+    longest = 1 << (n.bit_length() - 1)
+    wide = w + 2 * radius
+    bits, code, shifted = np.empty((3, _STRIP_ROWS, wide), np.uint16)
     # Horizontal pass into the middle rows; the rows above and below hold
     # the clamp-to-edge border of the vertical pass.
     padded = np.empty((h + 2 * radius, w))
     for rows in _strips(h):
-        bits = np.pad(values[rows].astype(np.uint16), ((0, 0), (radius, radius)), mode="edge")
-        code = bits[:, :w].copy()
-        for k in range(1, n):
-            code |= bits[:, k : k + w] << k
+        m = rows.stop - rows.start
+        bits[:m, radius : radius + w] = values[rows]
+        bits[:m, :radius] = values[rows, :1]
+        bits[:m, radius + w :] = values[rows, w - 1 :]
+        src, s = bits, 1
+        while s < longest:
+            cols = wide - 2 * s + 1
+            np.left_shift(src[:m, s : s + cols], s, out=shifted[:m, :cols])
+            np.bitwise_or(src[:m, :cols], shifted[:m, :cols], out=code[:m, :cols])
+            src, s = code, 2 * s
+        rest = n - longest
+        if rest:
+            np.left_shift(code[:m, rest : rest + w], rest, out=shifted[:m, :w])
+            code[:m, :w] |= shifted[:m, :w]
         out = padded[rows.start + radius : rows.stop + radius]
         # Codes are below len(table); mode="raise" would buffer the output.
-        np.take(table, code, out=out, mode="clip")
+        np.take(table, code[:m, :w], out=out, mode="clip")
         for k in range(n, len(kernel)):
-            out += kernel[k] * bits[:, k : k + w]
+            out += kernel[k] * bits[:m, k : k + w]
     padded[:radius] = padded[radius]
     padded[radius + h :] = padded[radius + h - 1]
 
@@ -215,50 +233,69 @@ def print_scan(img: PixelImage, params: ChannelParams, seed: int) -> PixelImage:
     (img, params, seed); with noise_sigma = 0 and dot_gain_prob in {0, 1}
     the output does not depend on the seed at all.
     """
-    if img.domain != BINARY01:
-        raise DomainError("print_scan expects a binary01 input image")
+    return print_scans([img], params, seed)[0]
+
+
+def print_scans(imgs: list[PixelImage], params: ChannelParams, seed: int) -> list[PixelImage]:
+    """[print_scan(img, params, seed) for img in imgs], for binary images of
+    one shape, drawing the seed's random values once for all of them.
+
+    The draws are taken strip by strip, and each strip's draws apply to
+    every image; each image has its own blur buffer.
+    """
+    for img in imgs:
+        if img.domain != BINARY01:
+            raise DomainError("print_scan expects a binary01 input image")
+    shapes = {img.pixels.shape for img in imgs}
+    if len(shapes) != 1:
+        raise DimensionError(f"print_scans needs images of one shape, not {sorted(shapes)}")
+    (h, w), = shapes
     rng = np.random.default_rng(seed)
-    h, w = img.pixels.shape
     # Random draws fill row-major strips in order, so they are the values
     # of one draw over the whole image.
     draws = np.empty((_STRIP_ROWS, w))
 
-    ink = img.pixels.astype(bool)
+    inks = [img.pixels.astype(bool) for img in imgs]
     if params.dot_gain_radius > 0 and params.dot_gain_prob > 0.0:
-        dilated = _dilate(ink, params.dot_gain_radius)
+        dilated = [_dilate(ink, params.dot_gain_radius) for ink in inks]
         if params.dot_gain_prob >= 1.0:
-            ink = dilated
+            inks = dilated
         else:
-            candidates = dilated & ~ink
+            candidates = [d & ~ink for d, ink in zip(dilated, inks)]
             for rows in _strips(h):
                 u = rng.random(out=draws[: rows.stop - rows.start])
-                candidates[rows] &= u < params.dot_gain_prob
-            ink |= candidates
+                gained = u < params.dot_gain_prob
+                for c in candidates:
+                    c[rows] &= gained
+            for ink, c in zip(inks, candidates):
+                ink |= c
 
     if params.psf_sigma > 0.0:
-        v = _blur(ink, params.psf_sigma)
+        vs = [_blur(ink, params.psf_sigma) for ink in inks]
     else:
-        v = ink.astype(np.float64)
+        vs = [ink.astype(np.float64) for ink in inks]
 
     # v = clamp01(gain * v + offset), v = clamp01(v + noise_sigma * z) and
     # 255 * (1 - v), computed in place, strip by strip.
-    scan = np.empty((h, w), np.uint8)
+    scans = [np.empty((h, w), np.uint8) for _ in imgs]
     for rows in _strips(h):
-        s = v[rows]
-        s *= params.gain
-        s += params.offset
-        np.clip(s, 0.0, 1.0, out=s)
         if params.noise_sigma > 0.0:
             # rng.normal(0, sigma) draws standard normals z and returns 0 + sigma * z.
             z = rng.standard_normal(out=draws[: rows.stop - rows.start])
             z *= params.noise_sigma
-            s += z
+        for v, scan in zip(vs, scans):
+            s = v[rows]
+            s *= params.gain
+            s += params.offset
             np.clip(s, 0.0, 1.0, out=s)
-        np.subtract(1.0, s, out=s)
-        s *= 255.0
-        np.rint(s, out=s)
-        scan[rows] = s
-    return PixelImage(scan, BYTE0_255)
+            if params.noise_sigma > 0.0:
+                s += z
+                np.clip(s, 0.0, 1.0, out=s)
+            np.subtract(1.0, s, out=s)
+            s *= 255.0
+            np.rint(s, out=s)
+            scan[rows] = s
+    return [PixelImage(scan, BYTE0_255) for scan in scans]
 
 
 def _worker(fn, jobs, conn, parent_ends) -> None:
@@ -270,25 +307,37 @@ def _worker(fn, jobs, conn, parent_ends) -> None:
     # worker's; with them closed, the parent's death ends this pipe.
     for end in parent_ends:
         end.close()
+    # A ConnectionError (a broken pipe, or a reset when the parent died
+    # with results unread) or an EOF on the pipe means the parent has gone.
     with conn:
         while True:
             try:
                 j = conn.recv()
-            except EOFError:  # the parent has gone
+            except (EOFError, ConnectionError):
                 return
             if j is None:
                 return
             try:
-                conn.send((True, fn(jobs[j])))
-                continue
+                result = fn(jobs[j])
             except Exception as exc:
                 err = exc
+            else:
+                try:
+                    conn.send((True, result))
+                    continue
+                except ConnectionError:
+                    return
+                except Exception as exc:  # the result cannot be pickled
+                    err = exc
             try:
                 # Sent as it is only if the parent can unpickle it.
                 pickle.loads(pickle.dumps(err))
             except Exception:
                 err = PgcError(f"{type(err).__name__}: {err}")
-            conn.send((False, err))
+            try:
+                conn.send((False, err))
+            except ConnectionError:
+                pass
             return
 
 

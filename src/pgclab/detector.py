@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, parallel_map, print_scan
+from .channel import ChannelParams, parallel_map, print_scans
 from .codegen import (
     ModuleMatrix,
     PixelImage,
@@ -148,16 +148,23 @@ def _reprint_job(job) -> list[tuple[float, float, bool]]:
     whether pearson was undefined).
 
     The original is rendered and prepared for Pearson once, for all sources.
+    Prints that share a seed (the fake sources) are made in one print_scans
+    call, which draws that seed's random values once.
     """
     code, printed, params, module_px, defender_threshold = job
     rendered = render(code, module_px)
     ref = pearson_reference(rendered.pixels)
-    out = []
-    for xp, seed in printed:
-        img = rendered if xp is code else render(xp, module_px)
-        ink = ink_intensity(print_scan(img, params, seed))
-        r, constant, h, _ = score_print(code, ref, ink, defender_threshold, module_px)
-        out.append((r, h, constant))
+    by_seed: dict[int, list[int]] = {}
+    for k, (_, seed) in enumerate(printed):
+        by_seed.setdefault(seed, []).append(k)
+    out = [None] * len(printed)
+    for seed, ks in by_seed.items():
+        imgs = [rendered if printed[k][0] is code else render(printed[k][0], module_px)
+                for k in ks]
+        for k, scan in zip(ks, print_scans(imgs, params, seed)):
+            r, constant, h, _ = score_print(code, ref, ink_intensity(scan),
+                                            defender_threshold, module_px)
+            out[k] = (r, h, constant)
     return out
 
 

@@ -304,10 +304,12 @@ def calibration_peak(tmp_path, n_val):
 
 
 def test_calibrate_pixel_threshold_holds_one_scan_at_a_time(tmp_path):
-    """The peak is one code's calibration: its uint16 (target bit, byte)
-    key, two scans' bytes, and np.bincount's intp copy of the key, eight
-    more, plus 128 kB of slack.  8 validation codes peak below that as 2
-    do; the 8 scans held at once would not fit beside one code's key."""
+    """The peak is one code's calibration: its scan and rendered original,
+    and a row strip's uint16 (target bit, byte) key with np.bincount's
+    intp copy of it.  The bound allows two scans' bytes and a whole code's
+    key and intp copy, ten bytes a pixel, plus 128 kB of slack.  8
+    validation codes peak below that as 2 do; the 8 scans held at once
+    would not fit beside one code's key."""
     scan_bytes = 384 * 384
     calibration_peak(tmp_path, 1)  # fills the first-use caches
     for n_val in (2, 8):
@@ -1008,6 +1010,7 @@ MANIFEST_VALUES = st.recursive(
 @example(field=("seed",), value=3.7)
 @example(field=("split", 1), value=["val"])
 @example(field=("scans", "SA", 2), value="originals")
+@example(field=("geometry", "module_px"), value=3821)
 def test_load_dataset_loads_or_raises_pgc_error(fuzz_dataset, field, value):
     """One field of a valid manifest replaced by any JSON value: the dataset
     loads and its splits can be used, or a typed error is raised."""

@@ -14,11 +14,12 @@ from pgclab.channel import (
     _gaussian_kernel,
     preset,
     print_scan,
+    print_scans,
     with_fields,
 )
 from pgclab.codegen import BINARY01, BYTE0_255, UNIT_INTERVAL, PixelImage, render
 from pgclab.codegen import generate_module_matrix
-from pgclab.errors import DomainError, ParameterError, UnknownIdError
+from pgclab.errors import DimensionError, DomainError, ParameterError, UnknownIdError
 
 
 def bits_image(arr):
@@ -249,7 +250,10 @@ def test_print_scan_matches_reference_non_square():
                           reference_print_scan(img, preset(pid), 5))
 
 
-@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.2, 2.6, 8 / 3, 5.4])
+# Radius r = 1..8 (sigma (r + 0.5) / 3, 3 to 17 taps) builds every length
+# of window code by doubling, and 17 taps puts the first tap past the table.
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.2, 2.6, 8 / 3, 5.4]
+                         + [(r + 0.5) / 3 for r in range(1, 9)])
 def test_blur_matches_reference(sigma):
     mask = np.random.default_rng(3).random((130, 70)) < 0.4
     want = reference_blur(mask.astype(np.float64), sigma)
@@ -285,3 +289,39 @@ def test_print_scan_matches_reference_property(radius, prob, sigma, gain, offset
                            gain=gain, offset=offset, noise_sigma=noise)
     img = bits_image(np.random.default_rng(seed).random((h, w)) < 0.5)
     assert_same_bytes(print_scan(img, params, seed), reference_print_scan(img, params, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    noise=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    h=st.integers(1, 150),
+    w=st.integers(1, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_print_scans_is_print_scan_per_image(n, prob, sigma, noise, h, w, seed):
+    params = ChannelParams(dot_gain_radius=1, dot_gain_prob=prob, psf_sigma=sigma,
+                           offset=0.03, noise_sigma=noise)
+    draw = np.random.default_rng(seed)
+    imgs = [bits_image(draw.random((h, w)) < 0.5) for _ in range(n)]
+    scans = print_scans(imgs, params, seed)
+    assert len(scans) == n
+    for img, scan in zip(imgs, scans):
+        assert_same_bytes(scan, print_scan(img, params, seed))
+
+
+def test_print_scans_refuses_before_drawing(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew random values")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    square = bits_image(np.zeros((6, 6)))
+    with pytest.raises(DimensionError):
+        print_scans([square, bits_image(np.zeros((6, 7)))], SA, seed=0)
+    with pytest.raises(DimensionError):
+        print_scans([], SA, seed=0)
+    grey = PixelImage(np.full((6, 6), 0.5, np.float32), UNIT_INTERVAL)
+    with pytest.raises(DomainError):
+        print_scans([square, grey], SA, seed=0)

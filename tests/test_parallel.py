@@ -150,6 +150,17 @@ def test_unpicklable_worker_error_becomes_pgc_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def unpicklable_result_at_two(j):
+    return (lambda: j) if j == 2 else j
+
+
+def test_unpicklable_result_is_sent_as_an_error(monkeypatch):
+    cpus(monkeypatch, 2)
+    with pytest.raises(Exception, match="lambda"):
+        parallel_map(unpicklable_result_at_two, range(4))
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("fn", [die_at_five, die_at_five_with_a_job_queued])
 def test_killed_worker_raises_pgc_error(monkeypatch, fn):
     cpus(monkeypatch, 2)
@@ -186,20 +197,24 @@ def exited(pid):
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
 def test_workers_exit_when_the_parent_is_killed(tmp_path):
     """A parent killed mid-map runs no cleanup; its workers still see the
-    pipe end and exit instead of waiting on it."""
+    pipe end and exit instead of waiting on it, and the worker whose
+    result then meets a broken pipe exits quietly, with no traceback."""
+    marks = tmp_path / "workers"
+    marks.mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(pgclab.__file__).parents[1])}
-    parent = subprocess.Popen([sys.executable, "-c", KILLED_PARENT, str(tmp_path)], env=env,
-                              stderr=subprocess.DEVNULL)
+    with open(tmp_path / "stderr", "wb") as stderr:
+        parent = subprocess.Popen([sys.executable, "-c", KILLED_PARENT, str(marks)], env=env,
+                                  stderr=stderr)
     try:
         for _ in range(200):
-            if len(list(tmp_path.iterdir())) == 2:
+            if len(list(marks.iterdir())) == 2:
                 break
             time.sleep(0.05)
         time.sleep(0.5)
     finally:
         parent.kill()
         parent.wait()
-    workers = [int(p.name) for p in tmp_path.iterdir()]
+    workers = [int(p.name) for p in marks.iterdir()]
     assert len(workers) == 2
     try:
         for _ in range(100):
@@ -211,6 +226,7 @@ def test_workers_exit_when_the_parent_is_killed(tmp_path):
         for pid in workers:
             if not exited(pid):
                 os.kill(pid, signal.SIGKILL)
+    assert "Traceback" not in (tmp_path / "stderr").read_text()
 
 
 # The per-image loops that build_dataset and reprint_scores ran before
