@@ -1,7 +1,7 @@
 """Attacker pipeline: dataset build, training, calibration, estimation.
 
 Also the pixel-threshold calibration of the non-learning baseline.  All
-randomness flows from one dataset seed through fixed per-purpose streams,
+randomness comes from stream_seed's keyed streams of the configured seeds,
 so rebuilding a dataset or retraining a model reproduces every byte.
 """
 
@@ -44,7 +44,7 @@ SPLIT_VAL = "val"
 SPLIT_TEST = "test"
 SPLITS = (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)
 
-# Each architecture's model builder, called with the training seed.
+# Each architecture's model builder, called with the "init" stream's seed.
 _BUILDERS = {
     "fc2": lambda s: nn.build_fc(2, s),
     "fc3": lambda s: nn.build_fc(3, s),
@@ -53,17 +53,18 @@ _BUILDERS = {
 }
 ARCHS = tuple(_BUILDERS)
 
-# Seed streams: per-purpose bases spaced far apart off the dataset seed,
-# with the image index XORed in.  Stream 0 generates codes; streams 1..P
-# scan per printer; 100+p / 200+p seed the authentic / fake re-prints
-# used for scoring.
-_STREAM_STRIDE = 1_000_003
-STREAM_REPRINT_AUTH = 100
-STREAM_REPRINT_FAKE = 200
+# What a random stream is drawn for, in the order stream_seed keys them.
+PURPOSES = ("code", "scan", "reprint-authentic", "reprint-fake", "init", "shuffle")
 
 
-def stream_seed(seed: int, stream: int, index: int = 0) -> int:
-    return (seed + _STREAM_STRIDE * stream) ^ index
+def stream_seed(seed: int, purpose: str, printer: str = "", index: int = 0) -> int:
+    """The first 128 bits of SeedSequence(seed) spawned with the key
+    (purpose's place in PURPOSES, the little-endian int of the printer id's
+    UTF-8 bytes, lone surrogates kept, index) (NEP 19).  Printer ids hold no
+    NUL, so for indices below 2**32 distinct keys give distinct streams."""
+    printer_key = int.from_bytes(printer.encode(errors="surrogatepass"), "little")
+    seq = np.random.SeedSequence(seed, spawn_key=(PURPOSES.index(purpose), printer_key, index))
+    return int.from_bytes(seq.generate_state(4).astype("<u4").tobytes(), "little")
 
 
 @dataclass
@@ -98,7 +99,7 @@ class PairedDataset:
         if not self.channel_params:
             raise ParameterError("a dataset must name at least one printer")
         for pid in self.channel_params:
-            # A printer id names its scans' directory: one plain path component.
+            # A printer id names its scans' directory and keys its streams.
             if pid in ("", ".", "..") or any(c in pid for c in "/\\\0"):
                 raise ParameterError(f"printer id {pid!r} is not a plain file name")
 
@@ -119,12 +120,6 @@ class PairedDataset:
 
     def rendered_original(self, i: int) -> PixelImage:
         return render(self.originals[i], self.geometry.module_px)
-
-    def printer_index(self, printer: str) -> int:
-        try:
-            return self.printers.index(printer)
-        except ValueError:
-            raise UnknownIdError(f"printer {printer!r} not in dataset") from None
 
     def block_counts(self) -> dict[str, int]:
         per = self.geometry.blocks_per_image
@@ -148,9 +143,9 @@ def build_dataset(
     write the dataset under out_dir, each file where _manifest puts it.
 
     The scans run on parallel_map's workers, each seeded by its own
-    (printer, image) stream, and each worker writes the scans it makes, so
-    the scans never reach this process: the dataset returned holds the
-    originals and no scan.  The splits are by index order (see
+    ("scan", printer, index) stream, and each worker writes the scans it
+    makes, so the scans never reach this process: the dataset returned
+    holds the originals and no scan.  The splits are by index order (see
     PairedDataset), which checks the arguments before anything is touched.
     An earlier manifest in out_dir is deleted before anything is written
     and the new one is written after every scan, so a build that fails
@@ -161,7 +156,7 @@ def build_dataset(
     (out / MANIFEST_NAME).unlink(missing_ok=True)
     (out / "originals").mkdir(parents=True, exist_ok=True)
     ds.originals = [
-        generate_module_matrix(stream_seed(seed, 0, i), geometry.rows, geometry.cols)
+        generate_module_matrix(stream_seed(seed, "code", index=i), geometry.rows, geometry.cols)
         for i in range(ds.n_images)
     ]
     for i, m in enumerate(ds.originals):
@@ -171,9 +166,9 @@ def build_dataset(
     # Each path is a str, not a Path: at the paper's 1536 scans, Path
     # objects raised every forked worker's peak by 0.6 MB.
     jobs = [
-        (ds.originals[i], geometry.module_px, printer_params[pid], stream_seed(seed, 1 + p_idx, i),
-         str(out / _scan_rel(pid, i)))
-        for p_idx, pid in enumerate(ds.printers)
+        (ds.originals[i], geometry.module_px, printer_params[pid],
+         stream_seed(seed, "scan", pid, i), str(out / _scan_rel(pid, i)))
+        for pid in ds.printers
         for i in range(ds.n_images)
     ]
     parallel_map(_scan_job, jobs)
@@ -249,9 +244,9 @@ def train_attack(train, val, arch: str, cfg: nn.TrainConfig):
     if xv.shape[0] == 0:
         raise StateError("empty validation split")
 
-    model = _BUILDERS[arch](cfg.seed)
+    model = _BUILDERS[arch](stream_seed(cfg.seed, "init"))
     state = nn.init_adam(model)
-    shuffle_rng = np.random.default_rng(cfg.seed + 1)
+    shuffle_rng = np.random.default_rng(stream_seed(cfg.seed, "shuffle"))
     history = []
     best_val = None
     # The best epoch's parameters, copied into buffers allocated once.
@@ -475,7 +470,7 @@ def load_dataset(in_dir, printer: str) -> PairedDataset:
     the top-level keys that differ.  Every original is read, and no scan:
     the printer's scans are a ScanList, but every one must be a file
     already, so a missing one ends in MissingInputError here.  printers
-    and printer_index still cover every printer in the manifest.
+    still names every printer in the manifest.
     """
     root = Path(in_dir)
     manifest_path = root / MANIFEST_NAME

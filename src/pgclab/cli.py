@@ -23,8 +23,6 @@ from .attack import (
     SPLIT_TEST,
     SPLIT_TRAIN,
     SPLIT_VAL,
-    STREAM_REPRINT_AUTH,
-    STREAM_REPRINT_FAKE,
     build_dataset,
     calibrate_pixel_threshold,
     calibrate_threshold,
@@ -221,10 +219,15 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
     for m in measures:
         if not isinstance(m, str) or m not in MEASURES:
             raise ConfigError(f"evaluation.measures: unknown measure {m!r}")
+    if not measures:
+        raise ConfigError("evaluation.measures must name at least one measure")
     target_pfa = evaluation.get("target_pfa", [0.0, 0.05, 0.1])
     for t in target_pfa:
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"evaluation.target_pfa: {t} outside [0, 1]")
+    for key, values in (("measures", measures), ("target_pfa", target_pfa)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"evaluation.{key}: a value is named twice in {values!r}")
 
     if out is None:
         out = _str(raw.get("out_dir", ""), "out_dir")
@@ -408,11 +411,11 @@ def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> Non
     test_idx = ds.indices(SPLIT_TEST)
     if not test_idx:
         raise StateError("empty test split")
-    p_idx = ds.printer_index(printer)
     originals = [ds.originals[i] for i in test_idx]
     defender_t = calibrate_pixel_threshold(ds, printer)
-    auth_seed = stream_seed(ds.seed, STREAM_REPRINT_AUTH + p_idx)
-    fake_seed = stream_seed(ds.seed, STREAM_REPRINT_FAKE + p_idx)
+    # Keyed by dataset index; a code's two fake re-prints share their seed.
+    auth_seeds = [stream_seed(ds.seed, "reprint-authentic", printer, i) for i in test_idx]
+    fake_seeds = [stream_seed(ds.seed, "reprint-fake", printer, i) for i in test_idx]
     params = ds.channel_params[printer]
     mpx = ds.geometry.module_px
     reports = cfg.out_dir / "reports"
@@ -421,7 +424,7 @@ def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> Non
     # fake source, and both fake sources.
     (authentic, *fakes), constant = reprint_scores(
         originals,
-        [(originals, auth_seed)] + [(estimates, fake_seed) for estimates in sources.values()],
+        [(originals, auth_seeds)] + [(estimates, fake_seeds) for estimates in sources.values()],
         params, mpx, defender_t,
     )
 

@@ -170,15 +170,15 @@ def _reprint_job(job) -> list[tuple[float, float, bool]]:
 
 def reprint_scores(
     originals: list[ModuleMatrix],
-    sources: list[tuple[list[ModuleMatrix], int]],
+    sources: list[tuple[list[ModuleMatrix], list[int]]],
     params: ChannelParams,
     module_px: int,
     defender_threshold: float,
 ) -> tuple[list[dict[str, np.ndarray]], list[int]]:
     """Score a simulated re-print of each source's codes against the originals.
 
-    Each source is (printed, seed): print i of it is
-    print_scan(render(printed_i)) seeded with seed ^ i.  Pearson compares
+    Each source is (printed, seeds), one seed per code: print i of it is
+    print_scan(render(printed[i])) seeded with seeds[i].  Pearson compares
     the original bits against the grey ink intensity of the print, and
     scores 0 where a constant print or original leaves it undefined.  Hamming
     compares the original modules against the print binarized at the
@@ -187,15 +187,16 @@ def reprint_scores(
     Returns, per source, one float64 score array per measure, and, per
     source, the number of prints scored so.
     """
-    for printed, _ in sources:
-        if len(printed) != len(originals):
+    for printed, seeds in sources:
+        if not len(printed) == len(seeds) == len(originals):
             raise MissingInputError(
-                f"{len(originals)} originals but {len(printed)} printed codes"
+                f"{len(originals)} originals but {len(printed)} printed codes "
+                f"and {len(seeds)} seeds"
             )
     if not originals:
         raise MissingInputError("re-print scoring needs at least one code")
     jobs = [
-        (code, [(printed[i], seed ^ i) for printed, seed in sources],
+        (code, [(printed[i], seeds[i]) for printed, seeds in sources],
          params, module_px, defender_threshold)
         for i, code in enumerate(originals)
     ]

@@ -2,6 +2,7 @@
 single PASS/FAIL line.  Criteria 3 and 4 share one desk-scale training
 run through a session fixture."""
 
+import shutil
 import time
 
 import numpy as np
@@ -19,8 +20,6 @@ from pgclab.attack import (
     split_arrays,
     stream_seed,
     train_attack,
-    STREAM_REPRINT_AUTH,
-    STREAM_REPRINT_FAKE,
 )
 from pgclab.channel import PRINTER_IDS, ChannelParams, preset
 from pgclab.cli import DEFAULT_SPLIT, main
@@ -179,14 +178,14 @@ def test_criterion_4_detection_difficulty(sa_run):
     ds = sa_run["ds"]
     originals = [ds.originals[i] for i in sa_run["test_idx"]]
     defender_t = calibrate_pixel_threshold(ds, "SA")
-    p = ds.printer_index("SA")
-    auth_seed = stream_seed(ds.seed, STREAM_REPRINT_AUTH + p)
-    fake_seed = stream_seed(ds.seed, STREAM_REPRINT_FAKE + p)
+    auth_seeds = [stream_seed(ds.seed, "reprint-authentic", "SA", i) for i in sa_run["test_idx"]]
+    fake_seeds = [stream_seed(ds.seed, "reprint-fake", "SA", i) for i in sa_run["test_idx"]]
     params, mpx = ds.channel_params["SA"], ds.geometry.module_px
     labels = ("bn", "thr")
     (authentic, *fakes), _ = reprint_scores(
         originals,
-        [(originals, auth_seed)] + [(sa_run[f"{label}_estimates"], fake_seed) for label in labels],
+        [(originals, auth_seeds)]
+        + [(sa_run[f"{label}_estimates"], fake_seeds) for label in labels],
         params, mpx, defender_t,
     )
     aucs = {}
@@ -311,8 +310,13 @@ def test_criterion_7_pipeline_determinism(tmp_path):
 
 
 def test_criterion_8_dataset_counts_at_full_scale(tmp_path):
-    ds = written_dataset(tmp_path, DEFAULT_SPLIT, {pid: preset(pid) for pid in PRINTER_IDS}, 0)
-    counts = ds.block_counts()
+    try:
+        ds = written_dataset(tmp_path, DEFAULT_SPLIT, {pid: preset(pid) for pid in PRINTER_IDS}, 0)
+        counts = ds.block_counts()
+    finally:
+        # The counts need none of the 224 MB of images written to get them.
+        for path in tmp_path.iterdir():
+            shutil.rmtree(path)
     ok = counts == {"train": 25600, "val": 12800, "test": 59904}
     _report(
         8,

@@ -19,8 +19,6 @@ from pgclab.attack import (
     SPLIT_TEST,
     SPLIT_TRAIN,
     SPLIT_VAL,
-    STREAM_REPRINT_AUTH,
-    STREAM_REPRINT_FAKE,
     calibrate_pixel_threshold,
     estimate_grey,
     load_dataset,
@@ -488,11 +486,11 @@ def test_attack_on_a_deleted_test_scan_fails_before_it_writes(trained, tmp_path,
     assert not (mine / "estimates").exists()
 
 
-def serial_reprint_scores(originals, printed, params, module_px, seed, threshold):
+def serial_reprint_scores(originals, printed, params, module_px, seeds, threshold):
     """One source's re-print scores as a serial per-image loop."""
     r, h = [], []
-    for i, (code, xp) in enumerate(zip(originals, printed)):
-        ink = ink_intensity(print_scan(render(xp, module_px), params, seed ^ i))
+    for code, xp, seed in zip(originals, printed, seeds, strict=True):
+        ink = ink_intensity(print_scan(render(xp, module_px), params, seed))
         r.append(pearson(render(code, module_px).pixels, ink.pixels))
         decided = modules_from_pixels(binarize(ink, threshold), module_px)
         h.append(hamming_norm(code.bits, decided.bits))
@@ -504,22 +502,21 @@ def three_call_cmd_roc(cfg, printer, arch=None):
     reference for the bytes it writes."""
     arch = arch or cfg.arch
     ds = load_dataset(_dataset_dir(cfg), printer)
-    p_idx = ds.printer_index(printer)
     test_idx = ds.indices(SPLIT_TEST)
     originals = [ds.originals[i] for i in test_idx]
     defender_t = calibrate_pixel_threshold(ds, printer)
-    auth_seed = stream_seed(ds.seed, STREAM_REPRINT_AUTH + p_idx)
-    fake_seed = stream_seed(ds.seed, STREAM_REPRINT_FAKE + p_idx)
+    auth_seeds = [stream_seed(ds.seed, "reprint-authentic", printer, i) for i in test_idx]
+    fake_seeds = [stream_seed(ds.seed, "reprint-fake", printer, i) for i in test_idx]
     params = ds.channel_params[printer]
     mpx = ds.geometry.module_px
     reports = cfg.out_dir / "reports"
     sources = {s: _load_estimates(cfg, printer, s, test_idx) for s in (arch, "thr")}
-    authentic = serial_reprint_scores(originals, originals, params, mpx, auth_seed, defender_t)
+    authentic = serial_reprint_scores(originals, originals, params, mpx, auth_seeds, defender_t)
 
     summary_rows = []
     curves_by_measure = {m: [] for m in cfg.measures}
     for source, estimates in sources.items():
-        fake = serial_reprint_scores(originals, estimates, params, mpx, fake_seed, defender_t)
+        fake = serial_reprint_scores(originals, estimates, params, mpx, fake_seeds, defender_t)
         diff_dir = reports / "diff" / f"{printer}_{source}"
         diff_dir.mkdir(parents=True, exist_ok=True)
         for original, xhat, i in zip(originals, estimates, test_idx):
@@ -793,6 +790,15 @@ def test_config_error_reported(tmp_path, capsys):
         (lambda c: c["evaluation"].update(measures=[["pearson"]]), r"unknown measure \['pearson'\]"),
         (lambda c: c["evaluation"].update(target_pfa="0.1"), "evaluation.target_pfa must be a list"),
         (lambda c: c["evaluation"].update(target_pfa=["0.1"]), "evaluation.target_pfa must be a number"),
+        # Each measure and target names output that a repeat would write twice.
+        (lambda c: c["evaluation"].update(measures=["pearson", "pearson"]),
+         "evaluation.measures: a value is named twice"),
+        (lambda c: c["evaluation"].update(target_pfa=[0.1, 0.05, 0.1]),
+         "evaluation.target_pfa: a value is named twice"),
+        (lambda c: c["evaluation"].update(target_pfa=[0, 0.0]),
+         "evaluation.target_pfa: a value is named twice"),
+        (lambda c: c["evaluation"].update(measures=[]),
+         "evaluation.measures must name at least one measure"),
     ],
 )
 def test_config_type_errors_exit_as_config_errors(tmp_path, capsys, mutate, needle):
@@ -806,8 +812,8 @@ def test_config_type_errors_exit_as_config_errors(tmp_path, capsys, mutate, need
 
 
 def test_verbs_read_only_their_printers_scans(tmp_path):
-    """Re-print seeds follow the printer's place in the whole dataset, so
-    roc writes the same bytes when other printers' scans are gone."""
+    """roc writes the same bytes when other printers' scans are gone, and
+    its re-print seeds are keyed by the printer's id and each code's index."""
     p = write_cfg(tmp_path, lambda c: c.update(printers=["SA", "LX"]))
     out = tmp_path / "run"
     common = ["--config", str(p)]
@@ -822,10 +828,11 @@ def test_verbs_read_only_their_printers_scans(tmp_path):
         assert run([verb, *common, "--printer", "SA"]) == 0
     assert {f.name: f.read_bytes() for f in reports} == before
 
-    # SA is printer 1 of (LX, SA): its authentic re-prints use stream 101.
     ds = load_dataset(out / "dataset", "SA")
-    test = [ds.originals[i] for i in ds.indices(SPLIT_TEST)]
-    (auth,), _ = reprint_scores(test, [(test, stream_seed(5, STREAM_REPRINT_AUTH + 1))],
+    test_idx = ds.indices(SPLIT_TEST)
+    test = [ds.originals[i] for i in test_idx]
+    seeds = [stream_seed(5, "reprint-authentic", "SA", i) for i in test_idx]
+    (auth,), _ = reprint_scores(test, [(test, seeds)],
                                 ds.channel_params["SA"], 6, calibrate_pixel_threshold(ds, "SA"))
     rows = (out / "reports" / "scores_SA_bn_pearson.csv").read_text().split("\n")[1:]
     assert [float(r.split(",")[0]) for r in rows if r.endswith(",authentic")] \

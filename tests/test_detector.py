@@ -338,7 +338,8 @@ def small_codes(n, seed):
 def test_perfect_clone_same_seeds_scores_identically():
     codes = small_codes(5, 100)
     clones = [ModuleMatrix(c.bits.copy()) for c in codes]
-    (auth, fake), _ = reprint_scores(codes, [(codes, 50), (clones, 50)], preset("SA"), 3, 0.5)
+    seeds = list(range(50, 55))
+    (auth, fake), _ = reprint_scores(codes, [(codes, seeds), (clones, seeds)], preset("SA"), 3, 0.5)
     assert set(auth) == set(fake) == set(MEASURES)
     for measure in MEASURES:
         np.testing.assert_array_equal(auth[measure], fake[measure])
@@ -347,7 +348,8 @@ def test_perfect_clone_same_seeds_scores_identically():
 def test_complemented_estimate_scores_poorly():
     codes = small_codes(4, 200)
     flipped = [ModuleMatrix(1 - c.bits) for c in codes]
-    (auth, fake), _ = reprint_scores(codes, [(codes, 60), (flipped, 61)], ChannelParams(), 3, 0.5)
+    (auth, fake), _ = reprint_scores(codes, [(codes, [60] * 4), (flipped, [61] * 4)],
+                                     ChannelParams(), 3, 0.5)
     assert (fake[MEASURE_PEARSON] < 0).all()
     assert (auth[MEASURE_PEARSON] > 0.99).all()
     assert (fake[MEASURE_HAMMING] == 1.0).all()
@@ -361,7 +363,7 @@ def test_a_constant_reprint_scores_pearson_zero_and_is_counted():
     a constant image, on which Pearson is undefined: it scores 0."""
     codes = small_codes(3, 400)
     blank = [ModuleMatrix(np.zeros_like(c.bits)) for c in codes]
-    (auth, fake), constant = reprint_scores(codes, [(codes, 7), (blank, 8)],
+    (auth, fake), constant = reprint_scores(codes, [(codes, [7, 8, 9]), (blank, [8, 9, 10])],
                                             ChannelParams(offset=0.03), 3, 0.5)
     assert constant == [0, 3]
     assert (auth[MEASURE_PEARSON] > 0.99).all()
@@ -371,7 +373,8 @@ def test_a_constant_reprint_scores_pearson_zero_and_is_counted():
 
 def test_reprint_scores_renders_and_centres_each_original_once(monkeypatch):
     codes = small_codes(4, 500)
-    sources = [(codes, 1), ([ModuleMatrix(1 - c.bits) for c in codes], 2), (codes[::-1], 3)]
+    sources = [(codes, [1] * 4), ([ModuleMatrix(1 - c.bits) for c in codes], [2] * 4),
+               (codes[::-1], [3] * 4)]
     calls = {"render": 0, "pearson_reference": 0}
 
     def counting(name):
@@ -394,6 +397,8 @@ def test_reprint_scores_renders_and_centres_each_original_once(monkeypatch):
 def test_reprint_scores_validates_lengths():
     codes = small_codes(2, 300)
     with pytest.raises(MissingInputError):
-        reprint_scores(codes, [(codes[:1], 1)], ChannelParams(), 3, 0.5)
+        reprint_scores(codes, [(codes[:1], [1, 2])], ChannelParams(), 3, 0.5)
+    with pytest.raises(MissingInputError, match="1 seeds"):
+        reprint_scores(codes, [(codes, [1])], ChannelParams(), 3, 0.5)
     with pytest.raises(MissingInputError):
-        reprint_scores([], [([], 1)], ChannelParams(), 3, 0.5)
+        reprint_scores([], [([], [])], ChannelParams(), 3, 0.5)

@@ -234,19 +234,19 @@ def test_workers_exit_when_the_parent_is_killed(tmp_path):
 
 def reference_scans(ds, printer_params, seed):
     scans = {}
-    for p_idx, pid in enumerate(sorted(printer_params)):
+    for pid in sorted(printer_params):
         scans[pid] = [
             print_scan(render(ds.originals[i], ds.geometry.module_px), printer_params[pid],
-                       stream_seed(seed, 1 + p_idx, i)).pixels.tobytes()
+                       stream_seed(seed, "scan", pid, i)).pixels.tobytes()
             for i in range(ds.n_images)
         ]
     return scans
 
 
-def reference_reprint_scores(originals, printed, params, module_px, seed, threshold):
+def reference_reprint_scores(originals, printed, params, module_px, seeds, threshold):
     r, h = [], []
-    for i, (code, xp) in enumerate(zip(originals, printed)):
-        ink = ink_intensity(print_scan(render(xp, module_px), params, seed ^ i))
+    for code, xp, seed in zip(originals, printed, seeds, strict=True):
+        ink = ink_intensity(print_scan(render(xp, module_px), params, seed))
         r.append(pearson(render(code, module_px).pixels, ink.pixels))
         decided = modules_from_pixels(binarize(ink, threshold), module_px)
         h.append(hamming_norm(code.bits, decided.bits))
@@ -274,6 +274,7 @@ def test_reprint_scores_match_the_per_image_loop(monkeypatch, n):
     codes = [generate_module_matrix(500 + i, 8, 8) for i in range(7)]
     estimates = [ModuleMatrix(np.roll(c.bits, 1, axis=1)) for c in codes]
     cpus(monkeypatch, n)
-    (out,), _ = reprint_scores(codes, [(estimates, 81)], preset("CA"), 3, 0.45)
+    seeds = [stream_seed(81, "reprint-fake", "CA", i) for i in range(7)]
+    (out,), _ = reprint_scores(codes, [(estimates, seeds)], preset("CA"), 3, 0.45)
     assert [out[m].tobytes() for m in MEASURES] == reference_reprint_scores(
-        codes, estimates, preset("CA"), 3, 81, 0.45)
+        codes, estimates, preset("CA"), 3, seeds, 0.45)
