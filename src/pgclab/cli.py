@@ -50,7 +50,14 @@ from .detector import (
     roc,
     score_print,
 )
-from .errors import ConfigError, DimensionError, MissingInputError, PgcError, StateError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    FormatError,
+    MissingInputError,
+    PgcError,
+    StateError,
+)
 from .imgio import read_pbm, write_pbm, write_pgm
 
 # The paper's train/val/test split, for a config that gives none.
@@ -128,11 +135,11 @@ def _reject_unknown(raw: dict, known, where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
-def load_config(path, out=None, seed=None) -> ExperimentConfig:
+def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
     """Parse and validate a JSON experiment config.
 
-    out and seed, when given, override out_dir and both the dataset and
-    training seeds.
+    out, seed and arch, when given, override out_dir, both the dataset and
+    training seeds, and training.arch.
     """
     cfg_path = Path(path)
     if not cfg_path.exists():
@@ -206,8 +213,8 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
             raise ConfigError(f"printers[{i}]: {exc}") from None
 
     training = sections["training"]
-    arch = training.pop("arch", "bn")
-    if arch not in ARCHS:
+    training_arch = training.pop("arch", "bn")
+    if training_arch not in ARCHS:
         raise ConfigError(f"training.arch must be one of {', '.join(ARCHS)}")
     try:
         train = nn.TrainConfig(**training)
@@ -238,6 +245,10 @@ def load_config(path, out=None, seed=None) -> ExperimentConfig:
             raise ConfigError("--seed must be >= 0")
         dataset_seed = int(seed)
         train = replace(train, seed=int(seed))
+    if arch is None:
+        arch = training_arch
+    elif arch not in ARCHS:
+        raise ConfigError(f"--arch must be one of {', '.join(ARCHS)}")
     return ExperimentConfig(
         out_dir=Path(out),
         geometry=geometry,
@@ -289,25 +300,24 @@ def cmd_gen(cfg: ExperimentConfig) -> None:
     )
 
 
-def cmd_train(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
+def cmd_train(cfg: ExperimentConfig, printer: str) -> None:
     """Train and calibrate one model; write the model file and loss table."""
-    arch = arch or cfg.arch
     ds = load_dataset(_dataset_dir(cfg), printer)
     train = split_arrays(ds, printer, SPLIT_TRAIN)
     val = split_arrays(ds, printer, SPLIT_VAL)
     del ds  # the epochs need only the cut splits
-    model, history, kept = train_attack(train, val, arch, cfg.train)
+    model, history, kept = train_attack(train, val, cfg.arch, cfg.train)
     threshold = calibrate_threshold(model, val)
-    model_path = _model_path(cfg, printer, arch)
+    model_path = _model_path(cfg, printer, cfg.arch)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     nn.save_model(model, threshold, model_path)
     _write_csv(
-        model_path.with_name(f"{printer}_{arch}_loss.csv"),
+        model_path.with_name(f"{printer}_{cfg.arch}_loss.csv"),
         ["epoch", "loss"],
         [(e + 1, v) for e, v in enumerate(history)],
     )
     print(
-        f"train: {arch} on {printer}, {cfg.train.epochs} epochs, "
+        f"train: {cfg.arch} on {printer}, {cfg.train.epochs} epochs, "
         f"final loss {history[-1]:.6f}, kept-model val loss {kept:.6f}, "
         f"threshold {threshold:.2f} -> {model_path}"
     )
@@ -333,19 +343,18 @@ def _attack_job(job) -> tuple[float, float, float, float]:
 _ATTACK_WINDOW = 24
 
 
-def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
+def cmd_attack(cfg: ExperimentConfig, printer: str) -> None:
     """Estimate test codes with the trained model and the Thr baseline.
 
     The model's forward passes run here, one test code and its scan at a
     time; the thresholding, votes, scores and PBM writes run on
     parallel_map's workers, which must not start BLAS thread pools.
     """
-    arch = arch or cfg.arch
     ds = load_dataset(_dataset_dir(cfg), printer)
     test_idx = ds.indices(SPLIT_TEST)
     if not test_idx:
         raise StateError("empty test split")
-    model_path = _model_path(cfg, printer, arch)
+    model_path = _model_path(cfg, printer, cfg.arch)
     if not model_path.exists():
         raise MissingInputError(f"no model file at {model_path}; run the train command first")
     model, threshold = nn.load_model(model_path)
@@ -358,7 +367,7 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
 
     thr_t = calibrate_pixel_threshold(ds, printer)
     mpx = ds.geometry.module_px
-    model_dir = _estimate_dir(cfg, printer, arch)
+    model_dir = _estimate_dir(cfg, printer, cfg.arch)
     thr_dir = _estimate_dir(cfg, printer, "thr")
     model_dir.mkdir(parents=True, exist_ok=True)
     thr_dir.mkdir(parents=True, exist_ok=True)
@@ -380,33 +389,38 @@ def cmd_attack(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> 
         sums += s
     means = sums / len(test_idx)
     rows.append(("mean", *[float(v) for v in means]))
-    report = cfg.out_dir / "reports" / f"{printer}_{arch}_metrics.csv"
+    report = cfg.out_dir / "reports" / f"{printer}_{cfg.arch}_metrics.csv"
     _write_csv(
         report,
         ["image", "pearson_model", "hamming_model", "pearson_thr", "hamming_thr"],
         rows,
     )
     print(
-        f"attack: {printer}/{arch} on {len(test_idx)} test codes: "
+        f"attack: {printer}/{cfg.arch} on {len(test_idx)} test codes: "
         f"pearson {means[0]:.4f} vs thr {means[2]:.4f}, "
         f"hamming {means[1]:.4f} vs thr {means[3]:.4f} (thr t={thr_t:.2f}) -> {report}"
     )
 
 
-def _load_estimates(cfg: ExperimentConfig, printer: str, source: str, test_idx):
+def _load_estimates(cfg: ExperimentConfig, ds, printer: str, source: str) -> list[ModuleMatrix]:
+    """A source's estimates of ds's test codes, each with the codes' module grid."""
     est_dir = _estimate_dir(cfg, printer, source)
+    shape = (ds.geometry.rows, ds.geometry.cols)
     estimates = []
-    for i in test_idx:
+    for i in ds.indices(SPLIT_TEST):
         path = est_dir / f"est_{i:04d}.pbm"
         if not path.exists():
             raise MissingInputError(f"no estimate at {path}; run the attack command first")
-        estimates.append(read_pbm(path))
+        estimate = read_pbm(path)
+        if estimate.bits.shape != shape:
+            raise FormatError(f"{path}: {estimate.bits.shape} modules (rows, cols), "
+                              f"not the dataset's {shape}")
+        estimates.append(estimate)
     return estimates
 
 
-def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> None:
+def cmd_roc(cfg: ExperimentConfig, printer: str) -> None:
     """Score re-prints of the estimates against authentic re-prints."""
-    arch = arch or cfg.arch
     ds = load_dataset(_dataset_dir(cfg), printer)
     test_idx = ds.indices(SPLIT_TEST)
     if not test_idx:
@@ -419,14 +433,9 @@ def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> Non
     params = ds.channel_params[printer]
     mpx = ds.geometry.module_px
     reports = cfg.out_dir / "reports"
-    sources = {s: _load_estimates(cfg, printer, s, test_idx) for s in (arch, "thr")}
-    # One fan-out scores the authentic re-prints, which depend on neither
-    # fake source, and both fake sources.
+    sources = {s: _load_estimates(cfg, ds, printer, s) for s in (cfg.arch, "thr")}
     (authentic, *fakes), constant = reprint_scores(
-        originals,
-        [(originals, auth_seeds)] + [(estimates, fake_seeds) for estimates in sources.values()],
-        params, mpx, defender_t,
-    )
+        originals, list(sources.values()), auth_seeds, fake_seeds, params, mpx, defender_t)
 
     summary_rows = []
     curves_by_measure: dict[str, list] = {m: [] for m in cfg.measures}
@@ -456,7 +465,7 @@ def cmd_roc(cfg: ExperimentConfig, printer: str, arch: str | None = None) -> Non
             )
             curves_by_measure[measure].append((source, curve))
     _write_csv(
-        reports / f"summary_{printer}_{arch}.csv",
+        reports / f"summary_{printer}_{cfg.arch}.csv",
         ["fake_source", "measure", "auc"] + [f"pd_at_pfa_{t}" for t in cfg.target_pfa],
         summary_rows,
     )
@@ -566,15 +575,16 @@ def main(argv=None) -> int:
         p.add_argument("--arch", choices=ARCHS, help="model architecture (overrides config)")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, out=args.out, seed=args.seed)
+        cfg = load_config(args.config, out=args.out, seed=args.seed,
+                          arch=getattr(args, "arch", None))
         if args.command == "gen":
             cmd_gen(cfg)
         elif args.command == "train":
-            cmd_train(cfg, args.printer, args.arch)
+            cmd_train(cfg, args.printer)
         elif args.command == "attack":
-            cmd_attack(cfg, args.printer, args.arch)
+            cmd_attack(cfg, args.printer)
         else:
-            cmd_roc(cfg, args.printer, args.arch)
+            cmd_roc(cfg, args.printer)
     except PgcError as exc:
         print(f"pgclab: error [{exc.category}] {exc}", file=sys.stderr)
         return 1

@@ -72,21 +72,17 @@ def pearson(x, y) -> float:
                          -1.0, 1.0))
 
 
-def pearson_or_zero(x, y) -> tuple[float, bool]:
-    """pearson(x, y), and False; or 0.0, and True, where it is undefined
-    because x or y is constant.  The score both verbs give such a pair."""
-    try:
-        return pearson(x, y), False
-    except DegenerateInputError:
-        return 0.0, True
-
-
 def score_print(code: ModuleMatrix, ref: PearsonReference, image: PixelImage, t: float,
                 module_px: int) -> tuple[float, bool, float, ModuleMatrix]:
-    """Score an ink or grey image of code: pearson_or_zero against ref, the
-    code rendered and prepared, and hamming_norm against the modules decided
-    by binarizing at t and majority-voting per module, with those modules."""
-    r, undefined = pearson_or_zero(ref, image.pixels)
+    """Score an ink or grey image of code: pearson against ref, the code
+    rendered and prepared, or 0 where a constant image or code leaves it
+    undefined, and whether it was; and hamming_norm against the modules
+    decided by binarizing at t and majority-voting per module, with those
+    modules."""
+    try:
+        r, undefined = pearson(ref, image.pixels), False
+    except DegenerateInputError:
+        r, undefined = 0.0, True
     decided = modules_from_pixels(binarize(image, t), module_px)
     return r, undefined, hamming_norm(code.bits, decided.bits), decided
 
@@ -144,64 +140,66 @@ def pd_at_pfa(points, target_pfa: float) -> float:
 
 
 def _reprint_job(job) -> list[tuple[float, float, bool]]:
-    """Score one test code's re-print from each source: (pearson, hamming,
-    whether pearson was undefined).
+    """Score one test code's authentic re-print, then the re-print of each
+    source's estimate of it: (pearson, hamming, whether pearson was
+    undefined) each.
 
-    The original is rendered and prepared for Pearson once, for all sources.
-    Prints that share a seed (the fake sources) are made in one print_scans
-    call, which draws that seed's random values once.
+    The original is rendered and prepared for Pearson once.  The fakes
+    share their seed, so one print_scans call makes them all and draws that
+    seed's random values once.
     """
-    code, printed, params, module_px, defender_threshold = job
+    code, fakes, auth_seed, fake_seed, params, module_px, defender_threshold = job
     rendered = render(code, module_px)
     ref = pearson_reference(rendered.pixels)
-    by_seed: dict[int, list[int]] = {}
-    for k, (_, seed) in enumerate(printed):
-        by_seed.setdefault(seed, []).append(k)
-    out = [None] * len(printed)
-    for seed, ks in by_seed.items():
-        imgs = [rendered if printed[k][0] is code else render(printed[k][0], module_px)
-                for k in ks]
-        for k, scan in zip(ks, print_scans(imgs, params, seed)):
-            r, constant, h, _ = score_print(code, ref, ink_intensity(scan),
-                                            defender_threshold, module_px)
-            out[k] = (r, h, constant)
+    scans = print_scans([rendered], params, auth_seed) + print_scans(
+        [render(f, module_px) for f in fakes], params, fake_seed)
+    out = []
+    for scan in scans:
+        r, constant, h, _ = score_print(code, ref, ink_intensity(scan),
+                                        defender_threshold, module_px)
+        out.append((r, h, constant))
     return out
 
 
 def reprint_scores(
     originals: list[ModuleMatrix],
-    sources: list[tuple[list[ModuleMatrix], list[int]]],
+    fakes: list[list[ModuleMatrix]],
+    auth_seeds: list[int],
+    fake_seeds: list[int],
     params: ChannelParams,
     module_px: int,
     defender_threshold: float,
 ) -> tuple[list[dict[str, np.ndarray]], list[int]]:
-    """Score a simulated re-print of each source's codes against the originals.
+    """Score an authentic re-print of each original and a re-print of each
+    fake source's estimate of it against the original.
 
-    Each source is (printed, seeds), one seed per code: print i of it is
-    print_scan(render(printed[i])) seeded with seeds[i].  Pearson compares
-    the original bits against the grey ink intensity of the print, and
-    scores 0 where a constant print or original leaves it undefined.  Hamming
-    compares the original modules against the print binarized at the
-    defender's own pixel threshold and majority-voted per module.  One
-    parallel_map job per original scores its prints from every source.
-    Returns, per source, one float64 score array per measure, and, per
-    source, the number of prints scored so.
+    fakes holds one list of estimates per source, one estimate per
+    original.  Code i's authentic print is print_scan(render(originals[i]))
+    seeded with auth_seeds[i]; its fakes are printed with fake_seeds[i].
+    Pearson compares the original bits against the grey ink intensity of
+    the print, and scores 0 where a constant print or original leaves it
+    undefined.  Hamming compares the original modules against the print
+    binarized at the defender's own pixel threshold and majority-voted per
+    module.  One parallel_map job per original makes and scores its prints.
+    Returns one float64 score array per measure for the authentic prints
+    and then for each fake source, and, in the same order, the number of
+    prints Pearson scored 0 so.
     """
-    for printed, seeds in sources:
-        if not len(printed) == len(seeds) == len(originals):
-            raise MissingInputError(
-                f"{len(originals)} originals but {len(printed)} printed codes "
-                f"and {len(seeds)} seeds"
-            )
     if not originals:
         raise MissingInputError("re-print scoring needs at least one code")
+    if not fakes:
+        raise MissingInputError("re-print scoring needs at least one fake source")
+    if any(n != len(originals) for n in (len(auth_seeds), len(fake_seeds), *map(len, fakes))):
+        raise MissingInputError(
+            f"{len(originals)} originals but {len(auth_seeds)} authentic seeds, "
+            f"{len(fake_seeds)} fake seeds and {[len(f) for f in fakes]} estimates per source")
     jobs = [
-        (code, [(printed[i], seeds[i]) for printed, seeds in sources],
+        (code, [estimates[i] for estimates in fakes], auth_seeds[i], fake_seeds[i],
          params, module_px, defender_threshold)
         for i, code in enumerate(originals)
     ]
     scores, constant = [], []
-    for prints in zip(*parallel_map(_reprint_job, jobs)):  # one source's prints
+    for prints in zip(*parallel_map(_reprint_job, jobs)):  # one kind's prints
         r, h, c = zip(*prints)
         scores.append({
             MEASURE_PEARSON: np.asarray(r, dtype=np.float64),

@@ -103,6 +103,9 @@ class TrainConfig:
             raise ParameterError("lam must be >= 0")
         if self.regularizer not in (REG_NONE, REG_L2_WEIGHTS):
             raise ParameterError(f"unknown regularizer {self.regularizer!r}")
+        if self.lam > 0 and self.regularizer == REG_NONE:
+            raise ParameterError(f"lam {self.lam} needs regularizer {REG_L2_WEIGHTS!r}, "
+                                 f"not {REG_NONE!r}")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
 
@@ -317,7 +320,7 @@ def _mean_loss(m: MlpModel, pieces, n: int, cfg: TrainConfig | None) -> float:
     """The mean over n samples of the squared errors of pieces' (flat pred,
     flat t) pairs, plus the regularizer term."""
     value = float(_sq_err_sum(pieces, n * m.out_dim)) / n
-    if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS and cfg.lam > 0:
+    if cfg is not None and cfg.lam > 0:
         value += cfg.lam * weight_sq_sum(m)
     return value
 
@@ -347,7 +350,7 @@ def _check_batch(m: MlpModel, batch_x, batch_t):
 def _grads_from_acts(m: MlpModel, acts: list[np.ndarray], tb: np.ndarray,
                      cfg: TrainConfig | None):
     n = acts[0].shape[0]
-    lam = cfg.lam if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS else 0.0
+    lam = cfg.lam if cfg is not None else 0.0
     grad_w = [None] * len(m.layers)
     grad_b = [None] * len(m.layers)
     # d(batch_loss)/d(pred), mean over the batch of sum-of-squares terms.
@@ -472,9 +475,11 @@ def save_model(m: MlpModel, threshold: float, path) -> None:
     Layout: magic, u32 version, u32 layer count, per layer u32 in_dim /
     u32 out_dim / u32 activation code, then every weight matrix row-major,
     then every bias vector, all little-endian float32, then the flag byte 1
-    and the float32 threshold.
+    and the float32 threshold, which must lie in [0, 1].
     """
     m.validate()
+    if not 0.0 <= threshold <= 1.0:
+        raise ParameterError(f"threshold {threshold} outside [0, 1]")
     parts = [MODEL_MAGIC, struct.pack("<II", MODEL_VERSION, len(m.layers))]
     for spec in m.layers:
         parts.append(struct.pack("<III", spec.in_dim, spec.out_dim, _ACT_CODE[spec.activation]))
@@ -523,6 +528,8 @@ def load_model(path):
     if flag != 1:
         raise FormatError(f"{path}: threshold flag {flag}, not 1 (re-run train)")
     threshold = float(struct.unpack("<f", take(4))[0])
+    if not 0.0 <= threshold <= 1.0:
+        raise FormatError(f"{path}: threshold {threshold} outside [0, 1]")
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
     return MlpModel(specs, weights, biases), threshold

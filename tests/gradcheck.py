@@ -13,7 +13,6 @@ import numpy as np
 from pgclab.errors import StateError
 from pgclab.nn import (
     ACT_RELU,
-    REG_L2_WEIGHTS,
     MlpModel,
     _activations,
     _check_batch,
@@ -55,7 +54,7 @@ def _central_difference(md: MlpModel, cfg, step: float, ai: int, saved, acts_lo,
     # Regularizer depends on the weight value, so recompute it at +-step.
     lo = _objective(md, acts_lo[-1], tb, cfg)
     hi = _objective(md, acts_hi[-1], tb, cfg)
-    if cfg is not None and cfg.regularizer == REG_L2_WEIGHTS and cfg.lam > 0 and ai < len(md.weights):
+    if cfg is not None and cfg.lam > 0 and ai < len(md.weights):
         hi += cfg.lam * ((saved + step) ** 2 - saved ** 2)
         lo += cfg.lam * ((saved - step) ** 2 - saved ** 2)
     return (hi - lo) / (2.0 * step)

@@ -183,9 +183,7 @@ def test_criterion_4_detection_difficulty(sa_run):
     params, mpx = ds.channel_params["SA"], ds.geometry.module_px
     labels = ("bn", "thr")
     (authentic, *fakes), _ = reprint_scores(
-        originals,
-        [(originals, auth_seeds)]
-        + [(sa_run[f"{label}_estimates"], fake_seeds) for label in labels],
+        originals, [sa_run[f"{label}_estimates"] for label in labels], auth_seeds, fake_seeds,
         params, mpx, defender_t,
     )
     aucs = {}

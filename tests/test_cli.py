@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import struct
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -104,10 +105,13 @@ def test_load_config_minimal_defaults(tmp_path):
 
 def test_load_config_overrides(tmp_path):
     p = write_cfg(tmp_path)
-    cfg = load_config(p, out=str(tmp_path / "elsewhere"), seed=99)
+    cfg = load_config(p, out=str(tmp_path / "elsewhere"), seed=99, arch="fc2")
     assert cfg.out_dir.name == "elsewhere"
     assert cfg.dataset_seed == 99
     assert cfg.train.seed == 99
+    assert cfg.arch == "fc2"
+    with pytest.raises(ConfigError, match="--arch"):
+        load_config(p, arch="cnn")
 
 
 def test_load_config_printer_overrides(tmp_path):
@@ -158,6 +162,7 @@ def test_load_config_missing_file(tmp_path):
         (lambda c: c["evaluation"].update(target_pfa=[math.nan]), "evaluation.target_pfa"),
         (lambda c: c["training"].update(arch="cnn"), "training.arch"),
         (lambda c: c["training"].update(epochs=0), "training"),
+        (lambda c: c["training"].update(lam=0.1, regularizer="none"), "training: lam 0.1"),
         (lambda c: c["training"].update(momentum=0.9), "training"),
         (lambda c: c["evaluation"].update(measures=["cosine"]), "evaluation.measures"),
         (lambda c: c["evaluation"].update(target_pfa=[1.5]), "evaluation.target_pfa"),
@@ -352,10 +357,10 @@ def test_worker_error_exits_with_its_category(tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
-def serial_cmd_attack(cfg, printer, arch=None):
+def serial_cmd_attack(cfg, printer):
     """cmd_attack as one serial loop over the test codes, kept as the
     reference for the bytes it writes."""
-    arch = arch or cfg.arch
+    arch = cfg.arch
     ds = load_dataset(_dataset_dir(cfg), printer)
     model_path = _model_path(cfg, printer, arch)
     if not model_path.exists():
@@ -497,10 +502,10 @@ def serial_reprint_scores(originals, printed, params, module_px, seeds, threshol
     return {"pearson": np.asarray(r, dtype=np.float64), "hamming": np.asarray(h, dtype=np.float64)}
 
 
-def three_call_cmd_roc(cfg, printer, arch=None):
+def three_call_cmd_roc(cfg, printer):
     """cmd_roc scoring its three sources in three calls, kept as the
     reference for the bytes it writes."""
-    arch = arch or cfg.arch
+    arch = cfg.arch
     ds = load_dataset(_dataset_dir(cfg), printer)
     test_idx = ds.indices(SPLIT_TEST)
     originals = [ds.originals[i] for i in test_idx]
@@ -510,7 +515,7 @@ def three_call_cmd_roc(cfg, printer, arch=None):
     params = ds.channel_params[printer]
     mpx = ds.geometry.module_px
     reports = cfg.out_dir / "reports"
-    sources = {s: _load_estimates(cfg, printer, s, test_idx) for s in (arch, "thr")}
+    sources = {s: _load_estimates(cfg, ds, printer, s) for s in (arch, "thr")}
     authentic = serial_reprint_scores(originals, originals, params, mpx, auth_seeds, defender_t)
 
     summary_rows = []
@@ -644,6 +649,38 @@ def test_attack_rejects_a_model_of_the_wrong_size_before_it_writes(trained, tmp_
     err = capsys.readouterr().err
     assert err.startswith("pgclab: error [dimension]") and f"{in_dim} to {out_dim}" in err
     assert not (mine / "estimates").exists()
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 2.0, -0.5])
+def test_attack_rejects_a_threshold_outside_the_unit_interval(trained, tmp_path, capsys,
+                                                              threshold):
+    p, out, _ = trained
+    mine = tmp_path / "run"
+    shutil.copytree(out, mine)
+    model_path = mine / "models" / "SA_bn.pgcm"
+    model_path.write_bytes(model_path.read_bytes()[:-4] + struct.pack("<f", threshold))
+    assert run(["attack", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pgclab: error [format]")
+    assert f"SA_bn.pgcm: threshold {threshold} outside [0, 1]" in err
+    assert not (mine / "estimates").exists()
+
+
+@pytest.mark.parametrize("sources", [("bn",), ("bn", "thr")])
+def test_roc_rejects_a_misshapen_estimate_before_it_writes(attacked, tmp_path, capsys, sources):
+    """An estimate with the codes' number of modules in another grid."""
+    p, base, _ = attacked
+    mine = tmp_path / "run"
+    shutil.copytree(base, mine)
+    before = sorted((mine / "reports").rglob("*"))
+    for source in sources:
+        write_pbm(ModuleMatrix(np.zeros((12, 48), np.uint8)),
+                  mine / "estimates" / f"SA_{source}" / "est_0009.pbm")
+    assert run(["roc", "--config", str(p), "--out", str(mine), "--printer", "SA"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pgclab: error [format]")
+    assert f"SA_{sources[0]}/est_0009.pbm: (12, 48) modules" in err
+    assert sorted((mine / "reports").rglob("*")) == before
 
 
 def test_gen_is_reproducible_across_out_dirs(tmp_path):
@@ -832,8 +869,8 @@ def test_verbs_read_only_their_printers_scans(tmp_path):
     test_idx = ds.indices(SPLIT_TEST)
     test = [ds.originals[i] for i in test_idx]
     seeds = [stream_seed(5, "reprint-authentic", "SA", i) for i in test_idx]
-    (auth,), _ = reprint_scores(test, [(test, seeds)],
-                                ds.channel_params["SA"], 6, calibrate_pixel_threshold(ds, "SA"))
+    (auth, _), _ = reprint_scores(test, [test], seeds, seeds,
+                                  ds.channel_params["SA"], 6, calibrate_pixel_threshold(ds, "SA"))
     rows = (out / "reports" / "scores_SA_bn_pearson.csv").read_text().split("\n")[1:]
     assert [float(r.split(",")[0]) for r in rows if r.endswith(",authentic")] \
         == auth["pearson"].tolist()

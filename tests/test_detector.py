@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgclab import detector
-from pgclab.channel import ChannelParams, preset, print_scan
+from pgclab.channel import ChannelParams, preset, print_scan, print_scans
 from pgclab.codegen import (
     BYTE0_255,
     ModuleMatrix,
@@ -339,7 +339,7 @@ def test_perfect_clone_same_seeds_scores_identically():
     codes = small_codes(5, 100)
     clones = [ModuleMatrix(c.bits.copy()) for c in codes]
     seeds = list(range(50, 55))
-    (auth, fake), _ = reprint_scores(codes, [(codes, seeds), (clones, seeds)], preset("SA"), 3, 0.5)
+    (auth, fake), _ = reprint_scores(codes, [clones], seeds, seeds, preset("SA"), 3, 0.5)
     assert set(auth) == set(fake) == set(MEASURES)
     for measure in MEASURES:
         np.testing.assert_array_equal(auth[measure], fake[measure])
@@ -348,7 +348,7 @@ def test_perfect_clone_same_seeds_scores_identically():
 def test_complemented_estimate_scores_poorly():
     codes = small_codes(4, 200)
     flipped = [ModuleMatrix(1 - c.bits) for c in codes]
-    (auth, fake), _ = reprint_scores(codes, [(codes, [60] * 4), (flipped, [61] * 4)],
+    (auth, fake), _ = reprint_scores(codes, [flipped], [60] * 4, [61] * 4,
                                      ChannelParams(), 3, 0.5)
     assert (fake[MEASURE_PEARSON] < 0).all()
     assert (auth[MEASURE_PEARSON] > 0.99).all()
@@ -363,7 +363,7 @@ def test_a_constant_reprint_scores_pearson_zero_and_is_counted():
     a constant image, on which Pearson is undefined: it scores 0."""
     codes = small_codes(3, 400)
     blank = [ModuleMatrix(np.zeros_like(c.bits)) for c in codes]
-    (auth, fake), constant = reprint_scores(codes, [(codes, [7, 8, 9]), (blank, [8, 9, 10])],
+    (auth, fake), constant = reprint_scores(codes, [blank], [7, 8, 9], [8, 9, 10],
                                             ChannelParams(offset=0.03), 3, 0.5)
     assert constant == [0, 3]
     assert (auth[MEASURE_PEARSON] > 0.99).all()
@@ -373,8 +373,7 @@ def test_a_constant_reprint_scores_pearson_zero_and_is_counted():
 
 def test_reprint_scores_renders_and_centres_each_original_once(monkeypatch):
     codes = small_codes(4, 500)
-    sources = [(codes, [1] * 4), ([ModuleMatrix(1 - c.bits) for c in codes], [2] * 4),
-               (codes[::-1], [3] * 4)]
+    fakes = [[ModuleMatrix(1 - c.bits) for c in codes], codes[::-1]]
     calls = {"render": 0, "pearson_reference": 0}
 
     def counting(name):
@@ -388,17 +387,49 @@ def test_reprint_scores_renders_and_centres_each_original_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(detector, name, counting(name))
     monkeypatch.setattr(detector, "parallel_map", lambda fn, jobs: [fn(job) for job in jobs])
-    reprint_scores(codes, sources, preset("SA"), 3, 0.5)
+    reprint_scores(codes, fakes, [1] * 4, [2] * 4, preset("SA"), 3, 0.5)
     # Per code: the original once, serving its authentic re-print too,
-    # and each of the two other sources' codes once.
+    # and each of the two fake sources' codes once.
     assert calls == {"render": 4 * 3, "pearson_reference": 4}
+
+
+def test_reprint_job_prints_the_original_then_all_fakes_with_their_seeds(monkeypatch):
+    codes = small_codes(3, 600)
+    fakes = [[ModuleMatrix(1 - c.bits) for c in codes], codes[::-1]]
+    auth_seeds, fake_seeds = [11, 12, 13], [21, 22, 23]
+    calls = []
+
+    def recording(imgs, params, seed):
+        calls.append(([img.pixels.tobytes() for img in imgs], seed))
+        return print_scans(imgs, params, seed)
+
+    monkeypatch.setattr(detector, "print_scans", recording)
+    monkeypatch.setattr(detector, "parallel_map", lambda fn, jobs: [fn(job) for job in jobs])
+    reprint_scores(codes, fakes, auth_seeds, fake_seeds, preset("SA"), 3, 0.5)
+
+    def rendered(*printed):
+        return [render(c, 3).pixels.tobytes() for c in printed]
+
+    # Per code, in order: its authentic print, then every source's fake.
+    want = []
+    for i, code in enumerate(codes):
+        want.append((rendered(code), auth_seeds[i]))
+        want.append((rendered(fakes[0][i], fakes[1][i]), fake_seeds[i]))
+    assert calls == want
 
 
 def test_reprint_scores_validates_lengths():
     codes = small_codes(2, 300)
+    seeds = [1, 2]
+    with pytest.raises(MissingInputError, match=r"\[1\] estimates"):
+        reprint_scores(codes, [codes[:1]], seeds, seeds, ChannelParams(), 3, 0.5)
+    with pytest.raises(MissingInputError, match=r"\[2, 1\] estimates"):
+        reprint_scores(codes, [codes, codes[:1]], seeds, seeds, ChannelParams(), 3, 0.5)
+    with pytest.raises(MissingInputError, match="1 authentic seeds"):
+        reprint_scores(codes, [codes], [1], seeds, ChannelParams(), 3, 0.5)
+    with pytest.raises(MissingInputError, match="1 fake seeds"):
+        reprint_scores(codes, [codes], seeds, [1], ChannelParams(), 3, 0.5)
+    with pytest.raises(MissingInputError, match="fake source"):
+        reprint_scores(codes, [], seeds, seeds, ChannelParams(), 3, 0.5)
     with pytest.raises(MissingInputError):
-        reprint_scores(codes, [(codes[:1], [1, 2])], ChannelParams(), 3, 0.5)
-    with pytest.raises(MissingInputError, match="1 seeds"):
-        reprint_scores(codes, [(codes, [1])], ChannelParams(), 3, 0.5)
-    with pytest.raises(MissingInputError):
-        reprint_scores([], [([], [])], ChannelParams(), 3, 0.5)
+        reprint_scores([], [[]], [], [], ChannelParams(), 3, 0.5)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -336,6 +337,14 @@ def test_load_rejects_a_model_without_threshold(tmp_path):
         load_model(p)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, 2.0, -0.5])
+def test_save_refuses_a_threshold_outside_the_unit_interval(tmp_path, threshold):
+    p = tmp_path / "m.pgcm"
+    with pytest.raises(ParameterError, match="threshold"):
+        save_model(small_model([4, 3], [ACT_IDENTITY], seed=22), threshold, p)
+    assert not p.exists()
+
+
 def test_saved_file_size_formula(tmp_path):
     m = small_model([8, 5, 8], [ACT_RELU, ACT_SIGMOID], seed=23)
     p = tmp_path / "m.pgcm"
@@ -356,6 +365,8 @@ def test_load_rejects_corrupt_files(tmp_path):
         lambda b: bytes(b[:-3]),                               # truncated
         lambda b: bytes(b) + b"xx",                            # trailing junk
         lambda b: bytes(b[:-5]) + b"\x02" + bytes(b[-4:]),     # flag byte
+        *[lambda b, t=t: bytes(b[:-4]) + struct.pack("<f", t)  # threshold
+          for t in (math.nan, 2.0, -0.5)],
     ):
         q = tmp_path / "bad.pgcm"
         q.write_bytes(mutate(raw))
@@ -412,6 +423,7 @@ def test_train_config_validation():
         dict(learning_rate=0.0),
         dict(lam=-1.0),
         dict(regularizer="l3"),
+        dict(lam=0.1, regularizer="none"),
         dict(seed=-1),
     ):
         with pytest.raises(ParameterError):

@@ -275,6 +275,6 @@ def test_reprint_scores_match_the_per_image_loop(monkeypatch, n):
     estimates = [ModuleMatrix(np.roll(c.bits, 1, axis=1)) for c in codes]
     cpus(monkeypatch, n)
     seeds = [stream_seed(81, "reprint-fake", "CA", i) for i in range(7)]
-    (out,), _ = reprint_scores(codes, [(estimates, seeds)], preset("CA"), 3, 0.45)
+    (_, out), _ = reprint_scores(codes, [estimates], seeds, seeds, preset("CA"), 3, 0.45)
     assert [out[m].tobytes() for m in MEASURES] == reference_reprint_scores(
         codes, estimates, preset("CA"), 3, seeds, 0.45)
