@@ -17,17 +17,24 @@ Everything is deterministic given (image, params, seed).
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import pickle
 import signal
-from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .codegen import BINARY01, BYTE0_255, PixelImage
-from .errors import DimensionError, DomainError, ParameterError, PgcError, UnknownIdError
+from .errors import (
+    DimensionError,
+    DomainError,
+    ParameterError,
+    PgcError,
+    UnknownIdError,
+    check_field_types,
+)
 
 
 @dataclass(frozen=True)
@@ -42,14 +49,7 @@ class ChannelParams:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            # An int may stand for a float; a bool stands for neither.
-            value, kind = getattr(self, f.name), type(f.default)
-            allowed = (int, float) if kind is float else int
-            if not isinstance(value, allowed) or isinstance(value, bool):
-                raise ParameterError(f"{f.name} must be {kind.__name__}, not {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ParameterError(f"{f.name} must be finite, not {value!r}")
+        check_field_types(self)
         if self.dot_gain_radius < 0:
             raise ParameterError("dot_gain_radius must be >= 0")
         if not 0.0 <= self.dot_gain_prob <= 1.0:
@@ -270,10 +270,7 @@ def print_scans(imgs: list[PixelImage], params: ChannelParams, seed: int) -> lis
             for ink, c in zip(inks, candidates):
                 ink |= c
 
-    if params.psf_sigma > 0.0:
-        vs = [_blur(ink, params.psf_sigma) for ink in inks]
-    else:
-        vs = [ink.astype(np.float64) for ink in inks]
+    vs = [_blur(ink, params.psf_sigma) for ink in inks]
 
     # v = clamp01(gain * v + offset), v = clamp01(v + noise_sigma * z) and
     # 255 * (1 - v), computed in place, strip by strip.
@@ -298,8 +295,9 @@ def print_scans(imgs: list[PixelImage], params: ChannelParams, seed: int) -> lis
     return [PixelImage(scan, BYTE0_255) for scan in scans]
 
 
-def _worker(fn, jobs, conn, parent_ends) -> None:
-    """Send back (True, fn(jobs[j])) for each index j received until None;
+def _worker(fn, jobs, w, shared, lock, conn, parent_ends) -> None:
+    """Run job w, then each index taken from the shared counter, until the
+    counter is past the last job; send (j, True, fn(jobs[j])) for each and
     stop after the first error."""
     # Ctrl-C reaches the whole process group; the parent handles it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -307,35 +305,33 @@ def _worker(fn, jobs, conn, parent_ends) -> None:
     # worker's; with them closed, the parent's death ends this pipe.
     for end in parent_ends:
         end.close()
-    # A ConnectionError (a broken pipe, or a reset when the parent died
-    # with results unread) or an EOF on the pipe means the parent has gone.
+    # A ConnectionError (a broken pipe) means the parent has gone.
     with conn:
-        while True:
-            try:
-                j = conn.recv()
-            except (EOFError, ConnectionError):
-                return
-            if j is None:
-                return
+        j = w
+        while j < len(jobs):
             try:
                 result = fn(jobs[j])
             except Exception as exc:
                 err = exc
             else:
                 try:
-                    conn.send((True, result))
-                    continue
+                    conn.send((j, True, result))
                 except ConnectionError:
                     return
                 except Exception as exc:  # the result cannot be pickled
                     err = exc
+                else:
+                    with lock:
+                        j = shared[1 + w] = int(shared[0])
+                        shared[0] = j + 1
+                    continue
             try:
                 # Sent as it is only if the parent can unpickle it.
                 pickle.loads(pickle.dumps(err))
             except Exception:
                 err = PgcError(f"{type(err).__name__}: {err}")
             try:
-                conn.send((False, err))
+                conn.send((j, False, err))
             except ConnectionError:
                 pass
             return
@@ -346,14 +342,15 @@ def parallel_map(fn, jobs) -> list:
 
     fn must be a module-level function whose result depends only on its
     job (each job carries its own seed), so the results do not depend on
-    which worker ran them.  The parent hands out job indices one at a time,
-    keeping two in each worker's hands, so a worker on a slower CPU simply
-    runs fewer jobs.  Each worker talks to the parent over its own pipe;
-    the parent receives the results on the calling thread, from whichever
-    worker is ready, and returns them in job order.  An exception fn raises is
-    re-raised here with its type and message, and a worker that dies
-    raises PgcError.  Every worker has exited when this returns, also when
-    it raises.
+    which worker ran them.  Worker w runs job w first; after that each
+    worker takes the next index from one counter the workers share, so a
+    worker on a slower CPU simply runs fewer jobs, and it exits once the
+    counter is past the last job.  Each worker sends its results to the
+    parent over its own pipe; the parent sends nothing, receives the
+    results on the calling thread, from whichever worker is ready, and
+    returns them in job order.  An exception fn raises is re-raised here
+    with its type and message, and a worker that dies raises PgcError.
+    Every worker has exited when this returns, also when it raises.
 
     Workers are forked, not spawned, so they neither re-import numpy nor
     unpickle fn and the jobs.  pgclab starts no threads, and OpenBLAS
@@ -369,38 +366,24 @@ def parallel_map(fn, jobs) -> list:
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
+    # A mapping the forked workers share: shared[0] is the next unclaimed
+    # index, and shared[1 + w] the one worker w runs, read if w dies.
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (1 + n)), np.int64)
+    shared[:] = [n, *range(n)]
+    lock = ctx.Lock()
     procs, conns = [], []
-    held = [deque() for _ in range(n)]  # indices handed to worker w, unanswered
-    stopped = [False] * n
-    unassigned = iter(range(len(jobs)))
-
-    def hand_out(w: int) -> None:
-        if stopped[w]:
-            return
-        j = next(unassigned, None)
-        if j is None:
-            stopped[w] = True
-        else:
-            held[w].append(j)
-        try:
-            conns[w].send(j)
-        except ConnectionError:  # the worker has died; recv reports it
-            pass
-
     done = False
     try:
         for w in range(n):
-            parent_end, child_end = ctx.Pipe()
+            parent_end, child_end = ctx.Pipe(duplex=False)
             conns.append(parent_end)
-            proc = ctx.Process(target=_worker, args=(fn, jobs, child_end, conns), daemon=True)
+            proc = ctx.Process(target=_worker, args=(fn, jobs, w, shared, lock, child_end, conns),
+                               daemon=True)
             proc.start()
             # Closed before the next fork, so the worker holds the only
             # copy of its end and its exit ends the pipe.
             child_end.close()
             procs.append(proc)
-        for _ in range(2):
-            for w in range(n):
-                hand_out(w)
         results = [None] * len(jobs)
         left = len(jobs)
         busy = list(conns)
@@ -408,20 +391,20 @@ def parallel_map(fn, jobs) -> list:
             for conn in wait(busy):
                 w = conns.index(conn)
                 try:
-                    ok, value = conn.recv()
-                except (EOFError, ConnectionResetError):
-                    # A reset, when the worker died with an index unread.
+                    j, ok, value = conn.recv()
+                except EOFError:
                     procs[w].join()
+                    j = int(shared[1 + w])
+                    if procs[w].exitcode == 0 and j >= len(jobs):  # out of indices
+                        busy.remove(conn)
+                        continue
                     raise PgcError(
-                        f"worker {w} exited with code {procs[w].exitcode} before job {held[w][0]}"
+                        f"worker {w} exited with code {procs[w].exitcode} before job {j}"
                     ) from None
                 if not ok:
                     raise value
-                results[held[w].popleft()] = value
+                results[j] = value
                 left -= 1
-                hand_out(w)
-                if not held[w]:
-                    busy.remove(conn)
         done = True
         return results
     finally:

@@ -591,6 +591,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"pgclab: error [io] {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"pgclab: error [memory] {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -2,7 +2,11 @@
 
 Each error type carries a short machine-readable ``category`` string; the
 command-line front end prints it as part of its one-line diagnostics.
+check_field_types is the field-type rule the parameter types share.
 """
+
+import math
+from dataclasses import fields
 
 
 class PgcError(Exception):
@@ -63,3 +67,16 @@ class DegenerateInputError(PgcError):
     """Statistic undefined for the given input (e.g. constant vectors)."""
 
     category = "degenerate"
+
+
+def check_field_types(obj) -> None:
+    """Raise ParameterError unless every field of the dataclass obj has its
+    default's type (an int may stand for a float; a bool stands for
+    neither) and every float is finite."""
+    for f in fields(obj):
+        value, kind = getattr(obj, f.name), type(f.default)
+        allowed = (int, float) if kind is float else kind
+        if not isinstance(value, allowed) or isinstance(value, bool):
+            raise ParameterError(f"{f.name} must be {kind.__name__}, not {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{f.name} must be finite, not {value!r}")

@@ -17,6 +17,7 @@ from .errors import (
     FormatError,
     ParameterError,
     StateError,
+    check_field_types,
 )
 
 ACT_IDENTITY = "identity"
@@ -93,6 +94,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
         if self.batch_size < 1:

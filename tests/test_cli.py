@@ -716,6 +716,22 @@ def test_a_failed_gen_leaves_no_manifest(tmp_path, monkeypatch, capsys, n):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("overrides", [{"dot_gain_radius": 10_000_000}, {"psf_sigma": 1e13}])
+def test_gen_beyond_memory_exits_with_memory_error(tmp_path, capsys, overrides):
+    """A channel whose arrays need over 128 TiB (364 TiB for the dilation,
+    437 TiB for the blur kernel) fails to allocate under any overcommit
+    setting, so nothing is allocated; gen ends in a one-line error."""
+    def mutate(cfg):
+        cfg["geometry"].update(rows=4, cols=4)
+        cfg["printers"] = [{"id": "SA", "overrides": overrides}]
+
+    assert run(["gen", "--config", str(write_cfg(tmp_path, mutate))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pgclab: error [memory] ") and "Traceback" not in err
+    assert not (tmp_path / "run" / "dataset" / "manifest.json").exists()
+    assert multiprocessing.active_children() == []
+
+
 def gen_peak(tmp_path, n_images):
     """tracemalloc's peak over cmd_gen of n_images 64x64-module codes, each
     scanned by two printers into 384x384 bytes."""

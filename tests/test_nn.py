@@ -425,9 +425,17 @@ def test_train_config_validation():
         dict(regularizer="l3"),
         dict(lam=0.1, regularizer="none"),
         dict(seed=-1),
+        # Each field has its default's type: an int may stand for a float,
+        # a bool for neither, and a float must be finite.
+        dict(epochs=2.5),
+        dict(batch_size=True),
+        dict(seed=1.5),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate="x"),
     ):
         with pytest.raises(ParameterError):
             TrainConfig(**bad)
+    TrainConfig(learning_rate=1, lam=0)
 
 
 def test_layer_spec_validation():

@@ -51,7 +51,7 @@ def square_with_pid(j):
 def slow_first_job(j):
     if j == 0:
         time.sleep(0.5)
-    return os.getpid()
+    return j, os.getpid()
 
 
 def fail_at_five(j):
@@ -68,8 +68,14 @@ def die_at_five(j):
 
 def die_at_five_with_a_job_queued(j):
     if j == 5:
-        time.sleep(0.1)  # the parent hands this worker its next index meanwhile
+        time.sleep(0.1)  # the other worker takes the counter past 5 meanwhile
         os.kill(os.getpid(), signal.SIGKILL)
+    return j
+
+
+def exit_quietly_at_five(j):
+    if j == 5:
+        os._exit(0)
     return j
 
 
@@ -120,9 +126,12 @@ def test_no_more_workers_than_jobs(monkeypatch):
 
 def test_a_slow_worker_runs_fewer_jobs(monkeypatch):
     cpus(monkeypatch, 2)
-    pids = parallel_map(slow_first_job, range(12))
-    # Jobs are handed out as workers free up: while job 0 sleeps, the other
-    # worker runs everything but the one job queued behind it.
+    out = parallel_map(slow_first_job, range(12))
+    # Workers take indices as they free up: while job 0 sleeps, the other
+    # worker runs the rest, runs out of indices and exits first.  That loses
+    # no result and reorders none.
+    assert [j for j, _ in out] == list(range(12))
+    pids = [pid for _, pid in out]
     assert pids.count(pids[0]) <= 3
     assert multiprocessing.active_children() == []
 
@@ -169,6 +178,14 @@ def test_killed_worker_raises_pgc_error(monkeypatch, fn):
     assert multiprocessing.active_children() == []
 
 
+def test_worker_that_exits_mid_job_raises_pgc_error(monkeypatch):
+    # Exit code 0 with an index still unfinished is a death, not running out.
+    cpus(monkeypatch, 2)
+    with pytest.raises(PgcError, match=r"^worker [01] exited with code 0 before job 5$"):
+        parallel_map(exit_quietly_at_five, range(12))
+    assert multiprocessing.active_children() == []
+
+
 # Run as a script: a parallel_map on two workers, each of which leaves a
 # file named by its pid in the directory argv[1] names.
 KILLED_PARENT = """
@@ -196,9 +213,9 @@ def exited(pid):
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
 def test_workers_exit_when_the_parent_is_killed(tmp_path):
-    """A parent killed mid-map runs no cleanup; its workers still see the
-    pipe end and exit instead of waiting on it, and the worker whose
-    result then meets a broken pipe exits quietly, with no traceback."""
+    """A parent killed mid-map runs no cleanup; each worker's next result
+    then meets a broken pipe, and the worker exits quietly, with no
+    traceback, instead of running the remaining jobs."""
     marks = tmp_path / "workers"
     marks.mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(pgclab.__file__).parents[1])}
