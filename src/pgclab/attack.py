@@ -37,6 +37,7 @@ from .errors import (
     ParameterError,
     StateError,
     UnknownIdError,
+    check_type,
 )
 
 SPLIT_TRAIN = "train"
@@ -91,8 +92,7 @@ class PairedDataset:
         if not (isinstance(sizes, tuple) and len(sizes) == 3):
             raise ParameterError(f"split_sizes must be three counts, not {sizes!r}")
         for name, value in [("split_sizes", s) for s in sizes] + [("seed", self.seed)]:
-            # A bool is an int to Python, but not a count.
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if check_type(name, value, int) < 0:
                 raise ParameterError(f"{name} must be an integer >= 0, not {value!r}")
         if sum(sizes) < 1:
             raise ParameterError("split_sizes must count at least one code")

@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +54,10 @@ from .errors import (
     DimensionError,
     FormatError,
     MissingInputError,
+    ParameterError,
     PgcError,
     StateError,
+    check_type,
 )
 from .imgio import read_pbm, write_pbm, write_pgm
 
@@ -78,55 +79,22 @@ class ExperimentConfig:
     plots: bool
 
 
-def _typed(kind, what: str, convert=None):
-    """Parser of a value that JSON loads as kind, passed through convert.
-
-    JSON true/false load as bool, a subclass of int; they are not numbers.
-    """
-    def parse(value, name: str):
-        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-            raise ConfigError(f"{name} must be {what}, not {value!r}")
-        return value if convert is None else convert(value)
-    return parse
-
-
-_int = _typed(int, "an integer")
-_real = _typed((int, float), "a number", float)
-_str = _typed(str, "a string")
-_bool = _typed(bool, "true or false")
-_list = _typed(list, "a list")
-
-
-def _number(value, name: str) -> float:
-    # JSON's NaN and Infinity load as floats; they are not numbers here.
-    value = _real(value, name)
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, not {value!r}")
-    return value
-
-
-def _split(value, name: str):
-    # null stands for an absent split.
-    if value is None:
-        return None
-    if not (isinstance(value, list) and len(value) == 3):
-        raise ConfigError(f"{name} must be a list of three counts")
-    return tuple(_int(s, name) for s in value)
-
-
-def _numbers(value, name: str) -> list[float]:
-    return [_number(v, name) for v in _list(value, name)]
-
-
-# The parser of each key of each section.  Absent geometry and training
-# keys take the defaults of Geometry and TrainConfig.
+# The keys of each section.  Absent geometry and training keys take the
+# defaults of Geometry and TrainConfig, which check their own values.
 _SECTIONS = {
-    "geometry": {"rows": _int, "cols": _int, "module_px": _int, "block_px": _int},
-    "dataset": {"n_images": _int, "split": _split, "seed": _int},
-    "training": {"arch": _str, "epochs": _int, "batch_size": _int, "learning_rate": _number,
-                 "lam": _number, "regularizer": _str, "seed": _int},
-    "evaluation": {"measures": _list, "target_pfa": _numbers, "plots": _bool},
+    "geometry": [f.name for f in fields(Geometry)],
+    "dataset": ["n_images", "split", "seed"],
+    "training": ["arch", *(f.name for f in fields(nn.TrainConfig))],
+    "evaluation": ["measures", "target_pfa", "plots"],
 }
+
+
+def _checked(name: str, value, kind: type):
+    """check_type's value, its ParameterError as a ConfigError."""
+    try:
+        return check_type(name, value, kind)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _reject_unknown(raw: dict, known, where: str) -> None:
@@ -153,12 +121,12 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
         raise ConfigError(f"{cfg_path}: top level must be an object")
     _reject_unknown(raw, {"out_dir", "printers", *_SECTIONS}, "config")
     sections = {}
-    for section, table in _SECTIONS.items():
+    for section, known in _SECTIONS.items():
         values = raw.get(section, {})
         if not isinstance(values, dict):
             raise ConfigError(f"{section} must be an object")
-        _reject_unknown(values, table, section)
-        sections[section] = {k: table[k](v, f"{section}.{k}") for k, v in values.items()}
+        _reject_unknown(values, known, section)
+        sections[section] = values
 
     try:
         geometry = Geometry(**sections["geometry"])
@@ -173,21 +141,26 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
     ds = sections["dataset"]
     if "n_images" not in ds:
         raise ConfigError("dataset.n_images is required")
-    n_images = ds["n_images"]
+    n_images = _checked("dataset.n_images", ds["n_images"], int)
     if n_images < 1:
         raise ConfigError("dataset.n_images must be >= 1")
+    # null stands for an absent split.
     split = ds.get("split")
     if split is None:
         if n_images != sum(DEFAULT_SPLIT):
             raise ConfigError(f"dataset.split is required when n_images != {sum(DEFAULT_SPLIT)}")
         split = DEFAULT_SPLIT
+    elif isinstance(split, list) and len(split) == 3:
+        split = tuple(_checked("dataset.split", s, int) for s in split)
+    else:
+        raise ConfigError("dataset.split must be a list of three counts")
     if any(s < 0 for s in split):
         raise ConfigError("dataset.split counts must be >= 0")
     if sum(split) != n_images:
         raise ConfigError(
             f"dataset.split must sum to dataset.n_images ({sum(split)} != {n_images})"
         )
-    dataset_seed = ds.get("seed", 0)
+    dataset_seed = _checked("dataset.seed", ds.get("seed", 0), int)
     if dataset_seed < 0:
         raise ConfigError("dataset.seed must be >= 0")
 
@@ -201,7 +174,7 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError(f"printers[{i}] must be an id or an object with an id")
         _reject_unknown(entry, ("id", "overrides"), f"printers[{i}]")
-        pid = _str(entry["id"], f"printers[{i}].id")
+        pid = _checked(f"printers[{i}].id", entry["id"], str)
         if pid in printers:
             raise ConfigError(f"printers: duplicate id {pid!r}")
         overrides = entry.get("overrides", {})
@@ -219,16 +192,19 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
     try:
         train = nn.TrainConfig(**training)
     except PgcError as exc:
-        raise ConfigError(f"training: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
     evaluation = sections["evaluation"]
-    measures = evaluation.get("measures", list(MEASURES))
+    measures = _checked("evaluation.measures", evaluation.get("measures", list(MEASURES)), list)
     for m in measures:
-        if not isinstance(m, str) or m not in MEASURES:
+        if m not in MEASURES:
             raise ConfigError(f"evaluation.measures: unknown measure {m!r}")
     if not measures:
         raise ConfigError("evaluation.measures must name at least one measure")
-    target_pfa = evaluation.get("target_pfa", [0.0, 0.05, 0.1])
+    targets = evaluation.get("target_pfa", [0.0, 0.05, 0.1])
+    # float() keeps the summary's header pd_at_pfa_0.0 for a target of 0.
+    target_pfa = [float(_checked("evaluation.target_pfa", t, float))
+                  for t in _checked("evaluation.target_pfa", targets, list)]
     for t in target_pfa:
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"evaluation.target_pfa: {t} outside [0, 1]")
@@ -237,7 +213,7 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
             raise ConfigError(f"evaluation.{key}: a value is named twice in {values!r}")
 
     if out is None:
-        out = _str(raw.get("out_dir", ""), "out_dir")
+        out = _checked("out_dir", raw.get("out_dir", ""), str)
     if not out:
         raise ConfigError("out_dir missing (set it in the config or pass --out)")
     if seed is not None:
@@ -259,7 +235,7 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
         train=train,
         measures=list(measures),
         target_pfa=target_pfa,
-        plots=evaluation.get("plots", False),
+        plots=_checked("evaluation.plots", evaluation.get("plots", False), bool),
     )
 
 

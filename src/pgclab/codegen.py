@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import DimensionError, DomainError, ParameterError, check_field_types
 
 BINARY01 = "binary01"
 BYTE0_255 = "byte0_255"
@@ -31,12 +31,9 @@ class Geometry:
     block_px: int = 24
 
     def __post_init__(self):
+        check_field_types(self, "geometry.")
         for name in ("rows", "cols", "module_px", "block_px"):
-            value = getattr(self, name)
-            # A bool is an int to Python, but not a size.
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParameterError(f"geometry.{name} must be an integer, not {value!r}")
-            if value < 1:
+            if getattr(self, name) < 1:
                 raise ParameterError(f"geometry.{name} must be >= 1")
         if (self.rows * self.module_px) % self.block_px:
             raise DimensionError(

@@ -2,7 +2,7 @@
 
 Each error type carries a short machine-readable ``category`` string; the
 command-line front end prints it as part of its one-line diagnostics.
-check_field_types is the field-type rule the parameter types share.
+check_type is the one type rule of every config and manifest value.
 """
 
 import math
@@ -69,14 +69,25 @@ class DegenerateInputError(PgcError):
     category = "degenerate"
 
 
-def check_field_types(obj) -> None:
-    """Raise ParameterError unless every field of the dataclass obj has its
-    default's type (an int may stand for a float; a bool stands for
-    neither) and every float is finite."""
+# What check_type's kinds are called in its messages.
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               list: "a list"}
+
+
+def check_type(name: str, value, kind: type):
+    """value, unchanged, if it has the type kind (int, float, str, bool or
+    list); else ParameterError naming name.  A bool stands only for bool,
+    an int may stand for a float, and a float must be finite."""
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or isinstance(value, bool) != (kind is bool):
+        raise ParameterError(f"{name} must be {_KIND_NAMES[kind]}, not {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite number, not {value!r}")
+    return value
+
+
+def check_field_types(obj, prefix: str = "") -> None:
+    """check_type on every field of the dataclass obj, against its
+    default's type, each named prefix + its field name."""
     for f in fields(obj):
-        value, kind = getattr(obj, f.name), type(f.default)
-        allowed = (int, float) if kind is float else kind
-        if not isinstance(value, allowed) or isinstance(value, bool):
-            raise ParameterError(f"{f.name} must be {kind.__name__}, not {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParameterError(f"{f.name} must be finite, not {value!r}")
+        check_type(prefix + f.name, getattr(obj, f.name), type(f.default))

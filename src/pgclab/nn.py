@@ -94,22 +94,23 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
+        check_field_types(self, "training.")
         if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1")
+            raise ParameterError("training.epochs must be >= 1")
         if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
+            raise ParameterError("training.batch_size must be >= 1")
         if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be > 0")
+            raise ParameterError("training.learning_rate must be > 0")
         if self.lam < 0:
-            raise ParameterError("lam must be >= 0")
+            raise ParameterError("training.lam must be >= 0")
         if self.regularizer not in (REG_NONE, REG_L2_WEIGHTS):
-            raise ParameterError(f"unknown regularizer {self.regularizer!r}")
+            raise ParameterError(f"training.regularizer must be {REG_NONE!r} or "
+                                 f"{REG_L2_WEIGHTS!r}, not {self.regularizer!r}")
         if self.lam > 0 and self.regularizer == REG_NONE:
-            raise ParameterError(f"lam {self.lam} needs regularizer {REG_L2_WEIGHTS!r}, "
-                                 f"not {REG_NONE!r}")
+            raise ParameterError(f"training.lam {self.lam} needs regularizer "
+                                 f"{REG_L2_WEIGHTS!r}, not {REG_NONE!r}")
         if self.seed < 0:
-            raise ParameterError("seed must be >= 0")
+            raise ParameterError("training.seed must be >= 0")
 
 
 def _init_params(specs: list[LayerSpec], seed: int):
@@ -334,16 +335,11 @@ def _objective(m: MlpModel, pred: np.ndarray, tb: np.ndarray,
 
 
 def _check_batch(m: MlpModel, batch_x, batch_t):
-    """The shape-checked batch, inputs as given; targets the model dtype
-    holds exactly, such as uint8 bits, are left as they are too: their
-    float64 differences are the same either way."""
+    """The shape-checked batch, inputs and targets as given."""
     x = _check_input(m, batch_x)
     if x.shape[0] == 0:
         raise DimensionError("empty batch")
-    dtype = m.weights[0].dtype
     tb = np.asarray(batch_t)
-    if not np.can_cast(tb.dtype, dtype):
-        tb = tb.astype(dtype)
     if tb.shape != (x.shape[0], m.out_dim):
         raise DimensionError("target batch shape mismatch")
     return x, tb

@@ -191,14 +191,14 @@ def test_a_printers_dataset_bytes_do_not_depend_on_the_other_printers(tmp_path):
 # message that names the rule.
 BAD_DATASET_FIELDS = [
     (dict(split_sizes=(2, 1, -1)), "split_sizes must be an integer >= 0"),
-    (dict(split_sizes=(2, 1.0, 1)), "split_sizes must be an integer >= 0"),
-    (dict(split_sizes=(2, True, 1)), "split_sizes must be an integer >= 0"),
+    (dict(split_sizes=(2, 1.0, 1)), "split_sizes must be an integer, not 1.0"),
+    (dict(split_sizes=(2, True, 1)), "split_sizes must be an integer, not True"),
     (dict(split_sizes=(2, 1, -1, 2)), "split_sizes must be three counts"),
     (dict(split_sizes=[2, 1, 1]), "split_sizes must be three counts"),
     (dict(split_sizes=(0, 0, 0)), "at least one code"),
     (dict(seed=-1), "seed must be an integer >= 0"),
-    (dict(seed=True), "seed must be an integer >= 0"),
-    (dict(seed=1.0), "seed must be an integer >= 0"),
+    (dict(seed=True), "seed must be an integer, not True"),
+    (dict(seed=1.0), "seed must be an integer, not 1.0"),
     (dict(channel_params={}), "at least one printer"),
     (dict(channel_params={"a/b": ChannelParams()}), "not a plain file name"),
 ]
@@ -938,9 +938,9 @@ def test_load_dataset_follows_links_inside_the_dataset(tmp_path):
 
 
 @pytest.mark.parametrize("edit, needle", [
-    (lambda m: m["printers"]["ID"].update(psf_sigma="2.2"), "psf_sigma must be float"),
-    (lambda m: m["printers"]["ID"].update(dot_gain_radius=1.5), "dot_gain_radius must be int"),
-    (lambda m: m["printers"]["ID"].update(noise_sigma=float("nan")), "noise_sigma must be finite"),
+    (lambda m: m["printers"]["ID"].update(psf_sigma="2.2"), "psf_sigma must be a number"),
+    (lambda m: m["printers"]["ID"].update(dot_gain_radius=1.5), "dot_gain_radius must be an integer"),
+    (lambda m: m["printers"]["ID"].update(noise_sigma=float("nan")), "noise_sigma must be a finite number"),
     # A manifest written while scans could be float carries quantize: true.
     (lambda m: m["printers"]["ID"].update(quantize=True), "unknown channel parameter.*quantize"),
     (lambda m: m["printers"]["ID"].update(gain=-1.0), "gain must be > 0"),

@@ -7,7 +7,7 @@ import re
 import shutil
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +145,7 @@ def test_load_config_missing_file(tmp_path):
         (lambda c: c.update(printers=[{"id": "SA", "overrides": {"noise_sigma": -1}}]), r"printers\[0\]"),
         *[
             (lambda c, key=key, v=v: c.update(printers=[{"id": "SA", "overrides": {key: v}}]),
-             rf"printers\[0\]: {key} must be finite")
+             rf"printers\[0\]: {key} must be a finite number")
             for key in ("noise_sigma", "gain", "psf_sigma")
             for v in (math.nan, math.inf, -math.inf)
         ],
@@ -162,7 +162,7 @@ def test_load_config_missing_file(tmp_path):
         (lambda c: c["evaluation"].update(target_pfa=[math.nan]), "evaluation.target_pfa"),
         (lambda c: c["training"].update(arch="cnn"), "training.arch"),
         (lambda c: c["training"].update(epochs=0), "training"),
-        (lambda c: c["training"].update(lam=0.1, regularizer="none"), "training: lam 0.1"),
+        (lambda c: c["training"].update(lam=0.1, regularizer="none"), "training.lam 0.1"),
         (lambda c: c["training"].update(momentum=0.9), "training"),
         (lambda c: c["evaluation"].update(measures=["cosine"]), "evaluation.measures"),
         (lambda c: c["evaluation"].update(target_pfa=[1.5]), "evaluation.target_pfa"),
@@ -227,6 +227,45 @@ def test_load_config_loads_or_raises_pgc_error(tmp_path_factory, field, value):
         load_config(p)
     except PgcError:
         pass
+
+
+# Every geometry and training field that a type checks, by section.
+TYPED_FIELDS = ([("geometry", f.name) for f in fields(Geometry)]
+                + [("training", f.name) for f in fields(nn.TrainConfig)])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+                | st.sampled_from(["none", "l2_weights"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(TYPED_FIELDS), value=JSON_SCALARS)
+@example(field=("training", "learning_rate"), value=1)
+@example(field=("training", "lam"), value=0.5)
+@example(field=("geometry", "block_px"), value=12)
+def test_load_config_adds_no_rule_to_geometry_and_training(tmp_path_factory, field, value):
+    """One geometry or training value of a valid config replaced by any
+    JSON scalar: load_config refuses it exactly when Geometry or TrainConfig
+    refuses the same section, with that type's message, and else loads
+    both types as they are built from their sections.  Its one rule of its
+    own is the networks' block size."""
+    section, key = field
+    cfg = copy.deepcopy(BASE)
+    cfg["out_dir"] = "run"
+    cfg[section][key] = value
+    p = tmp_path_factory.getbasetemp() / "typed.json"
+    p.write_text(json.dumps(cfg))
+    training = {k: v for k, v in cfg["training"].items() if k != "arch"}
+    try:
+        want = (Geometry(**cfg["geometry"]), nn.TrainConfig(**training))
+    except PgcError as exc:
+        with pytest.raises(ConfigError, match=re.escape(str(exc))):
+            load_config(p)
+        return
+    if want[0].block_dim != nn.CODE_DIM:
+        with pytest.raises(ConfigError, match="geometry.block_px"):
+            load_config(p)
+        return
+    loaded = load_config(p)
+    assert (loaded.geometry, loaded.train) == want
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -831,9 +870,9 @@ def test_config_error_reported(tmp_path, capsys):
         (lambda c: c["dataset"].update(split=[3.9, 1, 1.1]), "dataset.split must be an integer"),
         (lambda c: c["geometry"].update(rows="a"), "geometry.rows must be an integer"),
         (lambda c: c.update(printers=[{"id": "SA", "overrides": {"psf_sigma": "2"}}]),
-         r"printers\[0\]: psf_sigma must be float"),
+         r"printers\[0\]: psf_sigma must be a number"),
         (lambda c: c.update(printers=[{"id": "SA", "overrides": {"dot_gain_radius": 1.5}}]),
-         r"printers\[0\]: dot_gain_radius must be int"),
+         r"printers\[0\]: dot_gain_radius must be an integer"),
         # Every scan is 8-bit: the quantize knob is gone, and naming it is
         # an unknown channel parameter.
         (lambda c: c.update(printers=[{"id": "SA", "overrides": {"quantize": False}}]),
@@ -995,4 +1034,4 @@ def test_roc_on_a_mistyped_manifest_ends_in_a_format_error(tmp_path, capsys):
     capsys.readouterr()
     assert run(["roc", "--config", str(p), "--printer", "SA"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("pgclab: error [format]") and "psf_sigma must be float" in err
+    assert err.startswith("pgclab: error [format]") and "psf_sigma must be a number" in err

@@ -438,6 +438,24 @@ def test_train_config_validation():
     TrainConfig(learning_rate=1, lam=0)
 
 
+def test_int_settings_train_as_their_floats():
+    """A config's "learning_rate": 1 reaches TrainConfig as the int 1; it
+    trains a model to the same bits as 1.0."""
+    rng = np.random.default_rng(47)
+    x = rng.random((8, 6), dtype=np.float32)
+    t = rng.integers(0, 2, (8, 4), dtype=np.uint8)
+    weights = []
+    for cfg in (TrainConfig(learning_rate=1, lam=1, regularizer=REG_L2_WEIGHTS),
+                TrainConfig(learning_rate=1.0, lam=1.0, regularizer=REG_L2_WEIGHTS)):
+        m = small_model([6, 5, 4], [ACT_RELU, ACT_SIGMOID], seed=48)
+        state = init_adam(m)
+        for _ in range(3):
+            _, gw, gb = loss_and_grads(m, x, t, cfg)
+            optimizer_step(m, (gw, gb), state, cfg)
+        weights.append([_bits(p).tobytes() for p in m.weights + m.biases])
+    assert weights[0] == weights[1]
+
+
 def test_layer_spec_validation():
     with pytest.raises(DimensionError):
         LayerSpec(0, 3, ACT_RELU)
@@ -761,6 +779,25 @@ def test_uint8_targets_give_the_float32_targets_bits(build):
     assert value == want_value
     for got, want in zip(gw + gb, want_w + want_b, strict=True):
         np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_integer_and_float_targets_give_the_same_bits():
+    """Targets are taken as given: 0/1 targets of any of these dtypes give
+    a float32 model the same loss and gradients, bit for bit."""
+    m = small_model([6, 5, 4], [ACT_RELU, ACT_SIGMOID], seed=45)
+    rng = np.random.default_rng(46)
+    x = rng.random((40, 6), dtype=np.float32)
+    bits = rng.integers(0, 2, (40, 4), dtype=np.uint8)
+    cfg = TrainConfig(lam=1e-3, regularizer=REG_L2_WEIGHTS)
+    want_loss = batch_loss(m, x, bits, cfg)
+    want_value, want_w, want_b = loss_and_grads(m, x, bits, cfg)
+    for dtype in (np.int64, np.float32, np.float64):
+        t = bits.astype(dtype)
+        assert batch_loss(m, x, t, cfg) == want_loss
+        value, gw, gb = loss_and_grads(m, x, t, cfg)
+        assert value == want_value
+        for got, want in zip(gw + gb, want_w + want_b, strict=True):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
