@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -45,11 +44,12 @@ SPLIT_VAL = "val"
 SPLIT_TEST = "test"
 SPLITS = (SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST)
 
-# Each architecture's model builder, called with the "init" stream's seed.
+# Each architecture's model builder, called with the block width and the
+# "init" stream's seed.
 _BUILDERS = {
-    "fc2": lambda s: nn.build_fc(2, s),
-    "fc3": lambda s: nn.build_fc(3, s),
-    "fc4": lambda s: nn.build_fc(4, s),
+    "fc2": lambda d, s: nn.build_fc(2, d, s),
+    "fc3": lambda d, s: nn.build_fc(3, d, s),
+    "fc4": lambda d, s: nn.build_fc(4, d, s),
     "bn": nn.build_bn,
 }
 ARCHS = tuple(_BUILDERS)
@@ -84,7 +84,7 @@ class PairedDataset:
     seed: int
     split_sizes: tuple[int, int, int]
     originals: list[ModuleMatrix]
-    scans: dict[str, Sequence[PixelImage]]
+    scans: dict[str, ScanList]
     channel_params: dict[str, ChannelParams]
 
     def __post_init__(self):
@@ -244,7 +244,7 @@ def train_attack(train, val, arch: str, cfg: nn.TrainConfig):
     if xv.shape[0] == 0:
         raise StateError("empty validation split")
 
-    model = _BUILDERS[arch](stream_seed(cfg.seed, "init"))
+    model = _BUILDERS[arch](x.shape[1], stream_seed(cfg.seed, "init"))
     state = nn.init_adam(model)
     shuffle_rng = np.random.default_rng(stream_seed(cfg.seed, "shuffle"))
     history = []
@@ -442,17 +442,15 @@ def _read_image(read, path: str, manifest_path: Path):
         ) from None
 
 
-class ScanList(Sequence):
+class ScanList:
     """One printer's scans as load_dataset found them: each index reads its
-    scan's file again, and checks the scan's size against the geometry."""
+    scan's file again, and checks the scan's size against the geometry.
+    An index past the last scan raises IndexError, which ends iteration."""
 
     def __init__(self, paths: list[str], geometry: Geometry, manifest_path: Path):
         self._paths = paths
         self._geometry = geometry
         self._manifest_path = manifest_path
-
-    def __len__(self) -> int:
-        return len(self._paths)
 
     def __getitem__(self, i) -> PixelImage:
         path, g = self._paths[operator.index(i)], self._geometry

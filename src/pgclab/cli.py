@@ -14,8 +14,6 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import nn
 from .attack import (
     ARCHS,
@@ -132,11 +130,6 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
         geometry = Geometry(**sections["geometry"])
     except PgcError as exc:
         raise ConfigError(str(exc)) from None
-    if geometry.block_dim != nn.CODE_DIM:
-        raise ConfigError(
-            f"geometry.block_px {geometry.block_px} makes {geometry.block_dim}-pixel blocks; "
-            f"the networks take {nn.CODE_DIM}"
-        )
 
     ds = sections["dataset"]
     if "n_images" not in ds:
@@ -197,7 +190,7 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
     evaluation = sections["evaluation"]
     measures = _checked("evaluation.measures", evaluation.get("measures", list(MEASURES)), list)
     for m in measures:
-        if m not in MEASURES:
+        if not isinstance(m, str) or m not in MEASURES:
             raise ConfigError(f"evaluation.measures: unknown measure {m!r}")
     if not measures:
         raise ConfigError("evaluation.measures must name at least one measure")
@@ -299,19 +292,22 @@ def cmd_train(cfg: ExperimentConfig, printer: str) -> None:
     )
 
 
-def _attack_job(job) -> tuple[float, float, float, float]:
-    """Score one test code's two estimates and write them as PBMs.
+def _attack_job(job) -> dict[str, float]:
+    """Score one test code's two estimates and write them as PBMs; returns
+    each score under its metrics column, <measure>_<source>.
 
     Runs on parallel_map's workers, so it does no BLAS work: the model's
     grey estimate comes from the parent, and the Thr baseline reads the scan.
     """
     scans, i, original, grey, model_t, thr_t, mpx, model_path, thr_path = job
     ref = pearson_reference(render(original, mpx).pixels)
-    r, _, h, xhat = score_print(original, ref, grey, model_t, mpx)
-    r_thr, _, h_thr, xhat_thr = score_print(original, ref, ink_intensity(scans[i]), thr_t, mpx)
-    write_pbm(xhat, model_path)
-    write_pbm(xhat_thr, thr_path)
-    return r, h, r_thr, h_thr
+    columns = {}
+    for source, image, t, path in (("model", grey, model_t, model_path),
+                                   ("thr", ink_intensity(scans[i]), thr_t, thr_path)):
+        scores, _, decided = score_print(original, ref, image, t, mpx)
+        write_pbm(decided, path)
+        columns.update((f"{m}_{source}", s) for m, s in scores.items())
+    return columns
 
 
 # cmd_attack runs the forward passes of this many test codes, then scores
@@ -359,23 +355,17 @@ def cmd_attack(cfg: ExperimentConfig, printer: str) -> None:
              model_dir / f"est_{i:04d}.pbm", thr_dir / f"est_{i:04d}.pbm")
             for i in test_idx[start : start + _ATTACK_WINDOW]
         ])
-    rows = [(i, *s) for i, s in zip(test_idx, scores)]
-    sums = np.zeros(4)
-    for s in scores:
-        sums += s
-    means = sums / len(test_idx)
-    rows.append(("mean", *[float(v) for v in means]))
+    columns = list(scores[0])
+    rows = [(i, *s.values()) for i, s in zip(test_idx, scores)]
+    # Each column summed over the codes in test order.
+    means = {c: sum(s[c] for s in scores) / len(test_idx) for c in columns}
+    rows.append(("mean", *means.values()))
     report = cfg.out_dir / "reports" / f"{printer}_{cfg.arch}_metrics.csv"
-    _write_csv(
-        report,
-        ["image", "pearson_model", "hamming_model", "pearson_thr", "hamming_thr"],
-        rows,
-    )
-    print(
-        f"attack: {printer}/{cfg.arch} on {len(test_idx)} test codes: "
-        f"pearson {means[0]:.4f} vs thr {means[2]:.4f}, "
-        f"hamming {means[1]:.4f} vs thr {means[3]:.4f} (thr t={thr_t:.2f}) -> {report}"
-    )
+    _write_csv(report, ["image", *columns], rows)
+    versus = ", ".join(f"{m} {means[f'{m}_model']:.4f} vs thr {means[f'{m}_thr']:.4f}"
+                       for m in MEASURES)
+    print(f"attack: {printer}/{cfg.arch} on {len(test_idx)} test codes: "
+          f"{versus} (thr t={thr_t:.2f}) -> {report}")
 
 
 def _load_estimates(cfg: ExperimentConfig, ds, printer: str, source: str) -> list[ModuleMatrix]:

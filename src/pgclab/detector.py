@@ -25,12 +25,9 @@ from .codegen import (
 )
 from .errors import DegenerateInputError, DimensionError, MissingInputError, ParameterError
 
-MEASURE_PEARSON = "pearson"
-MEASURE_HAMMING = "hamming"
-MEASURES = (MEASURE_PEARSON, MEASURE_HAMMING)
-
-# Sign that turns each measure into a "bigger is more authentic" score.
-MEASURE_ALPHA = {MEASURE_PEARSON: 1, MEASURE_HAMMING: -1}
+# Each measure score_print returns, in its order, with the sign alpha that
+# turns it into a "bigger is more authentic" score.
+MEASURES = {"pearson": 1, "hamming": -1}
 
 
 @dataclass(frozen=True)
@@ -42,27 +39,24 @@ class PearsonReference:
 
 
 def pearson_reference(x) -> PearsonReference:
-    """Prepare x for several pearson(x, y) calls, with the same bits."""
+    """Prepare x once for the pearson(ref, y) calls that compare it."""
     xc = np.array(x, dtype=np.float64, order="C").ravel()
     xc -= xc.mean()
     return PearsonReference(xc, np.sqrt(np.sum(np.multiply(xc, xc))))
 
 
-def pearson(x, y) -> float:
-    """Sample Pearson correlation, in [-1, 1].
+def pearson(ref: PearsonReference, y) -> float:
+    """Sample Pearson correlation of the x that ref prepared and y, in [-1, 1].
 
     Convention: x holds the rendered original bits (1 = dark) and y the
-    ink intensity of the print under test.  x may be a PearsonReference
-    from pearson_reference, which saves centring it on each call.
+    ink intensity of the print under test.
     """
     # An own float64 copy of y, centered in place; one buffer takes each product.
     yc = np.array(y, dtype=np.float64, order="C").ravel()
-    n = x.centred.size if isinstance(x, PearsonReference) else np.size(x)
-    if n != yc.size:
+    if ref.centred.size != yc.size:
         raise DimensionError("pearson inputs must have equal length")
-    if n < 2:
+    if yc.size < 2:
         raise DimensionError("pearson needs at least 2 samples")
-    ref = x if isinstance(x, PearsonReference) else pearson_reference(x)
     yc -= yc.mean()
     prod = np.multiply(yc, yc)
     sy = np.sqrt(np.sum(prod))
@@ -73,18 +67,18 @@ def pearson(x, y) -> float:
 
 
 def score_print(code: ModuleMatrix, ref: PearsonReference, image: PixelImage, t: float,
-                module_px: int) -> tuple[float, bool, float, ModuleMatrix]:
-    """Score an ink or grey image of code: pearson against ref, the code
-    rendered and prepared, or 0 where a constant image or code leaves it
-    undefined, and whether it was; and hamming_norm against the modules
-    decided by binarizing at t and majority-voting per module, with those
-    modules."""
+                module_px: int) -> tuple[dict[str, float], bool, ModuleMatrix]:
+    """Score an ink or grey image of code by each of MEASURES, in its
+    order: pearson against ref, the code rendered and prepared, or 0 where
+    a constant image or code leaves it undefined; and hamming_norm against
+    the modules decided by binarizing at t and majority-voting per module.
+    Returns the scores, whether pearson was undefined, and those modules."""
     try:
         r, undefined = pearson(ref, image.pixels), False
     except DegenerateInputError:
         r, undefined = 0.0, True
     decided = modules_from_pixels(binarize(image, t), module_px)
-    return r, undefined, hamming_norm(code.bits, decided.bits), decided
+    return {"pearson": r, "hamming": hamming_norm(code.bits, decided.bits)}, undefined, decided
 
 
 def hamming_norm(a, b) -> float:
@@ -107,10 +101,10 @@ def roc(authentic, fake, measure: str) -> list[tuple[float, float, float]]:
     count at every gamma is a binary search.  Sorting puts NaNs last; a
     NaN is never >= or > gamma, so only the numbers before them count.
     """
-    if measure not in MEASURES:
+    if not isinstance(measure, str) or measure not in MEASURES:
         raise ParameterError(f"unknown measure {measure!r}")
-    s_a = MEASURE_ALPHA[measure] * np.asarray(authentic, dtype=np.float64)
-    s_f = MEASURE_ALPHA[measure] * np.asarray(fake, dtype=np.float64)
+    s_a = MEASURES[measure] * np.asarray(authentic, dtype=np.float64)
+    s_f = MEASURES[measure] * np.asarray(fake, dtype=np.float64)
     if s_a.size == 0 or s_f.size == 0:
         raise DimensionError("roc needs non-empty authentic and fake scores")
     gammas = np.unique(np.concatenate([s_a, s_f, [np.inf, -np.inf]]))[::-1]
@@ -139,10 +133,10 @@ def pd_at_pfa(points, target_pfa: float) -> float:
     return max(feasible) if feasible else 0.0
 
 
-def _reprint_job(job) -> list[tuple[float, float, bool]]:
+def _reprint_job(job) -> list[tuple[dict[str, float], bool]]:
     """Score one test code's authentic re-print, then the re-print of each
-    source's estimate of it: (pearson, hamming, whether pearson was
-    undefined) each.
+    source's estimate of it: score_print's scores and whether pearson was
+    undefined, each.
 
     The original is rendered and prepared for Pearson once.  The fakes
     share their seed, so one print_scans call makes them all and draws that
@@ -153,12 +147,8 @@ def _reprint_job(job) -> list[tuple[float, float, bool]]:
     ref = pearson_reference(rendered.pixels)
     scans = print_scans([rendered], params, auth_seed) + print_scans(
         [render(f, module_px) for f in fakes], params, fake_seed)
-    out = []
-    for scan in scans:
-        r, constant, h, _ = score_print(code, ref, ink_intensity(scan),
-                                        defender_threshold, module_px)
-        out.append((r, h, constant))
-    return out
+    return [score_print(code, ref, ink_intensity(scan), defender_threshold, module_px)[:2]
+            for scan in scans]
 
 
 def reprint_scores(
@@ -200,10 +190,7 @@ def reprint_scores(
     ]
     scores, constant = [], []
     for prints in zip(*parallel_map(_reprint_job, jobs)):  # one kind's prints
-        r, h, c = zip(*prints)
-        scores.append({
-            MEASURE_PEARSON: np.asarray(r, dtype=np.float64),
-            MEASURE_HAMMING: np.asarray(h, dtype=np.float64),
-        })
-        constant.append(sum(c))
+        scores.append({m: np.array([s[m] for s, _ in prints], dtype=np.float64)
+                       for m in MEASURES})
+        constant.append(sum(c for _, c in prints))
     return scores, constant

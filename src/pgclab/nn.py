@@ -32,8 +32,6 @@ _CODE_ACT = {v: k for k, v in _ACT_CODE.items()}
 REG_NONE = "none"
 REG_L2_WEIGHTS = "l2_weights"
 
-CODE_DIM = 576  # 24*24 pixels per block
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -125,11 +123,11 @@ def _init_params(specs: list[LayerSpec], seed: int):
     return weights, biases
 
 
-def build_fc(hidden_layers: int, seed: int) -> MlpModel:
-    """Fully connected model, every layer as wide as the 576-dim input."""
+def build_fc(hidden_layers: int, dim: int, seed: int) -> MlpModel:
+    """Fully connected model of dim-pixel blocks, every layer dim wide."""
     if hidden_layers not in (2, 3, 4):
         raise ParameterError("hidden_layers must be 2, 3 or 4")
-    dims = [CODE_DIM] * (hidden_layers + 2)
+    dims = [dim] * (hidden_layers + 2)
     specs = [
         LayerSpec(dims[k], dims[k + 1], ACT_RELU if k < hidden_layers else ACT_SIGMOID)
         for k in range(hidden_layers + 1)
@@ -137,9 +135,10 @@ def build_fc(hidden_layers: int, seed: int) -> MlpModel:
     return MlpModel(specs, *_init_params(specs, seed))
 
 
-def build_bn(seed: int) -> MlpModel:
-    """Bottleneck model 576-256-128-36-128-256-576 with a 36-dim latent."""
-    dims = [576, 256, 128, 36, 128, 256, 576]
+def build_bn(dim: int, seed: int) -> MlpModel:
+    """Bottleneck model of dim-pixel blocks, dim-256-128-36-128-256-dim,
+    with a 36-dim latent."""
+    dims = [dim, 256, 128, 36, 128, 256, dim]
     n = len(dims) - 1
     specs = [
         LayerSpec(dims[k], dims[k + 1], ACT_RELU if k < n - 1 else ACT_SIGMOID)
@@ -391,6 +390,15 @@ ADAM_CHUNK = 65536
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
+# Every this many steps Adam sets its subnormal moments to 0.  The first
+# moment of a weight whose gradient stays 0 decays by b1 a step into the
+# subnormal range and sticks a few units above 0 (0.9 k rounds back to k
+# for k <= 4), and every later step on it ran several times slower.  Such
+# a moment is far too small to move a weight's last bit, and a subnormal
+# second moment is lost beside eps, so the weights keep their bits.  A
+# flush on every step would cost more than the stuck moments do early on.
+ADAM_FLUSH_EVERY = 32
+
 
 @dataclass
 class AdamState:
@@ -423,7 +431,8 @@ def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig) -> No
 
     Per element: mom = b1 mom + (1 - b1) g, vel = b2 vel + (1 - b2) g^2,
     p -= lr (mom / c1) / (sqrt(vel / c2) + eps), every product and
-    quotient rounded in the parameter dtype.  Every array must be
+    quotient rounded in the parameter dtype, each subnormal mom and vel
+    set to 0 first on every ADAM_FLUSH_EVERY-th step.  Every array must be
     C-contiguous: the update runs on flat views of them.
     """
     if state is None:
@@ -435,6 +444,7 @@ def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig) -> No
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     lr = cfg.learning_rate
+    flush = t % ADAM_FLUSH_EVERY == 0
     for params, gs, ms, vs in (
         (m.weights, grad_w, state.m_w, state.v_w),
         (m.biases, grad_b, state.m_b, state.v_b),
@@ -454,6 +464,12 @@ def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig) -> No
                 np.multiply(g, g, out=s1)
                 s1 *= 1.0 - b2
                 vel += s1
+                if flush:
+                    # Times 1 where |moment| >= tiny, else 0: a NaN stays NaN.
+                    for moment in (mom, vel):
+                        np.abs(moment, out=s1)
+                        np.greater_equal(s1, np.finfo(s1.dtype).tiny, out=s1)
+                        moment *= s1
                 np.divide(vel, c2, out=s1)
                 np.sqrt(s1, out=s1)
                 s1 += eps

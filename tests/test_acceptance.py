@@ -35,11 +35,11 @@ from pgclab.codegen import (
     split_blocks,
 )
 from pgclab.detector import (
-    MEASURE_ALPHA,
     MEASURES,
     auc,
     hamming_norm,
     pearson,
+    pearson_reference,
     reprint_scores,
     roc,
 )
@@ -87,7 +87,7 @@ def sa_run(tmp_path_factory):
     bn_estimates, rows = [], []
     for pos, i in enumerate(test_idx):
         scan = ds.scans["SA"][i]
-        ref = ds.rendered_original(i).pixels
+        ref = pearson_reference(ds.rendered_original(i).pixels)
         grey = estimate_grey(model, scan, ds.geometry.block_px)
         xhat = modules_from_pixels(binarize(grey, threshold), ds.geometry.module_px)
         bn_estimates.append(xhat)
@@ -120,8 +120,8 @@ def test_criterion_1_gradient_correctness():
     x = rng.random((8, 576), dtype=np.float32)
     t = rng.integers(0, 2, (8, 576)).astype(np.float32)
     t0 = time.monotonic()
-    err_fc = gradient_check(build_fc(2, seed=1), x, t, n_coords=2000, step=1e-3, seed=0)
-    err_bn = gradient_check(build_bn(seed=2), x, t, n_coords=2000, step=1e-3, seed=0)
+    err_fc = gradient_check(build_fc(2, 576, seed=1), x, t, n_coords=2000, step=1e-3, seed=0)
+    err_bn = gradient_check(build_bn(576, seed=2), x, t, n_coords=2000, step=1e-3, seed=0)
     seconds = time.monotonic() - t0
     _report(
         1,
@@ -216,7 +216,7 @@ def test_criterion_5_roc_correctness():
             a = rng.integers(0, 10, na) / 9.0
             f = rng.integers(0, 10, nf) / 9.0
             pts = roc(a, f, measure)
-            enum_ok &= pts == brute(list(a), list(f), MEASURE_ALPHA[measure])
+            enum_ok &= pts == brute(list(a), list(f), MEASURES[measure])
             pds = [pd for _, pd, _ in pts]
             pfas = [pfa for _, _, pfa in pts]
             mono_ok &= pds == sorted(pds) and pfas == sorted(pfas)
@@ -249,7 +249,7 @@ def test_criterion_6_round_trips():
             np.array_equal(modules_from_pixels(render(m, 6), 6).bits, m.bits)
         )
 
-    model = build_bn(seed=7)
+    model = build_bn(576, seed=7)
     x = rng.random((100, 576), dtype=np.float32)
     import tempfile, pathlib
     with tempfile.TemporaryDirectory() as d:

@@ -53,6 +53,7 @@ from pgclab.detector import (
     hamming_norm,
     pd_at_pfa,
     pearson,
+    pearson_reference,
     reprint_scores,
     roc,
 )
@@ -167,7 +168,7 @@ def test_load_config_missing_file(tmp_path):
         (lambda c: c["evaluation"].update(measures=["cosine"]), "evaluation.measures"),
         (lambda c: c["evaluation"].update(target_pfa=[1.5]), "evaluation.target_pfa"),
         (lambda c: c["geometry"].update(block_px=25), "block"),
-        (lambda c: c["geometry"].update(block_px=12), "block_px 12 makes 144-pixel blocks"),
+        (lambda c: c["geometry"].update(block_px=0), "geometry.block_px must be >= 1"),
         (lambda c: c.pop("out_dir"), "out_dir"),
         (lambda c: c.update(out_dir=5), "out_dir"),
         (lambda c: c.update(out_dir=["a"]), "out_dir"),
@@ -245,8 +246,7 @@ def test_load_config_adds_no_rule_to_geometry_and_training(tmp_path_factory, fie
     """One geometry or training value of a valid config replaced by any
     JSON scalar: load_config refuses it exactly when Geometry or TrainConfig
     refuses the same section, with that type's message, and else loads
-    both types as they are built from their sections.  Its one rule of its
-    own is the networks' block size."""
+    both types as they are built from their sections."""
     section, key = field
     cfg = copy.deepcopy(BASE)
     cfg["out_dir"] = "run"
@@ -258,10 +258,6 @@ def test_load_config_adds_no_rule_to_geometry_and_training(tmp_path_factory, fie
         want = (Geometry(**cfg["geometry"]), nn.TrainConfig(**training))
     except PgcError as exc:
         with pytest.raises(ConfigError, match=re.escape(str(exc))):
-            load_config(p)
-        return
-    if want[0].block_dim != nn.CODE_DIM:
-        with pytest.raises(ConfigError, match="geometry.block_px"):
             load_config(p)
         return
     loaded = load_config(p)
@@ -362,6 +358,22 @@ def test_full_pipeline_tiny(tmp_path, capsys):
     assert "roc: SA fakes from" in shown
 
 
+@pytest.mark.parametrize("arch", ["bn", "fc2"])
+def test_a_16_pixel_block_runs_every_verb(tmp_path, capsys, arch):
+    """The networks take their width from the blocks that split_arrays
+    cuts, so 256-pixel blocks train, attack and score as 576-pixel ones do."""
+    p = write_cfg(tmp_path, lambda c: c["geometry"].update(block_px=16))
+    out = tmp_path / "run"
+    assert run(["gen", "--config", str(p)]) == 0
+    for verb in ("train", "attack", "roc"):
+        assert run([verb, "--config", str(p), "--printer", "SA", "--arch", arch]) == 0, \
+            capsys.readouterr().err
+    model, _ = nn.load_model(out / "models" / f"SA_{arch}.pgcm")
+    assert model.in_dim == model.out_dim == 16 * 16
+    assert (out / "reports" / f"summary_SA_{arch}.csv").exists()
+    assert f"roc: SA fakes from {arch}, pearson AUC" in capsys.readouterr().out
+
+
 def tree(root):
     return {f.relative_to(root): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
 
@@ -421,7 +433,7 @@ def serial_cmd_attack(cfg, printer):
         # it) and the baseline's Pearson score; the model reads the scan.
         ink = ink_intensity(ds.scans[printer][i])
         original = ds.originals[i]
-        ref = ds.rendered_original(i).pixels
+        ref = pearson_reference(ds.rendered_original(i).pixels)
         grey = estimate_grey(model, ds.scans[printer][i], ds.geometry.block_px)
         xhat = modules_from_pixels(binarize(grey, threshold), mpx)
         xhat_thr = modules_from_pixels(binarize(ink, thr_t), mpx)
@@ -535,7 +547,7 @@ def serial_reprint_scores(originals, printed, params, module_px, seeds, threshol
     r, h = [], []
     for code, xp, seed in zip(originals, printed, seeds, strict=True):
         ink = ink_intensity(print_scan(render(xp, module_px), params, seed))
-        r.append(pearson(render(code, module_px).pixels, ink.pixels))
+        r.append(pearson(pearson_reference(render(code, module_px).pixels), ink.pixels))
         decided = modules_from_pixels(binarize(ink, threshold), module_px)
         h.append(hamming_norm(code.bits, decided.bits))
     return {"pearson": np.asarray(r, dtype=np.float64), "hamming": np.asarray(h, dtype=np.float64)}

@@ -17,9 +17,6 @@ from pgclab.codegen import (
     render,
 )
 from pgclab.detector import (
-    MEASURE_ALPHA,
-    MEASURE_HAMMING,
-    MEASURE_PEARSON,
     MEASURES,
     auc,
     hamming_norm,
@@ -28,6 +25,7 @@ from pgclab.detector import (
     pearson_reference,
     reprint_scores,
     roc,
+    score_print,
 )
 from pgclab.errors import DegenerateInputError, DimensionError, MissingInputError, ParameterError
 
@@ -36,8 +34,8 @@ from pgclab.errors import DegenerateInputError, DimensionError, MissingInputErro
 
 def test_pearson_perfect_and_inverted():
     x = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-    assert pearson(x, x) == pytest.approx(1.0, abs=1e-12)
-    assert pearson(x, 1.0 - x) == pytest.approx(-1.0, abs=1e-12)
+    assert pearson(pearson_reference(x), x) == pytest.approx(1.0, abs=1e-12)
+    assert pearson(pearson_reference(x), 1.0 - x) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_pearson_matches_exact_fraction_oracle():
@@ -53,8 +51,8 @@ def test_pearson_matches_exact_fraction_oracle():
     vy = sum((b - my) ** 2 for b in fy)
     r2 = cov * cov / (vx * vy)
     assert r2 == Fraction(49, 50)
-    assert pearson(x, y) == pytest.approx(math.sqrt(float(r2)), abs=1e-12)
-    assert pearson(x, y) > 0
+    assert pearson(pearson_reference(x), y) == pytest.approx(math.sqrt(float(r2)), abs=1e-12)
+    assert pearson(pearson_reference(x), y) > 0
 
 
 @settings(max_examples=50, deadline=None)
@@ -67,20 +65,20 @@ def test_pearson_affine_invariance(seed, a, b):
     rng = np.random.default_rng(seed)
     x = rng.random(20)
     y = rng.random(20)
-    r = pearson(x, y)
-    assert pearson(x, a * y + b) == pytest.approx(r, abs=1e-9)
-    assert pearson(x, -a * y + b) == pytest.approx(-r, abs=1e-9)
+    r = pearson(pearson_reference(x), y)
+    assert pearson(pearson_reference(x), a * y + b) == pytest.approx(r, abs=1e-9)
+    assert pearson(pearson_reference(x), -a * y + b) == pytest.approx(-r, abs=1e-9)
 
 
 def test_pearson_degenerate_and_shape_errors():
     with pytest.raises(DegenerateInputError):
-        pearson([1.0, 1.0, 1.0], [0.1, 0.2, 0.3])
+        pearson(pearson_reference([1.0, 1.0, 1.0]), [0.1, 0.2, 0.3])
     with pytest.raises(DegenerateInputError):
-        pearson([0.1, 0.2, 0.3], [2.0, 2.0, 2.0])
+        pearson(pearson_reference([0.1, 0.2, 0.3]), [2.0, 2.0, 2.0])
     with pytest.raises(DimensionError):
-        pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+        pearson(pearson_reference([1.0, 2.0]), [1.0, 2.0, 3.0])
     with pytest.raises(DimensionError):
-        pearson([1.0], [1.0])
+        pearson(pearson_reference([1.0]), [1.0])
 
 
 def pearson_copying(x, y):
@@ -110,10 +108,8 @@ def test_pearson_bit_identical_to_copying_form(dtype):
         if k == 9:
             x, y = x.T, y.T  # non-contiguous views
         before = (x.copy(), y.copy())
-        got, want = pearson(x, y), pearson_copying(x, y)
+        got, want = pearson(pearson_reference(x), y), pearson_copying(x, y)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        prepared = pearson(pearson_reference(x), y)
-        assert np.float64(prepared).tobytes() == np.float64(want).tobytes()
         np.testing.assert_array_equal(x, before[0])
         np.testing.assert_array_equal(y, before[1])
         assert x.dtype == y.dtype == dtype
@@ -121,9 +117,22 @@ def test_pearson_bit_identical_to_copying_form(dtype):
 
 def _pearson_or_error(x, y):
     try:
-        return np.float64(pearson(x, y)).tobytes()
+        return np.float64(pearson(pearson_reference(x), y)).tobytes()
     except (DegenerateInputError, DimensionError) as exc:
         return type(exc)
+
+
+def _copying_or_error(x, y):
+    """The copying form's bits, or the error pearson raises where that
+    form is undefined: unequal lengths, fewer than 2 samples, or a side
+    whose centred squares sum to 0."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if x.size != y.size or y.size < 2:
+        return DimensionError
+    if any(np.sum(np.square(v - v.mean())) == 0.0 for v in (x, y)):
+        return DegenerateInputError
+    return np.float64(pearson_copying(x, y)).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -135,8 +144,8 @@ def _pearson_or_error(x, y):
     shorter_y=st.booleans(),
 )
 def test_pearson_prepared_reference_is_bit_identical(seed, n, dtype, constant, shorter_y):
-    """A prepared reference gives the bits, or the error, of plain pearson,
-    and both give the bits of the copying form."""
+    """A prepared reference gives the bits of the copying form, or, where
+    that form is undefined, the error that says why."""
     rng = np.random.default_rng(seed)
     if dtype is np.uint8:
         x = rng.integers(0, 2, n, dtype=np.uint8)
@@ -149,16 +158,13 @@ def test_pearson_prepared_reference_is_bit_identical(seed, n, dtype, constant, s
         y[:] = y[0]
     if shorter_y:
         y = y[: n // 2]
-    got = _pearson_or_error(x, y)
-    assert _pearson_or_error(pearson_reference(x), y) == got
-    if isinstance(got, bytes):
-        assert got == np.float64(pearson_copying(x, y)).tobytes()
+    assert _pearson_or_error(x, y) == _copying_or_error(x, y)
 
 
 def test_pearson_clipped_to_unit_interval():
     rng = np.random.default_rng(0)
     x = rng.random(50)
-    assert -1.0 <= pearson(x, 3.0 * x + 1.0) <= 1.0
+    assert -1.0 <= pearson(pearson_reference(x), 3.0 * x + 1.0) <= 1.0
 
 
 # ---------------------------------------------------------------- hamming
@@ -181,6 +187,22 @@ def test_hamming_is_a_metric(seed, n):
     assert dab == hamming_norm(b, a)
     assert dab == 0.0 if np.array_equal(a, b) else dab > 0.0
     assert dac <= dab + dbc + 1e-12
+
+
+# ---------------------------------------------------------------- score_print
+
+def test_score_print_scores_every_measure_in_its_order():
+    code, blank = generate_module_matrix(3, 8, 8), ModuleMatrix(np.zeros((8, 8), np.uint8))
+    ref = pearson_reference(render(code, 3).pixels)
+    ink = ink_intensity(print_scan(render(code, 3), ChannelParams(), 0))
+    scores, undefined, decided = score_print(code, ref, ink, 0.5, 3)
+    assert list(scores) == list(MEASURES)
+    assert scores["pearson"] > 0.99 and scores["hamming"] == 0.0 and not undefined
+    np.testing.assert_array_equal(decided.bits, code.bits)
+    flat = PixelImage(np.zeros((24, 24), np.float32), ink.domain)
+    scores, undefined, decided = score_print(code, ref, flat, 0.5, 3)
+    assert scores == {"pearson": 0.0, "hamming": float(np.mean(code.bits))} and undefined
+    np.testing.assert_array_equal(decided.bits, blank.bits)
 
 
 # ---------------------------------------------------------------- roc
@@ -207,14 +229,14 @@ def test_roc_matches_bruteforce_enumeration(measure):
         a = rng.integers(0, 8, na) / 7.0
         f = rng.integers(0, 8, nf) / 7.0
         got = roc(a, f, measure)
-        want = brute_force_roc(list(a), list(f), MEASURE_ALPHA[measure])
+        want = brute_force_roc(list(a), list(f), MEASURES[measure])
         assert got == want
 
 
 def roc_one_pass_per_gamma(authentic, fake, measure):
     """roc as one full pass per gamma, kept as the reference for its points."""
-    s_a = MEASURE_ALPHA[measure] * np.asarray(authentic, dtype=np.float64)
-    s_f = MEASURE_ALPHA[measure] * np.asarray(fake, dtype=np.float64)
+    s_a = MEASURES[measure] * np.asarray(authentic, dtype=np.float64)
+    s_f = MEASURES[measure] * np.asarray(fake, dtype=np.float64)
     gammas = np.unique(np.concatenate([s_a, s_f, [np.inf, -np.inf]]))[::-1]
     return [(float(g), float(np.mean(s_a >= g)), float(np.mean(s_f > g))) for g in gammas]
 
@@ -231,7 +253,7 @@ _ROC_SCORES = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ROC_SCORES, _ROC_SCORES, st.sampled_from(MEASURES))
+@given(_ROC_SCORES, _ROC_SCORES, st.sampled_from(list(MEASURES)))
 def test_roc_sort_and_sweep_equals_one_pass_per_gamma(authentic, fake, measure):
     """Bit for bit, with ties, duplicate scores, +-inf and NaN."""
     a, f = np.array(authentic), np.array(fake)
@@ -239,7 +261,7 @@ def test_roc_sort_and_sweep_equals_one_pass_per_gamma(authentic, fake, measure):
 
 
 def test_roc_example_by_hand():
-    pts = {(pd, pfa) for _, pd, pfa in roc([0.9, 0.8], [0.85, 0.1], MEASURE_PEARSON)}
+    pts = {(pd, pfa) for _, pd, pfa in roc([0.9, 0.8], [0.85, 0.1], "pearson")}
     # gammas swept: inf, .9, .85, .8, .1, -inf; detection counts ties (>=),
     # false alarm does not (>), so gamma=.85 repeats (0.5, 0.0)
     assert pts == {(0.0, 0.0), (0.5, 0.0), (1.0, 0.5), (1.0, 1.0)}
@@ -247,7 +269,7 @@ def test_roc_example_by_hand():
 
 def test_roc_monotone_and_anchored():
     rng = np.random.default_rng(4)
-    pts = roc(rng.normal(0, 1, 40), rng.normal(0.5, 1, 40), MEASURE_PEARSON)
+    pts = roc(rng.normal(0, 1, 40), rng.normal(0.5, 1, 40), "pearson")
     gammas = [g for g, _, _ in pts]
     assert gammas == sorted(gammas, reverse=True)
     pds = [pd for _, pd, _ in pts]
@@ -259,8 +281,8 @@ def test_roc_monotone_and_anchored():
 
 def test_roc_separable_hits_corner():
     for measure, a, f in (
-        (MEASURE_PEARSON, [0.9, 0.95], [0.1, 0.2]),
-        (MEASURE_HAMMING, [0.01, 0.02], [0.4, 0.5]),
+        ("pearson", [0.9, 0.95], [0.1, 0.2]),
+        ("hamming", [0.01, 0.02], [0.4, 0.5]),
     ):
         pts = roc(np.array(a), np.array(f), measure)
         assert any(pd == 1.0 and pfa == 0.0 for _, pd, pfa in pts)
@@ -269,25 +291,27 @@ def test_roc_separable_hits_corner():
 def test_roc_identical_distributions_near_diagonal():
     rng = np.random.default_rng(5)
     s = rng.normal(0, 1, 100)
-    pts = roc(s, s.copy(), MEASURE_PEARSON)
+    pts = roc(s, s.copy(), "pearson")
     for _, pd, pfa in pts:
         assert abs(pd - pfa) <= 1.0 / len(s) + 1e-12
 
 
 def test_roc_rejects_empty():
     with pytest.raises(DimensionError):
-        roc(np.array([]), np.array([0.5]), MEASURE_PEARSON)
+        roc(np.array([]), np.array([0.5]), "pearson")
 
 
 def test_roc_rejects_unknown_measure():
     with pytest.raises(ParameterError):
         roc(np.array([0.5]), np.array([0.5]), "cosine")
+    with pytest.raises(ParameterError):
+        roc(np.array([0.5]), np.array([0.5]), ["pearson"])
 
 
 # ---------------------------------------------------------------- auc / pd@pfa
 
 def test_auc_separable_is_one():
-    c = roc(np.array([0.9, 0.8]), np.array([0.2, 0.1]), MEASURE_PEARSON)
+    c = roc(np.array([0.9, 0.8]), np.array([0.2, 0.1]), "pearson")
     assert auc(c) == 1.0
 
 
@@ -299,7 +323,7 @@ def test_auc_identical_distributions_near_half():
     rng = np.random.default_rng(6)
     a = rng.normal(0, 1, 200)
     f = rng.normal(0, 1, 200)
-    val = auc(roc(a, f, MEASURE_PEARSON))
+    val = auc(roc(a, f, "pearson"))
     assert abs(val - 0.5) <= 0.05
 
 
@@ -308,7 +332,7 @@ def test_auc_bounded():
     for _ in range(20):
         a = rng.normal(0, 1, 15)
         f = rng.normal(0.3, 1, 15)
-        v = auc(roc(a, f, MEASURE_PEARSON))
+        v = auc(roc(a, f, "pearson"))
         assert 0.0 <= v <= 1.0
 
 
@@ -325,7 +349,7 @@ def test_pd_at_pfa_rules():
     assert pd_at_pfa(stair, 1.0) == 1.0
     below = [(math.inf, 0.5, 0.3), (-math.inf, 1.0, 1.0)]
     assert pd_at_pfa(below, 0.1) == 0.0
-    sep = roc(np.array([0.9, 0.8]), np.array([0.2, 0.1]), MEASURE_PEARSON)
+    sep = roc(np.array([0.9, 0.8]), np.array([0.2, 0.1]), "pearson")
     assert pd_at_pfa(sep, 0.0) == 1.0
 
 
@@ -350,10 +374,10 @@ def test_complemented_estimate_scores_poorly():
     flipped = [ModuleMatrix(1 - c.bits) for c in codes]
     (auth, fake), _ = reprint_scores(codes, [flipped], [60] * 4, [61] * 4,
                                      ChannelParams(), 3, 0.5)
-    assert (fake[MEASURE_PEARSON] < 0).all()
-    assert (auth[MEASURE_PEARSON] > 0.99).all()
-    assert (fake[MEASURE_HAMMING] == 1.0).all()
-    assert (auth[MEASURE_HAMMING] == 0.0).all()
+    assert (fake["pearson"] < 0).all()
+    assert (auth["pearson"] > 0.99).all()
+    assert (fake["hamming"] == 1.0).all()
+    assert (auth["hamming"] == 0.0).all()
     for measure in MEASURES:
         assert auc(roc(auth[measure], fake[measure], measure)) == 1.0
 
@@ -366,9 +390,9 @@ def test_a_constant_reprint_scores_pearson_zero_and_is_counted():
     (auth, fake), constant = reprint_scores(codes, [blank], [7, 8, 9], [8, 9, 10],
                                             ChannelParams(offset=0.03), 3, 0.5)
     assert constant == [0, 3]
-    assert (auth[MEASURE_PEARSON] > 0.99).all()
-    assert fake[MEASURE_PEARSON].tolist() == [0.0, 0.0, 0.0]
-    assert fake[MEASURE_HAMMING].tolist() == [float(np.mean(c.bits)) for c in codes]
+    assert (auth["pearson"] > 0.99).all()
+    assert fake["pearson"].tolist() == [0.0, 0.0, 0.0]
+    assert fake["hamming"].tolist() == [float(np.mean(c.bits)) for c in codes]
 
 
 def test_reprint_scores_renders_and_centres_each_original_once(monkeypatch):

@@ -13,7 +13,6 @@ from pgclab.nn import (
     ACT_IDENTITY,
     ACT_RELU,
     ACT_SIGMOID,
-    CODE_DIM,
     REG_L2_WEIGHTS,
     LayerSpec,
     MlpModel,
@@ -29,6 +28,10 @@ from pgclab.nn import (
     save_model,
     weight_sq_sum,
 )
+
+
+# A 24-pixel block's width, as the shipped geometry cuts it.
+DIM = 576
 
 
 def small_model(dims, acts, seed=0, dtype=np.float32):
@@ -59,7 +62,7 @@ def bias_model(pred):
 # ---------------------------------------------------------------- builders
 
 def test_build_fc_shapes():
-    m = build_fc(2, seed=0)
+    m = build_fc(2, DIM, seed=0)
     assert dims(m) == [576, 576, 576, 576]
     assert [s.activation for s in m.layers] == [ACT_RELU, ACT_RELU, ACT_SIGMOID]
     assert all(w.shape == (576, 576) for w in m.weights)
@@ -67,41 +70,44 @@ def test_build_fc_shapes():
     assert all(not b.any() for b in m.biases)
     bound = math.sqrt(6.0 / (576 + 576))
     assert all(np.abs(w).max() <= bound for w in m.weights)
-    assert len(build_fc(4, seed=0).weights) == 5
+    assert len(build_fc(4, DIM, seed=0).weights) == 5
+    assert dims(build_fc(3, 256, seed=0)) == [256] * 5
 
 
 def test_build_fc_rejects_other_depths():
     for bad in (0, 1, 5):
         with pytest.raises(ParameterError):
-            build_fc(bad, seed=0)
+            build_fc(bad, DIM, seed=0)
 
 
 def test_build_bn_shapes():
-    m = build_bn(seed=3)
+    m = build_bn(DIM, seed=3)
     assert dims(m) == [576, 256, 128, 36, 128, 256, 576]
     assert [s.activation for s in m.layers[:-1]] == [ACT_RELU] * 5
     assert m.layers[-1].activation == ACT_SIGMOID
     d = dims(m)
     expect = sum(a * b for a, b in zip(d[:-1], d[1:])) + sum(d[1:])
     assert n_params(m) == expect
+    # Only the outer widths follow the blocks.
+    assert dims(build_bn(256, seed=3)) == [256, 256, 128, 36, 128, 256, 256]
 
 
 def test_builders_are_deterministic():
-    a, b = build_bn(seed=7), build_bn(seed=7)
+    a, b = build_bn(DIM, seed=7), build_bn(DIM, seed=7)
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
-    c = build_bn(seed=8)
+    c = build_bn(DIM, seed=8)
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
 # ---------------------------------------------------------------- forward
 
 def test_zero_model_outputs_half():
-    m = build_fc(2, seed=0)
+    m = build_fc(2, DIM, seed=0)
     for w in m.weights:
         w[:] = 0
-    x = np.random.default_rng(0).random((3, CODE_DIM), dtype=np.float32)
-    np.testing.assert_array_equal(forward(m, x), np.full((3, CODE_DIM), 0.5, np.float32))
+    x = np.random.default_rng(0).random((3, DIM), dtype=np.float32)
+    np.testing.assert_array_equal(forward(m, x), np.full((3, DIM), 0.5, np.float32))
 
 
 def test_forward_hand_computed_affine():
@@ -115,14 +121,14 @@ def test_forward_hand_computed_affine():
 
 
 def test_forward_sigmoid_range_and_shapes():
-    m = build_bn(seed=1)
-    x = np.random.default_rng(1).random((5, CODE_DIM), dtype=np.float32)
+    m = build_bn(DIM, seed=1)
+    x = np.random.default_rng(1).random((5, DIM), dtype=np.float32)
     y = forward(m, x)
-    assert y.shape == (5, CODE_DIM)
+    assert y.shape == (5, DIM)
     assert y.dtype == np.float32
     assert (y > 0).all() and (y < 1).all()
     single = forward(m, x[:1])
-    assert single.shape == (1, CODE_DIM)
+    assert single.shape == (1, DIM)
     # batched matmul may differ from the one-row path in the last ulp
     np.testing.assert_allclose(single[0], y[0], rtol=1e-6)
 
@@ -229,7 +235,7 @@ def test_gradient_check_small_models(dims, acts, cfg):
     assert err == reference_gradient_check(m, x, t, cfg, n_coords=n_params(m), step=1e-3, seed=0)
 
 
-@pytest.mark.parametrize("model", [lambda: build_fc(2, seed=1), lambda: build_bn(seed=2)],
+@pytest.mark.parametrize("model", [lambda: build_fc(2, DIM, seed=1), lambda: build_bn(DIM, seed=2)],
                          ids=["fc2", "bn"])
 def test_gradient_check_matches_whole_network_reruns_on_criterion_1(model):
     """Rerunning only the perturbed layer and those after it gives the
@@ -554,12 +560,12 @@ def test_sigmoid_bit_identical_to_masked_form(dtype):
         np.testing.assert_array_equal(_bits(nn._sigmoid(batch)), _bits(want))
 
 
-@pytest.mark.parametrize("build", [build_bn, lambda seed: build_fc(2, seed)])
+@pytest.mark.parametrize("build", [lambda seed: build_bn(DIM, seed), lambda seed: build_fc(2, DIM, seed)])
 def test_loss_and_grads_bit_identical_to_plain_form(build):
     m = build(31)
     rng = np.random.default_rng(32)
-    x = rng.random((128, CODE_DIM), dtype=np.float32)
-    t = rng.integers(0, 2, (128, CODE_DIM)).astype(np.float32)
+    x = rng.random((128, DIM), dtype=np.float32)
+    t = rng.integers(0, 2, (128, DIM)).astype(np.float32)
     value, gw, gb = loss_and_grads(m, x, t)
     want_value, want_w, want_b = loss_and_grads_plain(m, x, t)
     assert value == want_value
@@ -574,7 +580,7 @@ def test_loss_and_grads_bit_identical_to_plain_form(build):
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
-@pytest.mark.parametrize("build", [build_bn, lambda seed: build_fc(2, seed)])
+@pytest.mark.parametrize("build", [lambda seed: build_bn(DIM, seed), lambda seed: build_fc(2, DIM, seed)])
 def test_optimizer_step_bit_identical_to_per_array_adam(build):
     """Six consecutive steps on real gradients, compared after each.  Both
     models have arrays that span several Adam chunks, the last one partial
@@ -588,8 +594,8 @@ def test_optimizer_step_bit_identical_to_per_array_adam(build):
     cfg = TrainConfig(learning_rate=0.05)
     rng = np.random.default_rng(34)
     for step in range(1, 7):
-        x = rng.random((128, CODE_DIM), dtype=np.float32)
-        t = rng.integers(0, 2, (128, CODE_DIM)).astype(np.float32)
+        x = rng.random((128, DIM), dtype=np.float32)
+        t = rng.integers(0, 2, (128, DIM)).astype(np.float32)
         _, gw, gb = loss_and_grads(m, x, t, cfg)
         optimizer_step(m, (gw, gb), state, cfg)
         adam_per_array(params, gw + gb, moments, step, cfg.learning_rate)
@@ -610,13 +616,93 @@ def test_adam_rejects_non_contiguous_arrays():
         optimizer_step(m, grads, st, TrainConfig())
 
 
+def _subnormal_count(arrays):
+    tiny = np.finfo(arrays[0].dtype).tiny
+    return sum(int(np.count_nonzero((a != 0) & (np.abs(a) < tiny))) for a in arrays)
+
+
+def _fading_input_run(steps):
+    """A small model trained on one batch whose first three inputs are 0
+    after the third step, so the first layer's weights on them get exactly
+    0 gradients and their first moments decay into the subnormal range.
+    Returns the losses, the parameters and the moments after each step."""
+    m = small_model([6, 5, 4], [ACT_RELU, ACT_SIGMOID], seed=20)
+    rng = np.random.default_rng(21)
+    x = rng.random((8, 6), dtype=np.float32)
+    t = rng.integers(0, 2, (8, 4)).astype(np.float32)
+    cfg = TrainConfig(learning_rate=1e-3)
+    st = init_adam(m)
+    record = []
+    for step in range(steps):
+        if step == 3:
+            x[:, :3] = 0
+        value, gw, gb = loss_and_grads(m, x, t, cfg)
+        optimizer_step(m, (gw, gb), st, cfg)
+        record.append((value, [p.copy() for p in m.weights + m.biases],
+                       [a.copy() for a in st.m_w + st.m_b + st.v_w + st.v_b]))
+    return record
+
+
+def test_flushing_subnormal_moments_keeps_the_weights_bits(monkeypatch):
+    """Over 1100 steps the fading inputs' first moments pass through the
+    subnormal range and get stuck there without the flush; with it, fewer
+    are subnormal at the end, every loss and parameter keeps its bits, and
+    each flush step leaves no subnormal moment."""
+    flushed = _fading_input_run(1100)
+    monkeypatch.setattr(nn, "ADAM_FLUSH_EVERY", 10**9)
+    plain = _fading_input_run(1100)
+    assert _subnormal_count(flushed[-1][2]) < _subnormal_count(plain[-1][2])
+    for step, ((value, params, moments), (want_value, want_params, _)) in enumerate(
+            zip(flushed, plain), start=1):
+        assert value == want_value
+        for got, want in zip(params, want_params):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        if step % nn.ADAM_FLUSH_EVERY == 0:
+            assert _subnormal_count(moments) == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_subnormal_moment_survives_a_flush(dtype):
+    """Moments seeded with subnormals of both signs, normals, zeros, inf
+    and NaN, in a 300x300 layer that spans two Adam chunks: a zero-gradient
+    flush step scales each by its decay rate and sets exactly the subnormal
+    results to 0; the step after it, no flush step, keeps them."""
+    m = model_astype(small_model([300, 300], [ACT_SIGMOID], seed=22), dtype)
+    assert m.weights[0].size > nn.ADAM_CHUNK
+    info = np.finfo(dtype)
+    pool = np.array([0.0, -0.0, np.inf, np.nan, 1.0, -2.5e-3, 2 * info.tiny, -1e3 * info.tiny,
+                     info.tiny, -info.tiny,
+                     info.smallest_subnormal, -info.smallest_subnormal,
+                     4 * info.smallest_subnormal, info.tiny / 3, -info.tiny / 2], dtype)
+    rng = np.random.default_rng(23)
+    st = init_adam(m)
+    zeros = ([np.zeros_like(w) for w in m.weights], [np.zeros_like(b) for b in m.biases])
+    for step, flush in ((nn.ADAM_FLUSH_EVERY, True), (nn.ADAM_FLUSH_EVERY + 1, False)):
+        decayed = []
+        for moments, beta in ((st.m_w + st.m_b, nn.ADAM_BETA1), (st.v_w + st.v_b, nn.ADAM_BETA2)):
+            for a in moments:
+                a[...] = rng.choice(pool, a.shape)
+                if beta == nn.ADAM_BETA2:
+                    np.abs(a, out=a)  # second moments are never negative
+                decayed.append(a * beta)
+        st.step = step - 1
+        with np.errstate(invalid="ignore"):  # the weights of inf and NaN moments
+            optimizer_step(m, zeros, st, TrainConfig())
+        assert st.step == step
+        for got, want in zip(st.m_w + st.m_b + st.v_w + st.v_b, decayed):
+            if flush:
+                want[np.abs(want) < info.tiny] = 0
+            np.testing.assert_array_equal(got, want)
+        assert (_subnormal_count(st.m_w + st.m_b + st.v_w + st.v_b) == 0) == flush
+
+
 # ---------------------------------------------------------------- memory
 # Inference runs over row blocks, holds one activation at a time, and sums
 # the loss over leaves of its output; the sigmoid reuses its input.  These
 # pin the results to the one-shot forms that kept every activation and a
 # float64 copy of the whole output.
 
-BUILDERS = [build_bn, lambda seed: build_fc(2, seed)]
+BUILDERS = [lambda seed: build_bn(DIM, seed), lambda seed: build_fc(2, DIM, seed)]
 B = nn.ROW_BLOCK
 ROW_COUNTS = [1, 33, 34, B - 1, B, B + 1, 2 * B + 1, 2560, 2816]
 
@@ -648,7 +734,7 @@ def test_forward_bit_identical_to_last_of_all_activations(build, dtype):
     m = model_astype(build(41), dtype)
     rng = np.random.default_rng(42)
     for n in ROW_COUNTS:
-        x = rng.random((n, CODE_DIM)).astype(dtype)
+        x = rng.random((n, DIM)).astype(dtype)
         want = nn._forward_acts(m, x)[-1]
         got = forward(m, x)
         assert got.dtype == dtype
@@ -661,19 +747,19 @@ def test_batch_loss_bit_identical_to_one_shot_form(build, dtype):
     m = model_astype(build(47), dtype)
     rng = np.random.default_rng(48)
     for n in ROW_COUNTS:
-        x = rng.random((n, CODE_DIM)).astype(dtype)
-        t = rng.integers(0, 2, (n, CODE_DIM), dtype=np.uint8)
+        x = rng.random((n, DIM)).astype(dtype)
+        t = rng.integers(0, 2, (n, DIM), dtype=np.uint8)
         assert batch_loss(m, x, t) == one_shot_loss(m, x, t)
 
 
 def scale_and_unpack(x, t):
     """A prep of byte inputs and packed 0/1 targets, as attack.network_rows."""
-    return x.astype(np.float32) / np.float32(255), np.unpackbits(t, axis=1, count=CODE_DIM)
+    return x.astype(np.float32) / np.float32(255), np.unpackbits(t, axis=1, count=DIM)
 
 
 def test_prep_maps_each_row_block_to_the_input_and_targets():
-    m = build_bn(49)
-    x = np.random.default_rng(50).integers(0, 256, (2 * B + 3, CODE_DIM), dtype=np.uint8)
+    m = build_bn(DIM, 49)
+    x = np.random.default_rng(50).integers(0, 256, (2 * B + 3, DIM), dtype=np.uint8)
     bits = (x > 127).astype(np.uint8)
     seen = []
 
@@ -701,19 +787,19 @@ def test_streamed_batch_loss_is_the_one_shot_objective(build, with_prep):
     of _objective over the one-shot output, at row counts either side of
     ROW_BLOCK and of _SUM_LEAF's leaves, with the l2_weights regularizer
     and without it."""
-    assert B * CODE_DIM > nn._SUM_LEAF  # so some leaves straddle two row blocks
+    assert B * DIM > nn._SUM_LEAF  # so some leaves straddle two row blocks
     m = build(51)
     cfgs = [None, TrainConfig(lam=1e-4, regularizer=REG_L2_WEIGHTS)]
     rng = np.random.default_rng(52)
     for n in STREAM_ROWS:
-        bits = rng.integers(0, 2, (n, CODE_DIM), dtype=np.uint8)
+        bits = rng.integers(0, 2, (n, DIM), dtype=np.uint8)
         if with_prep:
-            x = rng.integers(0, 256, (n, CODE_DIM), dtype=np.uint8)
+            x = rng.integers(0, 256, (n, DIM), dtype=np.uint8)
             packed = np.packbits(bits, axis=1)
             got = [batch_loss(m, x, packed, cfg, prep=scale_and_unpack) for cfg in cfgs]
             out = nn._output(m, scale_and_unpack(x, packed)[0])
         else:
-            x = rng.random((n, CODE_DIM), dtype=np.float32)
+            x = rng.random((n, DIM), dtype=np.float32)
             got = [batch_loss(m, x, bits, cfg) for cfg in cfgs]
             out = nn._output(m, x)
         want = [nn._objective(m, out, bits, cfg) for cfg in cfgs]
@@ -769,8 +855,8 @@ def test_leafwise_square_error_sum_is_np_sum(n, pred_dtype, target_dtype, specia
 def test_uint8_targets_give_the_float32_targets_bits(build):
     m = build(43)
     rng = np.random.default_rng(44)
-    x = rng.random((200, CODE_DIM), dtype=np.float32)
-    bits = rng.integers(0, 2, (200, CODE_DIM), dtype=np.uint8)
+    x = rng.random((200, DIM), dtype=np.float32)
+    bits = rng.integers(0, 2, (200, DIM), dtype=np.uint8)
     cfg = TrainConfig(lam=1e-4, regularizer=REG_L2_WEIGHTS)
     assert batch_loss(m, x, bits) == batch_loss(m, x, bits.astype(np.float32))
     assert batch_loss(m, x, bits, cfg) == batch_loss(m, x, bits.astype(np.float32), cfg)
@@ -811,8 +897,8 @@ def test_batch_loss_peak_memory_does_not_grow_with_the_batch(build):
     rng = np.random.default_rng(46)
     widths = m.in_dim + sum(spec.out_dim for spec in m.layers)
     for n in (2048, 8192):
-        x = rng.random((n, CODE_DIM), dtype=np.float32)
-        t = rng.integers(0, 2, (n, CODE_DIM), dtype=np.uint8)
+        x = rng.random((n, DIM), dtype=np.float32)
+        t = rng.integers(0, 2, (n, DIM), dtype=np.uint8)
         batch_loss(m, x, t)
         tracemalloc.start()
         try:

@@ -23,7 +23,7 @@ from pgclab.codegen import (
     modules_from_pixels,
     render,
 )
-from pgclab.detector import MEASURES, hamming_norm, pearson, reprint_scores
+from pgclab.detector import MEASURES, hamming_norm, pearson, pearson_reference, reprint_scores
 from pgclab.errors import DomainError, PgcError
 
 
@@ -264,7 +264,7 @@ def reference_reprint_scores(originals, printed, params, module_px, seeds, thres
     r, h = [], []
     for code, xp, seed in zip(originals, printed, seeds, strict=True):
         ink = ink_intensity(print_scan(render(xp, module_px), params, seed))
-        r.append(pearson(render(code, module_px).pixels, ink.pixels))
+        r.append(pearson(pearson_reference(render(code, module_px).pixels), ink.pixels))
         decided = modules_from_pixels(binarize(ink, threshold), module_px)
         h.append(hamming_norm(code.bits, decided.bits))
     return [np.asarray(r).tobytes(), np.asarray(h).tobytes()]
