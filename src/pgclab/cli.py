@@ -52,7 +52,6 @@ from .errors import (
     DimensionError,
     FormatError,
     MissingInputError,
-    ParameterError,
     PgcError,
     StateError,
     check_type,
@@ -87,14 +86,6 @@ _SECTIONS = {
 }
 
 
-def _checked(name: str, value, kind: type):
-    """check_type's value, its ParameterError as a ConfigError."""
-    try:
-        return check_type(name, value, kind)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _reject_unknown(raw: dict, known, where: str) -> None:
     unknown = sorted(set(raw) - set(known))
     if unknown:
@@ -117,6 +108,14 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
             raise ConfigError(f"{cfg_path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{cfg_path}: top level must be an object")
+    try:
+        return _parse_config(raw, out, seed, arch)
+    except PgcError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _parse_config(raw: dict, out, seed, arch) -> ExperimentConfig:
+    """load_config's checks and overrides of a config's JSON object."""
     _reject_unknown(raw, {"out_dir", "printers", *_SECTIONS}, "config")
     sections = {}
     for section, known in _SECTIONS.items():
@@ -126,15 +125,12 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
         _reject_unknown(values, known, section)
         sections[section] = values
 
-    try:
-        geometry = Geometry(**sections["geometry"])
-    except PgcError as exc:
-        raise ConfigError(str(exc)) from None
+    geometry = Geometry(**sections["geometry"])
 
     ds = sections["dataset"]
     if "n_images" not in ds:
         raise ConfigError("dataset.n_images is required")
-    n_images = _checked("dataset.n_images", ds["n_images"], int)
+    n_images = check_type("dataset.n_images", ds["n_images"], int)
     if n_images < 1:
         raise ConfigError("dataset.n_images must be >= 1")
     # null stands for an absent split.
@@ -144,7 +140,7 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
             raise ConfigError(f"dataset.split is required when n_images != {sum(DEFAULT_SPLIT)}")
         split = DEFAULT_SPLIT
     elif isinstance(split, list) and len(split) == 3:
-        split = tuple(_checked("dataset.split", s, int) for s in split)
+        split = tuple(check_type("dataset.split", s, int) for s in split)
     else:
         raise ConfigError("dataset.split must be a list of three counts")
     if any(s < 0 for s in split):
@@ -153,7 +149,7 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
         raise ConfigError(
             f"dataset.split must sum to dataset.n_images ({sum(split)} != {n_images})"
         )
-    dataset_seed = _checked("dataset.seed", ds.get("seed", 0), int)
+    dataset_seed = check_type("dataset.seed", ds.get("seed", 0), int)
     if dataset_seed < 0:
         raise ConfigError("dataset.seed must be >= 0")
 
@@ -167,7 +163,7 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError(f"printers[{i}] must be an id or an object with an id")
         _reject_unknown(entry, ("id", "overrides"), f"printers[{i}]")
-        pid = _checked(f"printers[{i}].id", entry["id"], str)
+        pid = check_type(f"printers[{i}].id", entry["id"], str)
         if pid in printers:
             raise ConfigError(f"printers: duplicate id {pid!r}")
         overrides = entry.get("overrides", {})
@@ -182,13 +178,10 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
     training_arch = training.pop("arch", "bn")
     if training_arch not in ARCHS:
         raise ConfigError(f"training.arch must be one of {', '.join(ARCHS)}")
-    try:
-        train = nn.TrainConfig(**training)
-    except PgcError as exc:
-        raise ConfigError(str(exc)) from None
+    train = nn.TrainConfig(**training)
 
     evaluation = sections["evaluation"]
-    measures = _checked("evaluation.measures", evaluation.get("measures", list(MEASURES)), list)
+    measures = check_type("evaluation.measures", evaluation.get("measures", list(MEASURES)), list)
     for m in measures:
         if not isinstance(m, str) or m not in MEASURES:
             raise ConfigError(f"evaluation.measures: unknown measure {m!r}")
@@ -196,8 +189,8 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
         raise ConfigError("evaluation.measures must name at least one measure")
     targets = evaluation.get("target_pfa", [0.0, 0.05, 0.1])
     # float() keeps the summary's header pd_at_pfa_0.0 for a target of 0.
-    target_pfa = [float(_checked("evaluation.target_pfa", t, float))
-                  for t in _checked("evaluation.target_pfa", targets, list)]
+    target_pfa = [float(check_type("evaluation.target_pfa", t, float))
+                  for t in check_type("evaluation.target_pfa", targets, list)]
     for t in target_pfa:
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"evaluation.target_pfa: {t} outside [0, 1]")
@@ -206,7 +199,7 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
             raise ConfigError(f"evaluation.{key}: a value is named twice in {values!r}")
 
     if out is None:
-        out = _checked("out_dir", raw.get("out_dir", ""), str)
+        out = check_type("out_dir", raw.get("out_dir", ""), str)
     if not out:
         raise ConfigError("out_dir missing (set it in the config or pass --out)")
     if seed is not None:
@@ -228,7 +221,7 @@ def load_config(path, out=None, seed=None, arch=None) -> ExperimentConfig:
         train=train,
         measures=list(measures),
         target_pfa=target_pfa,
-        plots=_checked("evaluation.plots", evaluation.get("plots", False), bool),
+        plots=check_type("evaluation.plots", evaluation.get("plots", False), bool),
     )
 
 

@@ -13,9 +13,11 @@ from .codegen import BYTE0_255, ModuleMatrix, PixelImage
 from .errors import DomainError, FormatError
 
 
-def _read_tokens(data: bytes, count: int, pos: int):
-    """Read whitespace-separated header tokens, skipping # comments."""
+def _read_tokens(data: bytes, count: int, path):
+    """Read the whitespace-separated header tokens of path's data, skipping
+    # comments."""
     tokens = []
+    pos = 0
     n = len(data)
     while len(tokens) < count:
         while pos < n and data[pos : pos + 1].isspace():
@@ -28,7 +30,7 @@ def _read_tokens(data: bytes, count: int, pos: int):
         while pos < n and not data[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise FormatError("truncated header")
+            raise FormatError(f"truncated header in {path}")
         tokens.append(data[start:pos])
     # exactly one whitespace byte separates the header from the raster
     return tokens, pos + 1
@@ -52,7 +54,7 @@ def read_pgm(path) -> PixelImage:
         data = f.read()
     if not data.startswith(b"P5"):
         raise FormatError(f"not a P5 PGM file: {path}")
-    tokens, pos = _read_tokens(data, 4, 0)
+    tokens, pos = _read_tokens(data, 4, path)
     try:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
@@ -60,7 +62,7 @@ def read_pgm(path) -> PixelImage:
     if width < 1 or height < 1:
         raise FormatError(f"bad PGM size {width}x{height} in {path}")
     if maxval != 255:
-        raise FormatError(f"unsupported PGM maxval {maxval} (want 255)")
+        raise FormatError(f"unsupported PGM maxval {maxval} in {path} (want 255)")
     if len(data) - pos < width * height:
         raise FormatError(f"truncated PGM raster in {path}")
     px = np.frombuffer(data, np.uint8, width * height, offset=pos).reshape(height, width)
@@ -82,7 +84,7 @@ def read_pbm(path) -> ModuleMatrix:
         data = f.read()
     if not data.startswith(b"P4"):
         raise FormatError(f"not a P4 PBM file: {path}")
-    tokens, pos = _read_tokens(data, 3, 0)
+    tokens, pos = _read_tokens(data, 3, path)
     try:
         width, height = int(tokens[1]), int(tokens[2])
     except ValueError as exc:

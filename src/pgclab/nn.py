@@ -245,83 +245,38 @@ def batch_loss(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
     network's input and its targets, so that the batch may hold them in
     other forms, such as scan bytes and packed bits.
 
-    The value has the bits of _objective over the whole batch's output, but
-    no such output is made: the squared errors are added up over
-    _sq_err_sum's pairwise tree, whose leaves are filled in order from row
-    blocks computed as the leaves reach them.  A block is dropped before
-    the next one is made, so one block's output and one leaf's float64
-    differences are held at a time, never an output of the whole batch.
+    The squared errors of each row block are added up with one np.sum, and
+    the block sums in order.  A block is dropped before the next one is
+    made, so one block's output and its float64 errors are held at a time,
+    never an output of the whole batch.
     """
     x, t = np.asarray(batch_x), np.asarray(batch_t)
     if len(x) == 0:
         raise DimensionError("empty batch")
     if t.shape[:1] != x.shape[:1]:
         raise DimensionError("target batch shape mismatch")
-
-    def blocks():
-        for lo, hi in row_blocks(len(x)):
-            xb, tb = x[lo:hi], t[lo:hi]
-            if prep is not None:
-                xb, tb = prep(xb, tb)
-            xb, tb = _check_batch(m, xb, tb)
-            yield _last_activation(m, xb).reshape(-1), tb.reshape(-1)
-
-    return _mean_loss(m, blocks(), len(x), cfg)
+    total = 0.0
+    for lo, hi in row_blocks(len(x)):
+        xb, tb = x[lo:hi], t[lo:hi]
+        if prep is not None:
+            xb, tb = prep(xb, tb)
+        xb, tb = _check_batch(m, xb, tb)
+        total += _squared_error(_last_activation(m, xb), tb)
+    return _mean_loss(m, total, len(x), cfg)
 
 
-# _sq_err_sum adds up at most this many squared errors with one np.sum.
-_SUM_LEAF = 1 << 16
+def _squared_error(pred: np.ndarray, t: np.ndarray) -> np.float64:
+    """np.sum of the float64 (pred - t) ** 2."""
+    d = pred.astype(np.float64)
+    d -= t
+    d *= d
+    return np.sum(d)
 
 
-def _sq_err_sum(pieces, n: int) -> np.float64:
-    """np.sum of the float64 (pred - t) ** 2 over n flat elements, which
-    pieces yields in order as (flat pred, flat t) pairs.
-
-    Splits as numpy's pairwise summation splits its input, a node of n > 128
-    elements at n//2 - (n//2) % 8, down to leaves that np.sum adds up
-    itself, so the result has the bits of one np.sum over a float64 copy
-    of the whole without that copy.  The leaves are filled left to right,
-    each piece drawn once the last one is used up.
-    """
-    pred = t = np.empty(0)
-    pos = 0  # of the next element of pred
-
-    def leaf(size: int) -> np.ndarray:
-        nonlocal pred, t, pos
-        d = np.empty(size, np.float64)
-        done = 0
-        while done < size:
-            if pos == pred.size:
-                pred = t = None  # dropped before the next piece is made
-                pred, t = next(pieces)
-                pos = 0
-            k = min(size - done, pred.size - pos)
-            d[done : done + k] = pred[pos : pos + k]
-            d[done : done + k] -= t[pos : pos + k]
-            done += k
-            pos += k
-        d *= d
-        return d
-
-    return _tree_sum(leaf, n)
-
-
-def _tree_sum(leaf, n: int) -> np.float64:
-    """The pairwise sum of n elements, leaf(size) giving the next leaf's
-    values.  A module-level function: a recursive closure would be a
-    reference cycle, which keeps the caller's arrays alive until the cycle
-    collector runs."""
-    if n <= _SUM_LEAF:
-        return np.sum(leaf(n))
-    half = n // 2
-    half -= half % 8
-    return _tree_sum(leaf, half) + _tree_sum(leaf, n - half)
-
-
-def _mean_loss(m: MlpModel, pieces, n: int, cfg: TrainConfig | None) -> float:
-    """The mean over n samples of the squared errors of pieces' (flat pred,
-    flat t) pairs, plus the regularizer term."""
-    value = float(_sq_err_sum(pieces, n * m.out_dim)) / n
+def _mean_loss(m: MlpModel, total, n: int, cfg: TrainConfig | None) -> float:
+    """The mean over n samples of a squared-error total, plus the
+    regularizer term."""
+    value = float(total) / n
     if cfg is not None and cfg.lam > 0:
         value += cfg.lam * weight_sq_sum(m)
     return value
@@ -329,8 +284,9 @@ def _mean_loss(m: MlpModel, pieces, n: int, cfg: TrainConfig | None) -> float:
 
 def _objective(m: MlpModel, pred: np.ndarray, tb: np.ndarray,
                cfg: TrainConfig | None) -> float:
-    """batch_loss of a (n, out_dim) prediction, summed in float64."""
-    return _mean_loss(m, iter([(pred.reshape(-1), np.ravel(tb))]), pred.shape[0], cfg)
+    """The loss of a training batch's (n, out_dim) prediction, its squared
+    errors added up with one np.sum."""
+    return _mean_loss(m, _squared_error(pred, tb), pred.shape[0], cfg)
 
 
 def _check_batch(m: MlpModel, batch_x, batch_t):
@@ -402,26 +358,23 @@ ADAM_FLUSH_EVERY = 32
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, the step counter, and two scratch
-    buffers of one chunk each."""
+    """The step counter, the first and second moments of each parameter in
+    weights + biases order, and two scratch buffers of one chunk each."""
 
     step: int
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    mom: list[np.ndarray]
+    vel: list[np.ndarray]
     scratch: tuple[np.ndarray, np.ndarray]
 
 
 def init_adam(model: MlpModel) -> AdamState:
-    size = min(ADAM_CHUNK, max(p.size for p in model.weights + model.biases))
+    params = model.weights + model.biases
+    size = min(ADAM_CHUNK, max(p.size for p in params))
     dtype = model.weights[0].dtype
     return AdamState(
         step=0,
-        m_w=[np.zeros_like(w) for w in model.weights],
-        v_w=[np.zeros_like(w) for w in model.weights],
-        m_b=[np.zeros_like(b) for b in model.biases],
-        v_b=[np.zeros_like(b) for b in model.biases],
+        mom=[np.zeros_like(p) for p in params],
+        vel=[np.zeros_like(p) for p in params],
         scratch=(np.empty(size, dtype), np.empty(size, dtype)),
     )
 
@@ -445,38 +398,34 @@ def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig) -> No
     c2 = 1.0 - b2 ** t
     lr = cfg.learning_rate
     flush = t % ADAM_FLUSH_EVERY == 0
-    for params, gs, ms, vs in (
-        (m.weights, grad_w, state.m_w, state.v_w),
-        (m.biases, grad_b, state.m_b, state.v_b),
-    ):
-        for arrays in zip(params, gs, ms, vs):
-            if not all(a.flags.c_contiguous for a in arrays):
-                raise StateError("Adam's arrays must be C-contiguous")
-            flat = [a.reshape(-1) for a in arrays]
-            for lo in range(0, flat[0].size, ADAM_CHUNK):
-                p, g, mom, vel = (a[lo : lo + ADAM_CHUNK] for a in flat)
-                s1 = state.scratch[0][: p.size]
-                s2 = state.scratch[1][: p.size]
-                mom *= b1
-                np.multiply(g, 1.0 - b1, out=s1)
-                mom += s1
-                vel *= b2
-                np.multiply(g, g, out=s1)
-                s1 *= 1.0 - b2
-                vel += s1
-                if flush:
-                    # Times 1 where |moment| >= tiny, else 0: a NaN stays NaN.
-                    for moment in (mom, vel):
-                        np.abs(moment, out=s1)
-                        np.greater_equal(s1, np.finfo(s1.dtype).tiny, out=s1)
-                        moment *= s1
-                np.divide(vel, c2, out=s1)
-                np.sqrt(s1, out=s1)
-                s1 += eps
-                np.divide(mom, c1, out=s2)
-                s2 *= lr
-                s2 /= s1
-                p -= s2
+    for arrays in zip(m.weights + m.biases, grad_w + grad_b, state.mom, state.vel):
+        if not all(a.flags.c_contiguous for a in arrays):
+            raise StateError("Adam's arrays must be C-contiguous")
+        flat = [a.reshape(-1) for a in arrays]
+        for lo in range(0, flat[0].size, ADAM_CHUNK):
+            p, g, mom, vel = (a[lo : lo + ADAM_CHUNK] for a in flat)
+            s1 = state.scratch[0][: p.size]
+            s2 = state.scratch[1][: p.size]
+            mom *= b1
+            np.multiply(g, 1.0 - b1, out=s1)
+            mom += s1
+            vel *= b2
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - b2
+            vel += s1
+            if flush:
+                # Times 1 where |moment| >= tiny, else 0: a NaN stays NaN.
+                for moment in (mom, vel):
+                    np.abs(moment, out=s1)
+                    np.greater_equal(s1, np.finfo(s1.dtype).tiny, out=s1)
+                    moment *= s1
+            np.divide(vel, c2, out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += eps
+            np.divide(mom, c1, out=s2)
+            s2 *= lr
+            s2 /= s1
+            p -= s2
 
 
 MODEL_MAGIC = b"PGCM"

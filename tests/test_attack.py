@@ -50,6 +50,7 @@ from pgclab.errors import (
 )
 from pgclab.imgio import write_pbm, write_pgm
 from pgclab.nn import ACT_IDENTITY, LayerSpec, MlpModel, TrainConfig
+from block_loss import block_sum_loss
 from written_dataset import written_dataset
 
 
@@ -381,21 +382,12 @@ def test_archs_tuple():
     assert ARCHS == ("fc2", "fc3", "fc4", "bn")
 
 
-def one_shot_loss(m, x, t):
-    """batch_loss as one pass over every row and one np.sum over a float64
-    copy of the whole output: the form the blocked loss must equal."""
-    d = nn._forward_acts(m, x)[-1].astype(np.float64)
-    d -= t
-    d *= d
-    return float(np.sum(d)) / x.shape[0]
-
-
 # At the first rate the network learns, so its outputs depend on its
 # inputs; at the second it saturates early, so an earlier epoch is kept.
 @pytest.mark.parametrize("learning_rate,earlier_kept", [(1e-3, False), (0.05, True)])
 def test_returned_model_is_best_validation_epoch(tmp_path, learning_rate, earlier_kept):
     """Replay the schedule independently on the float32 ink split, with
-    one-shot validation losses: the history, val_loss, returned weights
+    block-sum validation losses: the history, val_loss, returned weights
     (the snapshot of the epoch with the lowest validation loss) and
     threshold must have the replay's bits."""
     ds = written_dataset(tmp_path, (5, 3, 1), {"SA": preset("SA")}, 6)
@@ -420,7 +412,7 @@ def test_returned_model_is_best_validation_epoch(tmp_path, learning_rate, earlie
             nn.optimizer_step(model, (gw, gb), state, cfg)
             total += value * len(sel)
         want_history.append(total / x.shape[0])
-        vals.append(one_shot_loss(model, xv, tv))
+        vals.append(block_sum_loss(model, xv, tv))
         snaps.append([p.copy() for p in model.weights + model.biases])
     k = int(np.argmin(vals))
     assert (k < cfg.epochs - 1) == earlier_kept

@@ -97,11 +97,13 @@ TOKEN = st.integers(-3, 12).map(lambda n: str(n).encode()) | JUNK
 )
 @example(magic=b"P5", width=b"-1", height=b"-1", maxval=b"255", edits=[], raster=b"x")
 @example(magic=b"P4", width=b"-1", height=b"-5", maxval=b"", edits=[], raster=b"")
+@example(magic=b"P5", width=b"4", height=b"4", maxval=b"", edits=[], raster=b"")
+@example(magic=b"P5", width=b"4", height=b"4", maxval=b"65535", edits=[], raster=b"")
 def test_readers_parse_or_raise_pgc_error(tmp_path_factory, magic, width, height, maxval,
                                           edits, raster):
     """A PGM or PBM header built from mutated tokens and bytes either parses
     to an image of at least one pixel each way, or the reader raises one of
-    pgclab's typed errors."""
+    pgclab's typed errors; a FormatError names the file."""
     data = bytearray(magic + b"\n" + width + b" " + height + b"\n")
     if magic == b"P5":
         data += maxval + b"\n"
@@ -111,7 +113,8 @@ def test_readers_parse_or_raise_pgc_error(tmp_path_factory, magic, width, height
     p.write_bytes(bytes(data) + raster)
     try:
         out = READERS[magic](p)
-    except PgcError:
+    except PgcError as exc:
+        assert not isinstance(exc, FormatError) or str(p) in str(exc)
         return
     shape = out.pixels.shape if magic == b"P5" else out.bits.shape
     assert min(shape) >= 1

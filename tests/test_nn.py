@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from block_loss import block_sum_loss
 from gradcheck import gradient_check, model_astype, reference_gradient_check
 from pgclab import nn
 from pgclab.errors import DimensionError, FormatError, ParameterError, PgcError, StateError
@@ -590,7 +591,7 @@ def test_optimizer_step_bit_identical_to_per_array_adam(build):
     params = [p.copy() for p in m.weights + m.biases]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     state = init_adam(m)
-    arrays = m.weights + m.biases + state.m_w + state.m_b + state.v_w + state.v_b
+    arrays = m.weights + m.biases + state.mom + state.vel
     cfg = TrainConfig(learning_rate=0.05)
     rng = np.random.default_rng(34)
     for step in range(1, 7):
@@ -599,7 +600,7 @@ def test_optimizer_step_bit_identical_to_per_array_adam(build):
         _, gw, gb = loss_and_grads(m, x, t, cfg)
         optimizer_step(m, (gw, gb), state, cfg)
         adam_per_array(params, gw + gb, moments, step, cfg.learning_rate)
-        got_all = m.weights + m.biases + state.m_w + state.m_b + state.v_w + state.v_b
+        got_all = m.weights + m.biases + state.mom + state.vel
         want_all = params + [mom for mom, _ in moments] + [vel for _, vel in moments]
         for got, same, want in zip(got_all, arrays, want_all, strict=True):
             assert got is same
@@ -639,7 +640,7 @@ def _fading_input_run(steps):
         value, gw, gb = loss_and_grads(m, x, t, cfg)
         optimizer_step(m, (gw, gb), st, cfg)
         record.append((value, [p.copy() for p in m.weights + m.biases],
-                       [a.copy() for a in st.m_w + st.m_b + st.v_w + st.v_b]))
+                       [a.copy() for a in st.mom + st.vel]))
     return record
 
 
@@ -679,7 +680,7 @@ def test_no_subnormal_moment_survives_a_flush(dtype):
     zeros = ([np.zeros_like(w) for w in m.weights], [np.zeros_like(b) for b in m.biases])
     for step, flush in ((nn.ADAM_FLUSH_EVERY, True), (nn.ADAM_FLUSH_EVERY + 1, False)):
         decayed = []
-        for moments, beta in ((st.m_w + st.m_b, nn.ADAM_BETA1), (st.v_w + st.v_b, nn.ADAM_BETA2)):
+        for moments, beta in ((st.mom, nn.ADAM_BETA1), (st.vel, nn.ADAM_BETA2)):
             for a in moments:
                 a[...] = rng.choice(pool, a.shape)
                 if beta == nn.ADAM_BETA2:
@@ -689,31 +690,22 @@ def test_no_subnormal_moment_survives_a_flush(dtype):
         with np.errstate(invalid="ignore"):  # the weights of inf and NaN moments
             optimizer_step(m, zeros, st, TrainConfig())
         assert st.step == step
-        for got, want in zip(st.m_w + st.m_b + st.v_w + st.v_b, decayed):
+        for got, want in zip(st.mom + st.vel, decayed):
             if flush:
                 want[np.abs(want) < info.tiny] = 0
             np.testing.assert_array_equal(got, want)
-        assert (_subnormal_count(st.m_w + st.m_b + st.v_w + st.v_b) == 0) == flush
+        assert (_subnormal_count(st.mom + st.vel) == 0) == flush
 
 
 # ---------------------------------------------------------------- memory
 # Inference runs over row blocks, holds one activation at a time, and sums
-# the loss over leaves of its output; the sigmoid reuses its input.  These
-# pin the results to the one-shot forms that kept every activation and a
-# float64 copy of the whole output.
+# the loss block by block; the sigmoid reuses its input.  These pin the
+# results to the one-shot forms that kept every activation and a float64
+# copy of the whole output.
 
 BUILDERS = [lambda seed: build_bn(DIM, seed), lambda seed: build_fc(2, DIM, seed)]
 B = nn.ROW_BLOCK
 ROW_COUNTS = [1, 33, 34, B - 1, B, B + 1, 2 * B + 1, 2560, 2816]
-
-
-def one_shot_loss(m, x, t):
-    """batch_loss as one pass over every row and one np.sum over a float64
-    copy of the whole output."""
-    d = nn._forward_acts(m, x)[-1].astype(np.float64)
-    d -= t
-    d *= d
-    return float(np.sum(d)) / x.shape[0]
 
 
 def test_row_blocks_have_at_least_the_block_rows():
@@ -749,7 +741,7 @@ def test_batch_loss_bit_identical_to_one_shot_form(build, dtype):
     for n in ROW_COUNTS:
         x = rng.random((n, DIM)).astype(dtype)
         t = rng.integers(0, 2, (n, DIM), dtype=np.uint8)
-        assert batch_loss(m, x, t) == one_shot_loss(m, x, t)
+        assert batch_loss(m, x, t) == block_sum_loss(m, x, t)
 
 
 def scale_and_unpack(x, t):
@@ -769,7 +761,7 @@ def test_prep_maps_each_row_block_to_the_input_and_targets():
 
     scaled = x.astype(np.float32) / np.float32(255)
     assert batch_loss(m, x, np.packbits(bits, axis=1), prep=prep) == \
-        one_shot_loss(m, scaled, bits)
+        block_sum_loss(m, scaled, bits)
     assert seen == [(B, B), (B + 3, B + 3)]
     with pytest.raises(DimensionError):
         batch_loss(m, x, np.packbits(bits, axis=1)[1:], prep=prep)
@@ -784,10 +776,8 @@ STREAM_ROWS = [1, 33, 34, B - 1, B, B + 1, 2 * B - 1, 2560, 12800]
 @pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
 def test_streamed_batch_loss_is_the_one_shot_objective(build, with_prep):
     """batch_loss, which never makes the whole batch's output, has the bits
-    of _objective over the one-shot output, at row counts either side of
-    ROW_BLOCK and of _SUM_LEAF's leaves, with the l2_weights regularizer
-    and without it."""
-    assert B * DIM > nn._SUM_LEAF  # so some leaves straddle two row blocks
+    of the block sums over the one-shot output, at row counts either side
+    of ROW_BLOCK, with the l2_weights regularizer and without it."""
     m = build(51)
     cfgs = [None, TrainConfig(lam=1e-4, regularizer=REG_L2_WEIGHTS)]
     rng = np.random.default_rng(52)
@@ -797,58 +787,29 @@ def test_streamed_batch_loss_is_the_one_shot_objective(build, with_prep):
             x = rng.integers(0, 256, (n, DIM), dtype=np.uint8)
             packed = np.packbits(bits, axis=1)
             got = [batch_loss(m, x, packed, cfg, prep=scale_and_unpack) for cfg in cfgs]
-            out = nn._output(m, scale_and_unpack(x, packed)[0])
+            x = scale_and_unpack(x, packed)[0]
         else:
             x = rng.random((n, DIM), dtype=np.float32)
             got = [batch_loss(m, x, bits, cfg) for cfg in cfgs]
-            out = nn._output(m, x)
-        want = [nn._objective(m, out, bits, cfg) for cfg in cfgs]
+        want = [block_sum_loss(m, x, bits, cfg) for cfg in cfgs]
         assert got == want, n
         assert want[1] > want[0]
 
 
-_SPECIALS = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.one_of(st.integers(0, 300), st.integers(0, 3 * nn._SUM_LEAF + 4099)),
-    pred_dtype=st.sampled_from([np.float32, np.float64]),
-    target_dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
-    specials=st.lists(st.tuples(st.integers(0, 2**31), st.sampled_from(_SPECIALS)),
-                      max_size=4),
-    cuts=st.lists(st.integers(0, 2**31), max_size=6),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n=3 * nn._SUM_LEAF + 1, pred_dtype=np.float32, target_dtype=np.uint8,
-         specials=[], cuts=[], seed=0)
-@example(n=nn._SUM_LEAF, pred_dtype=np.float64, target_dtype=np.float64,
-         specials=[(7, np.nan), (9, np.inf)], cuts=[], seed=1)
-@example(n=3 * nn._SUM_LEAF + 9, pred_dtype=np.float32, target_dtype=np.uint8,
-         specials=[], cuts=[1, 5, 5, nn._SUM_LEAF - 3, 2 * nn._SUM_LEAF], seed=2)
-def test_leafwise_square_error_sum_is_np_sum(n, pred_dtype, target_dtype, specials, cuts,
-                                             seed):
-    """_sq_err_sum has the bits of np.sum over the whole float64 difference
-    array, at every length, with non-finite predictions included, however
-    the elements are cut into the pieces it is given."""
-    rng = np.random.default_rng(seed)
-    pred = rng.random(n).astype(pred_dtype)
-    if target_dtype == np.uint8:
-        t = rng.integers(0, 2, n, dtype=np.uint8)
-    else:
-        t = rng.normal(0.5, 2.0, n).astype(target_dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, v in specials:
-            if n:
-                pred[i % n] = v
-        d = pred.astype(np.float64)
-        d -= t
-        d *= d
-        want = np.sum(d)
-        bounds = [0, *sorted(c % (n + 1) for c in cuts), n]
-        pieces = iter([(pred[lo:hi], t[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-        got = nn._sq_err_sum(pieces, n)
-    assert np.float64(got).tobytes() == want.tobytes()
+@pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
+def test_training_loss_is_one_sum_over_the_batch(build):
+    """loss_and_grads adds up a batch's squared errors with one np.sum, on
+    a batch of three row blocks whose block sums round differently."""
+    m = build(53)
+    rng = np.random.default_rng(60)
+    x = rng.random((3 * B, DIM), dtype=np.float32)
+    t = rng.integers(0, 2, (3 * B, DIM), dtype=np.uint8)
+    d = nn._forward_acts(m, x)[-1].astype(np.float64).ravel()
+    d -= t.ravel()
+    d *= d
+    want = float(np.sum(d)) / (3 * B)
+    assert block_sum_loss(m, x, t) != want
+    assert loss_and_grads(m, x, t)[0] == want
 
 
 @pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
@@ -889,8 +850,8 @@ def test_integer_and_float_targets_give_the_same_bits():
 @pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
 def test_batch_loss_peak_memory_does_not_grow_with_the_batch(build):
     """One row block's float32 output beside the next block's activations,
-    and one leaf's float64 differences, are all that batch_loss holds at
-    its peak, however many rows the batch has."""
+    and one block's float64 errors, are all that batch_loss holds at its
+    peak, however many rows the batch has."""
     import tracemalloc
 
     m = build(45)
@@ -906,4 +867,4 @@ def test_batch_loss_peak_memory_does_not_grow_with_the_batch(build):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * B * (2 * m.out_dim + widths) + 8 * nn._SUM_LEAF + 2**20, n
+        assert peak <= 4 * B * (2 * m.out_dim + widths) + 8 * B * m.out_dim + 2**20, n
