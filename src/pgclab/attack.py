@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import imgio, nn
-from .channel import ChannelParams, _strips, parallel_map, print_scan, with_fields
+from .channel import ChannelParams, _strips, parallel_map, print_scans, with_fields
 from .codegen import (
     BYTE0_255,
     UNIT_INTERVAL,
@@ -129,7 +129,7 @@ class PairedDataset:
 def _scan_job(job) -> None:
     """Scan one code and write the scan to the job's path."""
     code, module_px, params, seed, path = job
-    imgio.write_pgm(print_scan(render(code, module_px), params, seed), path)
+    imgio.write_pgm(print_scans([render(code, module_px)], params, seed)[0], path)
 
 
 def build_dataset(

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codegen import BINARY01, BYTE0_255, PixelImage
+from .codegen import BINARY01, BYTE0_255, PixelImage, check_size
 from .errors import (
     DimensionError,
     DomainError,
@@ -109,6 +109,7 @@ def with_fields(base: ChannelParams, fields: dict) -> ChannelParams:
 def _dilate(ink: np.ndarray, radius: int) -> np.ndarray:
     """Binary dilation with a (2r+1) square structuring element."""
     h, w = ink.shape
+    check_size(f"dot_gain_radius {radius}", (h + 2 * radius, w + 2 * radius), 1)
     padded = np.zeros((h + 2 * radius, w + 2 * radius), dtype=bool)
     padded[radius : radius + h, radius : radius + w] = ink
     out = np.zeros_like(ink, dtype=bool)
@@ -121,6 +122,7 @@ def _dilate(ink: np.ndarray, radius: int) -> np.ndarray:
 def _gaussian_kernel(sigma: float) -> np.ndarray:
     """1-D Gaussian taps truncated at floor(3 * sigma), renormalized."""
     radius = int(math.floor(3.0 * sigma))
+    check_size(f"psf_sigma {sigma}", (2 * radius + 1,), 8)
     if radius == 0:
         # One tap; its weight renormalizes to 1 (exp would give 0/0 for tiny sigma).
         return np.ones(1)
@@ -226,26 +228,19 @@ def _blur(values: np.ndarray, sigma: float) -> np.ndarray:
     return padded[:h]
 
 
-def print_scan(img: PixelImage, params: ChannelParams, seed: int) -> PixelImage:
-    """Simulate printing and scanning one binary code image.
-
-    Returns a byte0_255 luminance scan (ink is dark).  Deterministic given
-    (img, params, seed); with noise_sigma = 0 and dot_gain_prob in {0, 1}
-    the output does not depend on the seed at all.
-    """
-    return print_scans([img], params, seed)[0]
-
-
 def print_scans(imgs: list[PixelImage], params: ChannelParams, seed: int) -> list[PixelImage]:
-    """[print_scan(img, params, seed) for img in imgs], for binary images of
-    one shape, drawing the seed's random values once for all of them.
+    """Simulate printing and scanning binary code images of one shape.
 
-    The draws are taken strip by strip, and each strip's draws apply to
-    every image; each image has its own blur buffer.
+    Returns one byte0_255 luminance scan (ink is dark) per image.  Each
+    scan is deterministic given (img, params, seed), whichever images share
+    the call; with noise_sigma = 0 and dot_gain_prob in {0, 1} it does not
+    depend on the seed at all.  The seed's random values are drawn once,
+    strip by strip, and each strip's draws apply to every image; each
+    image has its own blur buffer.
     """
     for img in imgs:
         if img.domain != BINARY01:
-            raise DomainError("print_scan expects a binary01 input image")
+            raise DomainError("print_scans expects a binary01 input image")
     shapes = {img.pixels.shape for img in imgs}
     if len(shapes) != 1:
         raise DimensionError(f"print_scans needs images of one shape, not {sorted(shapes)}")

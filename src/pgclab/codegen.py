@@ -8,6 +8,7 @@ per-module majority vote.  All operations here are pure and stateless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,14 @@ BYTE0_255 = "byte0_255"
 UNIT_INTERVAL = "unit_interval"
 
 _DOMAINS = (BINARY01, BYTE0_255, UNIT_INTERVAL)
+
+
+def check_size(name: str, shape: tuple, itemsize: int) -> None:
+    """ParameterError naming name if an array of shape, with items of
+    itemsize bytes, has more bytes than numpy's intp can count."""
+    nbytes = math.prod(shape) * itemsize
+    if nbytes > np.iinfo(np.intp).max:
+        raise ParameterError(f"{name}: an array of {nbytes} bytes is more than numpy can hold")
 
 
 @dataclass(frozen=True)
@@ -35,16 +44,11 @@ class Geometry:
         for name in ("rows", "cols", "module_px", "block_px"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"geometry.{name} must be >= 1")
-        if (self.rows * self.module_px) % self.block_px:
-            raise DimensionError(
-                f"block_px {self.block_px} does not divide image height "
-                f"{self.rows * self.module_px}"
-            )
-        if (self.cols * self.module_px) % self.block_px:
-            raise DimensionError(
-                f"block_px {self.block_px} does not divide image width "
-                f"{self.cols * self.module_px}"
-            )
+        # 8 bytes a pixel: the blur holds the image in float64.
+        check_size("geometry.rows, cols and module_px", (self.image_height, self.image_width), 8)
+        for side, px in (("height", self.image_height), ("width", self.image_width)):
+            if px % self.block_px:
+                raise DimensionError(f"block_px {self.block_px} does not divide image {side} {px}")
 
     @property
     def image_height(self) -> int:

@@ -164,7 +164,7 @@ def reprint_scores(
     fake source's estimate of it against the original.
 
     fakes holds one list of estimates per source, one estimate per
-    original.  Code i's authentic print is print_scan(render(originals[i]))
+    original.  Code i's authentic print is print_scans([render(originals[i])])
     seeded with auth_seeds[i]; its fakes are printed with fake_seeds[i].
     Pearson compares the original bits against the grey ink intensity of
     the print, and scores 0 where a constant print or original leaves it

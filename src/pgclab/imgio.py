@@ -13,9 +13,15 @@ from .codegen import BYTE0_255, ModuleMatrix, PixelImage
 from .errors import DomainError, FormatError
 
 
-def _read_tokens(data: bytes, count: int, path):
-    """Read the whitespace-separated header tokens of path's data, skipping
-    # comments."""
+def _read_header(path, magic: str, count: int, kind: str):
+    """The bytes of path, a magic-numbered kind file whose header has count
+    whitespace-separated tokens (# comments skipped), the header's integers
+    after the magic (width and height first, each checked >= 1) and the
+    offset of the raster."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data.startswith(magic.encode("ascii")):
+        raise FormatError(f"not a {magic} {kind} file: {path}")
     tokens = []
     pos = 0
     n = len(data)
@@ -32,8 +38,15 @@ def _read_tokens(data: bytes, count: int, path):
         if start == pos:
             raise FormatError(f"truncated header in {path}")
         tokens.append(data[start:pos])
+    try:
+        values = [int(token) for token in tokens[1:]]
+    except ValueError as exc:
+        raise FormatError(f"bad {kind} header in {path}") from exc
+    width, height = values[:2]
+    if width < 1 or height < 1:
+        raise FormatError(f"bad {kind} size {width}x{height} in {path}")
     # exactly one whitespace byte separates the header from the raster
-    return tokens, pos + 1
+    return data, values, pos + 1
 
 
 def write_pgm(img: PixelImage, path) -> None:
@@ -50,17 +63,7 @@ def write_pgm(img: PixelImage, path) -> None:
 def read_pgm(path) -> PixelImage:
     """Read a binary PGM (P5) file into a byte0_255 image, whose pixels are
     a read-only view of the file's bytes: the one copy of the raster."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(b"P5"):
-        raise FormatError(f"not a P5 PGM file: {path}")
-    tokens, pos = _read_tokens(data, 4, path)
-    try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise FormatError(f"bad PGM header in {path}") from exc
-    if width < 1 or height < 1:
-        raise FormatError(f"bad PGM size {width}x{height} in {path}")
+    data, (width, height, maxval), pos = _read_header(path, "P5", 4, "PGM")
     if maxval != 255:
         raise FormatError(f"unsupported PGM maxval {maxval} in {path} (want 255)")
     if len(data) - pos < width * height:
@@ -80,17 +83,7 @@ def write_pbm(m: ModuleMatrix, path) -> None:
 
 def read_pbm(path) -> ModuleMatrix:
     """Read a binary PBM (P4) file into a module matrix."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(b"P4"):
-        raise FormatError(f"not a P4 PBM file: {path}")
-    tokens, pos = _read_tokens(data, 3, path)
-    try:
-        width, height = int(tokens[1]), int(tokens[2])
-    except ValueError as exc:
-        raise FormatError(f"bad PBM header in {path}") from exc
-    if width < 1 or height < 1:
-        raise FormatError(f"bad PBM size {width}x{height} in {path}")
+    data, (width, height), pos = _read_header(path, "P4", 3, "PBM")
     row_bytes = (width + 7) // 8
     if len(data) - pos < row_bytes * height:
         raise FormatError(f"truncated PBM raster in {path}")

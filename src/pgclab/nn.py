@@ -212,14 +212,6 @@ def _last_activation(m: MlpModel, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def _output(m: MlpModel, x: np.ndarray) -> np.ndarray:
-    """The last layer's activation, one row block at a time."""
-    out = np.empty((x.shape[0], m.out_dim), m.weights[0].dtype)
-    for lo, hi in row_blocks(x.shape[0]):
-        out[lo:hi] = _last_activation(m, x[lo:hi])
-    return out
-
-
 def _check_input(m: MlpModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != m.in_dim:
@@ -228,8 +220,12 @@ def _check_input(m: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def forward(m: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Run the network on a (n, in_dim) batch."""
-    return _output(m, _check_input(m, x))
+    """Run the network on a (n, in_dim) batch, one row block at a time."""
+    x = _check_input(m, x)
+    out = np.empty((x.shape[0], m.out_dim), m.weights[0].dtype)
+    for lo, hi in row_blocks(x.shape[0]):
+        out[lo:hi] = _last_activation(m, x[lo:hi])
+    return out
 
 
 def weight_sq_sum(m: MlpModel) -> float:

@@ -28,7 +28,7 @@ from pgclab.attack import (
     threshold_grid,
     train_attack,
 )
-from pgclab.channel import ChannelParams, preset, print_scan
+from pgclab.channel import ChannelParams, preset, print_scans
 from pgclab.codegen import (
     BYTE0_255,
     Geometry,
@@ -732,8 +732,8 @@ def test_thr_estimates_degrade_with_noise(tmp_path):
 def reference_scan(ds, printer, i):
     """The scan build_dataset makes of code i, made here in one piece."""
     seed = stream_seed(ds.seed, "scan", printer, i)
-    return print_scan(render(ds.originals[i], ds.geometry.module_px),
-                      ds.channel_params[printer], seed)
+    return print_scans([render(ds.originals[i], ds.geometry.module_px)],
+                       ds.channel_params[printer], seed)[0]
 
 
 def test_build_load_dataset_roundtrip(tmp_path):

@@ -13,7 +13,6 @@ from pgclab.channel import (
     _dilate,
     _gaussian_kernel,
     preset,
-    print_scan,
     print_scans,
     with_fields,
 )
@@ -28,25 +27,25 @@ def bits_image(arr):
 
 def test_identity_channel_is_exact_complement():
     img = render(generate_module_matrix(3, 8, 8), 4)
-    out = print_scan(img, ChannelParams(), seed=0)
+    out = print_scans([img], ChannelParams(), seed=0)[0]
     assert out.domain == BYTE0_255
     assert out.pixels.dtype == np.uint8
     np.testing.assert_array_equal(out.pixels, 255 * (1 - img.pixels))
 
 
 def test_blank_page_scans_white():
-    out = print_scan(bits_image(np.zeros((5, 7))), ChannelParams(), seed=1)
+    out = print_scans([bits_image(np.zeros((5, 7)))], ChannelParams(), seed=1)[0]
     assert (out.pixels == 255).all()
 
 
 def test_full_dot_gain_radius_one_spreads_to_8_neighbours():
     px = np.zeros((9, 9), np.uint8)
     px[4, 4] = 1
-    out = print_scan(
-        bits_image(px),
+    out = print_scans(
+        [bits_image(px)],
         ChannelParams(dot_gain_radius=1, dot_gain_prob=1.0),
         seed=0,
-    )
+    )[0]
     dark = out.pixels < 255
     assert dark.sum() == 9
     assert dark[3:6, 3:6].all()
@@ -55,7 +54,7 @@ def test_full_dot_gain_radius_one_spreads_to_8_neighbours():
 
 def test_zero_prob_dot_gain_is_identity():
     img = render(generate_module_matrix(5, 6, 6), 3)
-    out = print_scan(img, ChannelParams(dot_gain_radius=2, dot_gain_prob=0.0), seed=9)
+    out = print_scans([img], ChannelParams(dot_gain_radius=2, dot_gain_prob=0.0), seed=9)[0]
     np.testing.assert_array_equal(out.pixels, 255 * (1 - img.pixels))
 
 
@@ -64,17 +63,17 @@ def test_seed_independent_when_deterministic():
     img = render(generate_module_matrix(11, 8, 8), 3)
     for prob in (0.0, 1.0):
         p = ChannelParams(dot_gain_radius=1, dot_gain_prob=prob, psf_sigma=1.2, offset=0.02)
-        a = print_scan(img, p, seed=1)
-        b = print_scan(img, p, seed=2)
+        a = print_scans([img], p, seed=1)[0]
+        b = print_scans([img], p, seed=2)[0]
         np.testing.assert_array_equal(a.pixels, b.pixels)
 
 
 def test_same_seed_reproduces_stochastic_scan():
     img = render(generate_module_matrix(12, 8, 8), 3)
     p = preset("SA")
-    a = print_scan(img, p, seed=42)
-    b = print_scan(img, p, seed=42)
-    c = print_scan(img, p, seed=43)
+    a = print_scans([img], p, seed=42)[0]
+    b = print_scans([img], p, seed=42)[0]
+    c = print_scans([img], p, seed=43)[0]
     np.testing.assert_array_equal(a.pixels, b.pixels)
     assert not np.array_equal(a.pixels, c.pixels)
 
@@ -83,25 +82,25 @@ def test_offset_never_lightens():
     img = render(generate_module_matrix(13, 10, 10), 3)
     base = ChannelParams(psf_sigma=1.0, noise_sigma=0.0)
     darker = dataclasses.replace(base, offset=0.08)
-    a = print_scan(img, base, seed=0).pixels.astype(np.int16)
-    b = print_scan(img, darker, seed=0).pixels.astype(np.int16)
+    a = print_scans([img], base, seed=0)[0].pixels.astype(np.int16)
+    b = print_scans([img], darker, seed=0)[0].pixels.astype(np.int16)
     assert (b <= a).all()
     assert (b < a).any()
 
 
 def test_blur_keeps_constant_page_constant():
-    out = print_scan(
-        bits_image(np.ones((12, 12))),
+    out = print_scans(
+        [bits_image(np.ones((12, 12)))],
         ChannelParams(psf_sigma=2.5),
         seed=0,
-    )
+    )[0]
     assert (out.pixels == 0).all()
 
 
 def test_print_scan_rejects_non_binary_input():
     grey = PixelImage(np.full((4, 4), 0.5, np.float32), UNIT_INTERVAL)
     with pytest.raises(DomainError):
-        print_scan(grey, ChannelParams(), seed=0)
+        print_scans([grey], ChannelParams(), seed=0)[0]
 
 
 def test_param_validation():
@@ -161,14 +160,14 @@ def test_preset_overrides():
 def test_gain_offset_affine_stage():
     """One black module, no spreading: gain/offset act on ink before inversion."""
     img = bits_image([[1]])
-    out = print_scan(img, ChannelParams(gain=0.5, offset=0.1), seed=0)
+    out = print_scans([img], ChannelParams(gain=0.5, offset=0.1), seed=0)[0]
     assert out.pixels.dtype == np.uint8
     assert out.pixels.tolist() == [[np.rint(255 * (1 - 0.6))]] == [[102]]
 
 
 # ---------------------------------------------------------------- reference
 # The straightforward channel: a multiply-add per tap over whole padded
-# images, and a tail that allocates each stage.  print_scan must give
+# images, and a tail that allocates each stage.  print_scans must give
 # exactly its bytes.
 
 def reference_blur(values, sigma):
@@ -239,14 +238,14 @@ REFERENCE_CASES = [preset(pid) for pid in PRINTER_IDS] + [
 @pytest.mark.parametrize("params", REFERENCE_CASES, ids=repr)
 def test_print_scan_matches_reference(params):
     img = render(generate_module_matrix(21, 64, 64), 6)
-    assert_same_bytes(print_scan(img, params, seed=77), reference_print_scan(img, params, 77))
+    assert_same_bytes(print_scans([img], params, seed=77)[0], reference_print_scan(img, params, 77))
 
 
 def test_print_scan_matches_reference_non_square():
     img = PixelImage(render(generate_module_matrix(22, 64, 64), 6).pixels[:100, :250].copy(),
                      BINARY01)
     for pid in ("SA", "HP"):
-        assert_same_bytes(print_scan(img, preset(pid), seed=5),
+        assert_same_bytes(print_scans([img], preset(pid), seed=5)[0],
                           reference_print_scan(img, preset(pid), 5))
 
 
@@ -266,9 +265,9 @@ def test_one_tap_kernel_is_one_without_warnings(sigma):
         warnings.simplefilter("error")
         kernel = _gaussian_kernel(sigma)
         img = bits_image(np.random.default_rng(4).random((20, 30)) < 0.5)
-        scan = print_scan(img, dataclasses.replace(SA, psf_sigma=sigma), seed=3)
+        scan = print_scans([img], dataclasses.replace(SA, psf_sigma=sigma), seed=3)[0]
     assert kernel.tolist() == [1.0]
-    assert_same_bytes(scan, print_scan(img, dataclasses.replace(SA, psf_sigma=0.0), seed=3))
+    assert_same_bytes(scan, print_scans([img], dataclasses.replace(SA, psf_sigma=0.0), seed=3)[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -288,7 +287,7 @@ def test_print_scan_matches_reference_property(radius, prob, sigma, gain, offset
     params = ChannelParams(dot_gain_radius=radius, dot_gain_prob=prob, psf_sigma=sigma,
                            gain=gain, offset=offset, noise_sigma=noise)
     img = bits_image(np.random.default_rng(seed).random((h, w)) < 0.5)
-    assert_same_bytes(print_scan(img, params, seed), reference_print_scan(img, params, seed))
+    assert_same_bytes(print_scans([img], params, seed)[0], reference_print_scan(img, params, seed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,6 +301,7 @@ def test_print_scan_matches_reference_property(radius, prob, sigma, gain, offset
     seed=st.integers(0, 2**32 - 1),
 )
 def test_print_scans_is_print_scan_per_image(n, prob, sigma, noise, h, w, seed):
+    """A scan does not depend on which images share its call."""
     params = ChannelParams(dot_gain_radius=1, dot_gain_prob=prob, psf_sigma=sigma,
                            offset=0.03, noise_sigma=noise)
     draw = np.random.default_rng(seed)
@@ -309,7 +309,7 @@ def test_print_scans_is_print_scan_per_image(n, prob, sigma, noise, h, w, seed):
     scans = print_scans(imgs, params, seed)
     assert len(scans) == n
     for img, scan in zip(imgs, scans):
-        assert_same_bytes(scan, print_scan(img, params, seed))
+        assert_same_bytes(scan, print_scans([img], params, seed)[0])
 
 
 def test_print_scans_refuses_before_drawing(monkeypatch):

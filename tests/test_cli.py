@@ -37,7 +37,7 @@ from pgclab.cli import (
     main,
     write_roc_svg,
 )
-from pgclab.channel import parallel_map, preset, print_scan
+from pgclab.channel import parallel_map, preset, print_scans
 from pgclab.codegen import (
     BYTE0_255,
     Geometry,
@@ -398,11 +398,11 @@ def test_forked_and_one_cpu_pipelines_write_the_same_bytes(tmp_path, monkeypatch
 
 
 def test_worker_error_exits_with_its_category(tmp_path, monkeypatch, capsys):
-    def jammed(img, params, seed):
+    def jammed(imgs, params, seed):
         raise DomainError("scanner jammed")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(attack, "print_scan", jammed)
+    monkeypatch.setattr(attack, "print_scans", jammed)
     assert run(["gen", "--config", str(write_cfg(tmp_path))]) == 1
     assert "pgclab: error [domain] scanner jammed" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
@@ -546,7 +546,7 @@ def serial_reprint_scores(originals, printed, params, module_px, seeds, threshol
     """One source's re-print scores as a serial per-image loop."""
     r, h = [], []
     for code, xp, seed in zip(originals, printed, seeds, strict=True):
-        ink = ink_intensity(print_scan(render(xp, module_px), params, seed))
+        ink = ink_intensity(print_scans([render(xp, module_px)], params, seed)[0])
         r.append(pearson(pearson_reference(render(code, module_px).pixels), ink.pixels))
         decided = modules_from_pixels(binarize(ink, threshold), module_px)
         h.append(hamming_norm(code.bits, decided.bits))
@@ -779,6 +779,30 @@ def test_gen_beyond_memory_exits_with_memory_error(tmp_path, capsys, overrides):
     assert run(["gen", "--config", str(write_cfg(tmp_path, mutate))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("pgclab: error [memory] ") and "Traceback" not in err
+    assert not (tmp_path / "run" / "dataset" / "manifest.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("field, value, category", [
+    ("psf_sigma", 1e18, "parameter"),
+    ("dot_gain_radius", 10**19, "parameter"),
+    ("geometry.rows", 40000000000000000000000, "config"),
+])
+def test_gen_beyond_numpy_exits_with_one_line_error(tmp_path, capsys, field, value, category):
+    """A kernel, dilation or image with more bytes than numpy's intp can
+    count ends gen in a one-line error that names the field: a
+    ParameterError, which load_config reports as a config error."""
+    def mutate(cfg):
+        cfg["geometry"].update(rows=4, cols=4)
+        if field == "geometry.rows":
+            cfg["geometry"]["rows"] = value
+        else:
+            cfg["printers"] = [{"id": "SA", "overrides": {field: value}}]
+
+    assert run(["gen", "--config", str(write_cfg(tmp_path, mutate))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pgclab: error [{category}] {field}") and "Traceback" not in err
+    assert err.count("\n") == 1
     assert not (tmp_path / "run" / "dataset" / "manifest.json").exists()
     assert multiprocessing.active_children() == []
 

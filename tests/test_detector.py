@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgclab import detector
-from pgclab.channel import ChannelParams, preset, print_scan, print_scans
+from pgclab.channel import ChannelParams, preset, print_scans
 from pgclab.codegen import (
     BYTE0_255,
     ModuleMatrix,
@@ -99,7 +99,7 @@ def test_pearson_bit_identical_to_copying_form(dtype):
     for k in range(10):
         code = generate_module_matrix(40 + k, 16, 16)
         ref = render(code, 6).pixels
-        scan = print_scan(render(code, 6), preset(("SA", "HP")[k % 2]), k).pixels
+        scan = print_scans([render(code, 6)], preset(("SA", "HP")[k % 2]), k)[0].pixels
         if dtype is np.uint8:
             x, y = ref, scan
         else:
@@ -194,7 +194,7 @@ def test_hamming_is_a_metric(seed, n):
 def test_score_print_scores_every_measure_in_its_order():
     code, blank = generate_module_matrix(3, 8, 8), ModuleMatrix(np.zeros((8, 8), np.uint8))
     ref = pearson_reference(render(code, 3).pixels)
-    ink = ink_intensity(print_scan(render(code, 3), ChannelParams(), 0))
+    ink = ink_intensity(print_scans([render(code, 3)], ChannelParams(), 0)[0])
     scores, undefined, decided = score_print(code, ref, ink, 0.5, 3)
     assert list(scores) == list(MEASURES)
     assert scores["pearson"] > 0.99 and scores["hamming"] == 0.0 and not undefined

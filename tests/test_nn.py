@@ -733,17 +733,6 @@ def test_forward_bit_identical_to_last_of_all_activations(build, dtype):
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
-def test_batch_loss_bit_identical_to_one_shot_form(build, dtype):
-    m = model_astype(build(47), dtype)
-    rng = np.random.default_rng(48)
-    for n in ROW_COUNTS:
-        x = rng.random((n, DIM)).astype(dtype)
-        t = rng.integers(0, 2, (n, DIM), dtype=np.uint8)
-        assert batch_loss(m, x, t) == block_sum_loss(m, x, t)
-
-
 def scale_and_unpack(x, t):
     """A prep of byte inputs and packed 0/1 targets, as attack.network_rows."""
     return x.astype(np.float32) / np.float32(255), np.unpackbits(t, axis=1, count=DIM)
@@ -769,16 +758,18 @@ def test_prep_maps_each_row_block_to_the_input_and_targets():
         batch_loss(m, x, np.packbits(bits, axis=1), prep=lambda a, b: (a, b))
 
 
-STREAM_ROWS = [1, 33, 34, B - 1, B, B + 1, 2 * B - 1, 2560, 12800]
+STREAM_ROWS = [1, 33, 34, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 2560, 12800]
 
 
 @pytest.mark.parametrize("with_prep", [False, True], ids=["no-prep", "prep"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("build", BUILDERS, ids=["bn", "fc2"])
-def test_streamed_batch_loss_is_the_one_shot_objective(build, with_prep):
+def test_streamed_batch_loss_is_the_one_shot_objective(build, dtype, with_prep):
     """batch_loss, which never makes the whole batch's output, has the bits
     of the block sums over the one-shot output, at row counts either side
-    of ROW_BLOCK, with the l2_weights regularizer and without it."""
-    m = build(51)
+    of ROW_BLOCK, in float32 and float64 models, with the l2_weights
+    regularizer and without it."""
+    m = model_astype(build(51), dtype)
     cfgs = [None, TrainConfig(lam=1e-4, regularizer=REG_L2_WEIGHTS)]
     rng = np.random.default_rng(52)
     for n in STREAM_ROWS:
@@ -789,7 +780,7 @@ def test_streamed_batch_loss_is_the_one_shot_objective(build, with_prep):
             got = [batch_loss(m, x, packed, cfg, prep=scale_and_unpack) for cfg in cfgs]
             x = scale_and_unpack(x, packed)[0]
         else:
-            x = rng.random((n, DIM), dtype=np.float32)
+            x = rng.random((n, DIM), dtype=dtype)
             got = [batch_loss(m, x, bits, cfg) for cfg in cfgs]
         want = [block_sum_loss(m, x, bits, cfg) for cfg in cfgs]
         assert got == want, n

@@ -13,7 +13,7 @@ import pytest
 
 import pgclab
 from pgclab.attack import build_dataset, load_dataset, stream_seed
-from pgclab.channel import parallel_map, preset, print_scan
+from pgclab.channel import parallel_map, preset, print_scans
 from pgclab.codegen import (
     Geometry,
     ModuleMatrix,
@@ -253,8 +253,8 @@ def reference_scans(ds, printer_params, seed):
     scans = {}
     for pid in sorted(printer_params):
         scans[pid] = [
-            print_scan(render(ds.originals[i], ds.geometry.module_px), printer_params[pid],
-                       stream_seed(seed, "scan", pid, i)).pixels.tobytes()
+            print_scans([render(ds.originals[i], ds.geometry.module_px)], printer_params[pid],
+                        stream_seed(seed, "scan", pid, i))[0].pixels.tobytes()
             for i in range(ds.n_images)
         ]
     return scans
@@ -263,7 +263,7 @@ def reference_scans(ds, printer_params, seed):
 def reference_reprint_scores(originals, printed, params, module_px, seeds, threshold):
     r, h = [], []
     for code, xp, seed in zip(originals, printed, seeds, strict=True):
-        ink = ink_intensity(print_scan(render(xp, module_px), params, seed))
+        ink = ink_intensity(print_scans([render(xp, module_px)], params, seed)[0])
         r.append(pearson(pearson_reference(render(code, module_px).pixels), ink.pixels))
         decided = modules_from_pixels(binarize(ink, threshold), module_px)
         h.append(hamming_norm(code.bits, decided.bits))
