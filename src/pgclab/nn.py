@@ -7,8 +7,10 @@ given the seeds, with fixed reduction orders.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -334,9 +336,11 @@ def loss_and_grads(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
     return value, grad_w, grad_b
 
 
-# Adam runs over chunks of this many elements of each flattened array, so
-# that a chunk of the parameter, gradient, moments and scratch stays in
-# cache across the update's 14 passes.
+# Adam's numpy passes run over chunks of this many elements of each
+# flattened array, so that a chunk of the parameter, gradient, moments and
+# scratch stays in cache across the update's 14 passes.  The chunks belong
+# to that fallback (_adam_numpy) only: the compiled kernel of _adam.c makes
+# one pass over each array.
 ADAM_CHUNK = 65536
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015).
@@ -375,53 +379,147 @@ def init_adam(model: MlpModel) -> AdamState:
     )
 
 
+def _adam_scalars(t: int, lr: float) -> tuple:
+    """Step t's b1, 1 - b1, b2, 1 - b2, c1, c2, eps and lr; each is rounded
+    to the parameter dtype where it meets an array."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    return b1, 1.0 - b1, b2, 1.0 - b2, 1.0 - b1 ** t, 1.0 - b2 ** t, ADAM_EPS, lr
+
+
 def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig) -> None:
     """One Adam update, in place.
 
     Per element: mom = b1 mom + (1 - b1) g, vel = b2 vel + (1 - b2) g^2,
     p -= lr (mom / c1) / (sqrt(vel / c2) + eps), every product and
     quotient rounded in the parameter dtype, each subnormal mom and vel
-    set to 0 first on every ADAM_FLUSH_EVERY-th step.  Every array must be
-    C-contiguous: the update runs on flat views of them.
+    set to 0 first on every ADAM_FLUSH_EVERY-th step.  Each gradient and
+    moment must have its parameter's shape, and every array must be
+    C-contiguous, aligned and writeable; both are checked before any array
+    is written.  Arrays that are all float32 go through the compiled kernel
+    of _adam.c, once per parameter, when it builds and passes its probe;
+    the rest, or all of them without it, go through _adam_numpy's chunked
+    passes.  The two give the same bits, NaN payloads aside: where a NaN
+    gradient meets a NaN moment, numpy's own add returns either operand's
+    NaN, by the element's place in the array.
     """
     if state is None:
         raise StateError("optimizer state not initialized (call init_adam)")
     grad_w, grad_b = grads
+    params = m.weights + m.biases
+    if not len(params) == len(grad_w) + len(grad_b) == len(state.mom) == len(state.vel):
+        raise DimensionError("Adam needs one gradient and one moment pair per parameter")
+    groups = list(zip(params, grad_w + grad_b, state.mom, state.vel))
+    for arrays in groups:
+        if any(a.shape != arrays[0].shape for a in arrays):
+            raise DimensionError(f"Adam's gradient and moments must have their "
+                                 f"parameter's shape {arrays[0].shape}")
+        if not all(a.flags.carray for a in arrays):
+            raise StateError("Adam's arrays must be C-contiguous, aligned and writeable")
     state.step += 1
-    t = state.step
-    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    lr = cfg.learning_rate
-    flush = t % ADAM_FLUSH_EVERY == 0
-    for arrays in zip(m.weights + m.biases, grad_w + grad_b, state.mom, state.vel):
-        if not all(a.flags.c_contiguous for a in arrays):
-            raise StateError("Adam's arrays must be C-contiguous")
-        flat = [a.reshape(-1) for a in arrays]
-        for lo in range(0, flat[0].size, ADAM_CHUNK):
-            p, g, mom, vel = (a[lo : lo + ADAM_CHUNK] for a in flat)
-            s1 = state.scratch[0][: p.size]
-            s2 = state.scratch[1][: p.size]
-            mom *= b1
-            np.multiply(g, 1.0 - b1, out=s1)
-            mom += s1
-            vel *= b2
-            np.multiply(g, g, out=s1)
-            s1 *= 1.0 - b2
-            vel += s1
-            if flush:
-                # Times 1 where |moment| >= tiny, else 0: a NaN stays NaN.
-                for moment in (mom, vel):
-                    np.abs(moment, out=s1)
-                    np.greater_equal(s1, np.finfo(s1.dtype).tiny, out=s1)
-                    moment *= s1
-            np.divide(vel, c2, out=s1)
-            np.sqrt(s1, out=s1)
-            s1 += eps
-            np.divide(mom, c1, out=s2)
-            s2 *= lr
-            s2 /= s1
-            p -= s2
+    scalars = _adam_scalars(state.step, cfg.learning_rate)
+    flush = state.step % ADAM_FLUSH_EVERY == 0
+    for arrays in groups:
+        if all(a.dtype == np.float32 for a in arrays) and (kernel := _adam_kernel()) is not None:
+            kernel(*(a.ctypes.data for a in arrays), arrays[0].size, *scalars, flush)
+        else:
+            _adam_numpy(*arrays, state.scratch, scalars, flush)
+
+
+def _adam_numpy(p, g, mom, vel, scratch, scalars, flush: bool) -> None:
+    """optimizer_step's update of one parameter, in 14 numpy passes over
+    each ADAM_CHUNK-element chunk of the flat arrays."""
+    b1, omb1, b2, omb2, c1, c2, eps, lr = scalars
+    flat = [a.reshape(-1) for a in (p, g, mom, vel)]
+    for lo in range(0, flat[0].size, ADAM_CHUNK):
+        p, g, mom, vel = (a[lo : lo + ADAM_CHUNK] for a in flat)
+        s1 = scratch[0][: p.size]
+        s2 = scratch[1][: p.size]
+        mom *= b1
+        np.multiply(g, omb1, out=s1)
+        mom += s1
+        vel *= b2
+        np.multiply(g, g, out=s1)
+        s1 *= omb2
+        vel += s1
+        if flush:
+            # Times 1 where |moment| >= tiny, else 0: a NaN stays NaN.
+            for moment in (mom, vel):
+                np.abs(moment, out=s1)
+                np.greater_equal(s1, np.finfo(s1.dtype).tiny, out=s1)
+                moment *= s1
+        np.divide(vel, c2, out=s1)
+        np.sqrt(s1, out=s1)
+        s1 += eps
+        np.divide(mom, c1, out=s2)
+        s2 *= lr
+        s2 /= s1
+        p -= s2
+
+
+_ADAM_SOURCE = os.path.join(os.path.dirname(__file__), "_adam.c")
+# No -ffast-math and no -march: each operation must round as numpy's does.
+_ADAM_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+
+
+def _build_adam_kernel():
+    """_adam.c's adam_f32 through ctypes, or None when there is no C
+    compiler, the build or the load fails, or the kernel does not give
+    _adam_numpy's bits on the probe.
+
+    The shared library is built once per user into
+    $XDG_CACHE_HOME/pgclab (default ~/.cache/pgclab), named by the sha256
+    of the source and the flags; it is written under a temporary name and
+    moved into place, so concurrent builds never load a partial file.
+    """
+    import ctypes
+    import hashlib
+    import subprocess
+
+    try:
+        with open(_ADAM_SOURCE, "rb") as fh:
+            digest = hashlib.sha256(fh.read() + " ".join(_ADAM_FLAGS).encode()).hexdigest()
+        cache_dir = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+        path = os.path.join(cache_dir, "pgclab", f"adam-{digest}.so")
+        if not os.path.exists(path):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            tmp = f"{path}.{os.getpid()}.tmp"
+            subprocess.run(["cc", *_ADAM_FLAGS, "-o", tmp, _ADAM_SOURCE],
+                           check=True, capture_output=True)
+            os.replace(tmp, path)
+        kernel = ctypes.CDLL(path).adam_f32
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    kernel.restype = None
+    kernel.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_size_t]
+                       + [ctypes.c_float] * 8 + [ctypes.c_int])
+    return kernel if _kernel_matches_numpy(kernel) else None
+
+
+def _kernel_matches_numpy(kernel) -> bool:
+    """Whether the kernel gives _adam_numpy's NaNs and every other bit on
+    a fixed probe: an odd length, NaN, inf, +-0, subnormal and normal
+    values in every array, one plain step and one flush step."""
+    info = np.finfo(np.float32)
+    pool = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, info.smallest_subnormal,
+                     -3 * info.smallest_subnormal, info.tiny, -info.tiny / 3, 1e-20,
+                     -2.5e-3, 0.5, 1.0, -7.0, 3e38], np.float32)
+    rng = np.random.default_rng(0)
+    want = rng.choice(pool, (4, 1001))
+    want[:, ::2] = rng.normal(0.0, 1.0, (4, 501)) * 10.0 ** rng.integers(-30, 30, (4, 501))
+    got = want.copy()
+    scratch = (np.empty(1001, np.float32), np.empty(1001, np.float32))
+    for t, flush in ((1, False), (ADAM_FLUSH_EVERY, True)):
+        scalars = _adam_scalars(t, 1e-3)
+        with np.errstate(all="ignore"):
+            _adam_numpy(*want, scratch, scalars, flush)
+        kernel(*(a.ctypes.data for a in got), got.shape[1], *scalars, flush)
+    nan = np.isnan(want)
+    return np.array_equal(nan, np.isnan(got)) and want[~nan].tobytes() == got[~nan].tobytes()
+
+
+# The probed kernel or None, built at most once per process, on the first
+# float32 step.
+_adam_kernel = cache(_build_adam_kernel)
 
 
 MODEL_MAGIC = b"PGCM"

@@ -1,5 +1,8 @@
 import math
+import os
+import shutil
 import struct
+from functools import cache
 
 import numpy as np
 import pytest
@@ -250,6 +253,16 @@ def test_gradient_check_matches_whole_network_reruns_on_criterion_1(model):
 
 # ---------------------------------------------------------------- optimizer
 
+@pytest.fixture(params=["kernel", "numpy"])
+def adam_path(request, monkeypatch):
+    """Runs a test on the float32 path optimizer_step takes here (the
+    compiled kernel, where a C compiler builds it) and on the numpy passes
+    forced."""
+    if request.param == "numpy":
+        monkeypatch.setattr(nn, "_adam_kernel", lambda: None)
+    return request.param
+
+
 def test_adam_noop_on_zero_gradients():
     m = small_model([4, 3], [ACT_SIGMOID], seed=13)
     before = [w.copy() for w in m.weights]
@@ -260,20 +273,22 @@ def test_adam_noop_on_zero_gradients():
         np.testing.assert_array_equal(w, b)
 
 
-def test_adam_first_step_matches_closed_form():
-    m = model_astype(small_model([3, 2], [ACT_IDENTITY], seed=14), np.float64)
+@pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-10, 1e-12),
+                                               (np.float32, 1e-6, 1e-6)])
+def test_adam_first_step_matches_closed_form(adam_path, dtype, rtol, atol):
+    m = model_astype(small_model([3, 2], [ACT_IDENTITY], seed=14), dtype)
     before_w = [w.copy() for w in m.weights]
     before_b = [b.copy() for b in m.biases]
     rng = np.random.default_rng(15)
-    gw = [rng.normal(0, 1, w.shape) for w in m.weights]
-    gb = [rng.normal(0, 1, b.shape) for b in m.biases]
+    gw = [rng.normal(0, 1, w.shape).astype(dtype) for w in m.weights]
+    gb = [rng.normal(0, 1, b.shape).astype(dtype) for b in m.biases]
     cfg = TrainConfig(learning_rate=0.01)
     st = init_adam(m)
     optimizer_step(m, (gw, gb), st, cfg)
     assert st.step == 1
     for p0, p1, g in zip(before_w + before_b, m.weights + m.biases, gw + gb):
         expect = p0 - 0.01 * g / (np.abs(g) + nn.ADAM_EPS)
-        np.testing.assert_allclose(p1, expect, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(p1, expect, rtol=rtol, atol=atol)
 
 
 def test_adam_requires_state():
@@ -582,7 +597,7 @@ def test_loss_and_grads_bit_identical_to_plain_form(build):
 
 
 @pytest.mark.parametrize("build", [lambda seed: build_bn(DIM, seed), lambda seed: build_fc(2, DIM, seed)])
-def test_optimizer_step_bit_identical_to_per_array_adam(build):
+def test_optimizer_step_bit_identical_to_per_array_adam(adam_path, build):
     """Six consecutive steps on real gradients, compared after each.  Both
     models have arrays that span several Adam chunks, the last one partial
     (fc2's 576x576 weights span six); each array is updated in place."""
@@ -644,7 +659,7 @@ def _fading_input_run(steps):
     return record
 
 
-def test_flushing_subnormal_moments_keeps_the_weights_bits(monkeypatch):
+def test_flushing_subnormal_moments_keeps_the_weights_bits(adam_path, monkeypatch):
     """Over 1100 steps the fading inputs' first moments pass through the
     subnormal range and get stuck there without the flush; with it, fewer
     are subnormal at the end, every loss and parameter keeps its bits, and
@@ -663,7 +678,7 @@ def test_flushing_subnormal_moments_keeps_the_weights_bits(monkeypatch):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_no_subnormal_moment_survives_a_flush(dtype):
+def test_no_subnormal_moment_survives_a_flush(adam_path, dtype):
     """Moments seeded with subnormals of both signs, normals, zeros, inf
     and NaN, in a 300x300 layer that spans two Adam chunks: a zero-gradient
     flush step scales each by its decay rate and sets exactly the subnormal
@@ -695,6 +710,145 @@ def test_no_subnormal_moment_survives_a_flush(dtype):
                 want[np.abs(want) < info.tiny] = 0
             np.testing.assert_array_equal(got, want)
         assert (_subnormal_count(st.mom + st.vel) == 0) == flush
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+def _adam_steps(m, grads, moments, first_step, steps):
+    """A copy of m's parameters and its moments after steps Adam steps on
+    fixed gradients, from moments set to the given values at step
+    first_step."""
+    m = MlpModel(m.layers, [w.copy() for w in m.weights], [b.copy() for b in m.biases])
+    st = init_adam(m)
+    for a, value in zip(st.mom + st.vel, moments, strict=True):
+        a[...] = value
+    st.step = first_step
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            optimizer_step(m, grads, st, TrainConfig(learning_rate=0.05))
+    return m.weights + m.biases + st.mom + st.vel
+
+
+def _bits_nan_aside(a):
+    """The bits of a, every NaN made one NaN: where a NaN gradient meets a
+    NaN moment, numpy's add returns either NaN by the element's place."""
+    return _bits(np.where(np.isnan(a), np.float32(np.nan), a))
+
+
+@needs_cc
+@pytest.mark.parametrize("grad", ["finite", "nan", "inf"])
+@pytest.mark.parametrize("n", [1, 3, 17, 65537])
+def test_adam_kernel_gives_the_numpy_passes_bits(monkeypatch, n, grad):
+    """A (1, n) weight and its bias, from moments holding NaN, inf, +-0,
+    subnormal and normal values, over three steps with a flush step in the
+    middle: the kernel and the numpy passes forced give the same bits, NaN
+    payloads aside, also where every fifth gradient is NaN or +-inf."""
+    assert nn._adam_kernel() is not None
+    m = small_model([n, 1], [ACT_SIGMOID], seed=n)
+    info = np.finfo(np.float32)
+    pool = np.array([0.0, -0.0, np.inf, np.nan, -np.nan, info.smallest_subnormal,
+                     -info.tiny / 3, info.tiny, 1e-3, -2.0], np.float32)
+    rng = np.random.default_rng(n)
+    moments = [rng.choice(pool, p.shape) for p in (m.weights + m.biases) * 2]
+    gw = [rng.normal(0, 1, w.shape).astype(np.float32) for w in m.weights]
+    gb = [rng.normal(0, 1, b.shape).astype(np.float32) for b in m.biases]
+    if grad != "finite":
+        for g in gw + gb:
+            g.reshape(-1)[::5] = np.float32(grad)
+            g.reshape(-1)[2::5] = -np.float32(grad)
+    kernel = _adam_steps(m, (gw, gb), moments, nn.ADAM_FLUSH_EVERY - 2, 3)
+    monkeypatch.setattr(nn, "_adam_kernel", lambda: None)
+    numpy = _adam_steps(m, (gw, gb), moments, nn.ADAM_FLUSH_EVERY - 2, 3)
+    for got, want in zip(kernel, numpy, strict=True):
+        np.testing.assert_array_equal(_bits_nan_aside(got), _bits_nan_aside(want))
+
+
+@needs_cc
+def test_the_kernel_is_the_float32_path_where_cc_builds_it(monkeypatch):
+    """float32 arrays never reach the numpy passes; float64 arrays do."""
+    reached = []
+    monkeypatch.setattr(nn, "_adam_numpy", lambda p, *rest: reached.append(p.dtype))
+    for dtype in (np.float32, np.float64):
+        m = small_model([4, 3], [ACT_SIGMOID], seed=13, dtype=dtype)
+        before = [p.copy() for p in m.weights + m.biases]
+        grads = ([np.ones_like(w) for w in m.weights], [np.ones_like(b) for b in m.biases])
+        optimizer_step(m, grads, init_adam(m), TrainConfig())
+        moved = [not np.array_equal(p, q) for p, q in zip(m.weights + m.biases, before)]
+        assert moved == [dtype == np.float32] * 2
+    assert reached == [np.float64, np.float64]
+
+
+def _falls_back_to_the_numpy_bits(monkeypatch):
+    """Training with a kernel getter that builds afresh, once, gives the
+    bits of the numpy passes forced, over a flush step."""
+    monkeypatch.setattr(nn, "_adam_kernel", cache(nn._build_adam_kernel))
+    built = _fading_input_run(nn.ADAM_FLUSH_EVERY + 2)
+    assert nn._adam_kernel() is None
+    monkeypatch.setattr(nn, "_adam_kernel", lambda: None)
+    forced = _fading_input_run(nn.ADAM_FLUSH_EVERY + 2)
+    for (value, params, moments), (want_value, want_params, want_moments) in zip(built, forced):
+        assert value == want_value
+        for got, want in zip(params + moments, want_params + want_moments):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_a_failed_build_falls_back_to_the_numpy_bits(tmp_path, monkeypatch):
+    """A compiler that exits 1 leaves no kernel in the cache, and training
+    runs on the numpy passes."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    ran = tmp_path / "ran"
+    cc = bin_dir / "cc"
+    cc.write_text(f"#!/bin/sh\necho \"$@\" >> {ran}\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert nn._build_adam_kernel() is None
+    assert "-ffp-contract=off" in ran.read_text()
+    assert list((tmp_path / "cache").rglob("*.so")) == []
+    _falls_back_to_the_numpy_bits(monkeypatch)
+
+
+@needs_cc
+def test_a_kernel_that_fails_its_probe_falls_back_to_the_numpy_bits(tmp_path, monkeypatch):
+    """A kernel that adds its step builds, is cached, and is refused."""
+    source = open(nn._ADAM_SOURCE).read()
+    wrong = source.replace("p[i] = p[i] - ", "p[i] = p[i] + ")
+    assert wrong != source
+    (tmp_path / "_adam.c").write_text(wrong)
+    monkeypatch.setattr(nn, "_ADAM_SOURCE", str(tmp_path / "_adam.c"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert nn._build_adam_kernel() is None
+    assert len(list((tmp_path / "cache" / "pgclab").glob("adam-*.so"))) == 1
+    _falls_back_to_the_numpy_bits(monkeypatch)
+
+
+@pytest.mark.parametrize("bad", ["transposed gradient", "longer gradient", "shorter moment",
+                                 "missing gradient"])
+def test_adam_refuses_misshapen_arrays_before_writing_any(adam_path, bad):
+    """The kernel reads raw pointers over the parameter's length, so every
+    gradient and moment must have its parameter's shape.  The misfit sits
+    in the last parameter, so an update that checked as it went would have
+    written the others first."""
+    m = small_model([4, 3, 2], [ACT_RELU, ACT_SIGMOID], seed=13)
+    st = init_adam(m)
+    gw = [np.ones_like(w) for w in m.weights]
+    gb = [np.ones_like(b) for b in m.biases]
+    if bad == "transposed gradient":
+        gw[-1] = np.ones((3, 2), np.float32)  # for the (2, 3) weight
+    elif bad == "longer gradient":
+        gb[-1] = np.ones(3, np.float32)
+    elif bad == "shorter moment":
+        st.vel[-1] = np.zeros(1, np.float32)
+    else:
+        gb = gb[:-1]
+    before = [a.copy() for a in m.weights + m.biases + st.mom + st.vel]
+    with pytest.raises(DimensionError):
+        optimizer_step(m, (gw, gb), st, TrainConfig())
+    assert st.step == 0
+    for a, want in zip(m.weights + m.biases + st.mom + st.vel, before, strict=True):
+        np.testing.assert_array_equal(_bits(a), _bits(want))
 
 
 # ---------------------------------------------------------------- memory
