@@ -1,7 +1,7 @@
 /* One Adam update of a float32 parameter array, in place.
 
    Each element goes through the same 14 float32 roundings, in the same
-   order, as nn._adam_numpy's passes over a chunk:
+   order, as nn._adam_numpy's passes over the whole array:
 
      mom = mom * b1 + g * omb1
      vel = vel * b2 + (g * g) * omb2

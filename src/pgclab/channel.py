@@ -135,7 +135,7 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
 # that many bits indexes a table of 2 ** 16 float64 sums (512 KiB).
 _TABLE_TAPS = 16
 # print_scans works through images in strips of this many rows.  A
-# strip's float64 rows and scratch stay in the L2 cache, and its
+# strip's float64 rows and work arrays stay in the L2 cache, and its
 # temporaries are small enough for malloc to reuse instead of mapping
 # and faulting in fresh pages for every image.
 _STRIP_ROWS = 64

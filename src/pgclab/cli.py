@@ -278,8 +278,9 @@ def cmd_train(cfg: ExperimentConfig, printer: str) -> None:
         ["epoch", "loss"],
         [(e + 1, v) for e, v in enumerate(history)],
     )
+    adam = "the compiled loop" if nn._adam_kernel() is not None else "numpy passes"
     print(
-        f"train: {cfg.arch} on {printer}, {cfg.train.epochs} epochs, "
+        f"train: {cfg.arch} on {printer}, {cfg.train.epochs} epochs, Adam on {adam}, "
         f"final loss {history[-1]:.6f}, kept-model val loss {kept:.6f}, "
         f"threshold {threshold:.2f} -> {model_path}"
     )

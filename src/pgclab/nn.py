@@ -336,13 +336,6 @@ def loss_and_grads(m: MlpModel, batch_x: np.ndarray, batch_t: np.ndarray,
     return value, grad_w, grad_b
 
 
-# Adam's numpy passes run over chunks of this many elements of each
-# flattened array, so that a chunk of the parameter, gradient, moments and
-# scratch stays in cache across the update's 14 passes.  The chunks belong
-# to that fallback (_adam_numpy) only: the compiled kernel of _adam.c makes
-# one pass over each array.
-ADAM_CHUNK = 65536
-
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -358,25 +351,18 @@ ADAM_FLUSH_EVERY = 32
 
 @dataclass
 class AdamState:
-    """The step counter, the first and second moments of each parameter in
-    weights + biases order, and two scratch buffers of one chunk each."""
+    """The step counter and the first and second moments of each parameter,
+    in weights + biases order."""
 
     step: int
     mom: list[np.ndarray]
     vel: list[np.ndarray]
-    scratch: tuple[np.ndarray, np.ndarray]
 
 
 def init_adam(model: MlpModel) -> AdamState:
     params = model.weights + model.biases
-    size = min(ADAM_CHUNK, max(p.size for p in params))
-    dtype = model.weights[0].dtype
-    return AdamState(
-        step=0,
-        mom=[np.zeros_like(p) for p in params],
-        vel=[np.zeros_like(p) for p in params],
-        scratch=(np.empty(size, dtype), np.empty(size, dtype)),
-    )
+    return AdamState(step=0, mom=[np.zeros_like(p) for p in params],
+                     vel=[np.zeros_like(p) for p in params])
 
 
 def _adam_scalars(t: int, lr: float) -> tuple:
@@ -397,10 +383,10 @@ def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig) -> No
     C-contiguous, aligned and writeable; both are checked before any array
     is written.  Arrays that are all float32 go through the compiled kernel
     of _adam.c, once per parameter, when it builds and passes its probe;
-    the rest, or all of them without it, go through _adam_numpy's chunked
-    passes.  The two give the same bits, NaN payloads aside: where a NaN
-    gradient meets a NaN moment, numpy's own add returns either operand's
-    NaN, by the element's place in the array.
+    the rest, or all of them without it, go through _adam_numpy's passes
+    over whole arrays.  The two give the same bits, NaN payloads aside:
+    where a NaN gradient meets a NaN moment, numpy's own add returns either
+    operand's NaN, by the element's place in the array.
     """
     if state is None:
         raise StateError("optimizer state not initialized (call init_adam)")
@@ -422,38 +408,33 @@ def optimizer_step(m: MlpModel, grads, state: AdamState, cfg: TrainConfig) -> No
         if all(a.dtype == np.float32 for a in arrays) and (kernel := _adam_kernel()) is not None:
             kernel(*(a.ctypes.data for a in arrays), arrays[0].size, *scalars, flush)
         else:
-            _adam_numpy(*arrays, state.scratch, scalars, flush)
+            _adam_numpy(*arrays, scalars, flush)
 
 
-def _adam_numpy(p, g, mom, vel, scratch, scalars, flush: bool) -> None:
+def _adam_numpy(p, g, mom, vel, scalars, flush: bool) -> None:
     """optimizer_step's update of one parameter, in 14 numpy passes over
-    each ADAM_CHUNK-element chunk of the flat arrays."""
+    the whole arrays."""
     b1, omb1, b2, omb2, c1, c2, eps, lr = scalars
-    flat = [a.reshape(-1) for a in (p, g, mom, vel)]
-    for lo in range(0, flat[0].size, ADAM_CHUNK):
-        p, g, mom, vel = (a[lo : lo + ADAM_CHUNK] for a in flat)
-        s1 = scratch[0][: p.size]
-        s2 = scratch[1][: p.size]
-        mom *= b1
-        np.multiply(g, omb1, out=s1)
-        mom += s1
-        vel *= b2
-        np.multiply(g, g, out=s1)
-        s1 *= omb2
-        vel += s1
-        if flush:
-            # Times 1 where |moment| >= tiny, else 0: a NaN stays NaN.
-            for moment in (mom, vel):
-                np.abs(moment, out=s1)
-                np.greater_equal(s1, np.finfo(s1.dtype).tiny, out=s1)
-                moment *= s1
-        np.divide(vel, c2, out=s1)
-        np.sqrt(s1, out=s1)
-        s1 += eps
-        np.divide(mom, c1, out=s2)
-        s2 *= lr
-        s2 /= s1
-        p -= s2
+    mom *= b1
+    s1 = np.multiply(g, omb1)
+    mom += s1
+    vel *= b2
+    np.multiply(g, g, out=s1)
+    s1 *= omb2
+    vel += s1
+    if flush:
+        # Times 1 where |moment| >= tiny, else 0: a NaN stays NaN.
+        for moment in (mom, vel):
+            np.abs(moment, out=s1)
+            np.greater_equal(s1, np.finfo(s1.dtype).tiny, out=s1)
+            moment *= s1
+    np.divide(vel, c2, out=s1)
+    np.sqrt(s1, out=s1)
+    s1 += eps
+    s2 = np.divide(mom, c1)
+    s2 *= lr
+    s2 /= s1
+    p -= s2
 
 
 _ADAM_SOURCE = os.path.join(os.path.dirname(__file__), "_adam.c")
@@ -507,11 +488,10 @@ def _kernel_matches_numpy(kernel) -> bool:
     want = rng.choice(pool, (4, 1001))
     want[:, ::2] = rng.normal(0.0, 1.0, (4, 501)) * 10.0 ** rng.integers(-30, 30, (4, 501))
     got = want.copy()
-    scratch = (np.empty(1001, np.float32), np.empty(1001, np.float32))
     for t, flush in ((1, False), (ADAM_FLUSH_EVERY, True)):
         scalars = _adam_scalars(t, 1e-3)
         with np.errstate(all="ignore"):
-            _adam_numpy(*want, scratch, scalars, flush)
+            _adam_numpy(*want, scalars, flush)
         kernel(*(a.ctypes.data for a in got), got.shape[1], *scalars, flush)
     nan = np.isnan(want)
     return np.array_equal(nan, np.isnan(got)) and want[~nan].tobytes() == got[~nan].tobytes()

@@ -358,6 +358,17 @@ def test_full_pipeline_tiny(tmp_path, capsys):
     assert "roc: SA fakes from" in shown
 
 
+def test_train_says_when_adam_runs_as_numpy_passes(tmp_path, monkeypatch, capsys):
+    """Without the compiled loop, training runs slower and nothing else shows
+    why, so train's line names the update that ran."""
+    p = write_cfg(tmp_path)
+    assert run(["gen", "--config", str(p)]) == 0
+    monkeypatch.setattr(nn, "_adam_kernel", lambda: None)
+    capsys.readouterr()
+    assert run(["train", "--config", str(p), "--printer", "SA"]) == 0
+    assert "train: bn on SA, 2 epochs, Adam on numpy passes, final loss" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("arch", ["bn", "fc2"])
 def test_a_16_pixel_block_runs_every_verb(tmp_path, capsys, arch):
     """The networks take their width from the blocks that split_arrays

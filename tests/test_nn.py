@@ -598,11 +598,9 @@ def test_loss_and_grads_bit_identical_to_plain_form(build):
 
 @pytest.mark.parametrize("build", [lambda seed: build_bn(DIM, seed), lambda seed: build_fc(2, DIM, seed)])
 def test_optimizer_step_bit_identical_to_per_array_adam(adam_path, build):
-    """Six consecutive steps on real gradients, compared after each.  Both
-    models have arrays that span several Adam chunks, the last one partial
-    (fc2's 576x576 weights span six); each array is updated in place."""
+    """Six consecutive steps on real gradients, compared after each; each
+    array is updated in place."""
     m = build(33)
-    assert any(w.size > nn.ADAM_CHUNK and w.size % nn.ADAM_CHUNK for w in m.weights)
     params = [p.copy() for p in m.weights + m.biases]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     state = init_adam(m)
@@ -680,11 +678,10 @@ def test_flushing_subnormal_moments_keeps_the_weights_bits(adam_path, monkeypatc
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_no_subnormal_moment_survives_a_flush(adam_path, dtype):
     """Moments seeded with subnormals of both signs, normals, zeros, inf
-    and NaN, in a 300x300 layer that spans two Adam chunks: a zero-gradient
-    flush step scales each by its decay rate and sets exactly the subnormal
-    results to 0; the step after it, no flush step, keeps them."""
+    and NaN, in a 300x300 layer: a zero-gradient flush step scales each by
+    its decay rate and sets exactly the subnormal results to 0; the step
+    after it, no flush step, keeps them."""
     m = model_astype(small_model([300, 300], [ACT_SIGMOID], seed=22), dtype)
-    assert m.weights[0].size > nn.ADAM_CHUNK
     info = np.finfo(dtype)
     pool = np.array([0.0, -0.0, np.inf, np.nan, 1.0, -2.5e-3, 2 * info.tiny, -1e3 * info.tiny,
                      info.tiny, -info.tiny,
